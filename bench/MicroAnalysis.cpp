@@ -134,11 +134,9 @@ TraceFile buildAccessTrace(uint64_t Objects) {
 
 void BM_RacePass(benchmark::State &State) {
   TraceFile Trace = buildAccessTrace(static_cast<uint64_t>(State.range(0)));
-  RaceDetectorOptions Opts;
-  Opts.Jobs = static_cast<unsigned>(State.range(1));
   uint64_t Pairs = 0;
   for (auto _ : State) {
-    RaceAnalysis R = detectRaces(Trace, Opts);
+    RaceAnalysis R = detectRaces(Trace);
     Pairs += R.RacyPairs;
     benchmark::DoNotOptimize(R);
   }
@@ -147,13 +145,7 @@ void BM_RacePass(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(Trace.Events.size()));
 }
-BENCHMARK(BM_RacePass)
-    ->Args({64, 1})
-    ->Args({512, 1})
-    ->Args({512, 2})
-    ->Args({512, 4})
-    ->Args({4096, 1})
-    ->Args({4096, 4});
+BENCHMARK(BM_RacePass)->Arg(64)->Arg(512)->Arg(4096);
 
 } // namespace
 

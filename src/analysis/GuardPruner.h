@@ -18,8 +18,9 @@
 ///     all sit at their acquire points simultaneously: whoever holds the
 ///     guard excludes the others. The witnessing guard lock is named.
 ///   * HBOrdered — two components' acquires are ordered by the recorded
-///     happens-before relation (fork-only clocks: a must-order), so they
-///     cannot be concurrent in any execution with the same fork structure.
+///     happens-before relation (must-order clocks: fork, join and
+///     notify->wake edges; see analysis/SyncWalker.h), so they cannot be
+///     concurrent in any execution with the same synchronization structure.
 ///   * SingleThread — fewer than two distinct threads (degenerate input
 ///     cycles; the closure itself never produces these).
 ///   * Schedulable — none of the above discharges the cycle; Phase II

@@ -7,15 +7,15 @@
 /// \file
 /// Incremental construction of the lock dependency relation from a trace
 /// event stream, extracted from dlf-analyze so the dlf-observe sidecar can
-/// feed events in epochs as they drain from the ring: state (thread clocks,
-/// held stacks, pending notify clocks, the running event number used in
-/// warnings) persists across feed() calls, and feeding a whole trace in one
-/// call is exactly the old batch behavior.
+/// feed events in epochs as they drain from the ring: the SyncWalker state
+/// (thread clocks, held stacks, pending notify clocks, the running event
+/// number used in warnings) persists across feed() calls, and feeding a
+/// whole trace in one call is exactly the batch behavior.
 ///
-/// Thread clocks are fork-only (ticked at each F edge): a must-order
-/// relation, so the pruner's HBOrdered verdict proves infeasibility instead
-/// of merely "didn't overlap this run" — the distinction §1 of the paper
-/// draws.
+/// The walker runs the must-order partial order (fork, join and
+/// notify->wake edges; see analysis/SyncWalker.h), so the pruner's
+/// HBOrdered verdict proves infeasibility instead of merely "didn't
+/// overlap this run" — the distinction §1 of the paper draws.
 ///
 /// printCycleReport/printRaceReport render the analysis results in the
 /// exact format dlf-analyze established, parameterized only by the tool
@@ -29,13 +29,14 @@
 
 #include "analysis/GuardPruner.h"
 #include "analysis/RaceDetector.h"
+#include "analysis/SyncWalker.h"
 #include "analysis/Trace.h"
 #include "igoodlock/IGoodlock.h"
 #include "igoodlock/LockDependency.h"
 #include "runtime/Records.h"
 
 #include <iosfwd>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 namespace dlf {
@@ -46,32 +47,23 @@ public:
   /// Semantic warnings ("acquire references unknown thread") go to
   /// \p WarnOS; pass null to silence them.
   explicit IncrementalLogBuilder(std::ostream *WarnOS = nullptr)
-      : Warn(WarnOS) {}
+      : Walker(SyncOrder::MustOrder, WarnOS) {}
 
   /// Feeds a batch of events. Each event must be fed exactly once, in
   /// stream order.
   void feed(const std::vector<TraceEvent> &Events);
 
   const LockDependencyLog &log() const { return Log; }
-  uint64_t eventsSeen() const { return EventNo; }
+  uint64_t eventsSeen() const { return Walker.eventsSeen(); }
 
 private:
-  struct BuilderThread {
-    ThreadRecord Record;
-    std::vector<LockStackEntry> Stack;
-  };
-
-  void feedOne(const TraceEvent &E);
-
-  std::ostream *Warn;
+  SyncWalker Walker;
   LockDependencyLog Log;
-  std::unordered_map<uint64_t, BuilderThread> Threads;
-  std::unordered_map<uint64_t, LockRecord> Locks;
-  /// Last notify clock per condvar id: a V event joins it into the waking
-  /// thread (the signal→wake happens-before edge of the widened alphabet).
-  std::unordered_map<uint64_t, VectorClock> CondNotify;
-  uint64_t EventNo = 0;
 };
+
+/// The cycle as a Phase II spec line (DLF_PRELOAD_CYCLE), through the
+/// codec in interpose/TraceFormat.h.
+std::string cycleSpecOf(const AbstractCycle &Cycle);
 
 /// Prints the deadlock-cycle report (summary lines, then one block per
 /// cycle with classification and machine-readable cycle-spec) in the

@@ -10,8 +10,8 @@
 //     ordered list of synchronization events (acquires, releases, wakeups,
 //     joins, forks), per lock the critical-section list in trace order, and
 //     for every acquire an Occurrence carrying the held-set, context and
-//     full-sync vector clock at the request (fork + release→acquire +
-//     notify→wake + join edges, the RaceDetector discipline).
+//     must-order vector clock at the request, all read off the shared
+//     SyncWalker (analysis/SyncWalker.h) before it applies the acquire.
 //
 //  2. Per-cycle verdicts — components are matched to occurrences exactly
 //     like the guard pruner (exact context preferred, loose fallback,
@@ -41,6 +41,7 @@
 #include "event/Label.h"
 #include "event/VectorClock.h"
 #include "analysis/LogBuilder.h"
+#include "analysis/SyncWalker.h"
 #include "telemetry/Metrics.h"
 
 #include <algorithm>
@@ -85,11 +86,6 @@ struct CritSec {
   LockMode Mode = LockMode::Exclusive;
 };
 
-struct HeldLock {
-  uint64_t RawLock = 0;
-  LockMode Mode = LockMode::Exclusive;
-};
-
 /// One concrete acquire, snapshotted at the request.
 struct Occurrence {
   uint32_t Thread = 0; ///< dense
@@ -97,7 +93,7 @@ struct Occurrence {
   LockMode Mode = LockMode::Exclusive;
   uint32_t Ord = 0; ///< ordinal of the acquire event (= the fixed prefix)
   std::vector<Label> Context;
-  std::vector<HeldLock> Held;
+  std::vector<LockStackEntry> Held;
   VectorClock Clock;
 };
 
@@ -116,273 +112,128 @@ struct PerLock {
 };
 
 /// The walk output (layer 1). Built once per evaluateCycles call, then
-/// shared read-only across verdict workers.
+/// shared read-only across verdict workers. Threads and locks are indexed
+/// by the walker's dense ids.
 class TraceIndex {
 public:
   explicit TraceIndex(const TraceFile &Trace);
 
+  /// Clocks carry MUST-order edges only: fork, join, notify->wake. The
+  /// observed release->acquire order is deliberately NOT joined — it is a
+  /// schedule artifact that a sync-preserving reordering may undo whenever
+  /// the consuming critical section is left out of the witness; the
+  /// closure enforces lock ordering precisely where it is load-bearing.
+  /// This also makes the hb-ordered pre-filter agree with the guard
+  /// pruner, whose LogBuilder runs the same walker.
+  SyncWalker Walk{SyncOrder::MustOrder};
   std::vector<PerThread> Threads;
   std::vector<PerLock> Locks;
-  std::vector<uint64_t> ThreadRaw; ///< dense -> raw id
-  std::vector<uint64_t> LockRaw;
   std::vector<Occurrence> Occs; ///< all acquires, trace order
   /// (thread raw, lock raw) -> occurrence indices, trace order. Keys are
   /// mixed; hits re-verify the pair, so a collision only costs time.
   std::unordered_map<uint64_t, std::vector<uint32_t>> OccsByTL;
-  std::unordered_map<uint64_t, std::string> LockNameByRaw;
   uint64_t AcquireEvents = 0;
 
   static uint64_t tlKey(uint64_t T, uint64_t L) {
     return T * 0x9E3779B97F4A7C15ull ^ L;
   }
-
-private:
-  uint32_t thread(uint64_t Raw);
-  uint32_t lock(uint64_t Raw);
-
-  std::unordered_map<uint64_t, uint32_t> ThreadIdx;
-  std::unordered_map<uint64_t, uint32_t> LockIdx;
 };
 
-uint32_t TraceIndex::thread(uint64_t Raw) {
-  auto [It, New] = ThreadIdx.try_emplace(
-      Raw, static_cast<uint32_t>(Threads.size()));
-  if (New) {
-    Threads.emplace_back();
-    ThreadRaw.push_back(Raw);
-  }
-  return It->second;
-}
-
-uint32_t TraceIndex::lock(uint64_t Raw) {
-  auto [It, New] =
-      LockIdx.try_emplace(Raw, static_cast<uint32_t>(Locks.size()));
-  if (New) {
-    Locks.emplace_back();
-    LockRaw.push_back(Raw);
-  }
-  return It->second;
-}
-
-TraceIndex::TraceIndex(const TraceFile &Trace) {
-  // Walk-only state, discarded after construction.
-  // Clocks carry MUST-order edges only: fork, join, notify→wake. The
-  // observed release→acquire order is deliberately NOT joined — it is a
-  // schedule artifact that a sync-preserving reordering may undo whenever
-  // the consuming critical section is left out of the witness; the closure
-  // enforces lock ordering precisely where it is load-bearing. This also
-  // makes the hb-ordered pre-filter agree with the guard pruner, whose
-  // LogBuilder clocks use the same discipline.
-  std::vector<VectorClock> ThreadClock;
-  struct StackEnt {
-    uint64_t RawLock = 0;
-    Label Site;
-    LockMode Mode = LockMode::Exclusive;
-  };
-  std::vector<std::vector<StackEnt>> Stack;
+/// Builds the per-thread event lists, critical sections and occurrences
+/// from the walk; holds the walk-only state discarded after construction.
+struct IndexVisitor : SyncVisitor {
+  TraceIndex &Ix;
+  const SyncWalker &W;
   // Per (thread, lock): open critical-section indices, innermost last.
   std::vector<std::unordered_map<uint32_t, std::vector<uint32_t>>> OpenCs;
   // Per lock: currently open conflict state for the overlap check.
   std::vector<uint32_t> OpenExcl; // count of open exclusive CSes
   std::vector<uint32_t> OpenShared;
-  std::unordered_map<uint64_t, VectorClock> CondNotifyClock;
-  struct NotifySrc {
-    uint32_t Thread = 0;
-    uint32_t Count = 0;
-  };
-  std::unordered_map<uint64_t, NotifySrc> CondLastNotify;
+  /// Per condvar: the Wake event a wakeup records, naming the last notify.
+  std::unordered_map<uint64_t, IndexedEvent> WakeByCond;
 
-  auto Grow = [&](uint32_t T) {
-    if (ThreadClock.size() <= T) {
-      ThreadClock.resize(T + 1);
-      Stack.resize(T + 1);
+  explicit IndexVisitor(TraceIndex &Ix) : Ix(Ix), W(Ix.Walk) {}
+
+  std::vector<IndexedEvent> &evs(uint32_t T) { return Ix.Threads[T].Evs; }
+
+  void threadNew(uint32_t T) {
+    if (Ix.Threads.size() <= T) {
+      Ix.Threads.resize(T + 1);
       OpenCs.resize(T + 1);
     }
-  };
-  auto GrowLock = [&](uint32_t L) {
-    if (OpenExcl.size() <= L) {
+  }
+  void lockNew(uint32_t L) {
+    if (Ix.Locks.size() <= L) {
+      Ix.Locks.resize(L + 1);
       OpenExcl.resize(L + 1, 0);
       OpenShared.resize(L + 1, 0);
     }
-  };
-
-  uint64_t Pos = 0;
-  for (const TraceEvent &E : Trace.Events) {
-    ++Pos;
-    switch (E.K) {
-    case TraceEvent::Kind::ThreadNew: {
-      uint32_t T = thread(E.A);
-      Grow(T);
-      if (ThreadClock[T].empty())
-        vcTick(ThreadClock[T], ThreadId(E.A));
-      break;
-    }
-    case TraceEvent::Kind::LockNew: {
-      GrowLock(lock(E.A));
-      LockNameByRaw.emplace(E.A, E.Text);
-      break;
-    }
-    case TraceEvent::Kind::Fork: {
-      uint32_t P = thread(E.A);
-      uint32_t C = thread(E.B);
-      Grow(std::max(P, C));
-      if (ThreadClock[P].empty())
-        vcTick(ThreadClock[P], ThreadId(E.A));
-      vcJoin(ThreadClock[C], ThreadClock[P]);
-      vcTick(ThreadClock[C], ThreadId(E.B));
-      vcTick(ThreadClock[P], ThreadId(E.A));
-      IndexedEvent Ev;
-      Ev.K = IndexedEvent::ForkChild;
-      Ev.SrcThread = C;
-      Threads[P].Evs.push_back(Ev);
-      Threads[C].HasParent = true;
-      Threads[C].Parent = P;
-      Threads[C].ParentCount = static_cast<uint32_t>(Threads[P].Evs.size());
-      break;
-    }
-    case TraceEvent::Kind::Join: {
-      uint32_t J = thread(E.A);
-      uint32_t T = thread(E.B);
-      Grow(std::max(J, T));
-      vcJoin(ThreadClock[J], ThreadClock[T]);
-      IndexedEvent Ev;
-      Ev.K = IndexedEvent::JoinEdge;
-      Ev.SrcThread = T;
-      Ev.SrcCount = static_cast<uint32_t>(Threads[T].Evs.size());
-      Ev.HasSrc = true;
-      Threads[J].Evs.push_back(Ev);
-      break;
-    }
-    case TraceEvent::Kind::Acquire:
-    case TraceEvent::Kind::SharedAcquire: {
-      bool Shared = E.K == TraceEvent::Kind::SharedAcquire;
-      uint32_t T = thread(E.A);
-      uint32_t L = lock(E.B);
-      Grow(T);
-      GrowLock(L);
-      if (ThreadClock[T].empty())
-        vcTick(ThreadClock[T], ThreadId(E.A));
-      ++AcquireEvents;
-
-      // Grant-order invariant check: a conflicting critical section open
-      // at this acquire means the trace interleaves conflicting holds.
-      if (OpenExcl[L] != 0 || (!Shared && OpenShared[L] != 0))
-        Locks[L].Irregular = true;
-
-      Label Site = Label::intern(E.Text);
-      Occurrence O;
-      O.Thread = T;
-      O.LockDense = L;
-      O.Mode = Shared ? LockMode::Shared : LockMode::Exclusive;
-      O.Ord = static_cast<uint32_t>(Threads[T].Evs.size());
-      O.Clock = ThreadClock[T];
-      O.Context.reserve(Stack[T].size() + 1);
-      O.Held.reserve(Stack[T].size());
-      for (const StackEnt &S : Stack[T]) {
-        O.Context.push_back(S.Site);
-        O.Held.push_back({S.RawLock, S.Mode});
-      }
-      O.Context.push_back(Site);
-
-      CritSec Cs;
-      Cs.AcqIdx = Pos;
-      Cs.Thread = T;
-      Cs.AcqOrd = O.Ord;
-      Cs.Mode = O.Mode;
-      auto CsIdx = static_cast<uint32_t>(Locks[L].CSes.size());
-      Locks[L].CSes.push_back(Cs);
-      OpenCs[T][L].push_back(CsIdx);
-      if (Shared)
-        ++OpenShared[L];
-      else
-        ++OpenExcl[L];
-
-      IndexedEvent Ev;
-      Ev.K = IndexedEvent::Acquire;
-      Ev.Lock = L;
-      Ev.Cs = CsIdx;
-      Threads[T].Evs.push_back(Ev);
-      Stack[T].push_back({E.B, Site, O.Mode});
-
-      OccsByTL[tlKey(E.A, E.B)].push_back(
-          static_cast<uint32_t>(Occs.size()));
-      Occs.push_back(std::move(O));
-      break;
-    }
-    case TraceEvent::Kind::Release:
-    case TraceEvent::Kind::SharedRelease: {
-      uint32_t T = thread(E.A);
-      uint32_t L = lock(E.B);
-      Grow(T);
-      GrowLock(L);
-      auto OpenIt = OpenCs[T].find(L);
-      if (OpenIt == OpenCs[T].end() || OpenIt->second.empty())
-        break; // release without a recorded acquire: ignore (warned upstream)
-      uint32_t CsIdx = OpenIt->second.back();
-      OpenIt->second.pop_back();
-      CritSec &Cs = Locks[L].CSes[CsIdx];
-      Cs.RelOrd = static_cast<uint32_t>(Threads[T].Evs.size());
-      if (Cs.Mode == LockMode::Shared) {
-        if (OpenShared[L] != 0)
-          --OpenShared[L];
-      } else if (OpenExcl[L] != 0) {
-        --OpenExcl[L];
-      }
-      IndexedEvent Ev;
-      Ev.K = IndexedEvent::Release;
-      Ev.Lock = L;
-      Ev.Cs = CsIdx;
-      Threads[T].Evs.push_back(Ev);
-      // Pop the innermost matching stack entry (LogBuilder discipline).
-      auto &St = Stack[T];
-      for (size_t I = St.size(); I != 0; --I)
-        if (St[I - 1].RawLock == E.B) {
-          St.erase(St.begin() + static_cast<ptrdiff_t>(I - 1));
-          break;
-        }
-      break;
-    }
-    case TraceEvent::Kind::CondNotify: {
-      uint32_t T = thread(E.A);
-      Grow(T);
-      // Store-then-tick (message-passing discipline): the stored clock must
-      // exclude the notifier's post-notify tick, otherwise events the
-      // notifier performs *after* the notify compare ordered-before the
-      // waiter's post-wake events and genuinely concurrent critical
-      // sections get discharged as hb-ordered.
-      CondNotifyClock[E.B] = ThreadClock[T];
-      vcTick(ThreadClock[T], ThreadId(E.A));
-      IndexedEvent Ev;
-      Ev.K = IndexedEvent::Notify;
-      Threads[T].Evs.push_back(Ev);
-      CondLastNotify[E.B] = {T,
-                             static_cast<uint32_t>(Threads[T].Evs.size())};
-      break;
-    }
-    case TraceEvent::Kind::CondWake: {
-      uint32_t T = thread(E.A);
-      Grow(T);
-      auto ClockIt = CondNotifyClock.find(E.B);
-      if (ClockIt != CondNotifyClock.end())
-        vcJoin(ThreadClock[T], ClockIt->second);
-      IndexedEvent Ev;
-      Ev.K = IndexedEvent::Wake;
-      auto SrcIt = CondLastNotify.find(E.B);
-      if (SrcIt != CondLastNotify.end()) {
-        Ev.HasSrc = true;
-        Ev.SrcThread = SrcIt->second.Thread;
-        Ev.SrcCount = SrcIt->second.Count;
-      }
-      Threads[T].Evs.push_back(Ev);
-      break;
-    }
-    case TraceEvent::Kind::TryProbe:
-    case TraceEvent::Kind::ObjectNew:
-    case TraceEvent::Kind::Read:
-    case TraceEvent::Kind::Write:
-      break; // no wait-for or ordering contribution
-    }
   }
+  void fork(uint32_t P, uint32_t C) {
+    evs(P).push_back({IndexedEvent::ForkChild, 0, 0, C});
+    Ix.Threads[C].HasParent = true;
+    Ix.Threads[C].Parent = P;
+    Ix.Threads[C].ParentCount = static_cast<uint32_t>(evs(P).size());
+  }
+  void join(uint32_t J, uint32_t T) {
+    auto Count = static_cast<uint32_t>(evs(T).size());
+    evs(J).push_back({IndexedEvent::JoinEdge, 0, 0, T, Count, true});
+  }
+  void acquire(uint32_t T, uint32_t L, Label Site, LockMode Mode) {
+    bool Shared = Mode == LockMode::Shared;
+    ++Ix.AcquireEvents;
+    // Grant-order invariant check: a conflicting critical section open at
+    // this acquire means the trace interleaves conflicting holds.
+    if (OpenExcl[L] != 0 || (!Shared && OpenShared[L] != 0))
+      Ix.Locks[L].Irregular = true;
+
+    const ThreadRecord &R = W.thread(T);
+    auto Ord = static_cast<uint32_t>(evs(T).size());
+    Occurrence O{T, L, Mode, Ord, {}, R.LockStack, R.Clock};
+    O.Context.reserve(O.Held.size() + 1);
+    for (const LockStackEntry &S : O.Held)
+      O.Context.push_back(S.Site);
+    O.Context.push_back(Site);
+
+    auto CsIdx = static_cast<uint32_t>(Ix.Locks[L].CSes.size());
+    Ix.Locks[L].CSes.push_back({W.eventsSeen(), T, Ord, NoRelease, Mode});
+    OpenCs[T][L].push_back(CsIdx);
+    ++(Shared ? OpenShared[L] : OpenExcl[L]);
+
+    evs(T).push_back({IndexedEvent::Acquire, L, CsIdx});
+
+    Ix.OccsByTL[TraceIndex::tlKey(R.Id.Raw, W.lock(L).Id.Raw)].push_back(
+        static_cast<uint32_t>(Ix.Occs.size()));
+    Ix.Occs.push_back(std::move(O));
+  }
+  void release(uint32_t T, const TraceEvent &E, bool Held) {
+    if (!Held)
+      return; // release without a recorded acquire: ignore
+    uint32_t L = W.findLock(E.B);
+    std::vector<uint32_t> &Open = OpenCs[T][L];
+    uint32_t CsIdx = Open.back();
+    Open.pop_back();
+    CritSec &Cs = Ix.Locks[L].CSes[CsIdx];
+    Cs.RelOrd = static_cast<uint32_t>(evs(T).size());
+    --(Cs.Mode == LockMode::Shared ? OpenShared[L] : OpenExcl[L]);
+    evs(T).push_back({IndexedEvent::Release, L, CsIdx});
+  }
+  void notify(uint32_t T, uint64_t Cond) {
+    evs(T).push_back({IndexedEvent::Notify});
+    auto Count = static_cast<uint32_t>(evs(T).size());
+    WakeByCond[Cond] = {IndexedEvent::Wake, 0, 0, T, Count, true};
+  }
+  void wake(uint32_t T, uint64_t Cond) {
+    auto It = WakeByCond.find(Cond);
+    evs(T).push_back(It != WakeByCond.end() ? It->second
+                                             : IndexedEvent{IndexedEvent::Wake});
+  }
+};
+
+TraceIndex::TraceIndex(const TraceFile &Trace) {
+  IndexVisitor V(*this);
+  for (const TraceEvent &E : Trace.Events)
+    Walk.step(E, V);
 }
 
 /// The sync-preserving closure over one candidate assignment (layer 2).
@@ -580,10 +431,6 @@ private:
   bool Failed = false;
 };
 
-bool modesConflict(LockMode Request, LockMode Hold) {
-  return Request == LockMode::Exclusive || Hold == LockMode::Exclusive;
-}
-
 /// Matches one cycle component to trace occurrences: (thread, lock) pairs,
 /// exact context preferred, first MaxOccurrencesPerComponent in trace order
 /// (the guard pruner's discipline, so the engines agree on witnesses).
@@ -598,8 +445,8 @@ std::vector<uint32_t> matchComponent(const TraceIndex &Ix,
     return Exact;
   for (uint32_t OccIdx : It->second) {
     const Occurrence &O = Ix.Occs[OccIdx];
-    if (Ix.ThreadRaw[O.Thread] != Comp.Thread.Raw ||
-        Ix.LockRaw[O.LockDense] != Comp.Lock.Raw)
+    if (Ix.Walk.thread(O.Thread).Id.Raw != Comp.Thread.Raw ||
+        Ix.Walk.lock(O.LockDense).Id.Raw != Comp.Lock.Raw)
       continue; // key collision
     if (O.Context == Comp.Context) {
       if (Exact.size() < Cap)
@@ -673,9 +520,9 @@ CyclePrediction evaluateOne(const TraceIndex &Ix, const AbstractCycle &Cycle,
     for (size_t I = 0; I != M && EdgesOk; ++I) {
       const Occurrence &Next = *Picks[(I + 1) % M];
       EdgesOk = false;
-      for (const HeldLock &H : Next.Held)
-        if (H.RawLock == Comps[I].Lock.Raw &&
-            modesConflict(Picks[I]->Mode, H.Mode)) {
+      for (const LockStackEntry &H : Next.Held)
+        if (H.Lock.Raw == Comps[I].Lock.Raw &&
+            lockModesConflict(Picks[I]->Mode, H.Mode)) {
           EdgesOk = true;
           break;
         }
@@ -688,31 +535,27 @@ CyclePrediction evaluateOne(const TraceIndex &Ix, const AbstractCycle &Cycle,
     {
       uint64_t Guard = 0;
       bool Found = false;
-      for (const HeldLock &H : Picks[0]->Held) {
+      for (const LockStackEntry &H : Picks[0]->Held) {
         bool AnyExcl = H.Mode == LockMode::Exclusive;
         bool All = true;
         for (size_t I = 1; I != M && All; ++I) {
           All = false;
-          for (const HeldLock &H2 : Picks[I]->Held)
-            if (H2.RawLock == H.RawLock) {
+          for (const LockStackEntry &H2 : Picks[I]->Held)
+            if (H2.Lock.Raw == H.Lock.Raw) {
               All = true;
               AnyExcl |= H2.Mode == LockMode::Exclusive;
               break;
             }
         }
-        if (All && AnyExcl && (!Found || H.RawLock < Guard)) {
-          Guard = H.RawLock;
+        if (All && AnyExcl && (!Found || H.Lock.Raw < Guard)) {
+          Guard = H.Lock.Raw;
           Found = true;
         }
       }
       if (Found) {
         SawGuard = true;
-        if (GuardName.empty()) {
-          auto NameIt = Ix.LockNameByRaw.find(Guard);
-          GuardName = NameIt != Ix.LockNameByRaw.end()
-                          ? NameIt->second
-                          : "lock" + std::to_string(Guard);
-        }
+        if (GuardName.empty())
+          GuardName = Ix.Walk.lock(Ix.Walk.findLock(Guard)).Name;
         continue;
       }
     }
@@ -880,19 +723,7 @@ void printPredictReport(std::ostream &OS, const char *Tool,
     const AbstractCycle &Cycle = R.Cycles[I];
     OS << "#" << I << " " << Cycle.toString();
     OS << "prediction: " << R.Predictions[I].label() << "\n";
-    OS << "cycle-spec: ";
-    for (size_t C = 0; C != Cycle.Components.size(); ++C) {
-      const CycleComponent &Comp = Cycle.Components[C];
-      if (C)
-        OS << ';';
-      OS << Comp.ThreadName << '|' << Comp.LockName << '|';
-      for (size_t S = 0; S != Comp.Context.size(); ++S) {
-        if (S)
-          OS << ',';
-        OS << Comp.Context[S].text();
-      }
-    }
-    OS << "\n\n";
+    OS << "cycle-spec: " << cycleSpecOf(Cycle) << "\n\n";
   }
 }
 

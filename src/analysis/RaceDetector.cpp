@@ -2,13 +2,12 @@
 
 #include "analysis/RaceDetector.h"
 
-#include "event/Ids.h"
+#include "analysis/SyncWalker.h"
 #include "event/VectorClock.h"
 #include "telemetry/Metrics.h"
 
 #include <algorithm>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 using namespace dlf;
@@ -63,14 +62,10 @@ bool sortedDisjoint(const std::vector<uint64_t> &A,
   return true;
 }
 
-/// All racy pairs among one object's accesses, ordered by (first ordinal,
-/// second ordinal) — a pure function of the serial pass's summaries, which
-/// is what makes the sharded pass trivially deterministic.
-std::vector<RaceReport> checkObject(uint64_t Oid, const ObjectState &Obj,
-                                    const std::unordered_map<uint64_t,
-                                                             std::string>
-                                        &ThreadAbs) {
-  std::vector<RaceReport> Out;
+/// Appends the racy pairs among one object's accesses, ordered by (first
+/// ordinal, second ordinal), to \p Result.
+void checkObject(uint64_t Oid, const ObjectState &Obj, const SyncWalker &W,
+                 size_t MaxReports, RaceAnalysis &Result) {
   const std::vector<AccessRecord> &As = Obj.Accesses;
   for (size_t I = 0; I != As.size(); ++I) {
     for (size_t J = I + 1; J != As.size(); ++J) {
@@ -84,6 +79,9 @@ std::vector<RaceReport> checkObject(uint64_t Oid, const ObjectState &Obj,
         continue;
       if (!sortedDisjoint(A.Lockset, B.Lockset))
         continue;
+      ++Result.RacyPairs;
+      if (Result.Races.size() == MaxReports)
+        continue;
       RaceReport R;
       R.Object = Oid;
       R.ObjectAbs = Obj.Abs;
@@ -92,193 +90,98 @@ std::vector<RaceReport> checkObject(uint64_t Oid, const ObjectState &Obj,
         Pair.first->Thread = Pair.second->Thread;
         Pair.first->IsWrite = Pair.second->IsWrite;
         Pair.first->Site = Pair.second->Site;
-        auto It = ThreadAbs.find(Pair.second->Thread);
-        if (It != ThreadAbs.end())
-          Pair.first->ThreadAbs = It->second;
+        Pair.first->ThreadAbs = W.thread(W.findThread(Pair.second->Thread)).Name;
       }
-      Out.push_back(std::move(R));
+      Result.Races.push_back(std::move(R));
     }
   }
-  return Out;
 }
+
+/// Summarizes accesses (with the full-sync clock and lockset at each) per
+/// object, in object-first-seen order.
+struct AccessVisitor : SyncVisitor {
+  const SyncWalker &W;
+  RaceAnalysis &Result;
+  std::unordered_map<uint64_t, ObjectState> Objects;
+  std::vector<uint64_t> ObjectOrder; // first-seen order, the report order
+
+  AccessVisitor(const SyncWalker &W, RaceAnalysis &Result)
+      : W(W), Result(Result) {}
+
+  void warn(const std::string &Msg) {
+    if (Result.Warnings.size() < 32)
+      Result.Warnings.push_back(Msg);
+  }
+  ObjectState &object(uint64_t Oid) {
+    auto It = Objects.find(Oid);
+    if (It != Objects.end())
+      return It->second;
+    ObjectOrder.push_back(Oid);
+    return Objects[Oid];
+  }
+
+  void objectNew(const TraceEvent &E) { object(E.A).Abs = E.Text; }
+  void release(uint32_t, const TraceEvent &E, bool Held) {
+    if (!Held)
+      warn("release of lock " + std::to_string(E.B) + " not held by thread " +
+           std::to_string(E.A));
+  }
+  void dropped(const TraceEvent &E) {
+    warn("event " + std::to_string(W.eventsSeen()) + " names thread " +
+         std::to_string(E.A) + " or lock " + std::to_string(E.B) +
+         " before its declaration; ignored");
+  }
+  void access(uint32_t T, const TraceEvent &E) {
+    const ThreadRecord &R = W.thread(T);
+    bool IsWrite = E.K == TraceEvent::Kind::Write;
+    ObjectState &Obj = object(E.B);
+    ++Result.AccessesSeen;
+    // Keep the last record per (thread, kind, site): repeated accesses
+    // from a loop collapse, but every distinct racy site pair survives.
+    AccessRecord *Slot = nullptr;
+    for (AccessRecord &A : Obj.Accesses)
+      if (A.Thread == E.A && A.IsWrite == IsWrite && A.Site == E.Text) {
+        Slot = &A;
+        break;
+      }
+    if (!Slot) {
+      Obj.Accesses.emplace_back();
+      Slot = &Obj.Accesses.back();
+    }
+    Slot->Thread = E.A;
+    Slot->IsWrite = IsWrite;
+    Slot->Site = E.Text;
+    // The read side of a rwlock counts like an exclusive hold here (an
+    // approximation: it can mask write-under-read-lock races between
+    // concurrent readers, a distinct bug class).
+    Slot->Lockset.clear();
+    for (const LockStackEntry &H : R.LockStack)
+      Slot->Lockset.push_back(H.Lock.Raw);
+    std::sort(Slot->Lockset.begin(), Slot->Lockset.end());
+    Slot->Lockset.erase(
+        std::unique(Slot->Lockset.begin(), Slot->Lockset.end()),
+        Slot->Lockset.end());
+    Slot->Clock = R.Clock;
+  }
+};
 
 } // namespace
 
 RaceAnalysis dlf::analysis::detectRaces(const TraceFile &Trace,
                                         const RaceDetectorOptions &Opts) {
   RaceAnalysis Result;
+  // Pass 1: the full-sync walk (fork, join, notify->wake and
+  // release->acquire edges) summarizes every access.
+  SyncWalker W(SyncOrder::FullSync);
+  AccessVisitor V(W, Result);
+  for (const TraceEvent &E : Trace.Events)
+    W.step(E, V);
+  Result.ObjectsSeen = V.ObjectOrder.size();
 
-  // --- Pass 1: serial event walk -----------------------------------------
-  //
-  // Clocks implement the full synchronization order: fork edges plus
-  // release→acquire edges through each lock. Every thread ticks after an
-  // event that publishes its clock (fork, release) so later events are
-  // strictly after, not equal.
-  struct ThreadState {
-    VectorClock Clock;
-    std::vector<uint64_t> Lockset; // sorted
-  };
-  std::unordered_map<uint64_t, ThreadState> Threads;
-  std::unordered_map<uint64_t, VectorClock> LockRelease;
-  /// Last notify clock per condvar: a wakeup joins it (signal→wake is a
-  /// genuine happens-before edge the preload front end records as N/V).
-  std::unordered_map<uint64_t, VectorClock> CondNotifyClock;
-  std::unordered_map<uint64_t, std::string> ThreadAbs;
-  std::unordered_map<uint64_t, ObjectState> Objects;
-  std::vector<uint64_t> ObjectOrder; // first-seen order, the merge order
+  // Pass 2: pair checks per object, in object-first-seen order.
+  for (uint64_t Oid : V.ObjectOrder)
+    checkObject(Oid, V.Objects.find(Oid)->second, W, Opts.MaxReports, Result);
 
-  auto Thread = [&](uint64_t Tid) -> ThreadState & {
-    auto It = Threads.find(Tid);
-    if (It != Threads.end())
-      return It->second;
-    ThreadState &T = Threads[Tid];
-    vcTick(T.Clock, ThreadId(Tid));
-    return T;
-  };
-  auto Object = [&](uint64_t Oid) -> ObjectState & {
-    auto It = Objects.find(Oid);
-    if (It != Objects.end())
-      return It->second;
-    ObjectOrder.push_back(Oid);
-    return Objects[Oid];
-  };
-  auto Warn = [&](const std::string &Msg) {
-    if (Result.Warnings.size() < 32)
-      Result.Warnings.push_back(Msg);
-  };
-
-  for (const TraceEvent &E : Trace.Events) {
-    switch (E.K) {
-    case TraceEvent::Kind::ThreadNew:
-      Thread(E.A);
-      ThreadAbs[E.A] = E.Text;
-      break;
-    case TraceEvent::Kind::LockNew:
-      break;
-    case TraceEvent::Kind::Fork: {
-      ThreadState &Parent = Thread(E.A);
-      ThreadState &Child = Thread(E.B);
-      vcJoin(Child.Clock, Parent.Clock);
-      vcTick(Child.Clock, ThreadId(E.B));
-      vcTick(Parent.Clock, ThreadId(E.A));
-      break;
-    }
-    // The read side of a rwlock is treated like an exclusive hold by this
-    // lockset pass (an approximation: it can mask write-under-read-lock
-    // races between concurrent readers, a distinct bug class), but its
-    // release→acquire clock edges are sound either way.
-    case TraceEvent::Kind::SharedAcquire:
-    case TraceEvent::Kind::Acquire: {
-      ThreadState &T = Thread(E.A);
-      auto Rel = LockRelease.find(E.B);
-      if (Rel != LockRelease.end())
-        vcJoin(T.Clock, Rel->second);
-      auto Pos = std::lower_bound(T.Lockset.begin(), T.Lockset.end(), E.B);
-      if (Pos == T.Lockset.end() || *Pos != E.B)
-        T.Lockset.insert(Pos, E.B);
-      break;
-    }
-    case TraceEvent::Kind::SharedRelease:
-    case TraceEvent::Kind::Release: {
-      ThreadState &T = Thread(E.A);
-      LockRelease[E.B] = T.Clock;
-      vcTick(T.Clock, ThreadId(E.A));
-      auto Pos = std::lower_bound(T.Lockset.begin(), T.Lockset.end(), E.B);
-      if (Pos != T.Lockset.end() && *Pos == E.B)
-        T.Lockset.erase(Pos);
-      else
-        Warn("release of lock " + std::to_string(E.B) + " not held by thread " +
-             std::to_string(E.A));
-      break;
-    }
-    case TraceEvent::Kind::TryProbe:
-      break; // a failed probe synchronizes nothing
-    case TraceEvent::Kind::CondNotify: {
-      ThreadState &T = Thread(E.A);
-      CondNotifyClock[E.B] = T.Clock;
-      vcTick(T.Clock, ThreadId(E.A));
-      break;
-    }
-    case TraceEvent::Kind::CondWake: {
-      ThreadState &T = Thread(E.A);
-      auto It = CondNotifyClock.find(E.B);
-      if (It != CondNotifyClock.end())
-        vcJoin(T.Clock, It->second);
-      break;
-    }
-    case TraceEvent::Kind::Join: {
-      // pthread_join returned: everything the joined thread did is ordered
-      // before the joiner's next step. Without this edge, post-join reads
-      // of a worker's writes are false positives.
-      ThreadState &Joiner = Thread(E.A);
-      vcJoin(Joiner.Clock, Thread(E.B).Clock);
-      break;
-    }
-    case TraceEvent::Kind::ObjectNew:
-      Object(E.A).Abs = E.Text;
-      break;
-    case TraceEvent::Kind::Read:
-    case TraceEvent::Kind::Write: {
-      ThreadState &T = Thread(E.A);
-      bool IsWrite = E.K == TraceEvent::Kind::Write;
-      ObjectState &Obj = Object(E.B);
-      ++Result.AccessesSeen;
-      // Keep the last record per (thread, kind, site): repeated accesses
-      // from a loop collapse, but every distinct racy site pair survives.
-      AccessRecord *Slot = nullptr;
-      for (AccessRecord &A : Obj.Accesses)
-        if (A.Thread == E.A && A.IsWrite == IsWrite && A.Site == E.Text) {
-          Slot = &A;
-          break;
-        }
-      if (!Slot) {
-        Obj.Accesses.emplace_back();
-        Slot = &Obj.Accesses.back();
-      }
-      Slot->Thread = E.A;
-      Slot->IsWrite = IsWrite;
-      Slot->Site = E.Text;
-      Slot->Lockset = T.Lockset;
-      Slot->Clock = T.Clock;
-      break;
-    }
-    }
-  }
-  Result.ObjectsSeen = ObjectOrder.size();
-
-  // --- Pass 2: per-object pair checks, sharded ---------------------------
-  unsigned Jobs =
-      Opts.Jobs ? Opts.Jobs : std::max(1u, std::thread::hardware_concurrency());
-  Jobs = static_cast<unsigned>(
-      std::min<size_t>(Jobs, std::max<size_t>(1, ObjectOrder.size())));
-
-  std::vector<std::vector<RaceReport>> PerObject(ObjectOrder.size());
-  auto Shard = [&](unsigned Worker) {
-    for (size_t I = Worker; I < ObjectOrder.size(); I += Jobs) {
-      uint64_t Oid = ObjectOrder[I];
-      PerObject[I] = checkObject(Oid, Objects.find(Oid)->second, ThreadAbs);
-    }
-  };
-  if (Jobs <= 1) {
-    Shard(0);
-  } else {
-    std::vector<std::thread> Workers;
-    Workers.reserve(Jobs);
-    for (unsigned W = 0; W != Jobs; ++W)
-      Workers.emplace_back(Shard, W);
-    for (std::thread &W : Workers)
-      W.join();
-  }
-
-  // In-order merge: object-first-seen order, pair order within an object
-  // fixed by checkObject. Identical for every Jobs value.
-  for (std::vector<RaceReport> &Rs : PerObject) {
-    for (RaceReport &R : Rs) {
-      ++Result.RacyPairs;
-      if (Result.Races.size() < Opts.MaxReports)
-        Result.Races.push_back(std::move(R));
-    }
-  }
   if (telemetry::enabled()) {
     telemetry::Registry &Reg = telemetry::Registry::global();
     Reg.counter("dlf_analysis_races_found_total").inc(Result.RacyPairs);

@@ -12,17 +12,15 @@
 ///
 ///   * the accesses touch the same object from different threads,
 ///   * at least one is a write,
-///   * their vector clocks are concurrent (fork and release→acquire edges
-///     both establish order — a consistently lock-protected handoff is
-///     ordered and never reported), and
+///   * their vector clocks are concurrent (the SyncWalker's full-sync
+///     order: fork, join, notify->wake and release->acquire edges all
+///     establish order — a consistently lock-protected handoff is ordered
+///     and never reported), and
 ///   * the locksets held at the two accesses are disjoint.
 ///
-/// Pass structure mirrors the closure engine's determinism contract: a
-/// serial event walk computes clocks, locksets and per-object access
-/// summaries (inherently ordered — clocks thread through the trace), then
-/// per-object pair checking shards across --analysis-jobs workers and
-/// results merge in object-first-seen order. Output is byte-identical for
-/// every job count, including 0 (= hardware concurrency).
+/// One serial walk computes clocks, locksets and per-object access
+/// summaries; pairs are then checked object by object in object-first-seen
+/// order, so the report order is a pure function of the trace.
 ///
 /// Accesses come from the opt-in DLF_TRACE_ACCESSES preload knob (L/S/O
 /// trace lines); summaries keep the last access per (thread, kind, site)
@@ -63,8 +61,6 @@ struct RaceReport {
 };
 
 struct RaceDetectorOptions {
-  /// Worker threads for the pair-checking pass; 0 = hardware concurrency.
-  unsigned Jobs = 1;
   /// Cap on reported pairs (the walk still visits everything; reports past
   /// the cap are counted, not rendered).
   size_t MaxReports = 256;
@@ -77,12 +73,12 @@ struct RaceAnalysis {
   uint64_t RacyPairs = 0;
   uint64_t ObjectsSeen = 0;
   uint64_t AccessesSeen = 0;
-  /// Semantic oddities (accesses by unintroduced threads/objects).
+  /// Semantic oddities (releases of unheld locks, events naming an
+  /// undeclared thread or lock).
   std::vector<std::string> Warnings;
 };
 
-/// Runs the detector over \p Trace. Deterministic: identical Races order
-/// and content for every Jobs value.
+/// Runs the detector over \p Trace.
 RaceAnalysis detectRaces(const TraceFile &Trace,
                          const RaceDetectorOptions &Opts = {});
 

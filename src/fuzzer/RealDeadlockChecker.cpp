@@ -2,129 +2,31 @@
 
 #include "fuzzer/RealDeadlockChecker.h"
 
-#include <cassert>
 #include <sstream>
-#include <unordered_set>
 
 using namespace dlf;
-
-namespace {
-
-/// Depth-first search for a lock-order cycle with pairwise-distinct threads
-/// and locks. An edge (A -> B via thread t) exists when A appears before B
-/// in t's lock stack. Thread counts are small (the paper's benchmarks use a
-/// handful), so the brute-force search is cheap; the scheduler additionally
-/// only calls this at acquire commits.
-class CycleSearch {
-public:
-  explicit CycleSearch(const std::vector<ThreadStackView> &Views)
-      : Views(Views) {}
-
-  /// Finds one cycle; fills Path with (view index, position of the "later"
-  /// lock in that view's stack) per edge.
-  bool find(std::vector<std::pair<size_t, size_t>> &Path) {
-    for (size_t V = 0; V != Views.size(); ++V) {
-      const auto &Stack = *Views[V].Stack;
-      for (size_t From = 0; From != Stack.size(); ++From) {
-        for (size_t To = From + 1; To != Stack.size(); ++To) {
-          // Edge Stack[From].Lock -> Stack[To].Lock via thread V starts a
-          // candidate chain.
-          UsedThreads.clear();
-          UsedLocks.clear();
-          Path.clear();
-          StartLock = Stack[From].Lock;
-          StartHeldMode = Stack[From].Mode;
-          UsedThreads.insert(V);
-          UsedLocks.insert(StartLock.Raw);
-          Path.push_back({V, To});
-          if (Stack[To].Lock == StartLock)
-            continue; // degenerate; locks in one stack are distinct anyway
-          UsedLocks.insert(Stack[To].Lock.Raw);
-          if (extend(Stack[To].Lock, Stack[To].Mode, Path))
-            return true;
-        }
-      }
-    }
-    return false;
-  }
-
-private:
-  /// Extends a chain whose previous thread wants/holds \p Current in
-  /// \p CurrentWantMode. An edge through another thread only exists when
-  /// that thread's hold of Current conflicts with the want (a shared hold
-  /// never blocks a shared want — rwlock read-read non-exclusion).
-  bool extend(LockId Current, LockMode CurrentWantMode,
-              std::vector<std::pair<size_t, size_t>> &Path) {
-    for (size_t V = 0; V != Views.size(); ++V) {
-      if (UsedThreads.count(V))
-        continue;
-      const auto &Stack = *Views[V].Stack;
-      // Find Current in this stack, then try every lock after it.
-      for (size_t From = 0; From != Stack.size(); ++From) {
-        if (Stack[From].Lock != Current)
-          continue;
-        if (!lockModesConflict(CurrentWantMode, Stack[From].Mode))
-          break; // shared-shared: the previous thread is not blocked here
-        for (size_t To = From + 1; To != Stack.size(); ++To) {
-          LockId Next = Stack[To].Lock;
-          if (Next == StartLock) {
-            // The closing edge must conflict with the start thread's hold.
-            if (!lockModesConflict(Stack[To].Mode, StartHeldMode))
-              continue;
-            Path.push_back({V, To});
-            return true; // closed the cycle
-          }
-          if (UsedLocks.count(Next.Raw))
-            continue;
-          UsedThreads.insert(V);
-          UsedLocks.insert(Next.Raw);
-          Path.push_back({V, To});
-          if (extend(Next, Stack[To].Mode, Path))
-            return true;
-          Path.pop_back();
-          UsedLocks.erase(Next.Raw);
-          UsedThreads.erase(V);
-        }
-        break; // locks within one stack are distinct; Current occurs once
-      }
-    }
-    return false;
-  }
-
-  const std::vector<ThreadStackView> &Views;
-  LockId StartLock;
-  LockMode StartHeldMode = LockMode::Exclusive;
-  std::unordered_set<size_t> UsedThreads;
-  std::unordered_set<uint64_t> UsedLocks;
-};
-
-} // namespace
 
 std::optional<DeadlockWitness> dlf::findRealDeadlock(
     const std::vector<ThreadStackView> &Views,
     const std::function<const LockRecord &(LockId)> &LockById) {
-  std::vector<std::pair<size_t, size_t>> Path;
-  CycleSearch Search(Views);
-  if (!Search.find(Path))
+  std::vector<LockCycleStep> Path;
+  if (!findLockCycle(Views, Path))
     return std::nullopt;
 
   DeadlockWitness Witness;
-  for (auto [ViewIdx, WaitPos] : Path) {
-    const ThreadStackView &View = Views[ViewIdx];
-    const std::vector<LockStackEntry> &Stack = *View.Stack;
-    assert(WaitPos < Stack.size() && "cycle path out of range");
-
+  for (LockCycleStep Step : Path) {
+    const ThreadStackView &View = Views[Step.View];
     DeadlockWitness::Edge Edge;
     Edge.Thread = View.Thread->Id;
     Edge.ThreadName = View.Thread->Name;
     Edge.ThreadAbs = View.Thread->Abs;
-    const LockRecord &Wait = LockById(Stack[WaitPos].Lock);
+    const LockRecord &Wait = LockById(View[Step.Pos].Lock);
     Edge.WaitLock = Wait.Id;
     Edge.WaitLockName = Wait.Name;
     Edge.WaitLockAbs = Wait.Abs;
-    Edge.WaitSite = Stack[WaitPos].Site;
-    for (size_t I = 0; I <= WaitPos; ++I)
-      Edge.Context.push_back(Stack[I].Site);
+    Edge.WaitSite = View[Step.Pos].Site;
+    for (size_t I = 0; I <= Step.Pos; ++I)
+      Edge.Context.push_back(View[I].Site);
     Witness.Edges.push_back(std::move(Edge));
   }
   return Witness;

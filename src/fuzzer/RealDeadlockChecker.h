@@ -5,19 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// checkRealDeadlock (paper Algorithm 4): given the current LockSet stack of
-/// every thread — including pending locks of blocked threads and the
-/// tentative push of the thread currently being scheduled — decide whether
-/// there exist distinct threads t1..tm and distinct locks l1..lm such that
-/// li appears before l(i+1) in LockSet[ti] for i in [1, m-1] and lm appears
-/// before l1 in LockSet[tm]. If so, the execution has created (or is one
-/// committed acquire away from creating) a real deadlock.
+/// checkRealDeadlock (paper Algorithm 4) for the managed runtime: the
+/// search itself is the shared one in event/LockCycle.h; this layer builds
+/// the DeadlockWitness (thread and lock names, abstractions, contexts) from
+/// the path it returns. If a cycle exists, the execution has created (or
+/// is one committed acquire away from creating) a real deadlock.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DLF_FUZZER_REALDEADLOCKCHECKER_H
 #define DLF_FUZZER_REALDEADLOCKCHECKER_H
 
+#include "event/LockCycle.h"
 #include "runtime/Records.h"
 #include "runtime/Result.h"
 
@@ -28,13 +27,10 @@
 namespace dlf {
 
 /// One thread's view for the check: the record (for names/abstractions in
-/// the witness) and the lock stack to use — usually &T->LockStack, but the
-/// scheduler substitutes a tentative stack for the thread whose acquire is
-/// being committed.
-struct ThreadStackView {
-  const ThreadRecord *Thread;
-  const std::vector<LockStackEntry> *Stack;
-};
+/// the witness), the lock stack (usually &T->LockStack, or the tentative
+/// stack of the thread whose acquire is being committed) and optionally
+/// the acquire a paused or re-acquiring thread is committed to.
+using ThreadStackView = HeldPendingView<LockStackEntry, ThreadRecord>;
 
 /// Runs Algorithm 4 over \p Views. Returns a witness describing one cycle
 /// (edges ordered so that edge i's wait lock is held by edge i+1's thread,

@@ -17,9 +17,8 @@
 // suitable for DLF_PRELOAD_CYCLE in Phase II.
 //
 // --races runs the lockset + vector-clock race detector instead
-// (analysis/RaceDetector.h) over the opt-in O/L/S access events. Its stdout
-// is byte-identical for every --analysis-jobs value; job/timing chatter
-// goes to stderr.
+// (analysis/RaceDetector.h) over the opt-in O/L/S access events. The race
+// pass is a single serial walk, so --analysis-jobs does not apply to it.
 //
 // --predict runs the sound sync-preserving deadlock predictor instead
 // (analysis/Predict.h): the same iGoodlock enumeration, but every cycle
@@ -28,7 +27,7 @@
 // every --analysis-jobs value.
 //
 // Mode flags are mutually exclusive: --predict --races has no defined merge
-// semantics and is a usage error (exit 1).
+// semantics and is a usage error (exit 1), as is --races --analysis-jobs.
 //
 // Usage: dlf-analyze <trace-file> [--max-cycle-length N]
 //                    [--analysis-jobs N] [--races | --predict]
@@ -103,16 +102,11 @@ int runPredictAnalysis(const analysis::TraceFile &Trace,
   return 0;
 }
 
-int runRaceAnalysis(const analysis::TraceFile &Trace, unsigned Jobs) {
-  analysis::RaceDetectorOptions Opts;
-  Opts.Jobs = Jobs;
-  analysis::RaceAnalysis Result = analysis::detectRaces(Trace, Opts);
+int runRaceAnalysis(const analysis::TraceFile &Trace) {
+  analysis::RaceAnalysis Result = analysis::detectRaces(Trace);
 
-  // Job count and any other run-dependent chatter stay on stderr: stdout is
-  // byte-identical for every --analysis-jobs value (the PR 3 determinism
-  // contract, extended to this pass).
   std::cerr << "dlf-analyze: race pass over " << Trace.Events.size()
-            << " events, jobs " << Jobs << "\n";
+            << " events\n";
   for (const std::string &W : Result.Warnings)
     std::cerr << "warning: " << W << "\n";
 
@@ -128,7 +122,8 @@ int main(int Argc, char **Argv) {
                       "                   [--races | --predict] "
                       "[--metrics-out FILE]\n"
                       "                   [--metrics-format json|prom] "
-                      "[--status-addr ADDR]\n";
+                      "[--status-addr ADDR]\n"
+                      "--analysis-jobs does not apply to --races\n";
   if (Argc < 2) {
     std::cerr << Usage;
     return ExitUsage;
@@ -136,6 +131,7 @@ int main(int Argc, char **Argv) {
   IGoodlockOptions Opts;
   bool Races = false;
   bool Predict = false;
+  bool JobsGiven = false;
   std::string MetricsOut;
   bool MetricsProm = false;
   bool MetricsFormatGiven = false;
@@ -200,16 +196,25 @@ int main(int Argc, char **Argv) {
                 << Usage;
       return ExitUsage;
     }
-    if (Arg == "--max-cycle-length")
+    if (Arg == "--max-cycle-length") {
       Opts.MaxCycleLength = static_cast<unsigned>(N);
-    else
+    } else {
       Opts.AnalysisJobs = static_cast<unsigned>(N);
+      JobsGiven = true;
+    }
     ++I;
   }
   if (Races && Predict) {
     // Contradictory mode flags: the passes print different report formats
     // and there is no defined merge; refuse rather than silently pick one.
     std::cerr << "error: --predict and --races are mutually exclusive\n"
+              << Usage;
+    return ExitUsage;
+  }
+  if (Races && JobsGiven) {
+    // The race pass is one serial walk; accepting a job count it ignores
+    // would suggest a parallelism that is not there.
+    std::cerr << "error: --analysis-jobs does not apply to --races\n"
               << Usage;
     return ExitUsage;
   }
@@ -268,7 +273,7 @@ int main(int Argc, char **Argv) {
   for (const std::string &W : Trace.Warnings)
     std::cerr << "warning: " << W << "\n";
 
-  int Rc = Races     ? runRaceAnalysis(Trace, Opts.AnalysisJobs)
+  int Rc = Races     ? runRaceAnalysis(Trace)
            : Predict ? runPredictAnalysis(Trace, Opts)
                      : runDeadlockAnalysis(Trace, Opts);
   PublishPhase("done", Rc == 0);

@@ -35,6 +35,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "event/LockCycle.h" // header-only; keeps the no-libdlf constraint
 #include "interpose/TraceFormat.h"
 // The ring transport is standard-library + POSIX only; Ring.cpp is compiled
 // directly into libdlf_preload.so (see src/CMakeLists.txt), so the
@@ -67,6 +68,8 @@
 #include <unistd.h>
 
 namespace {
+
+using dlf::LockMode;
 
 // -- Real function pointers ----------------------------------------------------
 
@@ -165,23 +168,32 @@ std::string resolveSite(void *Address) {
 constexpr unsigned MaxStackDepth = 64;
 
 struct HeldEntry {
-  uint64_t LockId;
+  uint64_t Lock = 0;
   std::string AcqSite;
-  /// True for the read side of a rwlock: a shared hold only conflicts
+  /// Shared for the read side of a rwlock: a shared hold only conflicts
   /// with exclusive waiters.
-  bool Shared = false;
+  LockMode Mode = LockMode::Exclusive;
 };
+
+LockMode modeOf(bool Shared) {
+  return Shared ? LockMode::Shared : LockMode::Exclusive;
+}
 
 struct ThreadSlot {
   uint64_t Tid = 0;
   std::string Abs; ///< "<site>#<n>"
   bool Live = false;
   std::vector<HeldEntry> Stack;
-  /// Lock this thread is blocked on / paused before; 0 when none.
-  uint64_t PendingLock = 0;
-  std::string PendingSite;
-  /// True when the pending acquire is a rwlock read-side one.
-  bool PendingShared = false;
+  /// Lock this thread is blocked on / paused before; Lock 0 when none.
+  HeldEntry Pending;
+
+  // Field-wise, so the site string keeps its buffer across acquires.
+  void setPending(uint64_t Lock, const std::string &Site, bool Shared) {
+    Pending.Lock = Lock;
+    Pending.AcqSite = Site;
+    Pending.Mode = modeOf(Shared);
+  }
+  void clearPending() { setPending(0, std::string(), false); }
 };
 
 struct LockInfo {
@@ -191,12 +203,6 @@ struct LockInfo {
   unsigned Recursion = 0;
   /// Read-side holders (rwlocks only; empty for mutexes).
   std::vector<uint64_t> ReaderTids;
-};
-
-struct CycleComponentSpec {
-  std::string ThreadAbs;
-  std::string LockAbs;
-  std::vector<std::string> Context;
 };
 
 struct ObjectInfo {
@@ -215,7 +221,7 @@ struct GlobalState {
   /// Ring with neither text trace nor Phase II cycle: the hot path takes
   /// no lock and resolves no site — one ring write per event.
   bool RingOnly = false;
-  std::vector<CycleComponentSpec> Cycle;
+  std::vector<dlf::interpose::CycleSpecComponent> Cycle;
   unsigned PauseMs = 200;
 
   uint64_t NextTid = 1;
@@ -421,7 +427,7 @@ uint64_t condIdLocked(pthread_cond_t *C) {
 
 bool matchesComponent(const ThreadSlot &T, const LockInfo &L,
                       const std::string &PendingSite) {
-  for (const CycleComponentSpec &C : State->Cycle) {
+  for (const dlf::interpose::CycleSpecComponent &C : State->Cycle) {
     if (C.ThreadAbs != T.Abs || C.LockAbs != L.Abs)
       continue;
     if (C.Context.size() != T.Stack.size() + 1)
@@ -435,134 +441,23 @@ bool matchesComponent(const ThreadSlot &T, const LockInfo &L,
   return false;
 }
 
-/// Do a wait in \p WantShared mode and a hold in \p HeldShared mode
-/// conflict? Only read-read pairs coexist.
-bool modesConflict(bool WantShared, bool HeldShared) {
-  return !(WantShared && HeldShared);
-}
-
-/// Algorithm 4 over the global registry: looks for a wait-for cycle among
-/// held stacks + pending locks. Caller holds the state lock. Positions
-/// carry the hold/wait mode so a shared hold never blocks a shared wait.
+/// Algorithm 4 (event/LockCycle.h) over the global registry: held stacks
+/// plus pending locks. Caller holds the state lock.
 bool findDeadlockLocked(std::string &Witness) {
-  // Build per-thread ordered lock lists: held locks then the pending one.
-  struct View {
-    const ThreadSlot *T;
-    std::vector<uint64_t> Locks;
-    std::vector<std::string> Sites;
-    std::vector<bool> Shared;
-  };
-  std::vector<View> Views;
-  for (ThreadSlot *T : State->Threads) {
-    if (!T->Live || (T->Stack.empty() && !T->PendingLock))
-      continue;
-    View V;
-    V.T = T;
-    for (const HeldEntry &H : T->Stack) {
-      V.Locks.push_back(H.LockId);
-      V.Sites.push_back(H.AcqSite);
-      V.Shared.push_back(H.Shared);
-    }
-    if (T->PendingLock) {
-      V.Locks.push_back(T->PendingLock);
-      V.Sites.push_back(T->PendingSite);
-      V.Shared.push_back(T->PendingShared);
-    }
-    Views.push_back(std::move(V));
-  }
-
-  // Depth-first search for a cycle with distinct threads and locks.
-  struct Search {
-    const std::vector<View> &Views;
-    std::vector<bool> UsedThread;
-    std::vector<uint64_t> UsedLocks;
-    uint64_t StartLock = 0;
-    /// Mode the start thread holds StartLock in: the closing wait must
-    /// conflict with it.
-    bool StartHeldShared = false;
-    std::vector<std::pair<size_t, size_t>> Path;
-
-    explicit Search(const std::vector<View> &Views)
-        : Views(Views), UsedThread(Views.size(), false) {}
-
-    bool lockUsed(uint64_t L) const {
-      for (uint64_t U : UsedLocks)
-        if (U == L)
-          return true;
-      return false;
-    }
-
-    bool extend(uint64_t Current, bool CurrentWantShared) {
-      for (size_t V = 0; V != Views.size(); ++V) {
-        if (UsedThread[V])
-          continue;
-        const auto &Locks = Views[V].Locks;
-        for (size_t From = 0; From != Locks.size(); ++From) {
-          if (Locks[From] != Current)
-            continue;
-          // The hold must actually block the wait: a shared hold of the
-          // wanted lock is no obstacle to a shared wait.
-          if (!modesConflict(CurrentWantShared, Views[V].Shared[From]))
-            break;
-          for (size_t To = From + 1; To != Locks.size(); ++To) {
-            if (Locks[To] == StartLock) {
-              if (!modesConflict(Views[V].Shared[To], StartHeldShared))
-                continue;
-              Path.push_back({V, To});
-              return true;
-            }
-            if (lockUsed(Locks[To]))
-              continue;
-            UsedThread[V] = true;
-            UsedLocks.push_back(Locks[To]);
-            Path.push_back({V, To});
-            if (extend(Locks[To], Views[V].Shared[To]))
-              return true;
-            Path.pop_back();
-            UsedLocks.pop_back();
-            UsedThread[V] = false;
-          }
-          break;
-        }
-      }
-      return false;
-    }
-
-    bool run() {
-      for (size_t V = 0; V != Views.size(); ++V) {
-        const auto &Locks = Views[V].Locks;
-        for (size_t From = 0; From != Locks.size(); ++From) {
-          for (size_t To = From + 1; To != Locks.size(); ++To) {
-            std::fill(UsedThread.begin(), UsedThread.end(), false);
-            UsedLocks.clear();
-            Path.clear();
-            StartLock = Locks[From];
-            StartHeldShared = Views[V].Shared[From];
-            UsedThread[V] = true;
-            UsedLocks.push_back(StartLock);
-            UsedLocks.push_back(Locks[To]);
-            Path.push_back({V, To});
-            if (Locks[To] == StartLock)
-              continue;
-            if (extend(Locks[To], Views[V].Shared[To]))
-              return true;
-          }
-        }
-      }
-      return false;
-    }
-  };
-
-  Search S(Views);
-  if (!S.run())
+  std::vector<dlf::HeldPendingView<HeldEntry, ThreadSlot>> Views;
+  for (ThreadSlot *T : State->Threads)
+    if (T->Live && (!T->Stack.empty() || T->Pending.Lock))
+      Views.push_back({T, &T->Stack, T->Pending.Lock ? &T->Pending : nullptr});
+  std::vector<dlf::LockCycleStep> Path;
+  if (!dlf::findLockCycle(Views, Path))
     return false;
 
   Witness = "real deadlock cycle:";
-  for (auto [V, Pos] : S.Path) {
+  for (dlf::LockCycleStep Step : Path) {
     Witness += " [thread ";
-    Witness += Views[V].T->Abs;
+    Witness += Views[Step.View].Thread->Abs;
     Witness += " waits at ";
-    Witness += Views[V].Sites[Pos];
+    Witness += Views[Step.View][Step.Pos].AcqSite;
     Witness += "]";
   }
   return true;
@@ -593,42 +488,6 @@ void sleepMs(unsigned Ms) {
   nanosleep(&Ts, nullptr);
 }
 
-// -- Cycle spec parsing ----------------------------------------------------------
-
-void parseCycleSpec(const char *Spec) {
-  // "<threadAbs>|<lockAbs>|<ctx1>,<ctx2>;<component>;..."
-  std::string Text(Spec);
-  size_t Pos = 0;
-  while (Pos < Text.size()) {
-    size_t End = Text.find(';', Pos);
-    if (End == std::string::npos)
-      End = Text.size();
-    std::string Component = Text.substr(Pos, End - Pos);
-    Pos = End + 1;
-    if (Component.empty())
-      continue;
-
-    size_t Bar1 = Component.find('|');
-    size_t Bar2 = Component.find('|', Bar1 + 1);
-    if (Bar1 == std::string::npos || Bar2 == std::string::npos)
-      continue;
-    CycleComponentSpec Parsed;
-    Parsed.ThreadAbs = Component.substr(0, Bar1);
-    Parsed.LockAbs = Component.substr(Bar1 + 1, Bar2 - Bar1 - 1);
-    std::string Ctx = Component.substr(Bar2 + 1);
-    size_t CtxPos = 0;
-    while (CtxPos < Ctx.size()) {
-      size_t Comma = Ctx.find(',', CtxPos);
-      if (Comma == std::string::npos)
-        Comma = Ctx.size();
-      Parsed.Context.push_back(Ctx.substr(CtxPos, Comma - CtxPos));
-      CtxPos = Comma + 1;
-    }
-    if (!Parsed.Context.empty())
-      State->Cycle.push_back(std::move(Parsed));
-  }
-}
-
 // -- Initialization -----------------------------------------------------------------
 
 __attribute__((constructor)) void dlfPreloadInit() {
@@ -657,8 +516,16 @@ __attribute__((constructor)) void dlfPreloadInit() {
   }
   State->TraceAccesses = (State->Trace || State->Ring) &&
                          getenv(dlf::interpose::AccessEnvVar) != nullptr;
-  if (const char *Spec = getenv(dlf::interpose::CycleEnvVar))
-    parseCycleSpec(Spec);
+  if (const char *Spec = getenv(dlf::interpose::CycleEnvVar)) {
+    // A typo'd spec that matched nothing would silently disarm Phase II and
+    // make the run look deadlock-free; refuse to start instead.
+    std::string Err;
+    if (!dlf::interpose::decodeCycleSpec(Spec, State->Cycle, &Err)) {
+      fprintf(stderr, "dlf-preload: %s: %s\n", dlf::interpose::CycleEnvVar,
+              Err.c_str());
+      _exit(2);
+    }
+  }
   State->RingOnly =
       State->Ring && !State->Trace && State->Cycle.empty();
   if (const char *Ms = getenv(dlf::interpose::PauseMsEnvVar)) {
@@ -702,9 +569,7 @@ void pauseAndWatch(ThreadSlot *T, uint64_t LockId, const std::string &Site,
         .inc();
   }
   State->lock();
-  T->PendingLock = LockId;
-  T->PendingSite = Site;
-  T->PendingShared = Shared;
+  T->setPending(LockId, Site, Shared);
   std::string Witness;
   bool Found = findDeadlockLocked(Witness);
   State->unlock();
@@ -724,9 +589,7 @@ void pauseAndWatch(ThreadSlot *T, uint64_t LockId, const std::string &Site,
       reportDeadlockAndExit(SliceWitness);
   }
   State->lock();
-  T->PendingLock = 0;
-  T->PendingSite.clear();
-  T->PendingShared = false;
+  T->clearPending();
   State->unlock();
 }
 
@@ -738,9 +601,7 @@ void registerBlockedAndCheck(ThreadSlot *T, uint64_t LockId,
   bool Found = false;
   {
     State->lock();
-    T->PendingLock = LockId;
-    T->PendingSite = Site;
-    T->PendingShared = Shared;
+    T->setPending(LockId, Site, Shared);
     Found = findDeadlockLocked(Witness);
     State->unlock();
   }
@@ -787,8 +648,7 @@ int acquireWithAnalysis(pthread_mutex_t *M, void *CallerAddr) {
     int Rc = RealLock(M);
     if (Rc != 0) {
       State->lock();
-      T->PendingLock = 0;
-      T->PendingShared = false;
+      T->clearPending();
       State->unlock();
       return Rc;
     }
@@ -798,9 +658,7 @@ int acquireWithAnalysis(pthread_mutex_t *M, void *CallerAddr) {
   LockInfo &L = lockInfoLocked(M, Site);
   L.OwnerTid = T->Tid;
   L.Recursion = 1;
-  T->PendingLock = 0;
-  T->PendingSite.clear();
-  T->PendingShared = false;
+  T->clearPending();
   if (State->Trace)
     fprintf(State->Trace, "A %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
             Site.c_str());
@@ -845,8 +703,7 @@ int rwAcquireWithAnalysis(pthread_rwlock_t *RW, bool Shared,
     int Rc = Shared ? RealRdlock(RW) : RealWrlock(RW);
     if (Rc != 0) {
       State->lock();
-      T->PendingLock = 0;
-      T->PendingShared = false;
+      T->clearPending();
       State->unlock();
       return Rc;
     }
@@ -860,9 +717,7 @@ int rwAcquireWithAnalysis(pthread_rwlock_t *RW, bool Shared,
     L.OwnerTid = T->Tid;
     L.Recursion = 1;
   }
-  T->PendingLock = 0;
-  T->PendingSite.clear();
-  T->PendingShared = false;
+  T->clearPending();
   if (State->Trace)
     fprintf(State->Trace, "%c %" PRIu64 " %" PRIu64 " %s\n",
             Shared ? 'Q' : 'A', T->Tid, L.Id, Site.c_str());
@@ -870,7 +725,7 @@ int rwAcquireWithAnalysis(pthread_rwlock_t *RW, bool Shared,
     ringEmit(Shared ? dlf::ring::RecordKind::SharedAcquire
                     : dlf::ring::RecordKind::Acquire,
              T->Tid, reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-  T->Stack.push_back({L.Id, Site, Shared});
+  T->Stack.push_back({L.Id, Site, modeOf(Shared)});
   State->unlock();
   return 0;
 }
@@ -902,7 +757,7 @@ void rwReleaseWithAnalysis(pthread_rwlock_t *RW) {
     L.ReaderTids.erase(Rd);
   }
   for (size_t I = T->Stack.size(); I-- > 0;) {
-    if (T->Stack[I].LockId == L.Id) {
+    if (T->Stack[I].Lock == L.Id) {
       T->Stack.erase(T->Stack.begin() + static_cast<long>(I));
       break;
     }
@@ -939,7 +794,7 @@ void releaseWithAnalysis(pthread_mutex_t *M, bool &Reentrant) {
   L.OwnerTid = 0;
   L.Recursion = 0;
   for (size_t I = T->Stack.size(); I-- > 0;) {
-    if (T->Stack[I].LockId == L.Id) {
+    if (T->Stack[I].Lock == L.Id) {
       T->Stack.erase(T->Stack.begin() + static_cast<long>(I));
       break;
     }
@@ -1023,8 +878,7 @@ void *threadTrampoline(void *Raw) {
   State->lock();
   Slot->Live = false;
   Slot->Stack.clear();
-  Slot->PendingLock = 0;
-  Slot->PendingShared = false;
+  Slot->clearPending();
   State->unlock();
   if (State->Ring && RingShardClaimed) {
     // Return the shard to the pool so later threads reuse it instead of
@@ -1382,7 +1236,7 @@ int pthread_rwlock_tryrdlock(pthread_rwlock_t *RW) {
     if (State->Ring)
       ringEmit(dlf::ring::RecordKind::SharedAcquire, T->Tid,
                reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-    T->Stack.push_back({L.Id, Site, /*Shared=*/true});
+    T->Stack.push_back({L.Id, Site, LockMode::Shared});
   }
   State->unlock();
   return Rc;
@@ -1426,7 +1280,7 @@ int pthread_rwlock_trywrlock(pthread_rwlock_t *RW) {
     if (State->Ring)
       ringEmit(dlf::ring::RecordKind::Acquire, T->Tid,
                reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-    T->Stack.push_back({L.Id, Site, /*Shared=*/false});
+    T->Stack.push_back({L.Id, Site, LockMode::Exclusive});
   }
   State->unlock();
   return Rc;

@@ -25,6 +25,7 @@
 ///                               (wakeup-edge sink; the reacquire of the
 ///                               wait mutex is a separate A line)
 ///   F <parent-tid> <child-tid>  pthread_create edge (happens-before)
+///   J <joiner-tid> <joined-tid> pthread_join returned (happens-before)
 ///   O <oid> <abs>               shared object first observed (opt-in)
 ///   L <tid> <oid> <site>        shared-memory read (opt-in)
 ///   S <tid> <oid> <site>        shared-memory write (opt-in)
@@ -59,12 +60,17 @@
 /// list of components, each "threadAbs|lockAbs|ctxSite1,ctxSite2,...",
 /// where the context sites are the acquire sites of the held locks plus
 /// the pending acquire, outermost first — exactly the C_i of an iGoodlock
-/// report.
+/// report. encodeCycleSpec writes it (the "cycle-spec:" report lines) and
+/// decodeCycleSpec reads it (the preload's Phase II); both depend only on
+/// the standard library, so libdlf_preload.so compiles TraceFormat.cpp in.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DLF_INTERPOSE_TRACEFORMAT_H
 #define DLF_INTERPOSE_TRACEFORMAT_H
+
+#include <string>
+#include <vector>
 
 namespace dlf {
 namespace interpose {
@@ -88,6 +94,25 @@ inline constexpr const char *AccessEnvVar = "DLF_TRACE_ACCESSES";
 /// Exit code the preload runtime uses when it confirms a real deadlock
 /// (chosen to be distinguishable from crashes and clean exits).
 inline constexpr int DeadlockExitCode = 42;
+
+/// One component of a Phase II cycle specification.
+struct CycleSpecComponent {
+  std::string ThreadAbs;
+  std::string LockAbs;
+  /// Acquire sites of the held locks, then of the pending acquire.
+  std::vector<std::string> Context;
+};
+
+/// Renders \p Cycle as a DLF_PRELOAD_CYCLE value.
+std::string encodeCycleSpec(const std::vector<CycleSpecComponent> &Cycle);
+
+/// Parses a DLF_PRELOAD_CYCLE value into \p Out. Empty components (a
+/// trailing ';') are skipped. Returns false and describes the problem in
+/// \p Error when the spec has no component, or a component is not
+/// "thread|lock|ctx,..." with every field and context site non-empty.
+bool decodeCycleSpec(const std::string &Text,
+                     std::vector<CycleSpecComponent> &Out,
+                     std::string *Error);
 
 } // namespace interpose
 } // namespace dlf

@@ -356,20 +356,20 @@ std::optional<DeadlockWitness>
 Scheduler::checkRealDeadlock(const ThreadRecord *For,
                              const std::vector<LockStackEntry> *Tentative) {
   std::vector<ThreadStackView> Views;
-  // Paused threads are committed to their pending acquire: extend their
-  // stacks with it so a cycle is confirmed as soon as it is inevitable
-  // (matching the paper's zero-thrash reproductions).
-  std::vector<std::vector<LockStackEntry>> PausedStacks;
-  PausedStacks.reserve(RT.threadRecords().size());
+  // A notified waiter's reacquire has no LockStackEntry of its own; these
+  // hold them (reserved up front, so the views' pointers stay valid).
+  std::vector<LockStackEntry> Reacquires;
+  Reacquires.reserve(RT.threadRecords().size());
   for (ThreadRecord &T : RT.threadRecords()) {
     if (T.State == ThreadState::Finished)
       continue;
-    const std::vector<LockStackEntry> *Stack =
-        (&T == For && Tentative) ? Tentative : &T.LockStack;
+    ThreadStackView View{&T, (&T == For && Tentative) ? Tentative
+                                                      : &T.LockStack};
     if (&T != For && T.Paused && T.HasPausedPending) {
-      PausedStacks.push_back(*Stack);
-      PausedStacks.back().push_back(T.PausedPending);
-      Stack = &PausedStacks.back();
+      // Paused threads are committed to their pending acquire: extend
+      // their views with it so a cycle is confirmed as soon as it is
+      // inevitable (matching the paper's zero-thrash reproductions).
+      View.Pending = &T.PausedPending;
     } else if (&T != For &&
                T.Pending.K == PendingOp::Kind::ReacquireAfterWait) {
       // A notified waiter is committed to re-acquiring the condvar's lock,
@@ -377,14 +377,13 @@ Scheduler::checkRealDeadlock(const ThreadRecord *For,
       // extend the view so the reacquire is a visible wait-for edge. (A
       // still-parked CondBlocked thread gets no edge: it waits for a
       // notify, not for the lock.)
-      PausedStacks.push_back(*Stack);
-      PausedStacks.back().push_back(
+      Reacquires.push_back(
           {T.Pending.Lock, T.Pending.Site, LockMode::Exclusive});
-      Stack = &PausedStacks.back();
+      View.Pending = &Reacquires.back();
     }
-    if (Stack->empty())
+    if (View.size() == 0)
       continue;
-    Views.push_back({&T, Stack});
+    Views.push_back(View);
   }
   return findRealDeadlock(
       Views, [this](LockId Id) -> const LockRecord & { return RT.lockById(Id); });

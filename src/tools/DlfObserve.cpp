@@ -462,11 +462,9 @@ int main(int Argc, char **Argv) {
   if (Opts.Races) {
     analysis::TraceFile Trace;
     Trace.Events = AllEvents;
-    analysis::RaceDetectorOptions ROpts;
-    ROpts.Jobs = Opts.IG.AnalysisJobs;
-    analysis::RaceAnalysis Result = analysis::detectRaces(Trace, ROpts);
+    analysis::RaceAnalysis Result = analysis::detectRaces(Trace);
     std::cerr << "dlf-observe: race pass over " << Trace.Events.size()
-              << " events, jobs " << ROpts.Jobs << "\n";
+              << " events\n";
     for (const std::string &W : Result.Warnings)
       std::cerr << "warning: " << W << "\n";
     analysis::printRaceReport(std::cout, "dlf-observe", Result);

@@ -3,17 +3,21 @@
 // Unit tests for the offline static-analysis passes (src/analysis): cycle
 // classification on hand-built dependency logs with hand-set vector
 // clocks, the KeepGuardedCycles closure switch that feeds the pruner, and
-// the lockset + happens-before race detector including its determinism
-// across worker counts.
+// the lockset + happens-before race detector, and the one policy all
+// three trace analyses share for events naming an undeclared thread.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/GuardPruner.h"
+#include "analysis/LogBuilder.h"
+#include "analysis/Predict.h"
 #include "analysis/RaceDetector.h"
 #include "analysis/Trace.h"
 #include "igoodlock/IGoodlock.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 namespace {
 
@@ -572,8 +576,7 @@ TEST(RaceDetector, WriteReadPairIsRacy) {
   EXPECT_FALSE(R.Races[0].Second.IsWrite);
 }
 
-TEST(RaceDetector, DeterministicAcrossJobCounts) {
-  // Many objects so the round-robin sharding actually spreads work.
+TEST(RaceDetector, ManyObjectsReportInFirstSeenOrder) {
   TraceBuilder B;
   B.threadNew(1).threadNew(2).threadNew(3);
   B.fork(1, 2).fork(1, 3);
@@ -583,21 +586,13 @@ TEST(RaceDetector, DeterministicAcrossJobCounts) {
     if (O % 3 != 0)
       B.write(3, 100 + O, "w3::store" + std::to_string(O));
   }
-  std::string Baseline;
-  for (unsigned Jobs : {1u, 2u, 4u, 0u}) {
-    RaceDetectorOptions Opts;
-    Opts.Jobs = Jobs;
-    RaceAnalysis R = detectRaces(B.Trace, Opts);
-    std::string Rendered;
-    for (const RaceReport &Race : R.Races)
-      Rendered += Race.toString() + "\n";
-    Rendered += std::to_string(R.RacyPairs);
-    if (Jobs == 1)
-      Baseline = Rendered;
-    else
-      EXPECT_EQ(Rendered, Baseline) << "jobs=" << Jobs;
-  }
-  EXPECT_NE(Baseline, "0");
+  RaceAnalysis R = detectRaces(B.Trace);
+  ASSERT_EQ(R.RacyPairs, 15u);
+  ASSERT_EQ(R.Races.size(), 15u);
+  EXPECT_EQ(R.Races.front().Object, 101u);
+  EXPECT_EQ(R.Races.back().Object, 122u);
+  for (size_t I = 1; I != R.Races.size(); ++I)
+    EXPECT_LT(R.Races[I - 1].Object, R.Races[I].Object);
 }
 
 TEST(RaceDetector, ReportCapCountsEverything) {
@@ -614,6 +609,55 @@ TEST(RaceDetector, ReportCapCountsEverything) {
   RaceAnalysis R = detectRaces(B.Trace, Opts);
   EXPECT_EQ(R.RacyPairs, 8u);
   EXPECT_EQ(R.Races.size(), 3u);
+}
+
+TEST(SyncWalker, UndeclaredThreadIsDroppedByEveryAnalysis) {
+  // Thread 9 and lock 12 never get a T/M line. Counted, thread 9's a->b
+  // would close a cycle with t2's b->a and its write would race; every
+  // analysis must drop those events instead, so the predictor and the race
+  // detector see exactly the events the dependency log was built from.
+  TraceBuilder B;
+  B.threadNew(1).threadNew(2).fork(1, 2);
+  B.lockNew(10).lockNew(11).objectNew(100);
+  B.acquire(9, 10).acquire(9, 11).release(9, 11).release(9, 10);
+  B.acquire(2, 11).acquire(2, 10).release(2, 10).release(2, 11);
+  B.acquire(2, 12).release(2, 12);
+  B.write(9, 100, "t9::store").write(2, 100, "t2::store");
+  B.write(1, 100, "t1::store");
+  B.fork(1, 9);
+
+  std::ostringstream Warnings;
+  IncrementalLogBuilder Builder(&Warnings);
+  Builder.feed(B.Trace.Events);
+  EXPECT_EQ(Builder.log().acquireEvents(), 2u);
+  EXPECT_TRUE(runIGoodlock(Builder.log()).empty());
+  EXPECT_NE(Warnings.str().find("event 7: acquire references unknown "
+                                "thread/lock"),
+            std::string::npos)
+      << Warnings.str();
+  EXPECT_NE(Warnings.str().find("event 15: acquire references unknown "
+                                "thread/lock"),
+            std::string::npos)
+      << Warnings.str();
+  EXPECT_NE(Warnings.str().find("event 20: fork references unknown thread"),
+            std::string::npos)
+      << Warnings.str();
+
+  PredictAnalysis P = predictDeadlocks(B.Trace);
+  EXPECT_TRUE(P.Cycles.empty());
+  EXPECT_EQ(P.AcquireEvents, 2u);
+  EXPECT_EQ(P.Stats.AcquiresIndexed, 2u)
+      << "the predictor must index the log's acquires, and no others";
+
+  RaceAnalysis R = detectRaces(B.Trace);
+  EXPECT_EQ(R.AccessesSeen, 2u);
+  ASSERT_EQ(R.RacyPairs, 1u);
+  EXPECT_EQ(R.Races[0].First.Thread, 2u);
+  EXPECT_EQ(R.Races[0].Second.Thread, 1u);
+  bool Named = false;
+  for (const std::string &W : R.Warnings)
+    Named |= W.find("thread 9") != std::string::npos;
+  EXPECT_TRUE(Named) << "dropped events must be reported";
 }
 
 TEST(RaceDetector, EmptyTraceIsClean) {

@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "campaign/ProcessSandbox.h"
 #include "runtime/Runtime.h"
 #include "substrates/BenchmarkRegistry.h"
 #include "substrates/collections/SyncList.h"
@@ -15,6 +16,10 @@
 #include "substrates/swing/Swing.h"
 
 #include <gtest/gtest.h>
+
+#include <iostream>
+
+#include <sched.h>
 
 namespace {
 
@@ -175,11 +180,43 @@ TEST(Registry, AllBenchmarksPresent) {
 
 TEST(Registry, EveryBenchmarkRunsUninstrumented) {
   // Each harness must terminate as a plain program (no runtime installed).
+  // On a multi-core host an uninstrumented run can also deadlock for real:
+  // the harnesses' stagger no longer separates the hazard windows. So each
+  // run is a sandboxed child pinned to the CPU it starts on (paced as on
+  // the single-core hosts the harnesses were tuned on) under a watchdog: a
+  // timeout counts as an uninstrumented deadlock and is retried, a crash
+  // fails, and nothing can hang the suite.
+  campaign::SandboxLimits Limits;
+  Limits.TimeoutMs = 3000;
+  const unsigned MaxAttempts = 5;
   for (const BenchmarkInfo &Info : allBenchmarks()) {
     if (Info.Name == "collections")
       continue; // union of two rows already covered
     SCOPED_TRACE(Info.Name);
-    Info.Entry();
+    unsigned Deadlocks = 0;
+    bool Completed = false;
+    while (!Completed && Deadlocks != MaxAttempts) {
+      campaign::SandboxResult R = campaign::runInSandbox(
+          [&Info](int) {
+            cpu_set_t One;
+            CPU_ZERO(&One);
+            CPU_SET(sched_getcpu(), &One);
+            sched_setaffinity(0, sizeof(One), &One);
+            Info.Entry();
+            return 0;
+          },
+          Limits);
+      if (R.Status == campaign::SandboxStatus::Hung) {
+        ++Deadlocks;
+        continue;
+      }
+      ASSERT_EQ(R.Status, campaign::SandboxStatus::Completed) << R.triage();
+      Completed = true;
+    }
+    EXPECT_TRUE(Completed) << Deadlocks << " uninstrumented deadlocks in a row";
+    if (Deadlocks)
+      std::cout << Info.Name << ": " << Deadlocks
+                << " uninstrumented deadlock(s) before a clean run\n";
   }
 }
 
