@@ -2,12 +2,14 @@
 //
 // Measures the shared-memory event ring (src/ring): the per-record cost of
 // the wait-free writer hot path, the observer's drain/merge throughput,
-// and — the number the tentpole exists for — the per-event cost of the
-// preload's text-trace path (lock + dladdr + snprintf + stdio) against one
-// ring write with a cached site id.
+// and the per-event cost of the preload's text-trace path (cached site,
+// state lock, event model, line encoder, stdio) against one ring write with
+// a cached site id.
 //
 //===----------------------------------------------------------------------===//
 
+#include "interpose/EventModel.h"
+#include "interpose/TraceFormat.h"
 #include "ring/Ring.h"
 
 #include <benchmark/benchmark.h>
@@ -16,6 +18,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <cstdio>
@@ -93,11 +97,13 @@ void BM_RingDrain(benchmark::State &State) {
 }
 BENCHMARK(BM_RingDrain)->Arg(1024)->Arg(4096);
 
-/// The acceptance-criterion comparison. Arg(0) models the text-trace event
-/// path as the preload executes it per event: take the global state lock,
-/// resolve the call site with dladdr, format the line, push it through
-/// stdio. Arg(1) is the ring path: one wait-free fixed-size write, site id
-/// cached. Compare the two ns/op numbers in BENCH_ring.json.
+/// Per-event cost of the preload's two capture paths. Arg(0) is the text
+/// trace path as the preload runs it per event: the per-thread site cache
+/// lookup (dladdr + snprintf only on its first miss), the global state
+/// lock, the one event model, then the line encoder and stdio and the
+/// held-stack update. Arg(1) is
+/// the ring-only path: one wait-free fixed-size write, site id cached.
+/// Compare the two ns/op numbers in BENCH_ring.json.
 void BM_PreloadEventTextVsRing(benchmark::State &State) {
   if (State.range(0) == 0) {
     pthread_mutex_t Lock = PTHREAD_MUTEX_INITIALIZER;
@@ -106,20 +112,42 @@ void BM_PreloadEventTextVsRing(benchmark::State &State) {
       State.SkipWithError("cannot open /dev/null");
       return;
     }
+    interpose::EventModel Model;
+    std::string Line;
+    std::vector<std::pair<uint64_t, std::string>> Held;
+    interpose::EventSink Write = [&](const interpose::TraceLine &E) {
+      Line.clear();
+      interpose::appendTraceLine(E, Line);
+      std::fwrite(Line.data(), 1, Line.size(), Sink);
+      // The held stack that Phase II and the blocked-acquire check search.
+      if (E.K == analysis::TraceEvent::Kind::Acquire)
+        Held.emplace_back(E.B, E.Text);
+      else if (E.K == analysis::TraceEvent::Kind::Release)
+        Held.pop_back();
+    };
+    std::unordered_map<void *, std::string> Sites;
     void *Caller = reinterpret_cast<void *>(&BM_RingWrite);
     for (auto _ : State) {
+      auto [It, Fresh] = Sites.try_emplace(Caller);
+      if (Fresh) {
+        Dl_info Info;
+        char Site[128];
+        if (dladdr(Caller, &Info) && Info.dli_sname)
+          std::snprintf(Site, sizeof(Site), "%s+0x%zx", Info.dli_sname,
+                        static_cast<size_t>(
+                            reinterpret_cast<char *>(Caller) -
+                            reinterpret_cast<char *>(Info.dli_saddr)));
+        else
+          std::snprintf(Site, sizeof(Site), "addr+0x%zx",
+                        reinterpret_cast<size_t>(Caller));
+        It->second = Site;
+      }
+      // Alternate acquire and release so every op is one trace line.
       pthread_mutex_lock(&Lock);
-      Dl_info Info;
-      char Site[128];
-      if (dladdr(Caller, &Info) && Info.dli_sname)
-        std::snprintf(Site, sizeof(Site), "%s+0x%zx", Info.dli_sname,
-                      static_cast<size_t>(
-                          reinterpret_cast<char *>(Caller) -
-                          reinterpret_cast<char *>(Info.dli_saddr)));
-      else
-        std::snprintf(Site, sizeof(Site), "addr+0x%zx",
-                      reinterpret_cast<size_t>(Caller));
-      std::fprintf(Sink, "A %u %u %s\n", 1u, 1u, Site);
+      benchmark::DoNotOptimize(Model.apply(
+          {Held.empty() ? RecordKind::Acquire : RecordKind::Release, 1,
+           0x1000, It->second},
+          Write));
       pthread_mutex_unlock(&Lock);
     }
     std::fclose(Sink);

@@ -29,6 +29,16 @@
 // happens-before edges, and a failed trylock is a P probe line — the
 // thread asked and bailed out, so it is never treated as blocked.
 //
+// Every wrapper describes its call as one raw capture op (ring::RecordKind:
+// kind, thread, pthread object address, call site) and hands it to one
+// capture point. Ring-only, that is one ring write with no lock. With a
+// text trace or a Phase II cycle, the op runs through the one event model
+// (interpose/EventModel.h) under the state lock: its events become the
+// trace lines (interpose/TraceFormat.h) and the held stacks Phase II
+// searches, and in combined mode the ring gets the same op in the same
+// critical section. dlf-observe replays ring records through the same
+// model, so every mode names threads and locks alike.
+//
 // This file is deliberately self-contained (no dependency on libdlf): a
 // preload library must not drag in anything that might initialize before
 // the dynamic linker is ready.
@@ -36,6 +46,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "event/LockCycle.h" // header-only; keeps the no-libdlf constraint
+// The event model and the trace codecs are standard-library only and
+// compiled directly into libdlf_preload.so (see src/CMakeLists.txt).
+#include "interpose/EventModel.h"
 #include "interpose/TraceFormat.h"
 // The ring transport is standard-library + POSIX only; Ring.cpp is compiled
 // directly into libdlf_preload.so (see src/CMakeLists.txt), so the
@@ -52,13 +65,13 @@
 #define _GNU_SOURCE
 #endif
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -70,6 +83,10 @@
 namespace {
 
 using dlf::LockMode;
+using dlf::interpose::EventModel;
+using dlf::interpose::EventSink;
+using dlf::interpose::TraceLine;
+using dlf::ring::RecordKind;
 
 // -- Real function pointers ----------------------------------------------------
 
@@ -137,35 +154,7 @@ void resolveReals() {
   RealJoin = reinterpret_cast<JoinFn>(dlsym(RTLD_NEXT, "pthread_join"));
 }
 
-// -- Site resolution -------------------------------------------------------------
-
-/// Resolves a return address to a stable "symbol+0xoff" site string.
-std::string resolveSite(void *Address) {
-  Dl_info Info;
-  if (dladdr(Address, &Info) && Info.dli_sname) {
-    char Buffer[256];
-    snprintf(Buffer, sizeof(Buffer), "%s+0x%" PRIxPTR, Info.dli_sname,
-             reinterpret_cast<uintptr_t>(Address) -
-                 reinterpret_cast<uintptr_t>(Info.dli_saddr));
-    return Buffer;
-  }
-  if (dladdr(Address, &Info) && Info.dli_fname) {
-    char Buffer[512];
-    snprintf(Buffer, sizeof(Buffer), "%s+0x%" PRIxPTR,
-             strrchr(Info.dli_fname, '/') ? strrchr(Info.dli_fname, '/') + 1
-                                          : Info.dli_fname,
-             reinterpret_cast<uintptr_t>(Address) -
-                 reinterpret_cast<uintptr_t>(Info.dli_fbase));
-    return Buffer;
-  }
-  char Buffer[32];
-  snprintf(Buffer, sizeof(Buffer), "addr:%p", Address);
-  return Buffer;
-}
-
 // -- Shared state ------------------------------------------------------------------
-
-constexpr unsigned MaxStackDepth = 64;
 
 struct HeldEntry {
   uint64_t Lock = 0;
@@ -181,8 +170,9 @@ LockMode modeOf(bool Shared) {
 
 struct ThreadSlot {
   uint64_t Tid = 0;
-  std::string Abs; ///< "<site>#<n>"
+  std::string Abs; ///< "<site>#<n>", named by the event model
   bool Live = false;
+  /// Held locks, kept from the model's acquire/release events.
   std::vector<HeldEntry> Stack;
   /// Lock this thread is blocked on / paused before; Lock 0 when none.
   HeldEntry Pending;
@@ -196,19 +186,7 @@ struct ThreadSlot {
   void clearPending() { setPending(0, std::string(), false); }
 };
 
-struct LockInfo {
-  uint64_t Id = 0;
-  std::string Abs; ///< "<site>#<n>"
-  uint64_t OwnerTid = 0;
-  unsigned Recursion = 0;
-  /// Read-side holders (rwlocks only; empty for mutexes).
-  std::vector<uint64_t> ReaderTids;
-};
-
-struct ObjectInfo {
-  uint64_t Id = 0;
-  std::string Abs; ///< "<first-access-site>#<n>"
-};
+void onModelEvent(const TraceLine &E);
 
 /// All global state; created by the library constructor. Internal locking
 /// uses RealLock directly, so the interposition never recurses.
@@ -219,26 +197,23 @@ struct GlobalState {
   /// Shared-memory event transport (DLF_RING); null when not requested.
   dlf::ring::RingWriter *Ring = nullptr;
   /// Ring with neither text trace nor Phase II cycle: the hot path takes
-  /// no lock and resolves no site — one ring write per event.
+  /// no lock and runs no model — one ring write per event.
   bool RingOnly = false;
   std::vector<dlf::interpose::CycleSpecComponent> Cycle;
   unsigned PauseMs = 200;
 
   uint64_t NextTid = 1;
-  uint64_t NextLockId = 1;
-  uint64_t NextObjectId = 1;
-  uint64_t NextCondId = 1;
-  std::unordered_map<pthread_mutex_t *, LockInfo> Locks;
-  /// Rwlocks share the id space (NextLockId) and LockInfo shape with
-  /// mutexes; only the keying pointer type differs.
-  std::unordered_map<pthread_rwlock_t *, LockInfo> RwLocks;
-  std::unordered_map<pthread_cond_t *, uint64_t> Conds;
-  std::unordered_map<const void *, ObjectInfo> Objects;
+  /// Indexed by tid - 1: tids are handed out in registration order.
   std::vector<ThreadSlot *> Threads;
   /// pthread_create handle -> our tid, consumed by the pthread_join
   /// interposition to emit the J (join happens-before) edge.
   std::unordered_map<pthread_t, uint64_t> JoinHandles;
-  std::unordered_map<std::string, uint64_t> SiteCounts;
+
+  /// The one event model; applied under Mu unless ring-only.
+  EventModel Model;
+  const EventSink Sink = onModelEvent;
+  /// Reused for every trace line: the text path allocates nothing per line.
+  std::string Line;
 
   void lock() { RealLock(&Mu); }
   void unlock() { RealUnlock(&Mu); }
@@ -265,6 +240,16 @@ struct InternalGuard {
   ~InternalGuard() { InInternal = Prev; }
 };
 
+/// A wrapper captures when the library is initialized, the call is not
+/// the preload's own internal locking, and some mode (text trace, Phase II
+/// cycle, ring) wants events; otherwise it is a pure passthrough.
+bool observing() {
+  return State && !InInternal &&
+         (State->Trace || !State->Cycle.empty() || State->Ring);
+}
+
+uint64_t addrOf(const void *P) { return reinterpret_cast<uintptr_t>(P); }
+
 // -- Ring transport ------------------------------------------------------------------
 
 /// Per-thread SPSC shard; claimed lazily on first event, released when the
@@ -287,8 +272,7 @@ dlf::ring::ShardHandle &ringShardHandle() {
 /// One fixed-size ring write; the entire per-event cost of the ring path.
 /// Telemetry (occupancy histogram, drop counter) only runs when a sidecar
 /// asked for metrics — the default hot path is the write alone.
-void ringEmit(dlf::ring::RecordKind Kind, uint64_t Tid, uint64_t Addr,
-              uint32_t Site) {
+void ringEmit(RecordKind Kind, uint64_t Tid, uint64_t Addr, uint32_t Site) {
   bool WantStats = dlf::telemetry::enabled();
   uint64_t Occupancy = 0;
   bool Ok = State->Ring->write(ringShardHandle(), Kind,
@@ -313,43 +297,137 @@ void ringEmit(dlf::ring::RecordKind Kind, uint64_t Tid, uint64_t Addr,
 }
 
 /// Interns a site string into the ring's shared string table (slow, mutex
-/// under the hood — callers cache).
-uint32_t ringInternString(const std::string &Site) {
+/// under the hood — callers cache); 0 without a ring.
+uint32_t ringInternString(const char *Site) {
+  if (!State->Ring)
+    return 0;
   InternalGuard G;
   return State->Ring->internSite(Site);
 }
 
-/// Return-address -> interned site id, cached per thread so the steady
-/// state is one hash lookup — no dladdr, no snprintf, no intern mutex.
-uint32_t ringSiteId(void *CallerAddr) {
-  thread_local std::unordered_map<void *, uint32_t> Cache;
-  auto It = Cache.find(CallerAddr);
-  if (It != Cache.end())
-    return It->second;
-  uint32_t Id = ringInternString(resolveSite(CallerAddr));
-  Cache.emplace(CallerAddr, Id);
-  return Id;
+// -- Sites ---------------------------------------------------------------------------
+
+/// Resolves a return address to a stable "symbol+0xoff" site string.
+std::string resolveSite(void *Address) {
+  Dl_info Info;
+  if (dladdr(Address, &Info) && Info.dli_sname) {
+    char Buffer[256];
+    snprintf(Buffer, sizeof(Buffer), "%s+0x%" PRIxPTR, Info.dli_sname,
+             reinterpret_cast<uintptr_t>(Address) -
+                 reinterpret_cast<uintptr_t>(Info.dli_saddr));
+    return Buffer;
+  }
+  if (dladdr(Address, &Info) && Info.dli_fname) {
+    char Buffer[512];
+    snprintf(Buffer, sizeof(Buffer), "%s+0x%" PRIxPTR,
+             strrchr(Info.dli_fname, '/') ? strrchr(Info.dli_fname, '/') + 1
+                                          : Info.dli_fname,
+             reinterpret_cast<uintptr_t>(Address) -
+                 reinterpret_cast<uintptr_t>(Info.dli_fbase));
+    return Buffer;
+  }
+  char Buffer[32];
+  snprintf(Buffer, sizeof(Buffer), "addr:%p", Address);
+  return Buffer;
 }
 
-/// No observation mode (text trace, Phase II cycle, ring) wants events:
-/// pure passthrough.
-bool analysisOff() {
-  return !State->Trace && State->Cycle.empty() && !State->Ring;
-}
-
-/// Hand-off from the pthread_create interposition to the trampoline. The
-/// slot is created (and its T/F trace lines written) in the *parent*, so
-/// the fork edge is on file before any child event and the child's tid is
-/// deterministic in program order, not in thread start-up order.
-struct TrampolineArg {
-  void *(*Routine)(void *);
-  void *Arg;
-  ThreadSlot *Slot;
+/// One call site: its text and its ring string id (0 without a ring).
+struct SiteRef {
+  std::string Text;
+  uint32_t RingId = 0;
 };
 
-std::string bumpSite(GlobalState &G, const std::string &Site) {
-  uint64_t N = ++G.SiteCounts[Site];
-  return Site + "#" + std::to_string(N);
+/// Per-thread return address -> site cache, shared by every mode: dladdr,
+/// snprintf and interning run once per site and thread, and the steady
+/// state is one hash lookup without a lock. A raw pointer, so no TLS
+/// destructor can free it under a wrapper reached from a later thread-exit
+/// destructor; the trampoline frees it when the thread routine returns.
+thread_local std::unordered_map<void *, SiteRef> *Sites;
+
+const SiteRef &siteOf(void *CallerAddr) {
+  if (!Sites)
+    Sites = new std::unordered_map<void *, SiteRef>();
+  auto [It, Fresh] = Sites->try_emplace(CallerAddr);
+  if (Fresh) {
+    It->second.Text = resolveSite(CallerAddr);
+    It->second.RingId = ringInternString(It->second.Text.c_str());
+  }
+  return It->second;
+}
+
+// -- The capture point ---------------------------------------------------------------
+
+/// The model's sink (state lock held): the event's trace line, then its
+/// effect on the thread registry — a new thread's name and the held
+/// stacks that Phase II and the blocked-acquire check search.
+void onModelEvent(const TraceLine &E) {
+  using K = dlf::analysis::TraceEvent::Kind;
+  if (State->Trace) {
+    State->Line.clear();
+    dlf::interpose::appendTraceLine(E, State->Line);
+    fwrite(State->Line.data(), 1, State->Line.size(), State->Trace);
+  }
+  // Tids are dense from 1 in registration order (GlobalState::Threads).
+  auto Slot = [&] { return State->Threads[E.A - 1]; };
+  switch (E.K) {
+  case K::ThreadNew:
+    Slot()->Abs = E.Text;
+    break;
+  case K::Acquire:
+  case K::SharedAcquire:
+    Slot()->Stack.push_back(
+        {E.B, std::string(E.Text), modeOf(E.K == K::SharedAcquire)});
+    break;
+  case K::Release:
+  case K::SharedRelease: {
+    std::vector<HeldEntry> &Stack = Slot()->Stack;
+    for (size_t I = Stack.size(); I-- > 0;) {
+      if (Stack[I].Lock == E.B) {
+        Stack.erase(Stack.begin() + static_cast<long>(I));
+        break;
+      }
+    }
+    break;
+  }
+  default:
+    break;
+  }
+}
+
+/// The one emit point: every wrapper hands its raw op here (through
+/// capture, or directly when it already holds the state lock).
+///
+/// Ring-only, the op is one ring write and nothing else — no lock, no
+/// model; the first-sight ops are not written, so a ring-only capture sees
+/// a lock first at its grant (TraceFormat.h). Otherwise the caller holds
+/// the state lock and the op runs through the model, whose events become
+/// trace lines and held-stack updates (onModelEvent); in combined mode the
+/// ring gets the op in the same critical section, so replaying the ring
+/// through the same model yields the text trace. Ops the model reports as
+/// no-ops change nothing and are not written. Returns the model's verdict
+/// (EventModel::apply); always true ring-only.
+bool captureLocked(RecordKind Kind, uint64_t Tid, uint64_t Addr,
+                   std::string_view Site = {}, uint32_t SiteId = 0) {
+  if (State->RingOnly) {
+    if (Kind != RecordKind::LockSeen && Kind != RecordKind::CondSeen)
+      ringEmit(Kind, Tid, Addr, SiteId);
+    return true;
+  }
+  bool Applied = State->Model.apply({Kind, Tid, Addr, Site}, State->Sink);
+  if (Applied && State->Ring)
+    ringEmit(Kind, Tid, Addr, SiteId);
+  return Applied;
+}
+
+/// captureLocked, taking the state lock unless ring-only.
+bool capture(RecordKind Kind, uint64_t Tid, uint64_t Addr,
+             std::string_view Site = {}, uint32_t SiteId = 0) {
+  if (State->RingOnly)
+    return captureLocked(Kind, Tid, Addr, Site, SiteId);
+  State->lock();
+  bool Applied = captureLocked(Kind, Tid, Addr, Site, SiteId);
+  State->unlock();
+  return Applied;
 }
 
 ThreadSlot *selfSlot() {
@@ -360,75 +438,29 @@ ThreadSlot *selfSlot() {
   State->lock();
   auto *Slot = new ThreadSlot();
   Slot->Tid = State->NextTid++;
-  const char *Base = Slot->Tid == 1 ? "main" : "unknown-thread";
-  Slot->Abs = bumpSite(*State, Base);
   Slot->Live = true;
   State->Threads.push_back(Slot);
-  if (State->Trace)
-    fprintf(State->Trace, "T %" PRIu64 " %s\n", Slot->Tid, Slot->Abs.c_str());
-  // The ring carries the raw site; the observer replays the #n bumping
-  // (same order: registration points are serialized by the state lock).
-  if (State->Ring)
-    ringEmit(dlf::ring::RecordKind::ThreadSelf, Slot->Tid, 0,
-             ringInternString(Base));
+  const char *Base = Slot->Tid == 1 ? "main" : "unknown-thread";
+  captureLocked(RecordKind::ThreadSelf, Slot->Tid, 0, Base,
+                ringInternString(Base));
   State->unlock();
   Self = Slot;
   return Slot;
 }
 
-LockInfo &lockInfoLocked(pthread_mutex_t *M, const std::string &Site) {
-  auto It = State->Locks.find(M);
-  if (It != State->Locks.end())
-    return It->second;
-  LockInfo Info;
-  Info.Id = State->NextLockId++;
-  Info.Abs = bumpSite(*State, Site);
-  auto [NewIt, Inserted] = State->Locks.emplace(M, std::move(Info));
-  if (State->Trace)
-    fprintf(State->Trace, "M %" PRIu64 " %s\n", NewIt->second.Id,
-            NewIt->second.Abs.c_str());
-  if (State->Ring)
-    ringEmit(dlf::ring::RecordKind::LockSeen, 0,
-             reinterpret_cast<uintptr_t>(M), ringInternString(Site));
-  return NewIt->second;
-}
-
-LockInfo &rwlockInfoLocked(pthread_rwlock_t *RW, const std::string &Site) {
-  auto It = State->RwLocks.find(RW);
-  if (It != State->RwLocks.end())
-    return It->second;
-  LockInfo Info;
-  Info.Id = State->NextLockId++;
-  Info.Abs = bumpSite(*State, Site);
-  auto [NewIt, Inserted] = State->RwLocks.emplace(RW, std::move(Info));
-  if (State->Trace)
-    fprintf(State->Trace, "M %" PRIu64 " %s\n", NewIt->second.Id,
-            NewIt->second.Abs.c_str());
-  if (State->Ring)
-    ringEmit(dlf::ring::RecordKind::LockSeen, 0,
-             reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-  return NewIt->second;
-}
-
-uint64_t condIdLocked(pthread_cond_t *C) {
-  auto [It, Inserted] = State->Conds.try_emplace(C, State->NextCondId);
-  if (Inserted) {
-    ++State->NextCondId;
-    // Mirror the id-assignment point so the observer numbers condvars in
-    // the same order the in-process model does.
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::CondSeen, 0,
-               reinterpret_cast<uintptr_t>(C), 0);
-  }
-  return It->second;
+/// capture() of the calling thread's op on \p Obj at its call site.
+void captureCall(RecordKind Kind, const void *Obj, void *CallerAddr) {
+  uint64_t Tid = selfSlot()->Tid;
+  const SiteRef &S = siteOf(CallerAddr);
+  capture(Kind, Tid, addrOf(Obj), S.Text, S.RingId);
 }
 
 // -- Cycle matching (Phase II) -------------------------------------------------------
 
-bool matchesComponent(const ThreadSlot &T, const LockInfo &L,
+bool matchesComponent(const ThreadSlot &T, const std::string &LockAbs,
                       const std::string &PendingSite) {
   for (const dlf::interpose::CycleSpecComponent &C : State->Cycle) {
-    if (C.ThreadAbs != T.Abs || C.LockAbs != L.Abs)
+    if (C.ThreadAbs != T.Abs || C.LockAbs != LockAbs)
       continue;
     if (C.Context.size() != T.Stack.size() + 1)
       continue;
@@ -500,7 +532,7 @@ __attribute__((constructor)) void dlfPreloadInit() {
   if (const char *Path = getenv(dlf::interpose::TraceEnvVar)) {
     State->Trace = fopen(Path, "w");
     if (State->Trace)
-      fprintf(State->Trace, "# dlf-preload trace v1\n");
+      fputs(dlf::interpose::TraceHeader, State->Trace);
   }
   if (const char *Spec = getenv(dlf::ring::RingEnvVar)) {
     std::string Err;
@@ -556,10 +588,9 @@ __attribute__((destructor)) void dlfPreloadShutdown() {
 
 // -- Event handlers ------------------------------------------------------------------
 
-/// Algorithm 3's pause, shared by the mutex and rwlock acquire paths:
-/// register the wait-for edge, then sleep in slices watching for the cycle
-/// to physically form around us; give up after the budget (thrash /
-/// livelock-monitor analogue).
+/// Algorithm 3's pause: register the wait-for edge, then sleep in slices
+/// watching for the cycle to physically form around us; give up after the
+/// budget (thrash / livelock-monitor analogue).
 void pauseAndWatch(ThreadSlot *T, uint64_t LockId, const std::string &Site,
                    bool Shared) {
   if (dlf::telemetry::enabled()) {
@@ -609,10 +640,25 @@ void registerBlockedAndCheck(ThreadSlot *T, uint64_t LockId,
     reportDeadlockAndExit(Witness);
 }
 
-/// Core acquire protocol shared by lock and cond_wait re-acquire.
-int acquireWithAnalysis(pthread_mutex_t *M, void *CallerAddr) {
+/// Acquire protocol of pthread_mutex_lock and the blocking rwlock sides.
+/// Ring-only: block, then one ring write for the grant. Otherwise the lock
+/// is seen at the attempt (LockSeen), Algorithm 3 pauses an attempt that
+/// matches a cycle component, a busy lock registers the wait-for edge and
+/// checks for a completed deadlock before blocking, and the grant is
+/// captured last. A mutex the thread already owns (\p MayRecurse) is
+/// re-entered without any of that: invisible to the analysis (footnote 2).
+template <typename TryFn, typename BlockFn>
+int acquireCaptured(RecordKind Kind, const void *Lock, bool MayRecurse,
+                    void *CallerAddr, TryFn Try, BlockFn Block) {
   ThreadSlot *T = selfSlot();
-  std::string Site = resolveSite(CallerAddr);
+  const SiteRef &Site = siteOf(CallerAddr);
+  uint64_t Addr = addrOf(Lock);
+  if (State->RingOnly) {
+    int Rc = Block();
+    if (Rc == 0)
+      captureLocked(Kind, T->Tid, Addr, Site.Text, Site.RingId);
+    return Rc;
+  }
   if (dlf::telemetry::enabled()) {
     InternalGuard G;
     dlf::telemetry::Registry::global()
@@ -620,250 +666,76 @@ int acquireWithAnalysis(pthread_mutex_t *M, void *CallerAddr) {
         .inc();
   }
 
-  bool Reentrant = false;
-  bool ShouldPause = false;
-  uint64_t LockId = 0;
+  bool Shared = Kind == RecordKind::SharedAcquire;
+  uint64_t LockId;
+  bool Reentrant, ShouldPause;
   {
     State->lock();
-    LockInfo &L = lockInfoLocked(M, Site);
+    captureLocked(RecordKind::LockSeen, 0, Addr, Site.Text, Site.RingId);
+    const EventModel::Lock &L = *State->Model.lock(Addr);
     LockId = L.Id;
-    if (L.OwnerTid == T->Tid) {
-      ++L.Recursion;
-      Reentrant = true; // invisible to the analysis (footnote 2)
-    } else if (!State->Cycle.empty()) {
-      ShouldPause = matchesComponent(*T, L, Site);
-    }
+    Reentrant = MayRecurse && L.OwnerTid == T->Tid;
+    ShouldPause = !Reentrant && !State->Cycle.empty() &&
+                  matchesComponent(*T, L.Abs, Site.Text);
     State->unlock();
   }
-  if (Reentrant)
-    return RealLock(M);
 
-  if (ShouldPause)
-    pauseAndWatch(T, LockId, Site, /*Shared=*/false);
-
-  // Execute the acquire: try fast, else register the wait-for edge, check
-  // for a completed deadlock (the last edge is ours), then block for real.
-  if (RealTrylock(M) != 0) {
-    registerBlockedAndCheck(T, LockId, Site, /*Shared=*/false);
-    int Rc = RealLock(M);
-    if (Rc != 0) {
-      State->lock();
-      T->clearPending();
-      State->unlock();
+  if (Reentrant) {
+    if (int Rc = Block())
       return Rc;
-    }
-  }
-
-  State->lock();
-  LockInfo &L = lockInfoLocked(M, Site);
-  L.OwnerTid = T->Tid;
-  L.Recursion = 1;
-  T->clearPending();
-  if (State->Trace)
-    fprintf(State->Trace, "A %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-            Site.c_str());
-  if (State->Ring)
-    ringEmit(dlf::ring::RecordKind::Acquire, T->Tid,
-             reinterpret_cast<uintptr_t>(M), ringInternString(Site));
-  T->Stack.push_back({L.Id, Site});
-  State->unlock();
-  return 0;
-}
-
-/// Acquire protocol for the rwlock sides: same pause/edge/deadlock-check
-/// shape as the mutex path, with the shared flag threaded through so the
-/// wait-for search applies read-read non-exclusion.
-int rwAcquireWithAnalysis(pthread_rwlock_t *RW, bool Shared,
-                          void *CallerAddr) {
-  ThreadSlot *T = selfSlot();
-  std::string Site = resolveSite(CallerAddr);
-  if (dlf::telemetry::enabled()) {
-    InternalGuard G;
-    dlf::telemetry::Registry::global()
-        .counter("dlf_preload_acquires_total")
-        .inc();
-  }
-
-  bool ShouldPause = false;
-  uint64_t LockId = 0;
-  {
-    State->lock();
-    LockInfo &L = rwlockInfoLocked(RW, Site);
-    LockId = L.Id;
-    if (!State->Cycle.empty())
-      ShouldPause = matchesComponent(*T, L, Site);
-    State->unlock();
-  }
-
-  if (ShouldPause)
-    pauseAndWatch(T, LockId, Site, Shared);
-
-  if ((Shared ? RealTryRdlock(RW) : RealTryWrlock(RW)) != 0) {
-    registerBlockedAndCheck(T, LockId, Site, Shared);
-    int Rc = Shared ? RealRdlock(RW) : RealWrlock(RW);
-    if (Rc != 0) {
-      State->lock();
-      T->clearPending();
-      State->unlock();
-      return Rc;
-    }
-  }
-
-  State->lock();
-  LockInfo &L = rwlockInfoLocked(RW, Site);
-  if (Shared)
-    L.ReaderTids.push_back(T->Tid);
-  else {
-    L.OwnerTid = T->Tid;
-    L.Recursion = 1;
-  }
-  T->clearPending();
-  if (State->Trace)
-    fprintf(State->Trace, "%c %" PRIu64 " %" PRIu64 " %s\n",
-            Shared ? 'Q' : 'A', T->Tid, L.Id, Site.c_str());
-  if (State->Ring)
-    ringEmit(Shared ? dlf::ring::RecordKind::SharedAcquire
-                    : dlf::ring::RecordKind::Acquire,
-             T->Tid, reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-  T->Stack.push_back({L.Id, Site, modeOf(Shared)});
-  State->unlock();
-  return 0;
-}
-
-/// Model-side release for one rwlock side; emits the matching R/U line.
-/// The side is determined from the registry (pthread_rwlock_unlock does
-/// not say which side it releases).
-void rwReleaseWithAnalysis(pthread_rwlock_t *RW) {
-  ThreadSlot *T = selfSlot();
-  State->lock();
-  auto It = State->RwLocks.find(RW);
-  if (It == State->RwLocks.end()) {
-    State->unlock();
-    return; // never observed the acquire (pre-init lock) — pass through
-  }
-  LockInfo &L = It->second;
-  bool Shared;
-  if (L.OwnerTid == T->Tid) {
-    Shared = false;
-    L.OwnerTid = 0;
-    L.Recursion = 0;
   } else {
-    auto Rd = std::find(L.ReaderTids.begin(), L.ReaderTids.end(), T->Tid);
-    if (Rd == L.ReaderTids.end()) {
-      State->unlock();
-      return;
-    }
-    Shared = true;
-    L.ReaderTids.erase(Rd);
-  }
-  for (size_t I = T->Stack.size(); I-- > 0;) {
-    if (T->Stack[I].Lock == L.Id) {
-      T->Stack.erase(T->Stack.begin() + static_cast<long>(I));
-      break;
+    if (ShouldPause)
+      pauseAndWatch(T, LockId, Site.Text, Shared);
+    if (Try() != 0) {
+      registerBlockedAndCheck(T, LockId, Site.Text, Shared);
+      if (int Rc = Block()) {
+        State->lock();
+        T->clearPending();
+        State->unlock();
+        return Rc;
+      }
     }
   }
-  if (State->Trace)
-    fprintf(State->Trace, "%c %" PRIu64 " %" PRIu64 "\n", Shared ? 'U' : 'R',
-            T->Tid, L.Id);
-  // The observer re-resolves the side from its own owner/reader registry,
-  // which mirrors this one record for record.
-  if (State->Ring)
-    ringEmit(dlf::ring::RecordKind::RwUnlock, T->Tid,
-             reinterpret_cast<uintptr_t>(RW), 0);
-  State->unlock();
-}
 
-void releaseWithAnalysis(pthread_mutex_t *M, bool &Reentrant) {
-  ThreadSlot *T = selfSlot();
   State->lock();
-  auto It = State->Locks.find(M);
-  if (It == State->Locks.end() || It->second.OwnerTid != T->Tid) {
-    // Never observed the acquire (pre-init lock) — pass through.
-    Reentrant = true;
-    State->unlock();
-    return;
-  }
-  LockInfo &L = It->second;
-  if (L.Recursion > 1) {
-    --L.Recursion;
-    Reentrant = true;
-    State->unlock();
-    return;
-  }
-  Reentrant = false;
-  L.OwnerTid = 0;
-  L.Recursion = 0;
-  for (size_t I = T->Stack.size(); I-- > 0;) {
-    if (T->Stack[I].Lock == L.Id) {
-      T->Stack.erase(T->Stack.begin() + static_cast<long>(I));
-      break;
-    }
-  }
-  if (State->Trace)
-    fprintf(State->Trace, "R %" PRIu64 " %" PRIu64 "\n", T->Tid, L.Id);
-  if (State->Ring)
-    ringEmit(dlf::ring::RecordKind::Release, T->Tid,
-             reinterpret_cast<uintptr_t>(M), 0);
+  T->clearPending();
+  captureLocked(Kind, T->Tid, Addr, Site.Text, Site.RingId);
   State->unlock();
+  return 0;
 }
 
 /// Shared body of the cond-wait wrappers: cond_wait releases and
-/// re-acquires the mutex, so the model releases first, runs the real wait,
-/// then records the wakeup edge and the re-acquire. A timed-out wait
-/// (ETIMEDOUT) still re-acquires the mutex — only the V wakeup edge is
-/// conditional on a zero return. The re-acquire's site is the caller's
-/// real wait site, not a synthetic constant, so Phase II contexts match.
+/// re-acquires the mutex, so the capture is the release, the real wait,
+/// the wakeup edge, then the re-acquire. A timed-out wait (ETIMEDOUT)
+/// still re-acquires the mutex — only the V wakeup edge is conditional on
+/// a zero return; a mutex whose release the model dropped (never seen
+/// acquired) is not re-acquired either. The re-acquire's site is the
+/// caller's real wait site, not a synthetic constant, so Phase II contexts
+/// match.
 template <typename RealWaitFn>
-int condWaitWithAnalysis(pthread_cond_t *Cond, pthread_mutex_t *M,
-                         void *CallerAddr, RealWaitFn RealWait) {
-  ThreadSlot *T = selfSlot();
-  std::string Site = resolveSite(CallerAddr);
-  uint64_t CondId;
-  {
-    State->lock();
-    CondId = condIdLocked(Cond);
-    State->unlock();
-  }
-  bool Reentrant = false;
-  releaseWithAnalysis(M, Reentrant);
+int condWaitCaptured(pthread_cond_t *Cond, pthread_mutex_t *M,
+                     void *CallerAddr, RealWaitFn RealWait) {
+  uint64_t Tid = selfSlot()->Tid;
+  const SiteRef &Site = siteOf(CallerAddr);
+  capture(RecordKind::CondSeen, 0, addrOf(Cond));
+  bool Held = capture(RecordKind::Release, Tid, addrOf(M));
   int Rc = RealWait();
-  State->lock();
-  if (Rc == 0) {
-    if (State->Trace)
-      fprintf(State->Trace, "V %" PRIu64 " %" PRIu64 "\n", T->Tid, CondId);
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::CondWake, T->Tid,
-               reinterpret_cast<uintptr_t>(Cond), 0);
-  }
-  if (!Reentrant) {
-    LockInfo &L = lockInfoLocked(M, Site);
-    L.OwnerTid = T->Tid;
-    L.Recursion = 1;
-    if (State->Trace)
-      fprintf(State->Trace, "A %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::Acquire, T->Tid,
-               reinterpret_cast<uintptr_t>(M), ringInternString(Site));
-    T->Stack.push_back({L.Id, Site});
-  }
-  State->unlock();
+  if (Rc == 0)
+    capture(RecordKind::CondWake, Tid, addrOf(Cond));
+  if (Held)
+    capture(RecordKind::Acquire, Tid, addrOf(M), Site.Text, Site.RingId);
   return Rc;
 }
 
-/// Records the N notify line for signal/broadcast. Written *before* the
-/// real call so a woken waiter's V line can never precede its N source in
-/// the trace.
-void recordNotify(pthread_cond_t *Cond, ThreadSlot *T) {
-  State->lock();
-  uint64_t CondId = condIdLocked(Cond);
-  if (State->Trace)
-    fprintf(State->Trace, "N %" PRIu64 " %" PRIu64 "\n", T->Tid, CondId);
-  if (State->Ring)
-    ringEmit(dlf::ring::RecordKind::CondNotify, T->Tid,
-             reinterpret_cast<uintptr_t>(Cond), 0);
-  State->unlock();
-}
+/// Hand-off from the pthread_create interposition to the trampoline. The
+/// slot is created (and its T/F trace lines written) in the *parent*, so
+/// the fork edge is on file before any child event and the child's tid is
+/// deterministic in program order, not in thread start-up order.
+struct TrampolineArg {
+  void *(*Routine)(void *);
+  void *Arg;
+  ThreadSlot *Slot;
+};
 
 void *threadTrampoline(void *Raw) {
   auto *Arg = static_cast<TrampolineArg *>(Raw);
@@ -886,6 +758,10 @@ void *threadTrampoline(void *Raw) {
     State->Ring->releaseShard(RingShard);
     RingShardClaimed = false;
   }
+  // A wrapper reached from a later thread-exit destructor builds a fresh
+  // cache, which leaks; that is rare and small.
+  delete Sites;
+  Sites = nullptr;
   delete Arg;
   return Result;
 }
@@ -897,177 +773,67 @@ void recordAccess(const void *Addr, const char *Site, bool IsWrite,
                   void *CallerAddr) {
   if (!State || !State->TraceAccesses || !Addr)
     return;
-  ThreadSlot *T = selfSlot();
-  if (State->RingOnly) {
-    // One ring write; the observer assigns object ids and abstractions.
-    uint32_t SiteId = Site && *Site ? ringInternString(Site)
-                                    : ringSiteId(CallerAddr);
-    ringEmit(IsWrite ? dlf::ring::RecordKind::AccessWrite
-                     : dlf::ring::RecordKind::AccessRead,
-             T->Tid, reinterpret_cast<uintptr_t>(Addr), SiteId);
-    return;
-  }
-  std::string SiteText = Site && *Site ? Site : resolveSite(CallerAddr);
-  State->lock();
-  auto It = State->Objects.find(Addr);
-  if (It == State->Objects.end()) {
-    ObjectInfo Info;
-    Info.Id = State->NextObjectId++;
-    Info.Abs = bumpSite(*State, SiteText);
-    It = State->Objects.emplace(Addr, std::move(Info)).first;
-    if (State->Trace)
-      fprintf(State->Trace, "O %" PRIu64 " %s\n", It->second.Id,
-              It->second.Abs.c_str());
-  }
-  if (State->Trace)
-    fprintf(State->Trace, "%c %" PRIu64 " %" PRIu64 " %s\n",
-            IsWrite ? 'S' : 'L', T->Tid, It->second.Id, SiteText.c_str());
-  if (State->Ring)
-    ringEmit(IsWrite ? dlf::ring::RecordKind::AccessWrite
-                     : dlf::ring::RecordKind::AccessRead,
-             T->Tid, reinterpret_cast<uintptr_t>(Addr),
-             ringInternString(SiteText));
-  State->unlock();
+  RecordKind Kind =
+      IsWrite ? RecordKind::AccessWrite : RecordKind::AccessRead;
+  if (Site && *Site)
+    capture(Kind, selfSlot()->Tid, addrOf(Addr), Site,
+            ringInternString(Site));
+  else
+    captureCall(Kind, Addr, CallerAddr);
 }
 
 } // namespace
 
 // -- Interposed entry points ----------------------------------------------------------
 
+// Each wrapper resolves its real function lazily (it can run before our
+// constructor, e.g. from the dynamic linker itself) and passes straight
+// through unless observing().
+
 extern "C" {
 
 int pthread_mutex_lock(pthread_mutex_t *M) {
-  if (!State || !RealLock) {
-    // Called before our constructor (e.g. by the dynamic linker itself):
-    // resolve lazily and pass through.
-    if (!RealLock)
-      RealLock = reinterpret_cast<MutexLockFn>(
-          dlsym(RTLD_NEXT, "pthread_mutex_lock"));
+  if (!RealLock)
+    RealLock = reinterpret_cast<MutexLockFn>(
+        dlsym(RTLD_NEXT, "pthread_mutex_lock"));
+  if (!observing())
     return RealLock(M);
-  }
-  if (InInternal)
-    return RealLock(M); // our own telemetry locking: invisible to the analysis
-  if (State->RingOnly) {
-    // The hot path the ring exists for: no state lock, no site resolution
-    // after the first call from a site — one fixed-size ring write.
-    uint64_t Tid = selfSlot()->Tid;
-    uint32_t SiteId = ringSiteId(__builtin_return_address(0));
-    int Rc = RealLock(M);
-    if (Rc == 0)
-      ringEmit(dlf::ring::RecordKind::Acquire, Tid,
-               reinterpret_cast<uintptr_t>(M), SiteId);
-    return Rc;
-  }
-  if (analysisOff())
-    return RealLock(M); // neither phase requested: pure passthrough
-  return acquireWithAnalysis(M, __builtin_return_address(0));
+  return acquireCaptured(
+      RecordKind::Acquire, M, /*MayRecurse=*/true, __builtin_return_address(0),
+      [M] { return RealTrylock(M); }, [M] { return RealLock(M); });
 }
 
 int pthread_mutex_trylock(pthread_mutex_t *M) {
   if (!RealTrylock)
     RealTrylock = reinterpret_cast<MutexTrylockFn>(
         dlsym(RTLD_NEXT, "pthread_mutex_trylock"));
-  if (!State || InInternal)
-    return RealTrylock(M);
-  if (State->RingOnly) {
-    uint64_t Tid = selfSlot()->Tid;
-    uint32_t SiteId = ringSiteId(__builtin_return_address(0));
-    int Rc = RealTrylock(M);
-    ringEmit(Rc == 0 ? dlf::ring::RecordKind::Acquire
-                     : dlf::ring::RecordKind::TryProbe,
-             Tid, reinterpret_cast<uintptr_t>(M), SiteId);
-    return Rc;
-  }
   int Rc = RealTrylock(M);
-  if (analysisOff())
-    return Rc;
-  if (Rc != 0) {
-    // Failed probe: the thread asked and bailed out without blocking — no
-    // wait-for edge, no pending registration, just a P line so offline
-    // passes can see the attempt happened.
-    if (State->Trace || State->Ring) {
-      ThreadSlot *T = selfSlot();
-      std::string Site = resolveSite(__builtin_return_address(0));
-      State->lock();
-      LockInfo &L = lockInfoLocked(M, Site);
-      if (State->Trace)
-        fprintf(State->Trace, "P %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-                Site.c_str());
-      if (State->Ring)
-        ringEmit(dlf::ring::RecordKind::TryProbe, T->Tid,
-                 reinterpret_cast<uintptr_t>(M), ringInternString(Site));
-      State->unlock();
-    }
-    return Rc;
-  }
-  // Successful trylock: record the acquire (same bookkeeping, no pause).
-  ThreadSlot *T = selfSlot();
-  std::string Site = resolveSite(__builtin_return_address(0));
-  State->lock();
-  LockInfo &L = lockInfoLocked(M, Site);
-  if (L.OwnerTid == T->Tid) {
-    ++L.Recursion;
-  } else {
-    L.OwnerTid = T->Tid;
-    L.Recursion = 1;
-    if (State->Trace)
-      fprintf(State->Trace, "A %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::Acquire, T->Tid,
-               reinterpret_cast<uintptr_t>(M), ringInternString(Site));
-    T->Stack.push_back({L.Id, Site});
-  }
-  State->unlock();
-  return 0;
+  // A failed probe: the thread asked and bailed out without blocking — no
+  // wait-for edge, no pending registration, just a P line so offline
+  // passes can see the attempt happened.
+  if (observing())
+    captureCall(Rc == 0 ? RecordKind::Acquire : RecordKind::TryProbe, M,
+                __builtin_return_address(0));
+  return Rc;
 }
 
 int pthread_mutex_unlock(pthread_mutex_t *M) {
-  if (!State || !RealUnlock) {
-    if (!RealUnlock)
-      RealUnlock = reinterpret_cast<MutexUnlockFn>(
-          dlsym(RTLD_NEXT, "pthread_mutex_unlock"));
-    return RealUnlock(M);
-  }
-  if (InInternal)
-    return RealUnlock(M);
-  if (State->RingOnly) {
-    // Source side: the record precedes the real unlock so a dependent
-    // acquire can never be sequenced before its release.
-    ringEmit(dlf::ring::RecordKind::Release, selfSlot()->Tid,
-             reinterpret_cast<uintptr_t>(M), 0);
-    return RealUnlock(M);
-  }
-  if (analysisOff())
-    return RealUnlock(M);
-  bool Reentrant = false;
-  releaseWithAnalysis(M, Reentrant);
-  (void)Reentrant;
+  if (!RealUnlock)
+    RealUnlock = reinterpret_cast<MutexUnlockFn>(
+        dlsym(RTLD_NEXT, "pthread_mutex_unlock"));
+  // Source side: captured before the real unlock so a dependent acquire
+  // can never be sequenced before its release.
+  if (observing())
+    capture(RecordKind::Release, selfSlot()->Tid, addrOf(M));
   return RealUnlock(M);
 }
 
 int pthread_mutex_destroy(pthread_mutex_t *M) {
-  if (!RealDestroy) {
-    // Resolve lazily like every other wrapper: destroy can be reached
-    // before our constructor runs (static destructor ordering, early
-    // libc teardown paths), and returning success without destroying the
-    // real mutex would leak its kernel state.
+  if (!RealDestroy)
     RealDestroy = reinterpret_cast<MutexDestroyFn>(
         dlsym(RTLD_NEXT, "pthread_mutex_destroy"));
-  }
-  if (State && !InInternal) {
-    if (State->RingOnly) {
-      ringEmit(dlf::ring::RecordKind::LockDestroy, 0,
-               reinterpret_cast<uintptr_t>(M), 0);
-    } else {
-      State->lock();
-      State->Locks.erase(M);
-      if (State->Ring)
-        ringEmit(dlf::ring::RecordKind::LockDestroy, 0,
-                 reinterpret_cast<uintptr_t>(M), 0);
-      State->unlock();
-    }
-  }
+  if (observing())
+    capture(RecordKind::LockDestroy, 0, addrOf(M));
   return RealDestroy(M);
 }
 
@@ -1075,25 +841,10 @@ int pthread_cond_wait(pthread_cond_t *Cond, pthread_mutex_t *M) {
   if (!RealCondWait)
     RealCondWait = reinterpret_cast<CondWaitFn>(
         dlsym(RTLD_NEXT, "pthread_cond_wait"));
-  if (!State || InInternal)
+  if (!observing())
     return RealCondWait(Cond, M);
-  if (State->RingOnly) {
-    uint64_t Tid = selfSlot()->Tid;
-    uint32_t SiteId = ringSiteId(__builtin_return_address(0));
-    ringEmit(dlf::ring::RecordKind::Release, Tid,
-             reinterpret_cast<uintptr_t>(M), 0);
-    int Rc = RealCondWait(Cond, M);
-    if (Rc == 0)
-      ringEmit(dlf::ring::RecordKind::CondWake, Tid,
-               reinterpret_cast<uintptr_t>(Cond), 0);
-    ringEmit(dlf::ring::RecordKind::Acquire, Tid,
-             reinterpret_cast<uintptr_t>(M), SiteId);
-    return Rc;
-  }
-  if (analysisOff())
-    return RealCondWait(Cond, M);
-  return condWaitWithAnalysis(Cond, M, __builtin_return_address(0),
-                              [&] { return RealCondWait(Cond, M); });
+  return condWaitCaptured(Cond, M, __builtin_return_address(0),
+                          [&] { return RealCondWait(Cond, M); });
 }
 
 int pthread_cond_timedwait(pthread_cond_t *Cond, pthread_mutex_t *M,
@@ -1101,39 +852,22 @@ int pthread_cond_timedwait(pthread_cond_t *Cond, pthread_mutex_t *M,
   if (!RealCondTimedwait)
     RealCondTimedwait = reinterpret_cast<CondTimedwaitFn>(
         dlsym(RTLD_NEXT, "pthread_cond_timedwait"));
-  if (!State || InInternal)
+  if (!observing())
     return RealCondTimedwait(Cond, M, Abstime);
-  if (State->RingOnly) {
-    uint64_t Tid = selfSlot()->Tid;
-    uint32_t SiteId = ringSiteId(__builtin_return_address(0));
-    ringEmit(dlf::ring::RecordKind::Release, Tid,
-             reinterpret_cast<uintptr_t>(M), 0);
-    int Rc = RealCondTimedwait(Cond, M, Abstime);
-    if (Rc == 0)
-      ringEmit(dlf::ring::RecordKind::CondWake, Tid,
-               reinterpret_cast<uintptr_t>(Cond), 0);
-    ringEmit(dlf::ring::RecordKind::Acquire, Tid,
-             reinterpret_cast<uintptr_t>(M), SiteId);
-    return Rc;
-  }
-  if (analysisOff())
-    return RealCondTimedwait(Cond, M, Abstime);
-  return condWaitWithAnalysis(
+  return condWaitCaptured(
       Cond, M, __builtin_return_address(0),
       [&] { return RealCondTimedwait(Cond, M, Abstime); });
 }
+
+// Notifies are captured *before* the real call so a woken waiter's V line
+// can never precede its N source.
 
 int pthread_cond_signal(pthread_cond_t *Cond) {
   if (!RealCondSignal)
     RealCondSignal = reinterpret_cast<CondNotifyFn>(
         dlsym(RTLD_NEXT, "pthread_cond_signal"));
-  if (State && !InInternal) {
-    if (State->RingOnly)
-      ringEmit(dlf::ring::RecordKind::CondNotify, selfSlot()->Tid,
-               reinterpret_cast<uintptr_t>(Cond), 0);
-    else if (State->Trace || State->Ring)
-      recordNotify(Cond, selfSlot());
-  }
+  if (observing())
+    capture(RecordKind::CondNotify, selfSlot()->Tid, addrOf(Cond));
   return RealCondSignal(Cond);
 }
 
@@ -1141,104 +875,43 @@ int pthread_cond_broadcast(pthread_cond_t *Cond) {
   if (!RealCondBroadcast)
     RealCondBroadcast = reinterpret_cast<CondNotifyFn>(
         dlsym(RTLD_NEXT, "pthread_cond_broadcast"));
-  if (State && !InInternal) {
-    if (State->RingOnly)
-      ringEmit(dlf::ring::RecordKind::CondNotify, selfSlot()->Tid,
-               reinterpret_cast<uintptr_t>(Cond), 0);
-    else if (State->Trace || State->Ring)
-      recordNotify(Cond, selfSlot());
-  }
+  if (observing())
+    capture(RecordKind::CondNotify, selfSlot()->Tid, addrOf(Cond));
   return RealCondBroadcast(Cond);
 }
 
 int pthread_rwlock_rdlock(pthread_rwlock_t *RW) {
-  if (!State || !RealRdlock) {
-    if (!RealRdlock)
-      RealRdlock = reinterpret_cast<RwlockOpFn>(
-          dlsym(RTLD_NEXT, "pthread_rwlock_rdlock"));
+  if (!RealRdlock)
+    RealRdlock = reinterpret_cast<RwlockOpFn>(
+        dlsym(RTLD_NEXT, "pthread_rwlock_rdlock"));
+  if (!observing())
     return RealRdlock(RW);
-  }
-  if (InInternal)
-    return RealRdlock(RW);
-  if (State->RingOnly) {
-    uint64_t Tid = selfSlot()->Tid;
-    uint32_t SiteId = ringSiteId(__builtin_return_address(0));
-    int Rc = RealRdlock(RW);
-    if (Rc == 0)
-      ringEmit(dlf::ring::RecordKind::SharedAcquire, Tid,
-               reinterpret_cast<uintptr_t>(RW), SiteId);
-    return Rc;
-  }
-  if (analysisOff())
-    return RealRdlock(RW);
-  return rwAcquireWithAnalysis(RW, /*Shared=*/true,
-                               __builtin_return_address(0));
+  return acquireCaptured(
+      RecordKind::SharedAcquire, RW, /*MayRecurse=*/false,
+      __builtin_return_address(0), [RW] { return RealTryRdlock(RW); },
+      [RW] { return RealRdlock(RW); });
 }
 
 int pthread_rwlock_wrlock(pthread_rwlock_t *RW) {
-  if (!State || !RealWrlock) {
-    if (!RealWrlock)
-      RealWrlock = reinterpret_cast<RwlockOpFn>(
-          dlsym(RTLD_NEXT, "pthread_rwlock_wrlock"));
+  if (!RealWrlock)
+    RealWrlock = reinterpret_cast<RwlockOpFn>(
+        dlsym(RTLD_NEXT, "pthread_rwlock_wrlock"));
+  if (!observing())
     return RealWrlock(RW);
-  }
-  if (InInternal)
-    return RealWrlock(RW);
-  if (State->RingOnly) {
-    uint64_t Tid = selfSlot()->Tid;
-    uint32_t SiteId = ringSiteId(__builtin_return_address(0));
-    int Rc = RealWrlock(RW);
-    if (Rc == 0)
-      ringEmit(dlf::ring::RecordKind::Acquire, Tid,
-               reinterpret_cast<uintptr_t>(RW), SiteId);
-    return Rc;
-  }
-  if (analysisOff())
-    return RealWrlock(RW);
-  return rwAcquireWithAnalysis(RW, /*Shared=*/false,
-                               __builtin_return_address(0));
+  return acquireCaptured(
+      RecordKind::Acquire, RW, /*MayRecurse=*/false,
+      __builtin_return_address(0), [RW] { return RealTryWrlock(RW); },
+      [RW] { return RealWrlock(RW); });
 }
 
 int pthread_rwlock_tryrdlock(pthread_rwlock_t *RW) {
   if (!RealTryRdlock)
     RealTryRdlock = reinterpret_cast<RwlockOpFn>(
         dlsym(RTLD_NEXT, "pthread_rwlock_tryrdlock"));
-  if (!State || InInternal)
-    return RealTryRdlock(RW);
-  if (State->RingOnly) {
-    uint64_t Tid = selfSlot()->Tid;
-    uint32_t SiteId = ringSiteId(__builtin_return_address(0));
-    int Rc = RealTryRdlock(RW);
-    ringEmit(Rc == 0 ? dlf::ring::RecordKind::SharedAcquire
-                     : dlf::ring::RecordKind::TryProbe,
-             Tid, reinterpret_cast<uintptr_t>(RW), SiteId);
-    return Rc;
-  }
   int Rc = RealTryRdlock(RW);
-  if (analysisOff())
-    return Rc;
-  ThreadSlot *T = selfSlot();
-  std::string Site = resolveSite(__builtin_return_address(0));
-  State->lock();
-  LockInfo &L = rwlockInfoLocked(RW, Site);
-  if (Rc != 0) {
-    if (State->Trace)
-      fprintf(State->Trace, "P %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::TryProbe, T->Tid,
-               reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-  } else {
-    L.ReaderTids.push_back(T->Tid);
-    if (State->Trace)
-      fprintf(State->Trace, "Q %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::SharedAcquire, T->Tid,
-               reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-    T->Stack.push_back({L.Id, Site, LockMode::Shared});
-  }
-  State->unlock();
+  if (observing())
+    captureCall(Rc == 0 ? RecordKind::SharedAcquire : RecordKind::TryProbe,
+                RW, __builtin_return_address(0));
   return Rc;
 }
 
@@ -1246,63 +919,20 @@ int pthread_rwlock_trywrlock(pthread_rwlock_t *RW) {
   if (!RealTryWrlock)
     RealTryWrlock = reinterpret_cast<RwlockOpFn>(
         dlsym(RTLD_NEXT, "pthread_rwlock_trywrlock"));
-  if (!State || InInternal)
-    return RealTryWrlock(RW);
-  if (State->RingOnly) {
-    uint64_t Tid = selfSlot()->Tid;
-    uint32_t SiteId = ringSiteId(__builtin_return_address(0));
-    int Rc = RealTryWrlock(RW);
-    ringEmit(Rc == 0 ? dlf::ring::RecordKind::Acquire
-                     : dlf::ring::RecordKind::TryProbe,
-             Tid, reinterpret_cast<uintptr_t>(RW), SiteId);
-    return Rc;
-  }
   int Rc = RealTryWrlock(RW);
-  if (analysisOff())
-    return Rc;
-  ThreadSlot *T = selfSlot();
-  std::string Site = resolveSite(__builtin_return_address(0));
-  State->lock();
-  LockInfo &L = rwlockInfoLocked(RW, Site);
-  if (Rc != 0) {
-    if (State->Trace)
-      fprintf(State->Trace, "P %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::TryProbe, T->Tid,
-               reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-  } else {
-    L.OwnerTid = T->Tid;
-    L.Recursion = 1;
-    if (State->Trace)
-      fprintf(State->Trace, "A %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::Acquire, T->Tid,
-               reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-    T->Stack.push_back({L.Id, Site, LockMode::Exclusive});
-  }
-  State->unlock();
+  if (observing())
+    captureCall(Rc == 0 ? RecordKind::Acquire : RecordKind::TryProbe, RW,
+                __builtin_return_address(0));
   return Rc;
 }
 
 int pthread_rwlock_unlock(pthread_rwlock_t *RW) {
-  if (!State || !RealRwUnlock) {
-    if (!RealRwUnlock)
-      RealRwUnlock = reinterpret_cast<RwlockOpFn>(
-          dlsym(RTLD_NEXT, "pthread_rwlock_unlock"));
-    return RealRwUnlock(RW);
-  }
-  if (InInternal)
-    return RealRwUnlock(RW);
-  if (State->RingOnly) {
-    ringEmit(dlf::ring::RecordKind::RwUnlock, selfSlot()->Tid,
-             reinterpret_cast<uintptr_t>(RW), 0);
-    return RealRwUnlock(RW);
-  }
-  if (analysisOff())
-    return RealRwUnlock(RW);
-  rwReleaseWithAnalysis(RW);
+  if (!RealRwUnlock)
+    RealRwUnlock = reinterpret_cast<RwlockOpFn>(
+        dlsym(RTLD_NEXT, "pthread_rwlock_unlock"));
+  // The model resolves which side this releases.
+  if (observing())
+    capture(RecordKind::RwUnlock, selfSlot()->Tid, addrOf(RW));
   return RealRwUnlock(RW);
 }
 
@@ -1310,52 +940,30 @@ int pthread_rwlock_destroy(pthread_rwlock_t *RW) {
   if (!RealRwDestroy)
     RealRwDestroy = reinterpret_cast<RwlockOpFn>(
         dlsym(RTLD_NEXT, "pthread_rwlock_destroy"));
-  if (State && !InInternal) {
-    if (State->RingOnly) {
-      ringEmit(dlf::ring::RecordKind::LockDestroy, 0,
-               reinterpret_cast<uintptr_t>(RW), 0);
-    } else {
-      State->lock();
-      State->RwLocks.erase(RW);
-      if (State->Ring)
-        ringEmit(dlf::ring::RecordKind::LockDestroy, 0,
-                 reinterpret_cast<uintptr_t>(RW), 0);
-      State->unlock();
-    }
-  }
+  if (observing())
+    capture(RecordKind::LockDestroy, 0, addrOf(RW));
   return RealRwDestroy(RW);
 }
 
 int pthread_create(pthread_t *Thread, const pthread_attr_t *Attr,
                    void *(*Routine)(void *), void *Arg) {
-  if (!State || !RealCreate) {
-    if (!RealCreate)
-      RealCreate = reinterpret_cast<CreateFn>(dlsym(RTLD_NEXT,
-                                                    "pthread_create"));
-    return RealCreate(Thread, Attr, Routine, Arg);
-  }
-  if (analysisOff())
+  if (!RealCreate)
+    RealCreate = reinterpret_cast<CreateFn>(dlsym(RTLD_NEXT,
+                                                  "pthread_create"));
+  if (!observing())
     return RealCreate(Thread, Attr, Routine, Arg);
 
-  // Even in ring-only mode thread creation goes through the registry: the
+  // Even in ring-only mode thread creation takes the state lock: the
   // child's tid must be allocated centrally, and creates are rare enough
-  // that the state lock does not matter here.
+  // that the lock does not matter here.
   ThreadSlot *Parent = selfSlot(); // register the creator (e.g. main)
-  std::string Site = resolveSite(__builtin_return_address(0));
+  const SiteRef &Site = siteOf(__builtin_return_address(0));
   State->lock();
   auto *Slot = new ThreadSlot();
   Slot->Tid = State->NextTid++;
-  Slot->Abs = bumpSite(*State, Site);
   State->Threads.push_back(Slot);
-  if (State->Trace) {
-    fprintf(State->Trace, "T %" PRIu64 " %s\n", Slot->Tid, Slot->Abs.c_str());
-    fprintf(State->Trace, "F %" PRIu64 " %" PRIu64 "\n", Parent->Tid,
-            Slot->Tid);
-  }
-  // One record covers both lines: the observer expands it to T then F.
-  if (State->Ring)
-    ringEmit(dlf::ring::RecordKind::ThreadFork, Parent->Tid, Slot->Tid,
-             ringInternString(Site));
+  captureLocked(RecordKind::ThreadFork, Parent->Tid, Slot->Tid, Site.Text,
+                Site.RingId);
   State->unlock();
 
   auto *Wrapped = new TrampolineArg{Routine, Arg, Slot};
@@ -1378,7 +986,7 @@ int pthread_join(pthread_t Thread, void **Retval) {
   if (!RealJoin)
     RealJoin = reinterpret_cast<JoinFn>(dlsym(RTLD_NEXT, "pthread_join"));
   int Rc = RealJoin(Thread, Retval);
-  if (Rc != 0 || !State || InInternal || analysisOff())
+  if (Rc != 0 || !observing())
     return Rc;
   // A returned join is a happens-before edge: everything the joined thread
   // did is ordered before the joiner's next step. Without the J line the
@@ -1387,12 +995,8 @@ int pthread_join(pthread_t Thread, void **Retval) {
   State->lock();
   auto It = State->JoinHandles.find(Thread);
   if (It != State->JoinHandles.end()) {
-    uint64_t Child = It->second;
+    captureLocked(RecordKind::Join, T->Tid, It->second);
     State->JoinHandles.erase(It);
-    if (State->Trace)
-      fprintf(State->Trace, "J %" PRIu64 " %" PRIu64 "\n", T->Tid, Child);
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::Join, T->Tid, Child, 0);
   }
   State->unlock();
   return Rc;
@@ -1402,7 +1006,7 @@ int pthread_join(pthread_t Thread, void **Retval) {
 // fixtures) declare these weak and call them around interesting accesses;
 // without the preload library the weak reference is null and the calls are
 // skipped, so instrumented code runs unmodified everywhere. No-ops unless
-// both DLF_PRELOAD_TRACE and DLF_TRACE_ACCESSES are set.
+// DLF_TRACE_ACCESSES is set alongside DLF_PRELOAD_TRACE or DLF_RING.
 
 void dlf_trace_read(const void *Addr, const char *Site) {
   recordAccess(Addr, Site, /*IsWrite=*/false, __builtin_return_address(0));

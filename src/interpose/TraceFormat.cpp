@@ -1,10 +1,12 @@
-//===- interpose/TraceFormat.cpp - Cycle-spec codec -------------------------===//
+//===- interpose/TraceFormat.cpp - Trace-line and cycle-spec codecs --------===//
 //
 // Part of the DeadlockFuzzer reproduction, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 
 #include "interpose/TraceFormat.h"
+
+#include <charconv>
 
 namespace dlf {
 namespace interpose {
@@ -24,7 +26,33 @@ std::vector<std::string> split(const std::string &Text, char Sep) {
   }
 }
 
+void appendId(std::string &Out, uint64_t Id) {
+  char Buf[24];
+  Out += ' ';
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Id).ptr);
+}
+
 } // namespace
+
+void appendTraceLine(const TraceLine &E, std::string &Out) {
+  using K = analysis::TraceEvent::Kind;
+  // Indexed by TraceEvent::Kind, in declaration order.
+  static constexpr char Letters[] = "TMARQUPNVFJOLS";
+  bool HasB = E.K != K::ThreadNew && E.K != K::LockNew && E.K != K::ObjectNew;
+  bool HasText = E.K == K::ThreadNew || E.K == K::LockNew ||
+                 E.K == K::ObjectNew || E.K == K::Acquire ||
+                 E.K == K::SharedAcquire || E.K == K::TryProbe ||
+                 E.K == K::Read || E.K == K::Write;
+  Out += Letters[static_cast<size_t>(E.K)];
+  appendId(Out, E.A);
+  if (HasB)
+    appendId(Out, E.B);
+  if (HasText) {
+    Out += ' ';
+    Out += E.Text;
+  }
+  Out += '\n';
+}
 
 std::string encodeCycleSpec(const std::vector<CycleSpecComponent> &Cycle) {
   std::string Out;

@@ -46,6 +46,17 @@
 /// dlf_trace_write hooks at the accesses it wants checked — the C analogue
 /// of the Java implementation's field-access instrumentation.
 ///
+/// The preload writes every line through appendTraceLine, from the events
+/// of the one pthread event model (interpose/EventModel.h). The same model
+/// rebuilds the stream from ring records in dlf-observe, so a ring capture
+/// and a text capture name threads, locks, condvars and objects alike —
+/// with one difference. Text and Phase II see a lock first at its acquire
+/// attempt (Phase II must name a fresh lock before anyone holds it) and a
+/// condvar when a wait starts; a ring-only capture takes no lock on the hot
+/// path, so it sees a lock first at its grant and a condvar at its first
+/// N/V. In combined mode (DLF_RING with DLF_PRELOAD_TRACE) the ring carries
+/// the text path's first sightings and both streams are equal.
+///
 /// Sites are "symbol+0xoffset" strings resolved via dladdr, which are
 /// stable across executions of the same binary (unlike raw return
 /// addresses under ASLR). Because a preload library cannot observe
@@ -69,7 +80,11 @@
 #ifndef DLF_INTERPOSE_TRACEFORMAT_H
 #define DLF_INTERPOSE_TRACEFORMAT_H
 
+#include "analysis/Trace.h" // header-only TraceEvent::Kind; std-only
+
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dlf {
@@ -94,6 +109,22 @@ inline constexpr const char *AccessEnvVar = "DLF_TRACE_ACCESSES";
 /// Exit code the preload runtime uses when it confirms a real deadlock
 /// (chosen to be distinguishable from crashes and clean exits).
 inline constexpr int DeadlockExitCode = 42;
+
+/// First line of every preload trace.
+inline constexpr const char *TraceHeader = "# dlf-preload trace v1\n";
+
+/// One trace event as the event model emits it: analysis::TraceEvent's
+/// fields, with Text borrowed for the duration of the call.
+struct TraceLine {
+  analysis::TraceEvent::Kind K = analysis::TraceEvent::Kind::ThreadNew;
+  uint64_t A = 0;
+  uint64_t B = 0;
+  std::string_view Text;
+};
+
+/// Appends \p E to \p Out as one trace line, newline included; the inverse
+/// of analysis::readTrace for a single line.
+void appendTraceLine(const TraceLine &E, std::string &Out);
 
 /// One component of a Phase II cycle specification.
 struct CycleSpecComponent {

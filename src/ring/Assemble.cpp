@@ -6,192 +6,28 @@
 
 #include "ring/Assemble.h"
 
-#include <utility>
-
 namespace dlf {
 namespace ring {
 
-namespace {
-
-void push(std::vector<analysis::TraceEvent> &Out, analysis::TraceEvent::Kind K,
-          uint64_t A, uint64_t B = 0, std::string Text = std::string()) {
-  analysis::TraceEvent E;
-  E.K = K;
-  E.A = A;
-  E.B = B;
-  E.Text = std::move(Text);
-  Out.push_back(std::move(E));
-}
-
-} // namespace
-
-const std::string &Assembler::siteText(uint32_t Id) {
-  auto It = SiteCache.find(Id);
-  if (It != SiteCache.end())
-    return It->second;
-  std::string Name = Reader.siteName(Id);
-  if (Name.empty())
-    Name = "unknown"; // id 0: the writer's string table overflowed
-  return SiteCache.emplace(Id, std::move(Name)).first->second;
-}
-
-std::string Assembler::bumpSite(const std::string &Site) {
-  // Same scheme as the preload's bumpSite: occurrences of one static site
-  // count up, so distinct dynamic instances get distinct abstractions.
-  uint64_t N = ++SiteCounts[Site];
-  return Site + "#" + std::to_string(N);
-}
-
-Assembler::LockState &Assembler::lockAt(uint64_t Addr, uint32_t Site,
-                                        std::vector<analysis::TraceEvent> &Out) {
-  auto It = Locks.find(Addr);
-  if (It != Locks.end())
-    return It->second;
-  LockState L;
-  L.Id = NextLockId++;
-  It = Locks.emplace(Addr, std::move(L)).first;
-  push(Out, analysis::TraceEvent::Kind::LockNew, It->second.Id, 0,
-       bumpSite(siteText(Site)));
-  return It->second;
-}
-
-uint64_t Assembler::condId(uint64_t Addr) {
-  auto [It, Inserted] = Conds.try_emplace(Addr, NextCondId);
-  if (Inserted)
-    ++NextCondId;
-  return It->second;
-}
-
-void Assembler::feed(const std::vector<Record> &Records,
-                     std::vector<analysis::TraceEvent> &Out) {
-  using K = analysis::TraceEvent::Kind;
+uint64_t assemble(const RingReader &Reader, const std::vector<Record> &Records,
+                  interpose::EventModel &Model,
+                  std::vector<analysis::TraceEvent> &Out) {
+  interpose::EventSink Emit = [&Out](const interpose::TraceLine &E) {
+    Out.push_back({E.K, E.A, E.B, std::string(E.Text)});
+  };
+  uint64_t Unknown = 0;
   for (const Record &R : Records) {
-    switch (static_cast<RecordKind>(R.Kind)) {
-    case RecordKind::ThreadSelf:
-      push(Out, K::ThreadNew, R.Tid, 0, bumpSite(siteText(R.Site)));
-      break;
-
-    case RecordKind::ThreadFork:
-      // Addr carries the child tid; the T line precedes the F line.
-      push(Out, K::ThreadNew, R.Addr, 0, bumpSite(siteText(R.Site)));
-      push(Out, K::Fork, R.Tid, R.Addr);
-      break;
-
-    case RecordKind::LockSeen:
-      (void)lockAt(R.Addr, R.Site, Out);
-      break;
-
-    case RecordKind::Acquire: {
-      LockState &L = lockAt(R.Addr, R.Site, Out);
-      if (L.OwnerTid == R.Tid) {
-        // Ring-only mode carries every acquire; collapse recursion the way
-        // the in-process model does (footnote 2). Combined mode pre-filters
-        // reentrant acquires, so this branch never fires there.
-        ++L.Recursion;
-        break;
-      }
-      L.OwnerTid = R.Tid;
-      L.Recursion = 1;
-      push(Out, K::Acquire, R.Tid, L.Id, siteText(R.Site));
-      break;
+    auto Kind = static_cast<RecordKind>(R.Kind);
+    if (Kind == RecordKind::Invalid || Kind > RecordKind::Join) {
+      ++Unknown; // Join is the last kind this reader knows
+      continue;
     }
-
-    case RecordKind::Release: {
-      auto It = Locks.find(R.Addr);
-      if (It == Locks.end() || It->second.OwnerTid != R.Tid)
-        break; // acquire never observed — the text path's passthrough
-      LockState &L = It->second;
-      if (L.Recursion > 1) {
-        --L.Recursion;
-        break;
-      }
-      L.OwnerTid = 0;
-      L.Recursion = 0;
-      push(Out, K::Release, R.Tid, L.Id);
-      break;
-    }
-
-    case RecordKind::SharedAcquire: {
-      LockState &L = lockAt(R.Addr, R.Site, Out);
-      L.ReaderTids.push_back(R.Tid);
-      push(Out, K::SharedAcquire, R.Tid, L.Id, siteText(R.Site));
-      break;
-    }
-
-    case RecordKind::RwUnlock: {
-      // pthread_rwlock_unlock does not say which side it releases; resolve
-      // from the reconstructed owner/reader registry, exactly like the
-      // in-process model does.
-      auto It = Locks.find(R.Addr);
-      if (It == Locks.end())
-        break;
-      LockState &L = It->second;
-      if (L.OwnerTid == R.Tid) {
-        L.OwnerTid = 0;
-        L.Recursion = 0;
-        push(Out, K::Release, R.Tid, L.Id);
-        break;
-      }
-      for (size_t I = 0; I != L.ReaderTids.size(); ++I) {
-        if (L.ReaderTids[I] == R.Tid) {
-          L.ReaderTids.erase(L.ReaderTids.begin() + static_cast<long>(I));
-          push(Out, K::SharedRelease, R.Tid, L.Id);
-          break;
-        }
-      }
-      break;
-    }
-
-    case RecordKind::TryProbe: {
-      LockState &L = lockAt(R.Addr, R.Site, Out);
-      push(Out, K::TryProbe, R.Tid, L.Id, siteText(R.Site));
-      break;
-    }
-
-    case RecordKind::CondSeen:
-      (void)condId(R.Addr);
-      break;
-
-    case RecordKind::CondNotify:
-      push(Out, K::CondNotify, R.Tid, condId(R.Addr));
-      break;
-
-    case RecordKind::CondWake:
-      push(Out, K::CondWake, R.Tid, condId(R.Addr));
-      break;
-
-    case RecordKind::LockDestroy:
-      // The address binding ends; a later lock at the same address is a new
-      // lock with a new id.
-      Locks.erase(R.Addr);
-      break;
-
-    case RecordKind::AccessRead:
-    case RecordKind::AccessWrite: {
-      auto It = Objects.find(R.Addr);
-      if (It == Objects.end()) {
-        It = Objects.emplace(R.Addr, NextObjectId++).first;
-        push(Out, K::ObjectNew, It->second, 0, bumpSite(siteText(R.Site)));
-      }
-      push(Out,
-           static_cast<RecordKind>(R.Kind) == RecordKind::AccessWrite
-               ? K::Write
-               : K::Read,
-           R.Tid, It->second, siteText(R.Site));
-      break;
-    }
-
-    case RecordKind::Join:
-      // Addr carries the joined (child) tid, mirroring ThreadFork.
-      push(Out, K::Join, R.Tid, R.Addr);
-      break;
-
-    case RecordKind::Invalid:
-    default:
-      ++UnknownKinds; // version skew: count, never crash the observer
-      break;
-    }
+    std::string_view Site = Reader.siteName(R.Site);
+    if (Site.empty())
+      Site = "unknown"; // id 0: the writer's string table overflowed
+    Model.apply({Kind, R.Tid, R.Addr, Site}, Emit);
   }
+  return Unknown;
 }
 
 } // namespace ring

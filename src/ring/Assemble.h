@@ -5,30 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The observer-side model rebuilder: turns the raw, sequence-merged ring
-/// records (ring/Ring.h) into the same analysis::TraceEvent stream the
-/// in-process text writer would have produced for the same execution.
+/// The observer side of the ring: replays the raw, sequence-merged ring
+/// records (ring/Ring.h) as capture ops through the preload's one event
+/// model (interpose/EventModel.h). The ring writer keeps no model — one
+/// record per interposed call, carrying the pthread object address, the
+/// interned call-site id and the thread id — so the model that names
+/// threads, locks, condvars and objects in the text trace names them here.
 ///
-/// The ring writer deliberately keeps no model — it emits one record per
-/// interposed call, carrying only raw identities (pthread object address,
-/// interned call-site id, thread id). Everything the text path computes
-/// inline under its state lock is reconstructed here instead:
-///
-///  * dense lock / condvar / object ids, assigned at first sight;
-///  * "site#n" abstractions via the same shared per-site occurrence
-///    counter the preload's bumpSite uses;
-///  * mutex recursion collapse (footnote 2: only 0->1 acquires and 1->0
-///    releases are events);
-///  * rwlock unlock side resolution (pthread_rwlock_unlock does not say
-///    which side it releases — the owner/reader registry does);
-///  * releases of locks whose acquire was never observed are dropped, the
-///    text path's pre-init passthrough behavior.
-///
-/// In combined mode (DLF_RING alongside DLF_PRELOAD_TRACE) the writer
-/// mirrors records inside the same critical sections that write the text
-/// lines, including the LockSeen/CondSeen first-sight markers, so this
-/// reconstruction yields an event stream identical to parsing the text
-/// trace — the equivalence the CI tier asserts.
+/// In combined mode (DLF_RING alongside DLF_PRELOAD_TRACE) the preload
+/// writes each record in the critical section that applies the same op to
+/// its own model, so the replay yields the event stream of the text trace
+/// by construction — the equivalence the CI tier and the preload tests
+/// assert.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,55 +24,22 @@
 #define DLF_RING_ASSEMBLE_H
 
 #include "analysis/Trace.h"
+#include "interpose/EventModel.h"
 #include "ring/Ring.h"
 
-#include <string>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 namespace dlf {
 namespace ring {
 
-class Assembler {
-public:
-  /// \p Reader resolves interned site ids; it must outlive the assembler.
-  explicit Assembler(const RingReader &Reader) : Reader(Reader) {}
-
-  /// Feeds records (already merged in ascending sequence order) and appends
-  /// the reconstructed events to \p Out. Stateful: feed each record once,
-  /// in order, across calls.
-  void feed(const std::vector<Record> &Records,
-            std::vector<analysis::TraceEvent> &Out);
-
-  /// Records skipped because their kind was unknown (version skew).
-  uint64_t unknownKindRecords() const { return UnknownKinds; }
-
-private:
-  struct LockState {
-    uint64_t Id = 0;
-    uint64_t OwnerTid = 0;
-    unsigned Recursion = 0;
-    std::vector<uint64_t> ReaderTids;
-  };
-
-  const std::string &siteText(uint32_t Id);
-  std::string bumpSite(const std::string &Site);
-  /// First-sight lock registration (emits the LockNew event).
-  LockState &lockAt(uint64_t Addr, uint32_t Site,
-                    std::vector<analysis::TraceEvent> &Out);
-  uint64_t condId(uint64_t Addr);
-
-  const RingReader &Reader;
-  std::unordered_map<uint32_t, std::string> SiteCache;
-  std::unordered_map<uint64_t, LockState> Locks;
-  std::unordered_map<uint64_t, uint64_t> Conds;
-  std::unordered_map<uint64_t, uint64_t> Objects;
-  std::unordered_map<std::string, uint64_t> SiteCounts;
-  uint64_t NextLockId = 1;
-  uint64_t NextCondId = 1;
-  uint64_t NextObjectId = 1;
-  uint64_t UnknownKinds = 0;
-};
+/// Applies \p Records (merged in ascending sequence order; each fed once,
+/// in order, across calls) to \p Model and appends the resulting events to
+/// \p Out. \p Reader resolves site ids. Returns the number of records
+/// skipped because their kind is unknown (version skew).
+uint64_t assemble(const RingReader &Reader, const std::vector<Record> &Records,
+                  interpose::EventModel &Model,
+                  std::vector<analysis::TraceEvent> &Out);
 
 } // namespace ring
 } // namespace dlf

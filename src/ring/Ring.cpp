@@ -533,7 +533,7 @@ uint64_t RingReader::occupancy() const {
   return Total;
 }
 
-std::string RingReader::siteName(uint32_t Id) const {
+std::string_view RingReader::siteName(uint32_t Id) const {
   if (Id == 0)
     return "";
   uint32_t N = Sites->Count.load(std::memory_order_acquire);
@@ -542,7 +542,7 @@ std::string RingReader::siteName(uint32_t Id) const {
   const SiteEntry &E = Sites->Entries[Id - 1];
   if (E.Off + E.Len > SiteDataCap)
     return "";
-  return std::string(Sites->Data + E.Off, E.Len);
+  return std::string_view(Sites->Data + E.Off, E.Len);
 }
 
 namespace {

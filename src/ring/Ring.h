@@ -64,6 +64,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -93,23 +94,25 @@ inline constexpr uint32_t MaxSlotsPerShard = 1u << 20;
 inline constexpr uint32_t MaxSites = 4096;
 inline constexpr uint32_t SiteDataCap = 256 * 1024;
 
-/// What one ring record describes. Raw events only: the observer rebuilds
-/// the model (dense lock ids, recursion collapse, rwlock unlock sides,
-/// "site#n" abstractions) that the in-process text writer computes inline,
-/// so the hot path carries no bookkeeping.
+/// What one ring record describes: the raw capture-op vocabulary of the
+/// preload. Every wrapper describes its call as one of these ops; the one
+/// event model (interpose/EventModel.h) turns ops into trace events —
+/// dense ids, recursion collapse, rwlock unlock sides, "site#n"
+/// abstractions — in the preload for the text trace and Phase II, and in
+/// dlf-observe for ring records, so the hot path carries no bookkeeping.
 enum class RecordKind : uint16_t {
   Invalid = 0,
   ThreadSelf,    ///< Unregistered thread registered itself (Site: "main"...)
   ThreadFork,    ///< pthread_create: Addr = child tid, Site = create site
-  LockSeen,      ///< Combined mode only: mirrors the M line's first-sight
-                 ///< point so the observer assigns lock ids in text order
+  LockSeen,      ///< Lock first sight at an acquire attempt (text and
+                 ///< Phase II; in the ring only in combined mode)
   Acquire,       ///< Exclusive acquire executed (mutex or rwlock write side)
-  Release,       ///< Mutex release (ring-only mode does not collapse
-                 ///< recursion on the writer side; the observer does)
+  Release,       ///< Mutex release (recursion is collapsed by the model)
   SharedAcquire, ///< rwlock read side acquired
-  RwUnlock,      ///< rwlock unlocked (side resolved by the observer)
+  RwUnlock,      ///< rwlock unlocked (side resolved by the model)
   TryProbe,      ///< failed trylock: asked and bailed out, no wait-for edge
-  CondSeen,      ///< Combined mode only: condvar first sight (id assignment)
+  CondSeen,      ///< Condvar first sight when a wait starts (text and
+                 ///< Phase II; in the ring only in combined mode)
   CondNotify,    ///< cond signal/broadcast (Addr = condvar address)
   CondWake,      ///< cond waiter resumed after a notify
   LockDestroy,   ///< mutex/rwlock destroyed: the address binding ends
@@ -351,8 +354,10 @@ public:
   uint64_t occupancy() const;
 
   const DrainStats &stats() const { return Stats; }
-  /// Site string for an interned id ("" for 0/unknown).
-  std::string siteName(uint32_t Id) const;
+  /// Site string for an interned id ("" for 0/unknown). Points into the
+  /// mapping: interned entries never change, so it lives as long as the
+  /// reader.
+  std::string_view siteName(uint32_t Id) const;
   const RingHeader *header() const { return Hdr; }
 
 private:

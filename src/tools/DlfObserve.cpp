@@ -7,7 +7,8 @@
 // dlf-observe: the sidecar half of the shared-memory event ring (src/ring).
 // The preloaded target pays one fixed-size ring write per sync event; this
 // tool maps the same ring, merges the per-thread shards by global sequence
-// number, rebuilds the analysis::Trace event stream (ring/Assemble.h), and
+// number, replays them through the preload's event model into the
+// analysis::Trace event stream (ring/Assemble.h), and
 // feeds the iGoodlock dependency log incrementally in epochs — the closure
 // runs out-of-process, off the target's critical path.
 //
@@ -38,6 +39,7 @@
 #include "analysis/Trace.h"
 #include "campaign/Json.h"
 #include "igoodlock/IGoodlock.h"
+#include "interpose/EventModel.h"
 #include "ring/Assemble.h"
 #include "ring/Ring.h"
 #include "serve/StatusServer.h"
@@ -106,7 +108,7 @@ bool processAlive(uint32_t Pid) {
 /// per epoch now, and incrementing interned counters each epoch would
 /// compound the totals.
 telemetry::MetricsSnapshot ringMetricsSnapshot(const ring::RingReader &Reader,
-                                               const ring::Assembler &Asm) {
+                                               uint64_t UnknownKinds) {
   telemetry::MetricsSnapshot M;
   const ring::DrainStats &S = Reader.stats();
   M.Counters["dlf_ring_drained_total"] = S.Drained;
@@ -116,16 +118,16 @@ telemetry::MetricsSnapshot ringMetricsSnapshot(const ring::RingReader &Reader,
   M.Counters["dlf_ring_dropped_total"] = Reader.dropsTotal();
   M.Counters["dlf_ring_drain_passes_total"] = S.Passes;
   M.Counters["dlf_ring_stalled_passes_total"] = S.StalledPasses;
-  M.Counters["dlf_ring_unknown_kind_total"] = Asm.unknownKindRecords();
+  M.Counters["dlf_ring_unknown_kind_total"] = UnknownKinds;
   M.Gauges["dlf_ring_occupancy"] = static_cast<int64_t>(Reader.occupancy());
   return M;
 }
 
 /// Everything a scrape or a --metrics-out reader should see: the live
-/// registry (closure/assembler counters) merged over the ring totals.
+/// registry (closure counters) merged over the ring totals.
 telemetry::MetricsSnapshot observerMetrics(const ring::RingReader &Reader,
-                                           const ring::Assembler &Asm) {
-  telemetry::MetricsSnapshot Snap = ringMetricsSnapshot(Reader, Asm);
+                                           uint64_t UnknownKinds) {
+  telemetry::MetricsSnapshot Snap = ringMetricsSnapshot(Reader, UnknownKinds);
   Snap.merge(telemetry::Registry::global().snapshot());
   return Snap;
 }
@@ -156,11 +158,13 @@ bool writeMetricsAtomic(const std::string &Path, bool Prom,
 /// reaped here so a wedged child cannot wedge the observer's exit.
 /// \p Status (may be null) receives a snapshot, an "epoch" event, and the
 /// ring metrics once per progress epoch, from this thread only.
+/// \p UnknownKinds counts records of a kind this build does not know.
 void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
-             ring::Assembler &Asm, analysis::IncrementalLogBuilder &Builder,
+             uint64_t &UnknownKinds, analysis::IncrementalLogBuilder &Builder,
              std::vector<analysis::TraceEvent> &AllEvents,
              serve::StatusSink *Status, const std::string &Target) {
   const auto Start = std::chrono::steady_clock::now();
+  interpose::EventModel Model;
   std::vector<ring::Record> Batch;
   std::vector<analysis::TraceEvent> Events;
   uint64_t Epoch = 0;
@@ -177,7 +181,7 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
     Events.clear();
     bool Progress = Reader.drainPass(Batch);
     if (!Batch.empty()) {
-      Asm.feed(Batch, Events);
+      UnknownKinds += ring::assemble(Reader, Batch, Model, Events);
       Builder.feed(Events);
       AllEvents.insert(AllEvents.end(), Events.begin(), Events.end());
     }
@@ -213,14 +217,14 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
         Ev.set("events", static_cast<uint64_t>(Builder.eventsSeen()));
         Ev.set("cycles", static_cast<uint64_t>(Cycles.size()));
         Status->publishEvent("epoch", Ev.dump());
-        Status->publishMetrics(ringMetricsSnapshot(Reader, Asm));
+        Status->publishMetrics(ringMetricsSnapshot(Reader, UnknownKinds));
       }
       // Epoch-granular rewrite: the file stays complete and current at
       // every instant, so an external scraper can tail a live observation
       // instead of waiting for exit.
       if (!Opts.MetricsOut.empty())
         writeMetricsAtomic(Opts.MetricsOut, Opts.MetricsProm,
-                           observerMetrics(Reader, Asm));
+                           observerMetrics(Reader, UnknownKinds));
     }
 
     if (Reader.writerDone())
@@ -268,7 +272,7 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
   Events.clear();
   Reader.finishDrain(Batch);
   if (!Batch.empty()) {
-    Asm.feed(Batch, Events);
+    UnknownKinds += ring::assemble(Reader, Batch, Model, Events);
     Builder.feed(Events);
     AllEvents.insert(AllEvents.end(), Events.begin(), Events.end());
   }
@@ -440,11 +444,11 @@ int main(int Argc, char **Argv) {
               << " (/metrics /status /events /healthz /buildinfo)\n";
   }
 
-  ring::Assembler Asm(*Reader);
+  uint64_t UnknownKinds = 0;
   analysis::IncrementalLogBuilder Builder(&std::cerr);
   std::vector<analysis::TraceEvent> AllEvents;
-  observe(*Reader, ChildPid, Opts, Asm, Builder, AllEvents, Server.get(),
-          Target);
+  observe(*Reader, ChildPid, Opts, UnknownKinds, Builder, AllEvents,
+          Server.get(), Target);
 
   const ring::DrainStats &S = Reader->stats();
   std::cerr << "dlf-observe: drained " << S.Drained << " record(s) in "
@@ -490,12 +494,12 @@ int main(int Argc, char **Argv) {
     St.CyclesFound = FinalCycles;
     St.Complete = true;
     Server->publishStatus(St);
-    Server->publishMetrics(ringMetricsSnapshot(*Reader, Asm));
+    Server->publishMetrics(ringMetricsSnapshot(*Reader, UnknownKinds));
   }
 
   if (Rc == 0 && !Opts.MetricsOut.empty()) {
     if (!writeMetricsAtomic(Opts.MetricsOut, Opts.MetricsProm,
-                            observerMetrics(*Reader, Asm))) {
+                            observerMetrics(*Reader, UnknownKinds))) {
       std::cerr << "error: cannot write " << Opts.MetricsOut << "\n";
       return ExitUsage;
     }

@@ -7,13 +7,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Trace.h"
+#include "interpose/EventModel.h"
 #include "interpose/TraceFormat.h"
+#include "ring/Assemble.h"
+#include "ring/Ring.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -392,6 +398,49 @@ TEST(Preload, MalformedCycleSpecFailsFast) {
             0);
 }
 
+TEST(TraceLineCodec, EveryKindRoundTripsThroughReadTrace) {
+  // One line of each of the 14 kinds, written by the preload's encoder and
+  // read back by the analyzer's reader.
+  using K = dlf::analysis::TraceEvent::Kind;
+  const std::vector<dlf::analysis::TraceEvent> Events = {
+      {K::ThreadNew, 1, 0, "main#1"},
+      {K::ThreadNew, 2, 0, "spawn+0x1f#1"},
+      {K::Fork, 1, 2, ""},
+      {K::LockNew, 7, 0, "worker+0x1f#2"},
+      {K::Acquire, 2, 7, "worker+0x1f"},
+      {K::Release, 2, 7, ""},
+      {K::SharedAcquire, 2, 7, "reader+0x2a"},
+      {K::SharedRelease, 2, 7, ""},
+      {K::TryProbe, 1, 7, "probe+0x3"},
+      {K::CondNotify, 1, 3, ""},
+      {K::CondWake, 2, 3, ""},
+      {K::ObjectNew, 4, 0, "libapp.so+0x1f00#1"},
+      {K::Read, 2, 4, "load+0x1f"},
+      {K::Write, 1, 4, "store+0x1f"},
+      {K::Join, 1, 18446744073709551615ull, ""},
+  };
+  std::string Text = dlf::interpose::TraceHeader;
+  for (const dlf::analysis::TraceEvent &E : Events)
+    dlf::interpose::appendTraceLine({E.K, E.A, E.B, E.Text}, Text);
+  EXPECT_NE(Text.find("\nA 2 7 worker+0x1f\n"), std::string::npos) << Text;
+
+  const std::string Path = tmpPath("dlf_codec.trace");
+  std::ofstream(Path) << Text;
+  dlf::analysis::TraceFile Back;
+  std::string Err;
+  ASSERT_EQ(dlf::analysis::readTrace(Path, Back, &Err),
+            dlf::analysis::TraceReadStatus::Ok)
+      << Err;
+  ASSERT_EQ(Back.Events.size(), Events.size());
+  for (size_t I = 0; I != Events.size(); ++I) {
+    EXPECT_EQ(Back.Events[I].K, Events[I].K) << I;
+    EXPECT_EQ(Back.Events[I].A, Events[I].A) << I;
+    EXPECT_EQ(Back.Events[I].B, Events[I].B) << I;
+    EXPECT_EQ(Back.Events[I].Text, Events[I].Text) << I;
+  }
+  std::remove(Path.c_str());
+}
+
 TEST(CycleSpecCodec, RoundTripsReportSpecs) {
   using dlf::interpose::CycleSpecComponent;
   std::vector<CycleSpecComponent> Cycle = {
@@ -455,6 +504,10 @@ TEST(PreloadRing, CombinedModeMatchesTextAnalysis) {
                          " " + Workload + " >/dev/null 2>&1"),
               0)
         << Workload;
+    // dlf-observe consumes the ring it attaches to; keep a copy to replay.
+    const std::string Copy = Ring + ".copy";
+    std::filesystem::copy_file(Ring, Copy,
+                               std::filesystem::copy_options::overwrite_existing);
 
     std::string Analyzed =
         captureCommand(std::string(DLF_ANALYZE_BIN) + " " + Trace +
@@ -466,8 +519,33 @@ TEST(PreloadRing, CombinedModeMatchesTextAnalysis) {
     ASSERT_FALSE(Observed.empty()) << Workload;
     EXPECT_EQ(cycleSummary(Analyzed), cycleSummary(Observed)) << Workload;
 
+    // Below the reports: replaying the ring through the event model yields
+    // the text trace's events, one for one.
+    dlf::analysis::TraceFile Text;
+    std::string Err;
+    ASSERT_EQ(dlf::analysis::readTrace(Trace, Text, &Err),
+              dlf::analysis::TraceReadStatus::Ok)
+        << Err;
+    std::unique_ptr<dlf::ring::RingReader> Reader(
+        dlf::ring::RingReader::attach(Copy, &Err));
+    ASSERT_TRUE(Reader) << Err;
+    std::vector<dlf::ring::Record> Records;
+    Reader->finishDrain(Records);
+    EXPECT_EQ(Reader->dropsTotal(), 0u) << Workload;
+    dlf::interpose::EventModel Model;
+    std::vector<dlf::analysis::TraceEvent> Replayed;
+    EXPECT_EQ(dlf::ring::assemble(*Reader, Records, Model, Replayed), 0u);
+    ASSERT_EQ(Replayed.size(), Text.Events.size()) << Workload;
+    for (size_t I = 0; I != Replayed.size(); ++I) {
+      const dlf::analysis::TraceEvent &R = Replayed[I], &T = Text.Events[I];
+      EXPECT_TRUE(R.K == T.K && R.A == T.A && R.B == T.B && R.Text == T.Text)
+          << Workload << ": event " << I << " differs (ring '" << R.Text
+          << "', text '" << T.Text << "')";
+    }
+
     std::remove(Trace.c_str());
     std::remove(Ring.c_str());
+    std::remove(Copy.c_str());
   }
 }
 

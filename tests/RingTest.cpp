@@ -4,12 +4,13 @@
 // accounting, torn/corrupt record detection through the seqlock stamps, an
 // observer attaching mid-run, a writer dying with a half-written slot
 // (driven by the deterministic fault plane), cross-shard merge order, and
-// the observer-side Assembler's model reconstruction.
+// the replay of ring records through the preload's event model.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Trace.h"
 #include "faultinject/FaultInject.h"
+#include "interpose/EventModel.h"
 #include "ring/Assemble.h"
 #include "ring/Ring.h"
 
@@ -316,12 +317,13 @@ TEST(Ring, SiteInterningRoundTrips) {
 }
 
 //===----------------------------------------------------------------------===//
-// Assembler: observer-side reconstruction of the in-process model.
+// Assembler: ring records replayed through the preload's one event model.
 //===----------------------------------------------------------------------===//
 
 struct AssemblerFixture {
   std::unique_ptr<RingWriter> W;
   std::unique_ptr<RingReader> R;
+  interpose::EventModel Model;
   uint32_t Main = 0, SiteA = 0, SiteB = 0, Create = 0;
 
   explicit AssemblerFixture(const char *Name) {
@@ -346,74 +348,96 @@ struct AssemblerFixture {
     Rc.Site = Site;
     return Rc;
   }
+
+  std::vector<analysis::TraceEvent> feed(const std::vector<Record> &In) {
+    std::vector<analysis::TraceEvent> Out;
+    EXPECT_EQ(assemble(*R, In, Model, Out), 0u);
+    return Out;
+  }
 };
+
+using EK = analysis::TraceEvent::Kind;
 
 TEST(Assembler, CollapsesRecursionAndAssignsDenseIds) {
   AssemblerFixture F("ring_asm_rec.ring");
   ASSERT_TRUE(F.R);
-  Assembler Asm(*F.R);
-  std::vector<Record> In = {
+  std::vector<analysis::TraceEvent> Out = F.feed({
       F.rec(RecordKind::ThreadSelf, 1, 0, F.Main),
       F.rec(RecordKind::Acquire, 1, 0x1000, F.SiteA),
       F.rec(RecordKind::Acquire, 1, 0x1000, F.SiteA), // recursive
       F.rec(RecordKind::Release, 1, 0x1000, 0),       // inner
       F.rec(RecordKind::Release, 1, 0x1000, 0),       // outer
       F.rec(RecordKind::Release, 1, 0x2000, 0),       // never-seen lock
-  };
-  std::vector<analysis::TraceEvent> Out;
-  Asm.feed(In, Out);
+      F.rec(RecordKind::Acquire, 1, 0x1000, F.SiteA),
+      F.rec(RecordKind::Release, 2, 0x1000, 0),       // not the owner
+      F.rec(RecordKind::Release, 1, 0x1000, 0),
+      F.rec(RecordKind::LockDestroy, 0, 0x1000, 0),
+      F.rec(RecordKind::Acquire, 1, 0x1000, F.SiteA), // re-init, same address
+  });
 
-  ASSERT_EQ(Out.size(), 4u);
-  EXPECT_EQ(Out[0].K, analysis::TraceEvent::Kind::ThreadNew);
+  ASSERT_EQ(Out.size(), 8u);
+  EXPECT_EQ(Out[0].K, EK::ThreadNew);
   EXPECT_EQ(Out[0].A, 1u);
   EXPECT_EQ(Out[0].Text, "main#1");
-  EXPECT_EQ(Out[1].K, analysis::TraceEvent::Kind::LockNew);
+  EXPECT_EQ(Out[1].K, EK::LockNew);
   EXPECT_EQ(Out[1].A, 1u); // dense id, not the address
   EXPECT_EQ(Out[1].Text, "workerA+0x10#1");
-  EXPECT_EQ(Out[2].K, analysis::TraceEvent::Kind::Acquire);
+  EXPECT_EQ(Out[2].K, EK::Acquire);
   EXPECT_EQ(Out[2].B, 1u);
   EXPECT_EQ(Out[2].Text, "workerA+0x10");
-  EXPECT_EQ(Out[3].K, analysis::TraceEvent::Kind::Release);
+  EXPECT_EQ(Out[3].K, EK::Release);
+  EXPECT_EQ(Out[4].K, EK::Acquire);
+  EXPECT_EQ(Out[5].K, EK::Release); // thread 2's stray release was dropped
+  EXPECT_EQ(Out[5].A, 1u);
+  // Destroy ended the binding: a new lock, a new id, a new M line.
+  EXPECT_EQ(Out[6].K, EK::LockNew);
+  EXPECT_EQ(Out[6].A, 2u);
+  EXPECT_EQ(Out[6].Text, "workerA+0x10#2");
+  EXPECT_EQ(Out[7].K, EK::Acquire);
+  EXPECT_EQ(Out[7].B, 2u);
 }
 
 TEST(Assembler, ResolvesRwlockUnlockSides) {
   AssemblerFixture F("ring_asm_rw.ring");
   ASSERT_TRUE(F.R);
-  Assembler Asm(*F.R);
-  std::vector<Record> In = {
+  std::vector<analysis::TraceEvent> Out = F.feed({
       F.rec(RecordKind::ThreadSelf, 1, 0, F.Main),
       F.rec(RecordKind::SharedAcquire, 1, 0x3000, F.SiteA),
       F.rec(RecordKind::RwUnlock, 1, 0x3000, 0), // read side held: U
       F.rec(RecordKind::Acquire, 1, 0x3000, F.SiteB),
       F.rec(RecordKind::RwUnlock, 1, 0x3000, 0), // write side held: R
-  };
-  std::vector<analysis::TraceEvent> Out;
-  Asm.feed(In, Out);
+      F.rec(RecordKind::Acquire, 1, 0x3000, F.SiteB),
+      F.rec(RecordKind::RwUnlock, 1, 0x3000, 0), // write side first: R
+      F.rec(RecordKind::SharedAcquire, 1, 0x3000, F.SiteA),
+      F.rec(RecordKind::RwUnlock, 1, 0x3000, 0), // then the read side: U
+      F.rec(RecordKind::RwUnlock, 1, 0x3000, 0), // nothing held: dropped
+  });
 
-  ASSERT_EQ(Out.size(), 6u);
-  EXPECT_EQ(Out[2].K, analysis::TraceEvent::Kind::SharedAcquire);
-  EXPECT_EQ(Out[3].K, analysis::TraceEvent::Kind::SharedRelease);
-  EXPECT_EQ(Out[4].K, analysis::TraceEvent::Kind::Acquire);
-  EXPECT_EQ(Out[5].K, analysis::TraceEvent::Kind::Release);
+  ASSERT_EQ(Out.size(), 10u);
+  EXPECT_EQ(Out[2].K, EK::SharedAcquire);
+  EXPECT_EQ(Out[3].K, EK::SharedRelease);
+  EXPECT_EQ(Out[4].K, EK::Acquire);
+  EXPECT_EQ(Out[5].K, EK::Release);
+  EXPECT_EQ(Out[6].K, EK::Acquire);
+  EXPECT_EQ(Out[7].K, EK::Release);
+  EXPECT_EQ(Out[8].K, EK::SharedAcquire);
+  EXPECT_EQ(Out[9].K, EK::SharedRelease);
 }
 
 TEST(Assembler, BumpsRepeatedSitesDeterministically) {
   AssemblerFixture F("ring_asm_bump.ring");
   ASSERT_TRUE(F.R);
-  Assembler Asm(*F.R);
-  std::vector<Record> In = {
+  std::vector<analysis::TraceEvent> Out = F.feed({
       F.rec(RecordKind::ThreadSelf, 1, 0, F.Main),
       F.rec(RecordKind::ThreadFork, 1, 2, F.Create),
       F.rec(RecordKind::ThreadFork, 1, 3, F.Create),
-  };
-  std::vector<analysis::TraceEvent> Out;
-  Asm.feed(In, Out);
+  });
 
   ASSERT_EQ(Out.size(), 5u);
-  EXPECT_EQ(Out[1].K, analysis::TraceEvent::Kind::ThreadNew);
+  EXPECT_EQ(Out[1].K, EK::ThreadNew);
   EXPECT_EQ(Out[1].A, 2u);
   EXPECT_EQ(Out[1].Text, "main+0x30#1");
-  EXPECT_EQ(Out[2].K, analysis::TraceEvent::Kind::Fork);
+  EXPECT_EQ(Out[2].K, EK::Fork);
   EXPECT_EQ(Out[2].A, 1u);
   EXPECT_EQ(Out[2].B, 2u);
   EXPECT_EQ(Out[3].Text, "main+0x30#2"); // second child at the same site
@@ -422,22 +446,34 @@ TEST(Assembler, BumpsRepeatedSitesDeterministically) {
 TEST(Assembler, TracksCondvarsByDenseId) {
   AssemblerFixture F("ring_asm_cond.ring");
   ASSERT_TRUE(F.R);
-  Assembler Asm(*F.R);
-  std::vector<Record> In = {
+  std::vector<analysis::TraceEvent> Out = F.feed({
       F.rec(RecordKind::ThreadSelf, 1, 0, F.Main),
       F.rec(RecordKind::CondNotify, 1, 0xc0, 0),
       F.rec(RecordKind::CondWake, 1, 0xc0, 0),
       F.rec(RecordKind::CondNotify, 1, 0xd0, 0),
-  };
-  std::vector<analysis::TraceEvent> Out;
-  Asm.feed(In, Out);
+      // A recursive mutex across pthread_cond_wait: the wait releases and
+      // re-acquires one level, which stays invisible.
+      F.rec(RecordKind::Acquire, 1, 0x4000, F.SiteA),
+      F.rec(RecordKind::Acquire, 1, 0x4000, F.SiteA),
+      F.rec(RecordKind::CondSeen, 0, 0xe0, 0),
+      F.rec(RecordKind::Release, 1, 0x4000, 0),
+      F.rec(RecordKind::CondWake, 1, 0xe0, 0),
+      F.rec(RecordKind::Acquire, 1, 0x4000, F.SiteA),
+      F.rec(RecordKind::Release, 1, 0x4000, 0),
+      F.rec(RecordKind::Release, 1, 0x4000, 0),
+  });
 
-  ASSERT_EQ(Out.size(), 4u);
-  EXPECT_EQ(Out[1].K, analysis::TraceEvent::Kind::CondNotify);
+  ASSERT_EQ(Out.size(), 8u);
+  EXPECT_EQ(Out[1].K, EK::CondNotify);
   EXPECT_EQ(Out[1].B, 1u);
-  EXPECT_EQ(Out[2].K, analysis::TraceEvent::Kind::CondWake);
+  EXPECT_EQ(Out[2].K, EK::CondWake);
   EXPECT_EQ(Out[2].B, 1u); // same condvar, same dense id
   EXPECT_EQ(Out[3].B, 2u); // different condvar
+  EXPECT_EQ(Out[4].K, EK::LockNew);
+  EXPECT_EQ(Out[5].K, EK::Acquire);
+  EXPECT_EQ(Out[6].K, EK::CondWake);
+  EXPECT_EQ(Out[6].B, 3u); // numbered when the wait started (CondSeen)
+  EXPECT_EQ(Out[7].K, EK::Release);
 }
 
 } // namespace
