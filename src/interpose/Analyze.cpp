@@ -270,8 +270,6 @@ int main(int Argc, char **Argv) {
     std::cerr << "error: " << Error << "\n";
     return ExitNoEvents;
   }
-  for (const std::string &W : Trace.Warnings)
-    std::cerr << "warning: " << W << "\n";
 
   int Rc = Races     ? runRaceAnalysis(Trace)
            : Predict ? runPredictAnalysis(Trace, Opts)

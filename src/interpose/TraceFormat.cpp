@@ -6,6 +6,7 @@
 
 #include "interpose/TraceFormat.h"
 
+#include <array>
 #include <charconv>
 
 namespace dlf {
@@ -32,26 +33,80 @@ void appendId(std::string &Out, uint64_t Id) {
   Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Id).ptr);
 }
 
+/// TraceEvent::Kind by trace-line letter; -1 for a byte that is no letter.
+constexpr std::array<int8_t, 256> KindByLetter = [] {
+  std::array<int8_t, 256> Table{};
+  Table.fill(-1);
+  for (size_t K = 0; K != std::size(analysis::TraceSyntax); ++K)
+    Table[static_cast<unsigned char>(analysis::TraceSyntax[K].Letter)] =
+        static_cast<int8_t>(K);
+  return Table;
+}();
+
+/// The C locale's whitespace: space, \t, \n, \v, \f and \r.
+constexpr bool isSpace(char C) { return C == ' ' || (C >= '\t' && C <= '\r'); }
+
+void skipSpace(std::string_view &Rest) {
+  size_t I = 0;
+  while (I != Rest.size() && isSpace(Rest[I]))
+    ++I;
+  Rest.remove_prefix(I);
+}
+
+/// Cuts the next whitespace-delimited token off the front of \p Rest.
+std::string_view nextToken(std::string_view &Rest) {
+  skipSpace(Rest);
+  size_t End = 0;
+  while (End != Rest.size() && !isSpace(Rest[End]))
+    ++End;
+  std::string_view Token = Rest.substr(0, End);
+  Rest.remove_prefix(End);
+  return Token;
+}
+
+/// Strict unsigned decimal: digits only, no sign, no overflow.
+bool parseId(std::string_view &Rest, uint64_t &Out) {
+  std::string_view Token = nextToken(Rest);
+  const char *End = Token.data() + Token.size();
+  auto [Ptr, Ec] = std::from_chars(Token.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
+}
+
 } // namespace
 
 void appendTraceLine(const TraceLine &E, std::string &Out) {
-  using K = analysis::TraceEvent::Kind;
-  // Indexed by TraceEvent::Kind, in declaration order.
-  static constexpr char Letters[] = "TMARQUPNVFJOLS";
-  bool HasB = E.K != K::ThreadNew && E.K != K::LockNew && E.K != K::ObjectNew;
-  bool HasText = E.K == K::ThreadNew || E.K == K::LockNew ||
-                 E.K == K::ObjectNew || E.K == K::Acquire ||
-                 E.K == K::SharedAcquire || E.K == K::TryProbe ||
-                 E.K == K::Read || E.K == K::Write;
-  Out += Letters[static_cast<size_t>(E.K)];
+  const analysis::TraceKindSyntax &Syntax = analysis::traceSyntax(E.K);
+  Out += Syntax.Letter;
   appendId(Out, E.A);
-  if (HasB)
+  if (Syntax.HasB)
     appendId(Out, E.B);
-  if (HasText) {
+  if (Syntax.HasText) {
     Out += ' ';
     Out += E.Text;
   }
   Out += '\n';
+}
+
+LineParse parseTraceLine(std::string_view Line, TraceLine &Out) {
+  if (Line.empty() || Line[0] == '#')
+    return LineParse::Skip;
+  std::string_view Rest = Line;
+  skipSpace(Rest);
+  if (Rest.empty())
+    return LineParse::UnknownKind;
+  int Kind = KindByLetter[static_cast<unsigned char>(Rest[0])];
+  if (Kind < 0)
+    return LineParse::UnknownKind;
+  Rest.remove_prefix(1);
+  Out.K = static_cast<analysis::TraceEvent::Kind>(Kind);
+  Out.B = 0;
+  Out.Text = {};
+  const analysis::TraceKindSyntax &Syntax = analysis::TraceSyntax[Kind];
+  if (!parseId(Rest, Out.A) || (Syntax.HasB && !parseId(Rest, Out.B)))
+    return LineParse::Malformed;
+  if (Syntax.HasText && (Out.Text = nextToken(Rest)).empty())
+    return LineParse::Malformed;
+  return LineParse::Event;
 }
 
 std::string encodeCycleSpec(const std::vector<CycleSpecComponent> &Cycle) {

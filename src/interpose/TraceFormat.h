@@ -46,6 +46,11 @@
 /// dlf_trace_write hooks at the accesses it wants checked — the C analogue
 /// of the Java implementation's field-access instrumentation.
 ///
+/// The letters and fields of every kind are written down once, in the
+/// analysis::TraceSyntax table (analysis/Trace.h); appendTraceLine encodes
+/// through it and parseTraceLine, the reader's only line decoder, decodes
+/// through it.
+///
 /// The preload writes every line through appendTraceLine, from the events
 /// of the one pthread event model (interpose/EventModel.h). The same model
 /// rebuilds the stream from ring records in dlf-observe, so a ring capture
@@ -122,9 +127,25 @@ struct TraceLine {
   std::string_view Text;
 };
 
-/// Appends \p E to \p Out as one trace line, newline included; the inverse
-/// of analysis::readTrace for a single line.
+/// Appends \p E to \p Out as one trace line, newline included.
 void appendTraceLine(const TraceLine &E, std::string &Out);
+
+/// What parseTraceLine made of one line.
+enum class LineParse {
+  Event,       ///< the line is an event, decoded into the TraceLine
+  Skip,        ///< an empty line or a '#' comment
+  Malformed,   ///< a known letter with a missing or bad field; K names it
+  UnknownKind, ///< no event letter (this includes whitespace-only lines)
+};
+
+/// Decodes \p Line (without its '\n') into \p Out: the inverse of
+/// appendTraceLine, and the only line decoder analysis::readTrace uses.
+/// Out.Text borrows from \p Line. Fields are separated by C-locale
+/// whitespace (so a CR before the newline is harmless), the letter may
+/// follow leading whitespace and touch the first id, ids are plain decimal
+/// digits that fit in 64 bits, the text is one whitespace-free token, and
+/// tokens after the last field are ignored.
+LineParse parseTraceLine(std::string_view Line, TraceLine &Out);
 
 /// One component of a Phase II cycle specification.
 struct CycleSpecComponent {

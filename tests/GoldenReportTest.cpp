@@ -6,7 +6,9 @@
 // line kind, so any change to how the analyses walk a trace that moves a
 // single byte of a report fails here. The only run-dependent line, the
 // closure timing line, has its microsecond and per-second figures masked
-// (chains and jobs stay checked).
+// (chains and jobs stay checked). The exit-code tests pin how dlf-analyze
+// refuses a truncated trace (2), a trace without events (3) and a missing
+// path (2): nothing on stdout, the reason on stderr.
 //
 // To re-record after an intended report change:
 //   dlf-analyze T.trace [--predict|--races] 2>/dev/null | <same mask>
@@ -16,11 +18,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <regex>
 #include <sstream>
 #include <string>
 #include <tuple>
+
+#include <sys/wait.h>
 
 namespace {
 
@@ -77,5 +82,57 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(Info.param)) + "_" +
              std::get<1>(Info.param);
     });
+
+/// One dlf-analyze run over \p Trace: exit code, stdout and stderr.
+struct AnalyzeRun {
+  int Exit = -1;
+  std::string Out;
+  std::string Err;
+};
+
+AnalyzeRun runAnalyze(const std::string &Trace) {
+  // One file pair per test: ctest runs the tests of this binary in
+  // parallel.
+  std::string Base =
+      ::testing::TempDir() + "/dlf_golden_exit_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  int Status = std::system((std::string(DLF_ANALYZE_BIN) + " " + Trace +
+                            " >" + Base + ".out 2>" + Base + ".err")
+                               .c_str());
+  AnalyzeRun R;
+  if (Status != -1 && WIFEXITED(Status))
+    R.Exit = WEXITSTATUS(Status);
+  R.Out = readFile(Base + ".out");
+  R.Err = readFile(Base + ".err");
+  return R;
+}
+
+TEST(AnalyzeExitCodes, TruncatedTraceExitsTwoNamingTheLine) {
+  std::string Trace = std::string(DLF_GOLDEN_DIR) + "/truncated.trace";
+  AnalyzeRun R = runAnalyze(Trace);
+  EXPECT_EQ(R.Exit, 2);
+  EXPECT_EQ(R.Out, "");
+  EXPECT_EQ(R.Err, "error: " + Trace +
+                       ":12: malformed release event: 'R 1' (truncated or "
+                       "corrupt trace)\n");
+}
+
+TEST(AnalyzeExitCodes, HeaderOnlyTraceExitsThree) {
+  std::string Trace = std::string(DLF_GOLDEN_DIR) + "/header-only.trace";
+  AnalyzeRun R = runAnalyze(Trace);
+  EXPECT_EQ(R.Exit, 3);
+  EXPECT_EQ(R.Out, "");
+  EXPECT_NE(R.Err.find("trace file " + Trace + " contains no events"),
+            std::string::npos)
+      << R.Err;
+}
+
+TEST(AnalyzeExitCodes, MissingTraceExitsTwo) {
+  std::string Trace = std::string(DLF_GOLDEN_DIR) + "/no-such.trace";
+  AnalyzeRun R = runAnalyze(Trace);
+  EXPECT_EQ(R.Exit, 2);
+  EXPECT_EQ(R.Out, "");
+  EXPECT_EQ(R.Err, "error: cannot open trace file " + Trace + "\n");
+}
 
 } // namespace

@@ -441,6 +441,240 @@ TEST(TraceLineCodec, EveryKindRoundTripsThroughReadTrace) {
   std::remove(Path.c_str());
 }
 
+/// What readTrace made of one trace text. Error has the trace path
+/// replaced by "$T".
+struct ReadOutcome {
+  dlf::analysis::TraceReadStatus Status;
+  std::vector<dlf::analysis::TraceEvent> Events;
+  std::string Error;
+};
+
+ReadOutcome readTraceText(const std::string &Text) {
+  // One file per test: ctest runs the tests of this binary in parallel.
+  const std::string Path =
+      tmpPath(("dlf_reader_" +
+               std::string(::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name()) +
+               ".trace")
+                  .c_str());
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out << Text;
+  }
+  dlf::analysis::TraceFile Trace;
+  ReadOutcome R;
+  R.Status = dlf::analysis::readTrace(Path, Trace, &R.Error);
+  R.Events = std::move(Trace.Events);
+  for (size_t At; (At = R.Error.find(Path)) != std::string::npos;)
+    R.Error.replace(At, Path.size(), "$T");
+  std::remove(Path.c_str());
+  return R;
+}
+
+/// The "malformed"/"unknown" message for \p Line at line \p LineNo.
+std::string corruptLine(size_t LineNo, const std::string &Why,
+                        const std::string &Line) {
+  return "$T:" + std::to_string(LineNo) + ": " + Why + ": '" + Line +
+         "' (truncated or corrupt trace)";
+}
+
+void expectEvents(const std::vector<dlf::analysis::TraceEvent> &Actual,
+                  const std::vector<dlf::analysis::TraceEvent> &Expected) {
+  ASSERT_EQ(Actual.size(), Expected.size());
+  for (size_t I = 0; I != Expected.size(); ++I) {
+    EXPECT_EQ(Actual[I].K, Expected[I].K) << I;
+    EXPECT_EQ(Actual[I].A, Expected[I].A) << I;
+    EXPECT_EQ(Actual[I].B, Expected[I].B) << I;
+    EXPECT_EQ(Actual[I].Text, Expected[I].Text) << I;
+  }
+}
+
+TEST(TraceLineCodec, ReaderAcceptsAndRejectsExactlyTheTraceGrammar) {
+  using dlf::analysis::TraceReadStatus;
+  using K = dlf::analysis::TraceEvent::Kind;
+  const std::string H = dlf::interpose::TraceHeader;
+  const std::string NoEvents =
+      "trace file $T contains no events (did the traced program run under "
+      "LD_PRELOAD with DLF_PRELOAD_TRACE set?)";
+  struct Case {
+    const char *Name;
+    std::string Text;
+    TraceReadStatus Status;
+    std::vector<dlf::analysis::TraceEvent> Events; // Ok
+    std::string Error;                              // otherwise
+  };
+  std::vector<Case> Cases = {
+      {"separators", H + "A\t1\v7\fsite+0x1f extra tokens\n  R 1 7 x\n",
+       TraceReadStatus::Ok,
+       {{K::Acquire, 1, 7, "site+0x1f"}, {K::Release, 1, 7, ""}}, ""},
+      {"letter glued to the first id", H + "A1 7 s\nJ007 0\n",
+       TraceReadStatus::Ok,
+       {{K::Acquire, 1, 7, "s"}, {K::Join, 7, 0, ""}}, ""},
+      {"largest id", H + "J 18446744073709551615 1\nJ 1 18446744073709551615\n",
+       TraceReadStatus::Ok,
+       {{K::Join, 18446744073709551615ull, 1, ""},
+        {K::Join, 1, 18446744073709551615ull, ""}},
+       ""},
+      {"crlf endings", "# dlf-preload trace v1\r\nT 1 main#1\r\nR 1 7\r\n",
+       TraceReadStatus::Ok,
+       {{K::ThreadNew, 1, 0, "main#1"}, {K::Release, 1, 7, ""}}, ""},
+      {"no final newline", H + "T 1 main#1\nR 1 7", TraceReadStatus::Ok,
+       {{K::ThreadNew, 1, 0, "main#1"}, {K::Release, 1, 7, ""}}, ""},
+      {"blank lines and comments", H + "\n#\n# A 1\n\nT 1 m\n\n",
+       TraceReadStatus::Ok, {{K::ThreadNew, 1, 0, "m"}}, ""},
+      {"text bytes", H + "A 1 7 s" + '\0' + "x\nO 2 caf\xc3\xa9\xa0#1\n",
+       TraceReadStatus::Ok,
+       {{K::Acquire, 1, 7, std::string("s\0x", 3)},
+        {K::ObjectNew, 2, 0, "caf\xc3\xa9\xa0#1"}},
+       ""},
+      {"one past the largest id", H + "J 1 18446744073709551616\n",
+       TraceReadStatus::Unreadable, {},
+       corruptLine(2, "malformed join event", "J 1 18446744073709551616")},
+      {"overflow in the first id", H + "J 99999999999999999999 1\n",
+       TraceReadStatus::Unreadable, {},
+       corruptLine(2, "malformed join event", "J 99999999999999999999 1")},
+      {"non-digit id", H + "A x 7 s\n", TraceReadStatus::Unreadable, {},
+       corruptLine(2, "malformed acquire event", "A x 7 s")},
+      {"id with a suffix", H + "A 1 7x s\n", TraceReadStatus::Unreadable, {},
+       corruptLine(2, "malformed acquire event", "A 1 7x s")},
+      {"signed id", H + "R -1 7\n", TraceReadStatus::Unreadable, {},
+       corruptLine(2, "malformed release event", "R -1 7")},
+      {"plus-signed id", H + "T +1 main\n", TraceReadStatus::Unreadable, {},
+       corruptLine(2, "malformed thread event", "T +1 main")},
+      {"hex id", H + "T 0x1 main\n", TraceReadStatus::Unreadable, {},
+       corruptLine(2, "malformed thread event", "T 0x1 main")},
+      {"unknown letter", H + "T 1 m\nX 1 2\n", TraceReadStatus::Unreadable, {},
+       corruptLine(3, "unknown event kind", "X 1 2")},
+      {"lowercase letter", H + "a 1 2 s\n", TraceReadStatus::Unreadable, {},
+       corruptLine(2, "unknown event kind", "a 1 2 s")},
+      {"whitespace-only line", H + " \t\n", TraceReadStatus::Unreadable, {},
+       corruptLine(2, "unknown event kind", " \t")},
+      {"blank crlf line", H + "\r\n", TraceReadStatus::Unreadable, {},
+       corruptLine(2, "unknown event kind", "\r")},
+      {"indented comment", H + "  # c\n", TraceReadStatus::Unreadable, {},
+       corruptLine(2, "unknown event kind", "  # c")},
+      {"crlf malformed line", H + "A 1 7\r\n", TraceReadStatus::Unreadable,
+       {}, corruptLine(2, "malformed acquire event", "A 1 7\r")},
+      {"truncated last line", H + "T 1 m\nR 1", TraceReadStatus::Unreadable,
+       {}, corruptLine(3, "malformed release event", "R 1")},
+      {"line numbers count comments", H + "\n# c\n\nT 1\n",
+       TraceReadStatus::Unreadable, {},
+       corruptLine(5, "malformed thread event", "T 1")},
+      {"empty file", "", TraceReadStatus::NoEvents, {}, NoEvents},
+      {"header only", H, TraceReadStatus::NoEvents, {}, NoEvents},
+      {"comments and blank lines", H + "\n# nothing\n\n",
+       TraceReadStatus::NoEvents, {}, NoEvents},
+  };
+  // Every kind with its last field missing, and with every field missing.
+  const std::vector<std::pair<std::string, std::string>> Short = {
+      {"T 1", "thread"},          {"M 7", "lock"},
+      {"A 1 7", "acquire"},       {"R 1", "release"},
+      {"Q 1 7", "shared-acquire"}, {"U 1", "shared-release"},
+      {"P 1 7", "trylock-probe"}, {"N 1", "cond-notify"},
+      {"V 1", "cond-wake"},       {"F 1", "fork"},
+      {"J 1", "join"},            {"O 4", "object"},
+      {"L 1 4", "read"},          {"S 1 4", "write"}};
+  for (const auto &[Line, Kind] : Short) {
+    std::string Why = "malformed " + Kind + " event";
+    Cases.push_back({"last field missing", H + Line + "\n",
+                     TraceReadStatus::Unreadable, {},
+                     corruptLine(2, Why, Line)});
+    Cases.push_back({"every field missing", H + Line.substr(0, 1) + "\n",
+                     TraceReadStatus::Unreadable, {},
+                     corruptLine(2, Why, Line.substr(0, 1))});
+  }
+
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(std::string(C.Name) + ": " + C.Text);
+    ReadOutcome R = readTraceText(C.Text);
+    EXPECT_EQ(R.Status, C.Status);
+    if (C.Status == TraceReadStatus::Ok)
+      expectEvents(R.Events, C.Events);
+    else
+      EXPECT_EQ(R.Error, C.Error);
+  }
+}
+
+TEST(TraceLineCodec, ReaderRejectsMissingFilesAndDirectories) {
+  dlf::analysis::TraceFile Trace;
+  std::string Err;
+  const std::string Missing = tmpPath("dlf_no_such.trace");
+  std::remove(Missing.c_str());
+  EXPECT_EQ(dlf::analysis::readTrace(Missing, Trace, &Err),
+            dlf::analysis::TraceReadStatus::Unreadable);
+  EXPECT_EQ(Err, "cannot open trace file " + Missing);
+
+  const std::string Dir = tmpPath("dlf_reader_dir");
+  std::filesystem::create_directories(Dir);
+  EXPECT_EQ(dlf::analysis::readTrace(Dir, Trace, &Err),
+            dlf::analysis::TraceReadStatus::Unreadable);
+  EXPECT_EQ(Err, "read error on trace file " + Dir);
+  EXPECT_TRUE(Trace.Events.empty());
+  std::filesystem::remove(Dir);
+}
+
+TEST(TraceLineCodec, ReaderJoinsLinesAcrossChunkBoundaries) {
+  // Offset 65536 is a boundary for every power-of-two chunk size up to
+  // 64 KiB (the reader's is 8 KiB). Put it at every position of an acquire
+  // line (CRLF-ended), its line break, and the next line.
+  using K = dlf::analysis::TraceEvent::Kind;
+  constexpr size_t Boundary = 64 * 1024;
+  const std::string Acquire = "A 12345 67 worker+0x1f\r\n";
+  const std::string Release = "R 12345 67\n";
+  for (size_t Before = 0; Before <= Acquire.size() + Release.size();
+       ++Before) {
+    std::string Text = dlf::interpose::TraceHeader;
+    std::string Pad = "#";
+    Pad.resize(Boundary - Before - Text.size() - 1, '.');
+    Text += Pad + "\n" + Acquire + Release;
+    ASSERT_EQ(Text.find(Acquire), Boundary - Before);
+    SCOPED_TRACE("acquire line starts " + std::to_string(Before) +
+                 " bytes before the boundary");
+    ReadOutcome R = readTraceText(Text);
+    ASSERT_EQ(R.Status, dlf::analysis::TraceReadStatus::Ok) << R.Error;
+    expectEvents(R.Events, {{K::Acquire, 12345, 67, "worker+0x1f"},
+                            {K::Release, 12345, 67, ""}});
+    // The same cut through a malformed line still names it whole.
+    Text.replace(Text.find(Release), Release.size(), "R 12345\n");
+    R = readTraceText(Text);
+    EXPECT_EQ(R.Error, corruptLine(4, "malformed release event", "R 12345"));
+  }
+
+  // Many lines of every length from 1 to 300 bytes: thousands of cuts.
+  std::vector<dlf::analysis::TraceEvent> Events;
+  std::string Text = dlf::interpose::TraceHeader;
+  for (uint64_t I = 0; Text.size() < 5 * Boundary; ++I) {
+    dlf::analysis::TraceEvent E{I % 3 ? K::Acquire : K::Release, I, I * 7,
+                                ""};
+    if (E.K == K::Acquire)
+      E.Text = std::string(1 + (I * 37) % 300, static_cast<char>('a' + I % 26));
+    dlf::interpose::appendTraceLine({E.K, E.A, E.B, E.Text}, Text);
+    Events.push_back(std::move(E));
+  }
+  ReadOutcome R = readTraceText(Text);
+  ASSERT_EQ(R.Status, dlf::analysis::TraceReadStatus::Ok) << R.Error;
+  expectEvents(R.Events, Events);
+}
+
+TEST(TraceLineCodec, ReaderTakesLinesLongerThanAChunk) {
+  using K = dlf::analysis::TraceEvent::Kind;
+  const std::string H = dlf::interpose::TraceHeader;
+  const std::string Site(200 * 1024, 's');
+  const std::string Comment = "#" + std::string(150 * 1024, 'c');
+  ReadOutcome R =
+      readTraceText(H + Comment + "\nA 1 7 " + Site + "\nR 1 7\n");
+  ASSERT_EQ(R.Status, dlf::analysis::TraceReadStatus::Ok) << R.Error;
+  expectEvents(R.Events, {{K::Acquire, 1, 7, Site}, {K::Release, 1, 7, ""}});
+
+  // A malformed line that long is echoed whole.
+  const std::string Digits(100 * 1024, '9');
+  R = readTraceText(H + "A 1 " + Digits + " s\n");
+  EXPECT_EQ(R.Status, dlf::analysis::TraceReadStatus::Unreadable);
+  EXPECT_EQ(R.Error,
+            corruptLine(2, "malformed acquire event", "A 1 " + Digits + " s"));
+}
+
 TEST(CycleSpecCodec, RoundTripsReportSpecs) {
   using dlf::interpose::CycleSpecComponent;
   std::vector<CycleSpecComponent> Cycle = {

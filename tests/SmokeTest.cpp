@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "campaign/ProcessSandbox.h"
 #include "fuzzer/ActiveTester.h"
 #include "runtime/Mutex.h"
 #include "runtime/Runtime.h"
@@ -14,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+
+#include <sched.h>
 
 namespace {
 
@@ -75,11 +78,27 @@ TEST(Smoke, Figure1PhaseTwoReproducesWithProbabilityOne) {
 }
 
 TEST(Smoke, Figure1PassthroughNeverDeadlocks) {
+  // "Rarely happens" is a single-CPU claim: there thread1's long-running
+  // methods keep the two lock windows apart. On several cores the windows
+  // can overlap and a plain run can deadlock for real (it hung this test
+  // 2 times in 20 loaded ctest runs on a 4-core host). So each run is a
+  // sandboxed child pinned to the CPU it starts on, under a watchdog: a
+  // deadlock fails the test instead of hanging the suite.
   ActiveTesterConfig Config;
   ActiveTester Tester(figure1Program, Config);
+  campaign::SandboxLimits Limits;
+  Limits.TimeoutMs = 3000;
   for (int I = 0; I != 5; ++I) {
-    ExecutionResult R = Tester.runPassthrough();
-    EXPECT_TRUE(R.Completed);
+    campaign::SandboxResult R = campaign::runInSandbox(
+        [&Tester](int) {
+          cpu_set_t One;
+          CPU_ZERO(&One);
+          CPU_SET(sched_getcpu(), &One);
+          sched_setaffinity(0, sizeof(One), &One);
+          return Tester.runPassthrough().Completed ? 0 : 1;
+        },
+        Limits);
+    EXPECT_EQ(R.Status, campaign::SandboxStatus::Completed) << R.triage();
   }
 }
 

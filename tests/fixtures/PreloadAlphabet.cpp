@@ -30,6 +30,7 @@ pthread_cond_t Drained = PTHREAD_COND_INITIALIZER;
 pthread_mutex_t TimedLock = PTHREAD_MUTEX_INITIALIZER;
 pthread_cond_t NeverSignaled = PTHREAD_COND_INITIALIZER;
 int Ready = 0;
+int Parked = 0;
 int Work = 0;
 
 } // namespace
@@ -66,6 +67,7 @@ extern "C" void *alphabetWriter(void *) {
 
 extern "C" void *alphabetWaiter(void *) {
   pthread_mutex_lock(&StateLock);
+  Parked = 1; // StateLock is held until the wait below releases it
   while (!Ready)
     pthread_cond_wait(&Drained, &StateLock);
   ++Work;
@@ -117,11 +119,17 @@ int main() {
   pthread_join(Writer, nullptr);
   pthread_rwlock_destroy(&Table);
 
-  // One real signal -> wakeup edge.
+  // One real signal -> wakeup edge. Signal only once the waiter is parked
+  // in the wait: seeing Parked under StateLock means it is.
   pthread_t Waiter;
   pthread_create(&Waiter, nullptr, alphabetWaiter, nullptr);
-  usleep(2 * 1000);
-  pthread_mutex_lock(&StateLock);
+  for (;;) {
+    pthread_mutex_lock(&StateLock);
+    if (Parked)
+      break;
+    pthread_mutex_unlock(&StateLock);
+    usleep(1000);
+  }
   Ready = 1;
   pthread_cond_signal(&Drained);
   pthread_mutex_unlock(&StateLock);
