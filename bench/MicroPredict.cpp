@@ -3,8 +3,7 @@
 // Measures the --predict engine (analysis/Predict): verdict cost as the
 // recorded trace grows with the cycle count held fixed (the engine's
 // near-linear contract — indexing walks the trace once and the witness
-// fixpoint touches each included event a bounded number of times), and the
-// scaling of the per-cycle verdict shard across worker threads.
+// fixpoint touches each included event a bounded number of times).
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <vector>
 
 using namespace dlf;
 using namespace dlf::analysis;
@@ -104,25 +102,6 @@ BENCHMARK(BM_PredictLinear)
     ->RangeMultiplier(4)
     ->Range(1 << 8, 1 << 14)
     ->Complexity(benchmark::oN);
-
-/// Verdict sharding across worker threads on a cycle-heavy trace; verdicts
-/// are identical for every job count, only the wall clock moves.
-void BM_ClosureParallelJobs(benchmark::State &State) {
-  const unsigned Jobs = static_cast<unsigned>(State.range(0));
-  TraceFile Trace = paddedTrace(/*Pairs=*/24, /*Filler=*/4096);
-  PredictOptions Opts;
-  Opts.Jobs = Jobs;
-  std::vector<AbstractCycle> Cycles = predictDeadlocks(Trace).Cycles;
-  if (Cycles.size() != 24)
-    State.SkipWithError("unexpected cycle structure");
-  for (auto _ : State) {
-    std::vector<CyclePrediction> Preds = evaluateCycles(Trace, Cycles, Opts);
-    benchmark::DoNotOptimize(Preds.data());
-  }
-  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
-                          static_cast<int64_t>(Cycles.size()));
-}
-BENCHMARK(BM_ClosureParallelJobs)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 } // namespace
 

@@ -15,7 +15,9 @@
 # times slower, so those tiers use a reduced per-test timeout rather than
 # the suite default. Tier 3 (bench smoke): builds the micro-benchmark
 # binaries and runs one short closure case so bench-code rot is caught
-# here, not when someone finally reruns scripts/bench.sh.
+# here, not when someone finally reruns scripts/bench.sh; it then grades
+# the analyze-tangle trace at ten fixed seeds and checks the verdict
+# counts the generator plants.
 # Tier 4 (telemetry smoke): a small campaign with --metrics-out and
 # --timeline-out; the trace must parse as JSON and the metrics must carry
 # the expected dlf_* names — catching export-format rot end to end.
@@ -96,8 +98,8 @@ cmake --build build-tsan -j "$JOBS" --target \
 build-tsan/tests/runtime_test
 build-tsan/tests/scheduler_test
 build-tsan/tests/parallel_closure_test
-# The sharded verdict workers under TSan: the shared trace index is
-# read-only and the per-worker closure state must never alias.
+# The predictor under TSan: its tests run the sharded iGoodlock closure
+# at several --analysis-jobs values before grading.
 build-tsan/tests/predict_test
 # The lock-free ring writer/reader under TSan: the seqlock stamps, the
 # cached head/tail refreshes, and the cross-shard merge must be race-free.
@@ -110,7 +112,7 @@ build-tsan/tests/status_server_test
 build-tsan/src/dlf-run rwlock-abba --reps 3 --seed 1 >/dev/null
 build-tsan/src/dlf-run condvar-hybrid --reps 3 --seed 1 >/dev/null
 
-echo "== tier 3: bench smoke (build + one short closure case) =="
+echo "== tier 3: bench smoke (short bench cases) + tangle verdict check =="
 cmake --build build -j "$JOBS" --target \
   micro_igoodlock micro_abstraction micro_scheduler micro_analysis \
   micro_predict
@@ -121,6 +123,32 @@ build/bench/micro_analysis \
   --benchmark_filter='BM_GuardPrune' --benchmark_min_time=0.02
 build/bench/micro_predict \
   --benchmark_filter='BM_PredictLinear/256' --benchmark_min_time=0.02
+# Verdict check: the analyze-tangle trace at ten fixed seeds must grade
+# as constructed: 14 cycles, 6 PREDICTED-SOUND, 4 guarded, 4 hb-ordered.
+# The generator is imported read-only (no bytecode written beside it).
+DLF_ANALYZE=build/src/dlf-analyze PYTHONDONTWRITEBYTECODE=1 python3 - <<'PY'
+import os, subprocess, sys, tempfile
+sys.path.insert(0, "e2ebench")
+import tangle
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "tangle.trace")
+    for seed in range(201, 211):
+        tangle.write(path, seed)
+        out = subprocess.run([os.environ["DLF_ANALYZE"], path, "--predict"],
+                             check=True, capture_output=True,
+                             text=True).stdout
+        verdicts = [l for l in out.splitlines() if l.startswith("prediction: ")]
+        got = (len(verdicts),
+               sum("PREDICTED-SOUND" in l for l in verdicts),
+               sum("UNCONFIRMED (guarded" in l for l in verdicts),
+               sum(l.endswith("UNCONFIRMED (hb-ordered)") for l in verdicts))
+        if got != (14, 6, 4, 4):
+            sys.exit("tangle seed %d: cycles/sound/guarded/hb-ordered = %s, "
+                     "want (14, 6, 4, 4)" % (seed, got))
+print("tangle verdicts: 10 seeds, 14 cycles each (6 sound, 4 guarded, "
+      "4 hb-ordered)")
+PY
 
 echo "== tier 4: telemetry smoke (campaign export formats) =="
 TELDIR="$(mktemp -d)"

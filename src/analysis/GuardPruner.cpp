@@ -45,19 +45,11 @@ std::string CycleClassification::label() const {
   return S;
 }
 
-namespace {
-
-/// Indices into Log.entries() that could witness one cycle component.
-using Candidates = std::vector<size_t>;
-
-/// Entries matching a component, preferring the exact (thread, lock,
-/// context) triple the closure actually chained; when the dedup in the
-/// dependency log or abstraction collapse lost that triple, any (thread,
-/// lock) match keeps the analysis conservative rather than vacuous.
-Candidates matchComponent(const std::vector<DependencyEntry> &Entries,
-                          const CycleComponent &Comp) {
-  Candidates Exact;
-  Candidates Loose;
+std::vector<size_t>
+dlf::analysis::matchComponent(const std::vector<DependencyEntry> &Entries,
+                              const CycleComponent &Comp) {
+  std::vector<size_t> Exact;
+  std::vector<size_t> Loose;
   for (size_t I = 0; I != Entries.size(); ++I) {
     const DependencyEntry &E = Entries[I];
     if (E.Thread != Comp.Thread || E.Acquired != Comp.Lock)
@@ -69,20 +61,22 @@ Candidates matchComponent(const std::vector<DependencyEntry> &Entries,
   return Exact.empty() ? Loose : Exact;
 }
 
+namespace {
+
 /// The mode of a held occurrence; entries recorded without modes default
 /// to Exclusive (the pre-mode semantics).
 LockMode heldModeAt(const DependencyEntry &E, size_t K) {
   return K < E.HeldModes.size() ? E.HeldModes[K] : LockMode::Exclusive;
 }
 
-/// True when some lock is held by every entry of the assignment *and*
-/// actually excludes: a lock held Shared by every entry lets all of them
-/// hold it simultaneously, so it discharges nothing — a guard needs at
-/// least one exclusive holder (which then conflicts with every other
-/// holder). Held sets are tiny (lock-nesting depth), so the quadratic
-/// scan beats building hash sets.
-bool findCommonGuard(const std::vector<DependencyEntry> &Entries,
-                     const std::vector<size_t> &Assign, LockId &Guard) {
+} // namespace
+
+// Held sets are tiny (lock-nesting depth), so the quadratic scan beats
+// building hash sets. Exclusivity is ORed over every hold of the lock: a
+// stack may name one lock twice, and any exclusive hold excludes.
+bool dlf::analysis::findCommonGuard(const std::vector<DependencyEntry> &Entries,
+                                    const std::vector<size_t> &Assign,
+                                    LockId &Guard) {
   const DependencyEntry &First = Entries[Assign[0]];
   LockId Best; // invalid
   for (size_t K0 = 0; K0 != First.Held.size(); ++K0) {
@@ -106,14 +100,11 @@ bool findCommonGuard(const std::vector<DependencyEntry> &Entries,
   return Best.isValid();
 }
 
-/// True when some pair of entries in the assignment is ordered by the
-/// recorded happens-before relation. Empty clocks (tracking off) yield
-/// NoInfo and never order anything away.
-bool hasOrderedPair(const std::vector<DependencyEntry> &Entries,
-                    const std::vector<size_t> &Assign) {
-  for (size_t I = 0; I != Assign.size(); ++I) {
-    for (size_t J = I + 1; J != Assign.size(); ++J) {
-      VcOrder O = vcOrder(Entries[Assign[I]].Clock, Entries[Assign[J]].Clock);
+bool dlf::analysis::hasOrderedPair(
+    const std::vector<const VectorClock *> &Clocks) {
+  for (size_t I = 0; I != Clocks.size(); ++I) {
+    for (size_t J = I + 1; J != Clocks.size(); ++J) {
+      VcOrder O = vcOrder(*Clocks[I], *Clocks[J]);
       if (O == VcOrder::Before || O == VcOrder::After || O == VcOrder::Equal)
         return true;
     }
@@ -121,9 +112,10 @@ bool hasOrderedPair(const std::vector<DependencyEntry> &Entries,
   return false;
 }
 
+namespace {
+
 CycleClassification classifyOne(const LockDependencyLog &Log,
-                                const AbstractCycle &Cycle,
-                                const GuardPrunerOptions &Opts) {
+                                const AbstractCycle &Cycle) {
   CycleClassification Result;
 
   std::unordered_set<ThreadId> Threads;
@@ -135,16 +127,16 @@ CycleClassification classifyOne(const LockDependencyLog &Log,
   }
 
   const std::vector<DependencyEntry> &Entries = Log.entries();
-  std::vector<Candidates> PerComp;
+  std::vector<std::vector<size_t>> PerComp;
   uint64_t Assignments = 1;
   for (const CycleComponent &Comp : Cycle.Components) {
-    Candidates C = matchComponent(Entries, Comp);
+    std::vector<size_t> C = matchComponent(Entries, Comp);
     // A component with no witnessing entry (shouldn't happen for cycles the
     // closure itself produced, but deserialized cycles from another run can
     // get here): nothing provable, stay Schedulable.
     if (C.empty())
       return Result;
-    if (Assignments > Opts.MaxAssignments / C.size())
+    if (Assignments > AssignmentCap / C.size())
       return Result;
     Assignments *= C.size();
     PerComp.push_back(std::move(C));
@@ -158,10 +150,12 @@ CycleClassification classifyOne(const LockDependencyLog &Log,
   bool SawOrdered = false;
   LockId GuardWitness;
   std::vector<size_t> Pick(PerComp.size());
+  std::vector<const VectorClock *> Clocks(PerComp.size());
   for (uint64_t N = 0; N != Assignments; ++N) {
     uint64_t Rest = N;
     for (size_t I = 0; I != PerComp.size(); ++I) {
       Pick[I] = PerComp[I][Rest % PerComp[I].size()];
+      Clocks[I] = &Entries[Pick[I]].Clock;
       Rest /= PerComp[I].size();
     }
     LockId Guard;
@@ -171,7 +165,7 @@ CycleClassification classifyOne(const LockDependencyLog &Log,
       SawGuard = true;
       continue;
     }
-    if (hasOrderedPair(Entries, Pick)) {
+    if (hasOrderedPair(Clocks)) {
       SawOrdered = true;
       continue;
     }
@@ -191,12 +185,11 @@ CycleClassification classifyOne(const LockDependencyLog &Log,
 
 std::vector<CycleClassification>
 dlf::analysis::classifyCycles(const LockDependencyLog &Log,
-                              const std::vector<AbstractCycle> &Cycles,
-                              const GuardPrunerOptions &Opts) {
+                              const std::vector<AbstractCycle> &Cycles) {
   std::vector<CycleClassification> Out;
   Out.reserve(Cycles.size());
   for (const AbstractCycle &Cycle : Cycles)
-    Out.push_back(classifyOne(Log, Cycle, Opts));
+    Out.push_back(classifyOne(Log, Cycle));
   if (telemetry::enabled()) {
     telemetry::Registry &R = telemetry::Registry::global();
     for (const CycleClassification &C : Out) {

@@ -38,9 +38,11 @@
 #ifndef DLF_ANALYSIS_GUARDPRUNER_H
 #define DLF_ANALYSIS_GUARDPRUNER_H
 
+#include "event/VectorClock.h"
 #include "igoodlock/LockDependency.h"
 #include "igoodlock/Report.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -68,11 +70,10 @@ struct CycleClassification {
   std::string label() const;
 };
 
-struct GuardPrunerOptions {
-  /// Cap on dependency-entry assignments enumerated per cycle; past it the
-  /// cycle is conservatively Schedulable.
-  uint64_t MaxAssignments = 4096;
-};
+/// Cap on the assignments a cycle is graded over. Past it the pruner keeps
+/// the cycle Schedulable; the predictor (analysis/Predict.h) tries the
+/// first AssignmentCap and reports assignment-cap when none settles it.
+constexpr uint64_t AssignmentCap = 4096;
 
 /// Classifies every cycle in \p Cycles against the dependency relation that
 /// produced it. Components are matched back to entries by (thread, lock,
@@ -81,8 +82,28 @@ struct GuardPrunerOptions {
 /// order between members).
 std::vector<CycleClassification>
 classifyCycles(const LockDependencyLog &Log,
-               const std::vector<AbstractCycle> &Cycles,
-               const GuardPrunerOptions &Opts = {});
+               const std::vector<AbstractCycle> &Cycles);
+
+// The matching and the two discharge tests, shared with the predictor.
+
+/// Indices into \p Entries that could witness \p Comp: the entries of the
+/// exact (thread, lock, context) triple the closure chained, or, when the
+/// abstraction collapse lost that triple, every (thread, lock) entry,
+/// which keeps the analysis conservative rather than vacuous.
+std::vector<size_t> matchComponent(const std::vector<DependencyEntry> &Entries,
+                                   const CycleComponent &Comp);
+
+/// True when some lock is held by every entry of \p Assign and at least
+/// one of those holds is exclusive; \p Guard is then the smallest such
+/// lock. A lock every entry holds Shared lets all of them in at once, so
+/// it discharges nothing.
+bool findCommonGuard(const std::vector<DependencyEntry> &Entries,
+                     const std::vector<size_t> &Assign, LockId &Guard);
+
+/// True when some pair of \p Clocks is ordered (Before, After or Equal) by
+/// the recorded happens-before relation. Empty clocks (tracking off) yield
+/// NoInfo and never order anything away.
+bool hasOrderedPair(const std::vector<const VectorClock *> &Clocks);
 
 } // namespace analysis
 } // namespace dlf

@@ -13,25 +13,6 @@
 namespace dlf {
 namespace analysis {
 
-namespace {
-
-/// Forwards the walk's thread/lock declarations and acquires (with the
-/// held stack and clock at the request) to the dependency log.
-struct LogVisitor : SyncVisitor {
-  const SyncWalker &W;
-  LockDependencyLog &Log;
-
-  LogVisitor(const SyncWalker &W, LockDependencyLog &Log) : W(W), Log(Log) {}
-  void threadNew(uint32_t T) { Log.onThreadCreated(W.thread(T)); }
-  void lockNew(uint32_t L) { Log.onLockCreated(W.lock(L)); }
-  void acquire(uint32_t T, uint32_t L, Label Site, LockMode Mode) {
-    const ThreadRecord &R = W.thread(T);
-    Log.onAcquireExecuted(R, W.lock(L), R.LockStack, Site, Mode);
-  }
-};
-
-} // namespace
-
 std::string cycleSpecOf(const AbstractCycle &Cycle) {
   std::vector<interpose::CycleSpecComponent> Spec;
   Spec.reserve(Cycle.Components.size());

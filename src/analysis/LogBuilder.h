@@ -42,6 +42,24 @@
 namespace dlf {
 namespace analysis {
 
+/// Forwards the walk's thread/lock declarations and acquires (with the
+/// held stack and clock at the request) to the dependency log. An analysis
+/// that needs more from the same walk derives from it and calls these hooks
+/// from its own.
+struct LogVisitor : SyncVisitor {
+  const SyncWalker &W;
+  LockDependencyLog &Log;
+
+  LogVisitor(const SyncWalker &W, LockDependencyLog &Log) : W(W), Log(Log) {}
+  void threadNew(uint32_t T) { Log.onThreadCreated(W.thread(T)); }
+  void lockNew(uint32_t L) { Log.onLockCreated(W.lock(L)); }
+  /// Returns the index of the dependency entry the acquire mapped to.
+  size_t acquire(uint32_t T, uint32_t L, Label Site, LockMode Mode) {
+    const ThreadRecord &R = W.thread(T);
+    return Log.addAcquire(R, W.lock(L), R.LockStack, Site, Mode);
+  }
+};
+
 class IncrementalLogBuilder {
 public:
   /// Semantic warnings ("acquire references unknown thread") go to

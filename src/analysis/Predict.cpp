@@ -6,25 +6,26 @@
 //
 // Two layers:
 //
-//  1. TraceIndex — one serial walk over the trace building, per thread, the
-//     ordered list of synchronization events (acquires, releases, wakeups,
-//     joins, forks), per lock the critical-section list in trace order, and
-//     for every acquire an Occurrence carrying the held-set, context and
-//     must-order vector clock at the request, all read off the shared
-//     SyncWalker (analysis/SyncWalker.h) before it applies the acquire.
+//  1. TraceIndex — the one walk over the trace (analysis/SyncWalker.h). Its
+//     visitor feeds the lock dependency log through LogBuilder's hooks and
+//     records, per thread, the ordered list of synchronization events
+//     (acquires, releases, wakeups, joins, forks), per lock the
+//     critical-section list in trace order, and per dependency entry the
+//     first MaxOccurrences acquires that mapped to it, each with its
+//     must-order clock at the request.
 //
-//  2. Per-cycle verdicts — components are matched to occurrences exactly
-//     like the guard pruner (exact context preferred, loose fallback,
-//     capped, first-in-trace-order), assignments are enumerated mixed-radix
-//     under a cap, and each assignment runs pre-filters (wait-edge modes,
-//     common guard, pairwise clock concurrency) and then the
-//     sync-preserving closure: a fixpoint over per-thread included-prefix
-//     lengths. Including an acquire whose critical section conflicts with a
-//     later included acquire on the same lock forces its release in; wakeups
-//     force their notify; joins force the whole joined thread; any included
-//     event of a forked thread forces the fork. Cycle threads' prefixes are
-//     fixed at their request event, so a requirement landing past a fixed
-//     boundary fails the assignment.
+//  2. Per-cycle verdicts — components are matched to dependency entries by
+//     the guard pruner's matcher (exact context preferred, loose fallback);
+//     their occurrences are merged in trace order and capped. Assignments
+//     are enumerated mixed-radix under a cap, and each assignment runs
+//     pre-filters (wait-edge modes, then the pruner's common-guard and
+//     ordered-pair tests) and then the sync-preserving closure: a fixpoint
+//     over per-thread included-prefix lengths. Including an acquire whose
+//     critical section conflicts with a later included acquire on the same
+//     lock forces its release in; wakeups force their notify; joins force
+//     the whole joined thread; any included event of a forked thread forces
+//     the fork. Cycle threads' prefixes are fixed at their request event, so
+//     a requirement landing past a fixed boundary fails the assignment.
 //
 // Soundness rests on a trace invariant: conflicting critical sections never
 // overlap in the trace (acquire lines are written at grant, both by the
@@ -38,17 +39,17 @@
 
 #include "analysis/Predict.h"
 
-#include "event/Label.h"
-#include "event/VectorClock.h"
+#include "analysis/GuardPruner.h"
 #include "analysis/LogBuilder.h"
 #include "analysis/SyncWalker.h"
+#include "event/VectorClock.h"
+#include "igoodlock/LockDependency.h"
 #include "telemetry/Metrics.h"
 
 #include <algorithm>
 #include <chrono>
 #include <limits>
 #include <ostream>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -58,6 +59,9 @@ namespace analysis {
 namespace {
 
 constexpr uint32_t NoRelease = std::numeric_limits<uint32_t>::max();
+
+/// Concrete acquires tried per cycle component: the first in trace order.
+constexpr size_t MaxOccurrences = 8;
 
 /// One per-thread synchronization event, in program order.
 struct IndexedEvent {
@@ -86,15 +90,15 @@ struct CritSec {
   LockMode Mode = LockMode::Exclusive;
 };
 
-/// One concrete acquire, snapshotted at the request.
+/// One concrete acquire. Its mode, held set and context are its dependency
+/// entry's: both are read off the walker before it applies the acquire,
+/// and the entry's dedup key covers all three.
 struct Occurrence {
   uint32_t Thread = 0; ///< dense
-  uint32_t LockDense = 0;
-  LockMode Mode = LockMode::Exclusive;
-  uint32_t Ord = 0; ///< ordinal of the acquire event (= the fixed prefix)
-  std::vector<Label> Context;
-  std::vector<LockStackEntry> Held;
-  VectorClock Clock;
+  uint32_t Ord = 0;    ///< ordinal of the acquire event (= the fixed prefix)
+  uint64_t Pos = 0;    ///< global trace position (merge order)
+  size_t Entry = 0;    ///< index into the dependency log's entries
+  VectorClock Clock;   ///< must-order clock at the request
 };
 
 struct PerThread {
@@ -111,9 +115,8 @@ struct PerLock {
   bool Irregular = false;
 };
 
-/// The walk output (layer 1). Built once per evaluateCycles call, then
-/// shared read-only across verdict workers. Threads and locks are indexed
-/// by the walker's dense ids.
+/// The walk output (layer 1). Threads and locks are indexed by the
+/// walker's dense ids.
 class TraceIndex {
 public:
   explicit TraceIndex(const TraceFile &Trace);
@@ -123,27 +126,22 @@ public:
   /// schedule artifact that a sync-preserving reordering may undo whenever
   /// the consuming critical section is left out of the witness; the
   /// closure enforces lock ordering precisely where it is load-bearing.
-  /// This also makes the hb-ordered pre-filter agree with the guard
-  /// pruner, whose LogBuilder runs the same walker.
+  /// The dependency log, and so the guard pruner, reads the same clocks.
   SyncWalker Walk{SyncOrder::MustOrder};
+  LockDependencyLog Log;
   std::vector<PerThread> Threads;
   std::vector<PerLock> Locks;
-  std::vector<Occurrence> Occs; ///< all acquires, trace order
-  /// (thread raw, lock raw) -> occurrence indices, trace order. Keys are
-  /// mixed; hits re-verify the pair, so a collision only costs time.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> OccsByTL;
-  uint64_t AcquireEvents = 0;
-
-  static uint64_t tlKey(uint64_t T, uint64_t L) {
-    return T * 0x9E3779B97F4A7C15ull ^ L;
-  }
+  /// Per dependency entry, its first MaxOccurrences acquires in trace
+  /// order. The first MaxOccurrences of a union of entries are among
+  /// these, so no component loses a candidate.
+  std::vector<std::vector<Occurrence>> Occs;
 };
 
-/// Builds the per-thread event lists, critical sections and occurrences
-/// from the walk; holds the walk-only state discarded after construction.
-struct IndexVisitor : SyncVisitor {
+/// Feeds the dependency log and builds the per-thread event lists,
+/// critical sections and occurrences from the same walk; holds the
+/// walk-only state discarded after construction.
+struct IndexVisitor : LogVisitor {
   TraceIndex &Ix;
-  const SyncWalker &W;
   // Per (thread, lock): open critical-section indices, innermost last.
   std::vector<std::unordered_map<uint32_t, std::vector<uint32_t>>> OpenCs;
   // Per lock: currently open conflict state for the overlap check.
@@ -152,17 +150,19 @@ struct IndexVisitor : SyncVisitor {
   /// Per condvar: the Wake event a wakeup records, naming the last notify.
   std::unordered_map<uint64_t, IndexedEvent> WakeByCond;
 
-  explicit IndexVisitor(TraceIndex &Ix) : Ix(Ix), W(Ix.Walk) {}
+  explicit IndexVisitor(TraceIndex &Ix) : LogVisitor(Ix.Walk, Ix.Log), Ix(Ix) {}
 
   std::vector<IndexedEvent> &evs(uint32_t T) { return Ix.Threads[T].Evs; }
 
   void threadNew(uint32_t T) {
+    LogVisitor::threadNew(T);
     if (Ix.Threads.size() <= T) {
       Ix.Threads.resize(T + 1);
       OpenCs.resize(T + 1);
     }
   }
   void lockNew(uint32_t L) {
+    LogVisitor::lockNew(L);
     if (Ix.Locks.size() <= L) {
       Ix.Locks.resize(L + 1);
       OpenExcl.resize(L + 1, 0);
@@ -180,20 +180,19 @@ struct IndexVisitor : SyncVisitor {
     evs(J).push_back({IndexedEvent::JoinEdge, 0, 0, T, Count, true});
   }
   void acquire(uint32_t T, uint32_t L, Label Site, LockMode Mode) {
+    size_t Entry = LogVisitor::acquire(T, L, Site, Mode);
     bool Shared = Mode == LockMode::Shared;
-    ++Ix.AcquireEvents;
     // Grant-order invariant check: a conflicting critical section open at
     // this acquire means the trace interleaves conflicting holds.
     if (OpenExcl[L] != 0 || (!Shared && OpenShared[L] != 0))
       Ix.Locks[L].Irregular = true;
 
-    const ThreadRecord &R = W.thread(T);
     auto Ord = static_cast<uint32_t>(evs(T).size());
-    Occurrence O{T, L, Mode, Ord, {}, R.LockStack, R.Clock};
-    O.Context.reserve(O.Held.size() + 1);
-    for (const LockStackEntry &S : O.Held)
-      O.Context.push_back(S.Site);
-    O.Context.push_back(Site);
+    if (Entry == Ix.Occs.size())
+      Ix.Occs.emplace_back();
+    std::vector<Occurrence> &Occs = Ix.Occs[Entry];
+    if (Occs.size() < MaxOccurrences)
+      Occs.push_back({T, Ord, W.eventsSeen(), Entry, W.thread(T).Clock});
 
     auto CsIdx = static_cast<uint32_t>(Ix.Locks[L].CSes.size());
     Ix.Locks[L].CSes.push_back({W.eventsSeen(), T, Ord, NoRelease, Mode});
@@ -201,10 +200,6 @@ struct IndexVisitor : SyncVisitor {
     ++(Shared ? OpenShared[L] : OpenExcl[L]);
 
     evs(T).push_back({IndexedEvent::Acquire, L, CsIdx});
-
-    Ix.OccsByTL[TraceIndex::tlKey(R.Id.Raw, W.lock(L).Id.Raw)].push_back(
-        static_cast<uint32_t>(Ix.Occs.size()));
-    Ix.Occs.push_back(std::move(O));
   }
   void release(uint32_t T, const TraceEvent &E, bool Held) {
     if (!Held)
@@ -237,7 +232,7 @@ TraceIndex::TraceIndex(const TraceFile &Trace) {
 }
 
 /// The sync-preserving closure over one candidate assignment (layer 2).
-/// Scratch buffers are reused across assignments of one worker.
+/// Scratch buffers are reused across assignments and cycles.
 class ClosureState {
 public:
   explicit ClosureState(const TraceIndex &Ix) : Ix(Ix) {
@@ -431,31 +426,21 @@ private:
   bool Failed = false;
 };
 
-/// Matches one cycle component to trace occurrences: (thread, lock) pairs,
-/// exact context preferred, first MaxOccurrencesPerComponent in trace order
-/// (the guard pruner's discipline, so the engines agree on witnesses).
-std::vector<uint32_t> matchComponent(const TraceIndex &Ix,
-                                     const CycleComponent &Comp,
-                                     size_t Cap) {
-  std::vector<uint32_t> Exact;
-  std::vector<uint32_t> Loose;
-  auto It = Ix.OccsByTL.find(TraceIndex::tlKey(Comp.Thread.Raw,
-                                               Comp.Lock.Raw));
-  if (It == Ix.OccsByTL.end())
-    return Exact;
-  for (uint32_t OccIdx : It->second) {
-    const Occurrence &O = Ix.Occs[OccIdx];
-    if (Ix.Walk.thread(O.Thread).Id.Raw != Comp.Thread.Raw ||
-        Ix.Walk.lock(O.LockDense).Id.Raw != Comp.Lock.Raw)
-      continue; // key collision
-    if (O.Context == Comp.Context) {
-      if (Exact.size() < Cap)
-        Exact.push_back(OccIdx);
-    } else if (Loose.size() < Cap) {
-      Loose.push_back(OccIdx);
-    }
-  }
-  return Exact.empty() ? Loose : Exact;
+/// The candidates for one component: the occurrences of the entries the
+/// pruner's matcher picks, merged in trace order, first MaxOccurrences.
+std::vector<const Occurrence *> candidates(const TraceIndex &Ix,
+                                           const CycleComponent &Comp) {
+  std::vector<const Occurrence *> Out;
+  for (size_t E : matchComponent(Ix.Log.entries(), Comp))
+    for (const Occurrence &O : Ix.Occs[E])
+      Out.push_back(&O);
+  std::sort(Out.begin(), Out.end(),
+            [](const Occurrence *A, const Occurrence *B) {
+              return A->Pos < B->Pos;
+            });
+  if (Out.size() > MaxOccurrences)
+    Out.resize(MaxOccurrences);
+  return Out;
 }
 
 CyclePrediction unconfirmed(std::string Reason) {
@@ -465,10 +450,9 @@ CyclePrediction unconfirmed(std::string Reason) {
   return P;
 }
 
-/// Verdict for one cycle: a pure function of (index, cycle, options).
+/// Verdict for one cycle: a pure function of (index, cycle).
 CyclePrediction evaluateOne(const TraceIndex &Ix, const AbstractCycle &Cycle,
-                            const PredictOptions &Opts, ClosureState &Closure,
-                            uint64_t &AssignmentsTried) {
+                            ClosureState &Closure, uint64_t &AssignmentsTried) {
   const std::vector<CycleComponent> &Comps = Cycle.Components;
   const size_t M = Comps.size();
   if (M < 2)
@@ -480,11 +464,10 @@ CyclePrediction evaluateOne(const TraceIndex &Ix, const AbstractCycle &Cycle,
         return unconfirmed("single-thread");
   }
 
-  std::vector<std::vector<uint32_t>> PerComp;
+  std::vector<std::vector<const Occurrence *>> PerComp;
   PerComp.reserve(M);
   for (const CycleComponent &C : Comps) {
-    PerComp.push_back(
-        matchComponent(Ix, C, Opts.MaxOccurrencesPerComponent));
+    PerComp.push_back(candidates(Ix, C));
     if (PerComp.back().empty())
       return unconfirmed("no-witness");
   }
@@ -492,25 +475,30 @@ CyclePrediction evaluateOne(const TraceIndex &Ix, const AbstractCycle &Cycle,
   // Mixed-radix assignment space, saturated at the cap.
   uint64_t Total = 1;
   bool Capped = false;
-  for (const std::vector<uint32_t> &P : PerComp) {
-    if (Total > Opts.MaxAssignments / P.size()) {
+  for (const std::vector<const Occurrence *> &P : PerComp) {
+    if (Total > AssignmentCap / P.size()) {
       Capped = true;
-      Total = Opts.MaxAssignments;
+      Total = AssignmentCap;
       break;
     }
     Total *= P.size();
   }
 
+  const std::vector<DependencyEntry> &Entries = Ix.Log.entries();
   bool SawGuard = false;
   std::string GuardName;
   bool SawOrdered = false;
   bool SawSyncViol = false;
   std::vector<const Occurrence *> Picks(M);
+  std::vector<size_t> PickEntries(M);
+  std::vector<const VectorClock *> Clocks(M);
   for (uint64_t A = 0; A != Total; ++A) {
     ++AssignmentsTried;
     uint64_t Rest = A;
     for (size_t I = 0; I != M; ++I) {
-      Picks[I] = &Ix.Occs[PerComp[I][Rest % PerComp[I].size()]];
+      Picks[I] = PerComp[I][Rest % PerComp[I].size()];
+      PickEntries[I] = Picks[I]->Entry;
+      Clocks[I] = &Picks[I]->Clock;
       Rest /= PerComp[I].size();
     }
 
@@ -518,58 +506,28 @@ CyclePrediction evaluateOne(const TraceIndex &Ix, const AbstractCycle &Cycle,
     // component's hold of that lock, mode-aware.
     bool EdgesOk = true;
     for (size_t I = 0; I != M && EdgesOk; ++I) {
-      const Occurrence &Next = *Picks[(I + 1) % M];
+      const DependencyEntry &Next = Entries[PickEntries[(I + 1) % M]];
+      LockMode Requested = Entries[PickEntries[I]].AcquiredMode;
       EdgesOk = false;
-      for (const LockStackEntry &H : Next.Held)
-        if (H.Lock.Raw == Comps[I].Lock.Raw &&
-            lockModesConflict(Picks[I]->Mode, H.Mode)) {
-          EdgesOk = true;
-          break;
-        }
+      for (size_t K = 0; K != Next.Held.size() && !EdgesOk; ++K)
+        EdgesOk = Next.Held[K] == Comps[I].Lock &&
+                  lockModesConflict(Requested, Next.HeldModes[K]);
     }
     if (!EdgesOk)
       continue;
 
-    // Common guard: a lock in every held set with at least one exclusive
-    // holder excludes simultaneous arrival (the pruner's Guarded rule).
-    {
-      uint64_t Guard = 0;
-      bool Found = false;
-      for (const LockStackEntry &H : Picks[0]->Held) {
-        bool AnyExcl = H.Mode == LockMode::Exclusive;
-        bool All = true;
-        for (size_t I = 1; I != M && All; ++I) {
-          All = false;
-          for (const LockStackEntry &H2 : Picks[I]->Held)
-            if (H2.Lock.Raw == H.Lock.Raw) {
-              All = true;
-              AnyExcl |= H2.Mode == LockMode::Exclusive;
-              break;
-            }
-        }
-        if (All && AnyExcl && (!Found || H.Lock.Raw < Guard)) {
-          Guard = H.Lock.Raw;
-          Found = true;
-        }
-      }
-      if (Found) {
-        SawGuard = true;
-        if (GuardName.empty())
-          GuardName = Ix.Walk.lock(Ix.Walk.findLock(Guard)).Name;
-        continue;
-      }
+    // The pruner's discharges, per assignment: the first guarded
+    // assignment names the guard.
+    LockId Guard;
+    if (findCommonGuard(Entries, PickEntries, Guard)) {
+      SawGuard = true;
+      if (GuardName.empty())
+        GuardName = Ix.Log.lockInfo(Guard).Name;
+      continue;
     }
-
-    // Mutual concurrency of the requests under the full-sync clocks.
-    {
-      bool Concurrent = true;
-      for (size_t I = 0; I != M && Concurrent; ++I)
-        for (size_t J = I + 1; J != M && Concurrent; ++J)
-          Concurrent = vcConcurrent(Picks[I]->Clock, Picks[J]->Clock);
-      if (!Concurrent) {
-        SawOrdered = true;
-        continue;
-      }
+    if (hasOrderedPair(Clocks)) {
+      SawOrdered = true;
+      continue;
     }
 
     uint64_t WitnessEvents = 0;
@@ -593,15 +551,39 @@ CyclePrediction evaluateOne(const TraceIndex &Ix, const AbstractCycle &Cycle,
   return unconfirmed("no-witness");
 }
 
-unsigned resolveJobs(unsigned Jobs, size_t Work) {
-  if (Jobs == 0) {
-    Jobs = std::thread::hardware_concurrency();
-    if (Jobs == 0)
-      Jobs = 1;
+/// Grades \p Cycles over \p Ix; \p Start is when the caller's walk began.
+std::vector<CyclePrediction>
+gradeCycles(const TraceIndex &Ix, const std::vector<AbstractCycle> &Cycles,
+            std::chrono::steady_clock::time_point Start, PredictStats *Stats) {
+  const uint64_t EventsSeen = Ix.Walk.eventsSeen();
+  std::vector<CyclePrediction> Out;
+  Out.reserve(Cycles.size());
+  ClosureState Closure(Ix);
+  uint64_t Assignments = 0;
+  for (const AbstractCycle &Cycle : Cycles)
+    Out.push_back(evaluateOne(Ix, Cycle, Closure, Assignments));
+
+  if (Stats) {
+    Stats->EventsSeen = EventsSeen;
+    Stats->AcquiresIndexed = Ix.Log.acquireEvents();
+    Stats->AssignmentsTried = Assignments;
+    Stats->ElapsedMicros = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count());
   }
-  if (Work != 0 && Jobs > Work)
-    Jobs = static_cast<unsigned>(Work);
-  return std::max(1u, Jobs);
+  if (telemetry::enabled()) {
+    telemetry::Registry &R = telemetry::Registry::global();
+    size_t Sound = 0;
+    for (const CyclePrediction &P : Out)
+      Sound += P.sound();
+    R.counter("dlf_predict_cycles_total").inc(Out.size());
+    R.counter("dlf_predict_sound_total").inc(Sound);
+    R.counter("dlf_predict_unconfirmed_total").inc(Out.size() - Sound);
+    R.counter("dlf_predict_assignments_total").inc(Assignments);
+    R.counter("dlf_predict_trace_events_total").inc(EventsSeen);
+  }
+  return Out;
 }
 
 } // namespace
@@ -631,57 +613,10 @@ std::string CyclePrediction::label() const {
 
 std::vector<CyclePrediction>
 evaluateCycles(const TraceFile &Trace, const std::vector<AbstractCycle> &Cycles,
-               const PredictOptions &Opts, PredictStats *Stats) {
+               PredictStats *Stats) {
   auto Start = std::chrono::steady_clock::now();
   TraceIndex Ix(Trace);
-
-  std::vector<CyclePrediction> Out(Cycles.size());
-  unsigned Jobs = resolveJobs(Opts.Jobs, Cycles.size());
-  std::vector<uint64_t> AssignmentsPerWorker(Jobs, 0);
-  // Verdicts are a pure function per cycle; round-robin sharding + in-index
-  // results make every job count produce identical output.
-  auto Worker = [&](unsigned W) {
-    ClosureState Closure(Ix);
-    for (size_t I = W; I < Cycles.size(); I += Jobs)
-      Out[I] = evaluateOne(Ix, Cycles[I], Opts, Closure,
-                           AssignmentsPerWorker[W]);
-  };
-  if (Jobs == 1) {
-    Worker(0);
-  } else {
-    std::vector<std::thread> Threads;
-    Threads.reserve(Jobs);
-    for (unsigned W = 0; W != Jobs; ++W)
-      Threads.emplace_back(Worker, W);
-    for (std::thread &T : Threads)
-      T.join();
-  }
-
-  uint64_t Assignments = 0;
-  for (uint64_t N : AssignmentsPerWorker)
-    Assignments += N;
-  if (Stats) {
-    Stats->EventsSeen = Trace.Events.size();
-    Stats->AcquiresIndexed = Ix.AcquireEvents;
-    Stats->AssignmentsTried = Assignments;
-    Stats->JobsUsed = Jobs;
-    Stats->ElapsedMicros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - Start)
-            .count());
-  }
-  if (telemetry::enabled()) {
-    telemetry::Registry &R = telemetry::Registry::global();
-    size_t Sound = 0;
-    for (const CyclePrediction &P : Out)
-      Sound += P.sound();
-    R.counter("dlf_predict_cycles_total").inc(Out.size());
-    R.counter("dlf_predict_sound_total").inc(Sound);
-    R.counter("dlf_predict_unconfirmed_total").inc(Out.size() - Sound);
-    R.counter("dlf_predict_assignments_total").inc(Assignments);
-    R.counter("dlf_predict_trace_events_total").inc(Trace.Events.size());
-  }
-  return Out;
+  return gradeCycles(Ix, Cycles, Start, Stats);
 }
 
 size_t PredictAnalysis::soundCount() const {
@@ -691,24 +626,43 @@ size_t PredictAnalysis::soundCount() const {
   return N;
 }
 
-PredictAnalysis predictDeadlocks(const TraceFile &Trace,
-                                 const IGoodlockOptions &Closure,
-                                 const PredictOptions &Opts) {
+namespace {
+
+/// The --predict pipeline after the walk: iGoodlock over the walk's log,
+/// then the verdicts.
+PredictAnalysis predictOver(const TraceIndex &Ix,
+                            const IGoodlockOptions &Closure,
+                            std::chrono::steady_clock::time_point Start) {
   PredictAnalysis R;
-  IncrementalLogBuilder Builder(nullptr);
-  Builder.feed(Trace.Events);
   IGoodlockOptions ClosureOpts = Closure;
   // Keep guarded cycles: --predict grades every candidate, and UNCONFIRMED
   // (guarded) is exactly the pruner's discharge made visible.
   ClosureOpts.KeepGuardedCycles = true;
-  R.Cycles = runIGoodlock(Builder.log(), ClosureOpts, &R.ClosureStats);
-  R.DependencyEntries = Builder.log().entries().size();
-  R.AcquireEvents = Builder.log().acquireEvents();
-  PredictOptions EvalOpts = Opts;
-  if (EvalOpts.Jobs == 1 && ClosureOpts.AnalysisJobs != 1)
-    EvalOpts.Jobs = ClosureOpts.AnalysisJobs;
-  R.Predictions = evaluateCycles(Trace, R.Cycles, EvalOpts, &R.Stats);
+  R.Cycles = runIGoodlock(Ix.Log, ClosureOpts, &R.ClosureStats);
+  R.DependencyEntries = Ix.Log.entries().size();
+  R.AcquireEvents = Ix.Log.acquireEvents();
+  R.Predictions = gradeCycles(Ix, R.Cycles, Start, &R.Stats);
   return R;
+}
+
+} // namespace
+
+PredictAnalysis predictDeadlocks(const TraceFile &Trace,
+                                 const IGoodlockOptions &Closure) {
+  auto Start = std::chrono::steady_clock::now();
+  TraceIndex Ix(Trace);
+  return predictOver(Ix, Closure, Start);
+}
+
+PredictAnalysis predictDeadlocks(TraceFile &&Trace,
+                                 const IGoodlockOptions &Closure) {
+  auto Start = std::chrono::steady_clock::now();
+  TraceIndex Ix(Trace);
+  // The walk was the trace's last reader. The closure below is the
+  // pipeline's memory peak, and the index must live through it, so the
+  // events go first.
+  std::vector<TraceEvent>().swap(Trace.Events);
+  return predictOver(Ix, Closure, Start);
 }
 
 void printPredictReport(std::ostream &OS, const char *Tool,

@@ -29,10 +29,13 @@
 /// hb-ordered / sync-order / no-witness / assignment-cap), which iGoodlock
 /// semantics still cover — prediction never *adds* cycles, it grades them.
 ///
-/// Verdicts are a pure function of (trace, cycle): cycles are sharded
-/// round-robin over Jobs worker threads and merged back in cycle order,
-/// so stdout reports are byte-identical for every job count (the PR 3
-/// determinism contract).
+/// The trace is walked once. That walk builds the lock dependency log and,
+/// beside it, the closure's per-thread event lists and per-lock critical
+/// sections. A cycle component is matched to dependency entries by the
+/// guard pruner's matcher; each entry keeps its first few concrete acquires
+/// (occurrences) with their clocks, and reads held set, modes and context
+/// off the entry itself. Guard and order tests are the pruner's too; the
+/// engines differ in the wait-edge check, the aggregation and the closure.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,34 +81,23 @@ struct CyclePrediction {
   std::string label() const;
 };
 
-struct PredictOptions {
-  /// Worker threads for the per-cycle verdict computation (1 = serial,
-  /// 0 = hardware concurrency). Verdicts are identical for every value.
-  unsigned Jobs = 1;
-  /// Cap on concrete-occurrence assignments enumerated per cycle; past it
-  /// remaining assignments are skipped and the cycle can only report
-  /// UNCONFIRMED (assignment-cap) — the conservative direction.
-  uint64_t MaxAssignments = 4096;
-  /// Cap on concrete acquires considered per cycle component (first in
-  /// trace order win, exact context matches preferred).
-  size_t MaxOccurrencesPerComponent = 8;
-};
-
 struct PredictStats {
   uint64_t EventsSeen = 0;
   uint64_t AcquiresIndexed = 0;
   uint64_t AssignmentsTried = 0;
+  /// Wall time of the whole call, trace walk included.
   uint64_t ElapsedMicros = 0;
-  unsigned JobsUsed = 1;
 };
 
 /// Computes a verdict for every cycle in \p Cycles against \p Trace.
-/// Cycle components are matched to trace acquires by (thread, lock),
-/// preferring exact context matches — the same matching discipline as the
-/// guard pruner, so prediction discharges at least what the pruner does.
+/// Cycle components are matched to the entries of the dependency log the
+/// walk builds from \p Trace with the guard pruner's matcher (exact
+/// context preferred), and each component is tried at the first 8 matching
+/// acquires in trace order; at most AssignmentCap (analysis/GuardPruner.h)
+/// assignments are tried per cycle.
 std::vector<CyclePrediction>
 evaluateCycles(const TraceFile &Trace, const std::vector<AbstractCycle> &Cycles,
-               const PredictOptions &Opts = {}, PredictStats *Stats = nullptr);
+               PredictStats *Stats = nullptr);
 
 /// Full --predict pipeline result: the iGoodlock cycle enumeration (guarded
 /// cycles kept, so every candidate gets graded) plus per-cycle verdicts.
@@ -121,11 +113,15 @@ struct PredictAnalysis {
 };
 
 /// Runs enumeration + prediction over \p Trace (the dlf-analyze --predict
-/// entry point). \p Closure controls the candidate enumeration
-/// (MaxCycleLength, AnalysisJobs — also used as the verdict job count).
+/// entry point), both over the one walk's dependency log. \p Closure
+/// controls the candidate enumeration (MaxCycleLength, AnalysisJobs).
 PredictAnalysis predictDeadlocks(const TraceFile &Trace,
-                                 const IGoodlockOptions &Closure = {},
-                                 const PredictOptions &Opts = {});
+                                 const IGoodlockOptions &Closure = {});
+
+/// The same, for a caller done with \p Trace: its events are released
+/// after the walk, before the closure, which is the pipeline's memory peak.
+PredictAnalysis predictDeadlocks(TraceFile &&Trace,
+                                 const IGoodlockOptions &Closure = {});
 
 /// Prints the --predict report. Deterministic: no timing or job-count
 /// chatter — stdout is byte-identical for every --analysis-jobs value.

@@ -509,9 +509,8 @@ bool CampaignRunner::runPhaseOneSandboxed(CampaignReport &Report,
                << " seeds=" << P1.SeedsTried.size() << "\n";
           Head << "prune " << serializePrune(Classes) << "\n";
           if (TC.RecordTrace) {
-            // Sync-preserving verdicts over the captured trace (serial:
-            // the child is already one process of a possibly parallel
-            // campaign, and verdicts are jobs-independent anyway).
+            // Sync-preserving verdicts over the captured trace; the walk
+            // builds its own dependency log, whose held sets they read.
             analysis::TraceFile Trace;
             Trace.Events = std::move(P1.Trace);
             std::vector<analysis::CyclePrediction> Preds =

@@ -17,9 +17,39 @@ void LockDependencyLog::onLockCreated(const LockRecord &L) {
 void LockDependencyLog::onAcquireExecuted(
     const ThreadRecord &T, const LockRecord &L,
     const std::vector<LockStackEntry> &HeldBefore, Label Site, LockMode Mode) {
+  addAcquire(T, L, HeldBefore, Site, Mode);
+}
+
+size_t LockDependencyLog::addAcquire(
+    const ThreadRecord &T, const LockRecord &L,
+    const std::vector<LockStackEntry> &HeldBefore, Label Site, LockMode Mode) {
   ++AcquireEvents;
 
-  DependencyEntry Entry;
+  // Deduplicate: D is a relation, and loops re-acquiring the same locks in
+  // the same context would otherwise flood the closure. The key is a
+  // structural 128-bit hash of (thread, lock, mode, held locks, held modes,
+  // context), length-framed so held and context streams cannot alias; see
+  // support/Hash.h for the collision stance. Modes are folded in so a read
+  // and a write acquisition of the same lock in the same context stay
+  // distinct entries.
+  Hasher128 Key;
+  Key.add(T.Id.Raw);
+  Key.add(L.Id.Raw);
+  Key.add(static_cast<uint64_t>(Mode));
+  Key.add(HeldBefore.size());
+  for (const LockStackEntry &E : HeldBefore)
+    Key.add(E.Lock.Raw);
+  for (const LockStackEntry &E : HeldBefore)
+    Key.add(static_cast<uint64_t>(E.Mode));
+  Key.add(HeldBefore.size() + 1);
+  for (const LockStackEntry &E : HeldBefore)
+    Key.add(E.Site.raw());
+  Key.add(Site.raw());
+  auto [It, New] = Seen.try_emplace(Key.finish(), Entries.size());
+  if (!New)
+    return It->second;
+
+  DependencyEntry &Entry = Entries.emplace_back();
   Entry.Thread = T.Id;
   Entry.Acquired = L.Id;
   Entry.AcquiredMode = Mode;
@@ -33,28 +63,7 @@ void LockDependencyLog::onAcquireExecuted(
   }
   Entry.Context.push_back(Site);
   Entry.Clock = T.Clock;
-
-  // Deduplicate: D is a relation, and loops re-acquiring the same locks in
-  // the same context would otherwise flood the closure. The key is a
-  // structural 128-bit hash (length-framed so held and context streams
-  // cannot alias); see support/Hash.h for the collision stance. Modes are
-  // folded in so a read and a write acquisition of the same lock in the
-  // same context stay distinct entries.
-  Hasher128 Key;
-  Key.add(Entry.Thread.Raw);
-  Key.add(Entry.Acquired.Raw);
-  Key.add(static_cast<uint64_t>(Entry.AcquiredMode));
-  Key.add(Entry.Held.size());
-  for (LockId Held : Entry.Held)
-    Key.add(Held.Raw);
-  for (LockMode M : Entry.HeldModes)
-    Key.add(static_cast<uint64_t>(M));
-  Key.add(Entry.Context.size());
-  for (Label C : Entry.Context)
-    Key.add(C.raw());
-  if (!Seen.insert(Key.finish()).second)
-    return;
-  Entries.push_back(std::move(Entry));
+  return It->second;
 }
 
 const ObjectInfo &LockDependencyLog::threadInfo(ThreadId Id) const {

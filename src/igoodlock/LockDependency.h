@@ -26,7 +26,6 @@
 
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace dlf {
@@ -75,6 +74,12 @@ public:
                          const std::vector<LockStackEntry> &HeldBefore,
                          Label Site, LockMode Mode) override;
 
+  /// Records one acquire, as onAcquireExecuted does, and returns the index
+  /// in entries() of the entry it mapped to, new or deduplicated.
+  size_t addAcquire(const ThreadRecord &T, const LockRecord &L,
+                    const std::vector<LockStackEntry> &HeldBefore, Label Site,
+                    LockMode Mode);
+
   const std::vector<DependencyEntry> &entries() const { return Entries; }
 
   /// Metadata for report rendering; id must have been observed.
@@ -86,10 +91,11 @@ public:
 
 private:
   std::vector<DependencyEntry> Entries;
-  /// Structural 128-bit hashes of observed entries (the dedup set). The
-  /// recorder sits on the acquire hot path, so keys are hashed directly
-  /// from the components instead of materializing strings.
-  std::unordered_set<Hash128> Seen;
+  /// Structural 128-bit hash of each observed entry -> its index in
+  /// Entries (the dedup map). The recorder sits on the acquire hot path,
+  /// so keys are hashed straight from the held stack, and an entry is
+  /// built only for a new key.
+  std::unordered_map<Hash128, size_t> Seen;
   std::unordered_map<ThreadId, ObjectInfo> ThreadMeta;
   std::unordered_map<LockId, ObjectInfo> LockMeta;
   uint64_t AcquireEvents = 0;

@@ -23,8 +23,10 @@
 // --predict runs the sound sync-preserving deadlock predictor instead
 // (analysis/Predict.h): the same iGoodlock enumeration, but every cycle
 // gets a PREDICTED-SOUND / UNCONFIRMED verdict backed by a witness search
-// over the trace. Same determinism contract: stdout is byte-identical for
-// every --analysis-jobs value.
+// over the trace. Verdicts are graded serially.
+//
+// --analysis-jobs shards the iGoodlock closure (default and --predict);
+// stdout is byte-identical for every value.
 //
 // Mode flags are mutually exclusive: --predict --races has no defined merge
 // semantics and is a usage error (exit 1), as is --races --analysis-jobs.
@@ -54,6 +56,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace dlf;
@@ -86,17 +89,17 @@ int runDeadlockAnalysis(const analysis::TraceFile &Trace,
   return 0;
 }
 
-int runPredictAnalysis(const analysis::TraceFile &Trace,
+int runPredictAnalysis(analysis::TraceFile &&Trace,
                        const IGoodlockOptions &Opts) {
-  analysis::PredictAnalysis R = analysis::predictDeadlocks(Trace, Opts);
+  analysis::PredictAnalysis R =
+      analysis::predictDeadlocks(std::move(Trace), Opts);
 
-  // Run-dependent chatter (jobs, timing, assignment counts) stays on
-  // stderr: stdout is byte-identical for every --analysis-jobs value.
+  // Run-dependent chatter (timing, assignment counts) stays on stderr:
+  // stdout is byte-identical for every --analysis-jobs value.
   std::cerr << "dlf-analyze: predict pass over " << R.Stats.EventsSeen
             << " events, " << R.Stats.AcquiresIndexed << " acquires, "
             << R.Stats.AssignmentsTried << " assignments, "
-            << R.Stats.ElapsedMicros << " us, jobs " << R.Stats.JobsUsed
-            << "\n";
+            << R.Stats.ElapsedMicros << " us\n";
 
   analysis::printPredictReport(std::cout, "dlf-analyze", R);
   return 0;
@@ -272,7 +275,7 @@ int main(int Argc, char **Argv) {
   }
 
   int Rc = Races     ? runRaceAnalysis(Trace)
-           : Predict ? runPredictAnalysis(Trace, Opts)
+           : Predict ? runPredictAnalysis(std::move(Trace), Opts)
                      : runDeadlockAnalysis(Trace, Opts);
   PublishPhase("done", Rc == 0);
   if (Rc == 0 && !MetricsOut.empty()) {

@@ -3,8 +3,8 @@
 // Unit and agreement tests for the --predict engine (analysis/Predict):
 // verdicts on hand-built traces covering every discharge reason, the
 // store-then-tick condvar clock discipline, the irregular-trace fallback,
-// byte-identical reports across job counts, and cross-engine agreement
-// with iGoodlock and the guard pruner on randomized traces.
+// byte-identical reports across closure job counts, and cross-engine
+// agreement with iGoodlock and the guard pruner on randomized traces.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -51,6 +52,13 @@ struct TB {
   }
   TB &rel(uint64_t Tid, uint64_t Lid) {
     return add(TraceEvent::Kind::Release, Tid, Lid, "");
+  }
+  TB &sacq(uint64_t Tid, uint64_t Lid) {
+    return add(TraceEvent::Kind::SharedAcquire, Tid, Lid,
+               "t" + std::to_string(Tid) + "/sacq" + std::to_string(Lid));
+  }
+  TB &srel(uint64_t Tid, uint64_t Lid) {
+    return add(TraceEvent::Kind::SharedRelease, Tid, Lid, "");
   }
   TB &notify(uint64_t Tid, uint64_t Cid) {
     return add(TraceEvent::Kind::CondNotify, Tid, Cid, "");
@@ -217,6 +225,31 @@ TEST(Predict, OverlappingSectionsFallBackConservative) {
       << R.Predictions[0].label();
 }
 
+TEST(Predict, DuplicateLockGuardOrsEveryHold) {
+  // t3 holds g twice, read side then write side, so its stack names g in
+  // both modes. The guard test ORs exclusivity over every hold of g: the
+  // write hold excludes t2, so both engines discharge the cycle as
+  // guarded by g. Reading only t3's first hold of g (the read side) would
+  // find no guard, and the irregular lock would then fail the closure as
+  // sync-order.
+  TB B;
+  B.thread(1).thread(2).thread(3).fork(1, 2).fork(1, 3);
+  B.lock(9, "g").lock(10, "a").lock(11, "b");
+  B.sacq(2, 9).acq(2, 10).acq(2, 11).rel(2, 11).rel(2, 10).srel(2, 9);
+  B.sacq(3, 9).acq(3, 9).acq(3, 11).acq(3, 10);
+  B.rel(3, 10).rel(3, 11).rel(3, 9).srel(3, 9);
+  PredictAnalysis R = predictDeadlocks(B.Trace);
+  ASSERT_EQ(R.Predictions.size(), 1u);
+  EXPECT_EQ(R.Predictions[0].label(), "UNCONFIRMED (guarded (guard lock: g))");
+
+  IncrementalLogBuilder Builder(nullptr);
+  Builder.feed(B.Trace.Events);
+  std::vector<CycleClassification> Pruned =
+      classifyCycles(Builder.log(), R.Cycles);
+  ASSERT_EQ(Pruned.size(), 1u);
+  EXPECT_EQ(Pruned[0].label(), "guarded (guard lock: g)");
+}
+
 TEST(Predict, VerdictNamesRoundTrip) {
   for (PredictVerdict V : {PredictVerdict::Sound, PredictVerdict::Unconfirmed}) {
     PredictVerdict Back = PredictVerdict::Sound;
@@ -242,7 +275,7 @@ TEST(Predict, LabelsAreReportShaped) {
 
 // -- Determinism across job counts -------------------------------------------
 
-/// Several independent inversions so the cycle list is worth sharding.
+/// Several independent inversions, so the closure has levels to shard.
 TB multiCycleTrace() {
   TB B;
   B.thread(1);
@@ -264,14 +297,12 @@ TEST(Predict, ReportIsByteIdenticalAcrossJobs) {
   for (unsigned Jobs : {1u, 2u, 4u, 0u}) {
     IGoodlockOptions Closure;
     Closure.AnalysisJobs = Jobs;
-    PredictOptions Opts;
-    Opts.Jobs = Jobs;
-    PredictAnalysis R = predictDeadlocks(B.Trace, Closure, Opts);
+    PredictAnalysis R = predictDeadlocks(B.Trace, Closure);
     std::ostringstream OS;
     printPredictReport(OS, "predict-test", R);
     if (Baseline.empty()) {
       Baseline = OS.str();
-      EXPECT_GT(R.Cycles.size(), 1u) << "want a shardable cycle list";
+      EXPECT_GT(R.Cycles.size(), 1u) << "want several cycles";
     } else {
       EXPECT_EQ(OS.str(), Baseline) << "jobs=" << Jobs;
     }
@@ -287,8 +318,11 @@ struct Lcg {
   uint64_t below(uint64_t N) { return (next() >> 33) % N; }
 };
 
-/// Random nested lock walks, one thread at a time (a legal serialized
-/// schedule, like the recorder's), over a small shared lock pool.
+/// Random nested lock walks over a small shared lock pool, one session at
+/// a time (a legal serialized schedule, like the recorder's). Sessions of
+/// different workers interleave; a third of the acquires take the shared
+/// side; sessions may wait on or notify one of two condvars; at the end
+/// main joins some workers and runs a session of its own.
 TraceFile randomTrace(uint64_t Seed) {
   Lcg R(Seed);
   TB B;
@@ -299,31 +333,49 @@ TraceFile randomTrace(uint64_t Seed) {
   const uint64_t Locks = 4;
   for (uint64_t L = 0; L != Locks; ++L)
     B.lock(10 + L, "m" + std::to_string(L));
-  for (uint64_t T = 2; T < 2 + Workers; ++T) {
-    for (unsigned Session = 0; Session != 3; ++Session) {
-      std::vector<uint64_t> Held;
-      uint64_t Depth = 1 + R.below(3);
-      for (uint64_t D = 0; D != Depth && Held.size() != Locks; ++D) {
-        uint64_t L = 10 + R.below(Locks);
-        bool Dup = false;
-        for (uint64_t H : Held)
-          Dup |= H == L;
-        if (Dup)
-          continue;
-        B.acq(T, L);
-        Held.push_back(L);
-      }
-      while (!Held.empty()) {
-        B.rel(T, Held.back());
-        Held.pop_back();
-      }
+  auto Session = [&](uint64_t T) {
+    std::vector<std::pair<uint64_t, bool>> Held; // lock, shared
+    uint64_t Depth = 1 + R.below(3);
+    for (uint64_t D = 0; D != Depth && Held.size() != Locks; ++D) {
+      uint64_t L = 10 + R.below(Locks);
+      bool Dup = false;
+      for (const auto &H : Held)
+        Dup |= H.first == L;
+      if (Dup)
+        continue;
+      bool Shared = R.below(3) == 0;
+      Shared ? B.sacq(T, L) : B.acq(T, L);
+      Held.push_back({L, Shared});
     }
+    for (; !Held.empty(); Held.pop_back())
+      Held.back().second ? B.srel(T, Held.back().first)
+                         : B.rel(T, Held.back().first);
+  };
+  std::vector<unsigned> Left(Workers, 3);
+  for (uint64_t Pending = 3 * Workers; Pending != 0; --Pending) {
+    uint64_t W = R.below(Workers);
+    while (Left[W] == 0)
+      W = (W + 1) % Workers;
+    --Left[W];
+    uint64_t T = 2 + W;
+    if (R.below(4) == 0)
+      B.wake(T, 1 + R.below(2));
+    Session(T);
+    if (R.below(4) == 0)
+      B.notify(T, 1 + R.below(2));
   }
+  for (uint64_t T = 2; T < 2 + Workers; ++T)
+    if (R.below(2) == 0)
+      B.join(1, T);
+  Session(1);
   return B.Trace;
 }
 
 TEST(Predict, AgreesWithIGoodlockAndPrunerOnRandomTraces) {
-  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+  // Verdict kinds seen over all seeds ("sound" or the reason's first
+  // word), so the suite provably reaches every grading path.
+  std::set<std::string> Kinds;
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
     TraceFile Trace = randomTrace(Seed);
     PredictAnalysis R = predictDeadlocks(Trace);
     ASSERT_EQ(R.Predictions.size(), R.Cycles.size()) << "seed " << Seed;
@@ -342,34 +394,39 @@ TEST(Predict, AgreesWithIGoodlockAndPrunerOnRandomTraces) {
     for (size_t I = 0; I != R.Cycles.size(); ++I) {
       // Sound cycles never escape the iGoodlock enumeration: prediction
       // grades candidates, it cannot invent them.
-      if (R.Predictions[I].sound())
+      if (R.Predictions[I].sound()) {
         EXPECT_EQ(Enumerated.count(R.Cycles[I].toString()), 1u)
             << "seed " << Seed << " cycle " << I;
+      }
       // Prediction discharges at least what the pruner discharges: a
       // pruner-infeasible cycle must never be certified sound.
-      if (!Pruned[I].schedulable())
+      if (!Pruned[I].schedulable()) {
         EXPECT_FALSE(R.Predictions[I].sound())
             << "seed " << Seed << " cycle " << I << ": pruner says "
             << Pruned[I].label() << " but predict says "
             << R.Predictions[I].label();
-      if (R.Predictions[I].sound())
+      }
+      if (R.Predictions[I].sound()) {
         EXPECT_GT(R.Predictions[I].WitnessEvents, 0u);
-      else
+        Kinds.insert("sound");
+      } else {
         EXPECT_FALSE(R.Predictions[I].Reason.empty());
+        const std::string &Reason = R.Predictions[I].Reason;
+        Kinds.insert(Reason.substr(0, Reason.find(' ')));
+      }
     }
 
-    // Verdicts are a pure function of the trace: reports agree across an
-    // arbitrary worker count.
+    // Reports agree across closure job counts.
     IGoodlockOptions Closure;
     Closure.AnalysisJobs = 3;
-    PredictOptions Opts;
-    Opts.Jobs = 3;
-    PredictAnalysis R3 = predictDeadlocks(Trace, Closure, Opts);
+    PredictAnalysis R3 = predictDeadlocks(Trace, Closure);
     std::ostringstream A, C;
     printPredictReport(A, "predict-test", R);
     printPredictReport(C, "predict-test", R3);
     EXPECT_EQ(A.str(), C.str()) << "seed " << Seed;
   }
+  for (const char *Kind : {"sound", "guarded", "hb-ordered", "sync-order"})
+    EXPECT_EQ(Kinds.count(Kind), 1u) << Kind;
 }
 
 } // namespace
