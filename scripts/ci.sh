@@ -155,10 +155,23 @@ TELDIR="$(mktemp -d)"
 trap 'rm -rf "$TELDIR"' EXIT
 # guarded + --include-guarded is thrash-prone (the gate lock keeps the
 # cycle from closing), so the timeline must show thrash instants; dbcp
-# covers deadlock-found. --jobs 4 exercises the sidecar merge path.
-build/src/dlf-run guarded --campaign --include-guarded --reps 10 --jobs 4 \
-  --journal "$TELDIR/guarded.jsonl" \
-  --metrics-out "$TELDIR/m.json" --timeline-out "$TELDIR/t.json"
+# covers deadlock-found. The guarded campaign runs at --jobs 1 and
+# --jobs 4: child telemetry rides the result pipe and is merged at the
+# in-order commit frontier, so the two counter maps must be identical (the
+# DESIGN.md §10 determinism contract), and each journal's directory must
+# hold nothing but the journal afterwards.
+for JOBS in 1 4; do
+  mkdir "$TELDIR/j$JOBS"
+  build/src/dlf-run guarded --campaign --include-guarded --reps 10 \
+    --jobs "$JOBS" --journal "$TELDIR/j$JOBS/guarded.jsonl" \
+    --metrics-out "$TELDIR/m$JOBS.json" --timeline-out "$TELDIR/t$JOBS.json"
+  LEFT="$(ls -A "$TELDIR/j$JOBS")"
+  if [ "$LEFT" != "guarded.jsonl" ]; then
+    echo "journal directory holds more than the journal (--jobs $JOBS):" \
+      $LEFT >&2
+    exit 1
+  fi
+done
 build/src/dlf-run dbcp --campaign --reps 5 --jobs 4 \
   --journal "$TELDIR/dbcp.jsonl" \
   --metrics-out "$TELDIR/m.prom" --metrics-format prom
@@ -166,15 +179,22 @@ python3 - "$TELDIR" <<'EOF'
 import json, sys
 
 teldir = sys.argv[1]
-with open(f"{teldir}/t.json") as f:
+with open(f"{teldir}/t4.json") as f:
     trace = json.load(f)  # must be well-formed JSON
 events = trace["traceEvents"]
 assert any(e.get("name") == "thrash" for e in events), \
     "no thrash instant on a thrash-prone cycle"
 assert any(e.get("ph") == "X" for e in events), "no duration spans"
 
-with open(f"{teldir}/m.json") as f:
+with open(f"{teldir}/m1.json") as f:
+    serial = json.load(f)
+with open(f"{teldir}/m4.json") as f:
     metrics = json.load(f)
+if serial["counters"] != metrics["counters"]:
+    diff = {k: (serial["counters"].get(k), metrics["counters"].get(k))
+            for k in set(serial["counters"]) | set(metrics["counters"])
+            if serial["counters"].get(k) != metrics["counters"].get(k)}
+    sys.exit(f"counters differ between --jobs 1 and --jobs 4: {diff}")
 required = [
     "dlf_scheduler_pauses_total",
     "dlf_scheduler_thrashes_total",

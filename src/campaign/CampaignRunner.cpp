@@ -8,6 +8,7 @@
 #include "support/Debug.h"
 #include "support/Fs.h"
 #include "support/Retry.h"
+#include "support/Table.h"
 #include "telemetry/Sidecar.h"
 
 #include <algorithm>
@@ -110,55 +111,89 @@ std::string CycleCampaignStats::countsKey() const {
   return OS.str();
 }
 
-std::string CampaignReport::toString() const {
+std::string CampaignReport::toString(const std::string &Benchmark,
+                                     const std::string &JournalPath) const {
   std::ostringstream OS;
   if (!Error.empty()) {
-    OS << "campaign error: " << Error << "\n";
+    OS << "error: " << Error << "\n";
     return OS.str();
   }
-  OS << "phase 1: " << Cycles.size() << " cycle(s), "
-     << (PhaseOneCompleted ? "observation completed" : "observation partial")
-     << " (" << PhaseOneAttempts << " sandboxed attempt(s))\n";
+  OS << "campaign (" << Benchmark << "): phase 1 "
+     << (PhaseOneCompleted ? "completed" : "partial") << " in "
+     << PhaseOneAttempts << " sandboxed attempt(s), " << Cycles.size()
+     << " potential cycle(s)\n\n";
+  Table T({"Cycle", "Reproduced", "Other", "Stalls", "Clean", "Hung",
+           "Crashed", "OOM", "Retries", "Probability", "Note"});
   for (size_t I = 0; I != PerCycle.size(); ++I) {
     const CycleCampaignStats &S = PerCycle[I];
-    OS << "cycle #" << I << ": " << S.countsKey()
-       << " p=" << S.probability() << "\n";
-    if (!S.Classification.empty() && S.Classification != "schedulable")
-      OS << "  classification: " << S.Classification
-         << (S.Skipped ? " (phase 2 skipped; rerun with --include-guarded)"
-                       : "")
-         << "\n";
-    if (!S.Prediction.empty())
-      OS << "  prediction: " << S.Prediction
-         << (S.Skipped && S.Prediction.rfind("UNCONFIRMED", 0) == 0
-                 ? " (phase 2 skipped; rerun with --include-guarded)"
-                 : "")
-         << "\n";
-    if (S.Quarantined)
-      OS << "  quarantined: " << S.QuarantineReason << "\n";
+    T.addRow({"#" + std::to_string(I),
+              Table::fmt(static_cast<uint64_t>(S.Reproduced)) + "/" +
+                  Table::fmt(static_cast<uint64_t>(S.Reps)),
+              Table::fmt(static_cast<uint64_t>(S.OtherDeadlocks)),
+              Table::fmt(static_cast<uint64_t>(S.Stalls)),
+              Table::fmt(static_cast<uint64_t>(S.CleanRuns)),
+              Table::fmt(static_cast<uint64_t>(S.Hung)),
+              Table::fmt(
+                  static_cast<uint64_t>(S.CrashedSignal + S.CrashedExit)),
+              Table::fmt(static_cast<uint64_t>(S.Oom)),
+              Table::fmt(static_cast<uint64_t>(S.RetriesSpent)),
+              Table::fmt(S.probability(), 2),
+              S.Quarantined ? "QUARANTINED"
+                            : (S.Skipped ? "SKIPPED" : "")});
   }
+  T.print(OS);
+  for (size_t I = 0; I != PerCycle.size(); ++I)
+    if (PerCycle[I].Quarantined)
+      OS << "cycle #" << I << " quarantined: " << PerCycle[I].QuarantineReason
+         << "\n";
+  for (size_t I = 0; I != PerCycle.size(); ++I)
+    if (!PerCycle[I].Prediction.empty())
+      OS << "cycle #" << I << " prediction: " << PerCycle[I].Prediction
+         << "\n";
+  for (size_t I = 0; I != PerCycle.size(); ++I)
+    if (PerCycle[I].Skipped) {
+      // Name whichever engine discharged the cycle: the pruner verdict when
+      // it is non-schedulable, the prediction verdict otherwise (a cycle
+      // the pruner could not discharge but the predictor left UNCONFIRMED).
+      const CycleCampaignStats &S = PerCycle[I];
+      bool PrunerDischarged =
+          !S.Classification.empty() && S.Classification != "schedulable";
+      OS << "cycle #" << I << " statically discharged as "
+         << (PrunerDischarged ? S.Classification : S.Prediction)
+         << "; rerun with --include-guarded to spend reps on it\n";
+    }
   OS << "reps executed " << RepsExecuted << ", replayed from journal "
      << RepsReplayed << "\n";
-  if (RepsExecuted) {
-    OS << "throughput: " << RepsExecuted << " rep(s) in "
-       << PhaseTwoWallMs / 1000.0 << " s wall (" << repsPerSecond()
-       << " reps/s), child cpu " << ChildCpuMs / 1000.0 << " s, peak "
+  if (RepsExecuted)
+    OS << "throughput: " << Table::fmt(repsPerSecond(), 2) << " reps/s (wall "
+       << Table::fmt(PhaseTwoWallMs / 1000.0, 2) << " s, child cpu "
+       << Table::fmt(ChildCpuMs / 1000.0, 2) << " s), peak "
        << PeakConcurrency << " concurrent child(ren), jobs " << JobsUsed
        << "\n";
-  }
+  if (JournalTailDropped)
+    OS << "journal salvage: dropped " << JournalTailDropped
+       << " torn/corrupt line(s); the tail was quarantined to " << JournalPath
+       << ".corrupt\n";
   if (JournalDegraded)
-    OS << "journal degraded: " << JournalError
-       << " — results computed in-memory; journal renamed aside "
-          "(non-resumable)\n";
-  const char *ResumeHint =
-      JournalDegraded ? " (journal degraded; resume unavailable)\n"
-                      : "; resume with --resume\n";
-  if (BudgetExhausted)
-    OS << "wall-clock budget exhausted" << ResumeHint;
-  else if (Interrupted)
-    OS << "interrupted" << ResumeHint;
-  else if (CampaignComplete)
+    OS << "journal degraded (" << JournalError
+       << "); results were computed in-memory and the unusable "
+       << "journal was moved to " << JournalPath << ".broken\n";
+  // The journal fingerprint covers seeds, reps, and abstraction settings,
+  // so the resume invocation must repeat this one's options. A degraded
+  // journal cannot seed a resume: suppress the advice rather than point the
+  // user at a known-incomplete record stream.
+  if (BudgetExhausted || Interrupted) {
+    const char *Why =
+        BudgetExhausted ? "wall-clock budget exhausted" : "interrupted";
+    if (JournalDegraded)
+      OS << Why << "; the journal is degraded, so this campaign "
+         << "cannot be resumed — rerun it from scratch\n";
+    else
+      OS << Why << "; resume with the same options plus: --resume "
+         << JournalPath << "\n";
+  } else {
     OS << "campaign complete\n";
+  }
   return OS.str();
 }
 
@@ -185,27 +220,31 @@ bool CampaignRunner::interruptRequested() { return GInterruptRequested != 0; }
 
 namespace {
 
-void writeAll(int Fd, const std::string &Data) {
+/// A campaign child's whole reply on the sandbox pipe: \p Rec (the
+/// journal record's own schema) on one line, then — with campaign
+/// telemetry on — the child's telemetry section. The record goes first, so
+/// a cut at the payload cap can only ever hit telemetry.
+void replyToParent(int Fd, const JsonValue &Rec, bool Telemetry) {
+  std::string Out = Rec.dump();
+  Out += '\n';
+  if (Telemetry)
+    Out += telemetry::takeChildTelemetry();
   // Best-effort: if the parent vanished there is nothing sensible left to
   // do in the child.
-  (void)writeFully(Fd, Data.data(), Data.size());
+  (void)writeFully(Fd, Out.data(), Out.size());
 }
 
-/// Parses a "key=value key=value" payload line.
-std::map<std::string, std::string> parseKvLine(const std::string &Line) {
-  std::map<std::string, std::string> Out;
-  std::istringstream IS(Line);
-  std::string Tok;
-  while (IS >> Tok) {
-    size_t Eq = Tok.find('=');
-    if (Eq != std::string::npos)
-      Out[Tok.substr(0, Eq)] = Tok.substr(Eq + 1);
-  }
-  return Out;
+/// Splits a child's payload back into its record line and the telemetry
+/// section that follows it.
+std::pair<std::string, std::string> splitPayload(const std::string &Payload) {
+  size_t Nl = Payload.find('\n');
+  if (Nl == std::string::npos)
+    return {Payload, std::string()};
+  return {Payload.substr(0, Nl), Payload.substr(Nl + 1)};
 }
 
-/// Witness lock names travel on one whitespace/;-delimited protocol line
-/// (and through the journal); collapse any delimiter bytes they contain.
+/// Witness lock names travel in one ';'/'|'-delimited record field;
+/// collapse any delimiter (or whitespace) bytes they contain.
 std::string sanitizeWitness(std::string Name) {
   for (char &C : Name)
     if (C == ';' || C == '|' || C == ' ' || C == '\t' || C == '\n' ||
@@ -215,7 +254,7 @@ std::string sanitizeWitness(std::string Name) {
 }
 
 /// ';'-joined "<class>|<witness>" list, parallel to the cycle list — the
-/// pruner verdicts' wire/journal form.
+/// phase1 record's "prune" field.
 std::string serializePrune(
     const std::vector<analysis::CycleClassification> &Classes) {
   std::string Out;
@@ -260,9 +299,9 @@ std::vector<analysis::CycleClassification> parsePrune(const std::string &Text,
   return Parsed;
 }
 
-/// Prediction reasons embed lock names and travel on one ';'-delimited
-/// protocol line; collapse the structural delimiters only (spaces are
-/// legal inside an item, unlike on the witness line).
+/// Prediction reasons embed lock names and travel in one ';'-delimited
+/// record field; collapse the structural delimiters only (spaces are legal
+/// inside an item, unlike in a witness).
 std::string sanitizeReason(std::string S) {
   for (char &C : S)
     if (C == ';' || C == '|' || C == '\n' || C == '\r')
@@ -271,7 +310,7 @@ std::string sanitizeReason(std::string S) {
 }
 
 /// ';'-joined "<verdict>|<witness-events>|<reason>" list, parallel to the
-/// cycle list — the prediction verdicts' wire/journal form.
+/// cycle list — the phase1 record's "predict" field.
 std::string
 serializePredict(const std::vector<analysis::CyclePrediction> &Preds) {
   std::string Out;
@@ -321,6 +360,66 @@ std::vector<analysis::CyclePrediction> parsePredict(const std::string &Text,
   if (Parsed.size() != NumCycles)
     return {};
   return Parsed;
+}
+
+/// Decodes a phase1 record — a fresh child's or a journaled one — into
+/// \p Report's Phase I fields. Garbled verdicts degrade to none (nothing
+/// skipped or reordered); garbled cycles fail with \p Error set.
+bool decodePhaseOne(const JsonValue &Rec, CampaignReport &Report,
+                    std::string *Error) {
+  Report.PhaseOneCompleted = Rec["completed"].asBool();
+  if (!deserializeCycles(Rec["cycles"].asString(), Report.Cycles, Error))
+    return false;
+  Report.Classifications =
+      parsePrune(Rec["prune"].asString(), Report.Cycles.size());
+  Report.Predictions =
+      parsePredict(Rec["predict"].asString(), Report.Cycles.size());
+  return true;
+}
+
+/// Decodes a rep record — a fresh child's or a journaled one — into \p O.
+/// Returns false for an unknown class, which reads as crashed-exit.
+bool decodeRep(const JsonValue &Rec, RepOutcome &O) {
+  O.CycleIdx = static_cast<unsigned>(Rec["cycle"].asUInt());
+  O.Rep = static_cast<unsigned>(Rec["rep"].asUInt());
+  O.Attempts = static_cast<unsigned>(Rec["attempts"].asUInt(1));
+  O.Seed = Rec["seed"].asUInt();
+  O.Thrashes = Rec["thrashes"].asUInt();
+  O.ForcedUnpauses = Rec["unpauses"].asUInt();
+  O.WallMs = Rec["wall_ms"].asNumber();
+  O.CpuMs = Rec["cpu_ms"].asNumber();
+  O.Diagnostic = Rec["diag"].asString();
+  if (runClassFromName(Rec["class"].asString(), O.Class))
+    return true;
+  O.Class = RunClass::CrashedExit;
+  return false;
+}
+
+/// Merges one committed child's telemetry section into the report: metrics
+/// summed, timeline events moved to process \p Pid and rebased by the
+/// child's launch offset \p LaunchUs, thread names kept. A section without
+/// its "end" marker (crash, injected truncation or loss, the payload cap)
+/// merges as far as it goes and is counted, never failed.
+void mergeChildTelemetry(CampaignReport &Report, const std::string &Section,
+                         uint32_t Pid, uint64_t LaunchUs,
+                         std::string ProcessName) {
+  telemetry::MetricsSnapshot Snap;
+  std::vector<telemetry::TraceEvent> Events;
+  std::map<uint32_t, std::string> Threads;
+  bool Complete = false;
+  telemetry::decodeSidecar(Section, Snap, Events, Threads, &Complete);
+  Report.Metrics.merge(Snap);
+  if (!Events.empty())
+    Report.TimelineProcessNames[Pid] = std::move(ProcessName);
+  for (telemetry::TraceEvent &E : Events) {
+    E.Pid = Pid;
+    E.TsUs += LaunchUs;
+    Report.Timeline.push_back(std::move(E));
+  }
+  for (const auto &KV : Threads)
+    Report.TimelineThreadNames[(uint64_t(Pid) << 32) | KV.first] = KV.second;
+  if (!Complete)
+    ++Report.Metrics.Counters["dlf_campaign_sidecars_missing_total"];
 }
 
 /// Campaign-level counters for one committed repetition, recorded at the
@@ -418,24 +517,6 @@ bool CampaignRunner::headerMatches(const JsonValue &Header,
   return false;
 }
 
-std::string CampaignRunner::resolveSidecarDir() {
-  if (!Config.Telemetry)
-    return std::string();
-  std::string Dir = Config.SidecarDir;
-  if (Dir.empty()) {
-    if (!Config.JournalPath.empty()) {
-      Dir = Config.JournalPath + ".sidecars";
-    } else {
-      const char *Tmp = std::getenv("TMPDIR");
-      Dir = std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/dlf-sidecars-" +
-            std::to_string(static_cast<unsigned long>(getpid()));
-    }
-  }
-  if (!makeDirs(Dir))
-    return std::string(); // degrade: campaign metrics without child detail
-  return Dir;
-}
-
 void CampaignRunner::journalAppend(const JsonValue &Record) {
   if (!Writer.isOpen() || JournalDegraded)
     return; // journal-less campaigns are legal; degraded ones run in memory
@@ -485,113 +566,46 @@ bool CampaignRunner::runPhaseOneSandboxed(CampaignReport &Report,
     // Prediction needs the observation as an event trace, not just the
     // dependency log.
     TC.RecordTrace = Config.Phase1 != Phase1Engine::IGoodlock;
-    std::string SidecarPath;
-    if (!SidecarDirInUse.empty())
-      SidecarPath =
-          SidecarDirInUse + "/p1_a" + std::to_string(Attempt) + ".sidecar";
     uint64_t LaunchUs = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - TelemetryEpoch)
             .count());
     SandboxResult SR = runInSandbox(
         [&](int Fd) {
-          if (!SidecarPath.empty()) {
-            setenv(telemetry::SidecarEnvVar, SidecarPath.c_str(), 1);
+          if (Config.Telemetry)
             telemetry::beginChildTelemetry();
-          }
           ActiveTester T(Config.Entry, TC);
           PhaseOneResult P1 = T.runPhaseOne();
-          std::vector<analysis::CycleClassification> Classes =
-              analysis::classifyCycles(P1.Log, P1.Cycles);
-          std::ostringstream Head;
-          Head << "p1 completed=" << (P1.Exec.Completed ? 1 : 0)
-               << " exhausted=" << (P1.RetriesExhausted ? 1 : 0)
-               << " seeds=" << P1.SeedsTried.size() << "\n";
-          Head << "prune " << serializePrune(Classes) << "\n";
+          JsonValue Rec = JsonValue::object();
+          Rec.set("completed", P1.Exec.Completed);
+          Rec.set("cycles", serializeCycles(P1.Cycles));
+          Rec.set("prune",
+                  serializePrune(analysis::classifyCycles(P1.Log, P1.Cycles)));
+          std::vector<analysis::CyclePrediction> Preds;
           if (TC.RecordTrace) {
             // Sync-preserving verdicts over the captured trace; the walk
             // builds its own dependency log, whose held sets they read.
             analysis::TraceFile Trace;
             Trace.Events = std::move(P1.Trace);
-            std::vector<analysis::CyclePrediction> Preds =
-                analysis::evaluateCycles(Trace, P1.Cycles);
-            Head << "predict " << serializePredict(Preds) << "\n";
+            Preds = analysis::evaluateCycles(Trace, P1.Cycles);
           }
-          writeAll(Fd, Head.str());
-          writeAll(Fd, serializeCycles(P1.Cycles));
-          if (!SidecarPath.empty())
-            telemetry::flushChildTelemetry();
+          Rec.set("predict", serializePredict(Preds));
+          replyToParent(Fd, Rec, Config.Telemetry);
           return 0;
         },
         childLimits());
 
     if (Config.Telemetry)
       ++Report.Metrics.Counters["dlf_campaign_phase1_attempts_total"];
-    // Merges the Phase I child's own metrics (scheduler, closure, pruner)
-    // and rebases its timeline as pid 2. Called only on the attempt that
-    // definitively succeeds, so a retried attempt never double-counts.
-    auto MergePhaseOneSidecar = [&]() {
-      if (SidecarPath.empty())
-        return;
-      telemetry::MetricsSnapshot Snap;
-      std::vector<telemetry::TraceEvent> Events;
-      std::map<uint32_t, std::string> Threads;
-      bool Complete = false;
-      if (telemetry::readSidecar(SidecarPath, Snap, Events, Threads,
-                                 &Complete)) {
-        Report.Metrics.merge(Snap);
-        if (!Events.empty())
-          Report.TimelineProcessNames[2] = "phase 1";
-        for (telemetry::TraceEvent E : Events) {
-          E.Pid = 2;
-          E.TsUs += LaunchUs;
-          Report.Timeline.push_back(std::move(E));
-        }
-        for (const auto &KV : Threads)
-          Report.TimelineThreadNames[(uint64_t(2) << 32) | KV.first] =
-              KV.second;
-      }
-      if (!Complete)
-        ++Report.Metrics.Counters["dlf_campaign_sidecars_missing_total"];
-    };
 
     if (SR.Status == SandboxStatus::Completed) {
-      size_t Nl = SR.Payload.find('\n');
-      std::string Head = SR.Payload.substr(0, Nl);
-      std::string Doc =
-          Nl == std::string::npos ? std::string() : SR.Payload.substr(Nl + 1);
-      // Optional second protocol line: the pruner verdicts. Peeled off
-      // before the cycle document; absent (defensively) means no verdicts.
-      std::string PruneText;
-      if (Doc.rfind("prune", 0) == 0) {
-        size_t PruneNl = Doc.find('\n');
-        std::string PruneLine =
-            Doc.substr(0, PruneNl == std::string::npos ? Doc.size() : PruneNl);
-        Doc = PruneNl == std::string::npos ? std::string()
-                                           : Doc.substr(PruneNl + 1);
-        if (PruneLine.size() > 6)
-          PruneText = PruneLine.substr(6);
-      }
-      // Optional third protocol line: the prediction verdicts (--phase1
-      // predict/both). Same peel-before-the-document discipline.
-      std::string PredictText;
-      if (Doc.rfind("predict", 0) == 0) {
-        size_t PredNl = Doc.find('\n');
-        std::string PredLine =
-            Doc.substr(0, PredNl == std::string::npos ? Doc.size() : PredNl);
-        Doc = PredNl == std::string::npos ? std::string()
-                                          : Doc.substr(PredNl + 1);
-        if (PredLine.size() > 8)
-          PredictText = PredLine.substr(8);
-      }
-      auto Kv = parseKvLine(Head);
+      auto [Line, Section] = splitPayload(SR.Payload);
+      JsonValue Rec;
       std::string ParseError;
-      if (Kv.count("completed") == 0 ||
-          !deserializeCycles(Doc, Report.Cycles, &ParseError)) {
+      if (!parseJson(Line, Rec, &ParseError) || !Rec.has("completed") ||
+          !decodePhaseOne(Rec, Report, &ParseError)) {
         LastTriage = "phase 1 result protocol violation: " + ParseError;
         ++SeedSteps; // the child ran; take a fresh observation seed
-        if (!SidecarPath.empty())
-          unlink(SidecarPath.c_str());
         if (Attempt < Config.MaxRetries) {
           if (Config.Telemetry)
             ++Report.Metrics.Counters["dlf_campaign_worker_restarts_total"];
@@ -599,9 +613,6 @@ bool CampaignRunner::runPhaseOneSandboxed(CampaignReport &Report,
         }
         continue;
       }
-      Report.PhaseOneCompleted = Kv["completed"] == "1";
-      Report.Classifications = parsePrune(PruneText, Report.Cycles.size());
-      Report.Predictions = parsePredict(PredictText, Report.Cycles.size());
       // Sound-first stable reorder (predict/both): Phase II budget reaches
       // the realizable cycles before any UNCONFIRMED one, and in predict
       // mode the skipped suffix is contiguous. Applied BEFORE the journal
@@ -627,29 +638,29 @@ bool CampaignRunner::runPhaseOneSandboxed(CampaignReport &Report,
         Report.Classifications = std::move(Classes);
         Report.Predictions = std::move(Preds);
       }
-      MergePhaseOneSidecar();
-      if (!SidecarPath.empty())
-        unlink(SidecarPath.c_str());
+      // Only the attempt that definitively succeeds merges its telemetry,
+      // so a retried attempt never double-counts.
+      if (Config.Telemetry)
+        mergeChildTelemetry(Report, Section, 2, LaunchUs, "phase 1");
 
-      Record = JsonValue::object();
-      Record.set("event", "phase1");
-      Record.set("completed", Report.PhaseOneCompleted);
-      Record.set("attempts", Report.PhaseOneAttempts);
+      // The child's record, completed by what only the parent knows and
+      // re-encoded in the (possibly reordered) journal order.
+      Rec.set("event", "phase1");
+      Rec.set("attempts", Report.PhaseOneAttempts);
       JsonValue Seeds = JsonValue::array();
       for (uint64_t S : Report.PhaseOneSeeds)
         Seeds.push(JsonValue(S));
-      Record.set("seeds", std::move(Seeds));
-      Record.set("cycles", serializeCycles(Report.Cycles));
-      Record.set("prune", serializePrune(Report.Classifications));
-      Record.set("predict", serializePredict(Report.Predictions));
+      Rec.set("seeds", std::move(Seeds));
+      Rec.set("cycles", serializeCycles(Report.Cycles));
+      Rec.set("prune", serializePrune(Report.Classifications));
+      Rec.set("predict", serializePredict(Report.Predictions));
+      Record = std::move(Rec);
       return true;
     }
 
     LastTriage = SR.triage();
     if (SR.Status != SandboxStatus::ForkFailed)
       ++SeedSteps; // the child ran; take a fresh observation seed
-    if (!SidecarPath.empty())
-      unlink(SidecarPath.c_str());
     DLF_DEBUG_LOG("phase 1 sandboxed attempt " << Attempt
                                                << " failed: " << LastTriage);
     if (Attempt < Config.MaxRetries) {
@@ -715,8 +726,6 @@ struct FlightInfo {
   unsigned Cycle = 0;
   unsigned Rep = 0;
   unsigned Attempt = 0;
-  /// Child telemetry sidecar (empty when telemetry is off).
-  std::string SidecarPath;
   /// Launch time in µs since the campaign telemetry epoch.
   uint64_t StartUs = 0;
   /// Worker-lane index for the timeline (smallest free slot at launch).
@@ -732,16 +741,12 @@ struct RetryItem {
 };
 
 /// A finalized outcome waiting for the in-order commit to reach it.
-/// Telemetry captured from the final attempt rides along so sidecar data
-/// is only merged if — and when — the outcome commits at the frontier.
+/// The final attempt's telemetry section rides along so it is only merged
+/// if — and when — the outcome commits at the frontier.
 struct PendingOutcome {
   RepOutcome O;
   bool Replayed = false;
-  telemetry::MetricsSnapshot Metrics;
-  std::vector<telemetry::TraceEvent> Events;
-  std::map<uint32_t, std::string> ChildThreads;
-  bool HadSidecarPath = false;
-  bool SidecarComplete = false;
+  std::string Telemetry;
   uint64_t StartUs = 0;
   uint64_t EndUs = 0;
   uint32_t Lane = 0;
@@ -788,8 +793,11 @@ void CampaignRunner::runPhaseTwo(
   // Journaled outcomes enter the commit queue up front; fresh results join
   // them as children finish (possibly out of order).
   std::map<std::pair<unsigned, unsigned>, PendingOutcome> Pending;
-  for (auto &KV : Replay)
-    Pending[KV.first] = {KV.second, /*Replayed=*/true};
+  for (auto &KV : Replay) {
+    PendingOutcome &PO = Pending[KV.first];
+    PO.O = KV.second;
+    PO.Replayed = true;
+  }
 
   std::map<uint64_t, FlightInfo> Flight;
   std::vector<RetryItem> Retries;
@@ -830,11 +838,6 @@ void CampaignRunner::runPhaseTwo(
     faultinject::ChildFaults CF;
     if (faultinject::enabled())
       CF = faultinject::plan().childFaults(C, R, Attempt);
-    std::string SidecarPath;
-    if (!SidecarDirInUse.empty())
-      SidecarPath = SidecarDirInUse + "/c" + std::to_string(C) + "_r" +
-                    std::to_string(R) + "_a" + std::to_string(Attempt) +
-                    ".sidecar";
     uint32_t Lane = 0;
     if (TrackLanes) {
       while (Lane < LaneBusy.size() && LaneBusy[Lane])
@@ -844,60 +847,43 @@ void CampaignRunner::runPhaseTwo(
       LaneBusy[Lane] = 1;
     }
     uint64_t Ticket = Pool.launch(
-        [this, C, R, Attempt, Seed, &Cycle, SidecarPath, CF](int Fd) {
-          if (!SidecarPath.empty()) {
-            setenv(telemetry::SidecarEnvVar, SidecarPath.c_str(), 1);
+        [this, C, R, Attempt, Seed, &Cycle, CF](int Fd) {
+          if (Config.Telemetry)
             telemetry::beginChildTelemetry();
-          }
           // Unconditional: also marks this process as a campaign child so
           // the inherited global plan cannot double-fire sidecar faults.
           faultinject::applyChildFaults(CF);
           if (Config.ChildFaultHook)
             Config.ChildFaultHook(C, R, Attempt);
-          const ActiveTesterConfig &TC = Config.Tester;
-          ActiveTester T(Config.Entry, TC);
+          ActiveTester T(Config.Entry, Config.Tester);
           ExecutionResult E = T.runOnce(Cycle, Seed);
-          const char *Cls = "completed";
-          if (E.DeadlockFound && E.Witness)
-            Cls = ActiveTester::witnessMatchesCycle(*E.Witness, Cycle,
-                                                    TC.Base.Kind,
-                                                    TC.Base.UseContext)
-                      ? "reproduced"
-                      : "other-deadlock";
-          else if (E.Stalled || E.LivelockAborted)
-            Cls = "stalled";
-          std::ostringstream Line;
-          Line << "p2 class=" << Cls << " thrashes=" << E.Thrashes
-               << " unpauses=" << E.ForcedUnpauses << "\n";
-          writeAll(Fd, Line.str());
-          if (!SidecarPath.empty())
-            telemetry::flushChildTelemetry();
+          JsonValue Rec = JsonValue::object();
+          Rec.set("class", repClassName(T.classify(E, Cycle)));
+          Rec.set("thrashes", E.Thrashes);
+          Rec.set("unpauses", E.ForcedUnpauses);
+          replyToParent(Fd, Rec, Config.Telemetry);
           return 0;
         },
         childLimits());
-    Flight[Ticket] = {C, R, Attempt, SidecarPath, ElapsedUs(), Lane};
+    Flight[Ticket] = {C, R, Attempt, ElapsedUs(), Lane};
     StatusDirty = true;
   };
 
+  // Fills \p O from the child's record (fields the parent owns are set by
+  // the caller afterwards) and the sandbox's wall/cpu times.
   auto Classify = [](const SandboxResult &SR, RepOutcome &O) {
-    O.WallMs = SR.WallMs;
-    O.CpuMs = SR.CpuMs;
-    O.Diagnostic.clear();
     bool Definitive = false;
     switch (SR.Status) {
     case SandboxStatus::Completed: {
-      auto Kv = parseKvLine(SR.Payload);
-      RunClass Parsed;
-      if (Kv.count("class") && runClassFromName(Kv["class"], Parsed)) {
-        O.Class = Parsed;
-        O.Thrashes = std::strtoull(Kv["thrashes"].c_str(), nullptr, 10);
-        O.ForcedUnpauses =
-            std::strtoull(Kv["unpauses"].c_str(), nullptr, 10);
+      JsonValue Rec;
+      if (parseJson(splitPayload(SR.Payload).first, Rec) &&
+          decodeRep(Rec, O)) {
         Definitive = true;
       } else {
-        // Exited 0 without a parseable result line: the child broke the
+        // Exited 0 without a decodable record: the child broke the
         // protocol (e.g. crashed inside the serializer); retry like any
         // other process-level failure.
+        O = RepOutcome();
         O.Class = RunClass::CrashedExit;
         O.Diagnostic = "result protocol violation; payload: " +
                        SR.Payload.substr(0, 120);
@@ -922,6 +908,8 @@ void CampaignRunner::runPhaseTwo(
       O.Diagnostic = SR.triage();
       break;
     }
+    O.WallMs = SR.WallMs;
+    O.CpuMs = SR.CpuMs;
     return Definitive;
   };
 
@@ -937,23 +925,18 @@ void CampaignRunner::runPhaseTwo(
       LaneBusy[FI.Lane] = 0;
     StatusDirty = true;
     Report.ChildCpuMs += PC.Result.CpuMs;
-    if (Progress[FI.Cycle].Quarantined) {
-      if (!FI.SidecarPath.empty())
-        unlink(FI.SidecarPath.c_str());
+    if (Progress[FI.Cycle].Quarantined)
       return; // speculation past a quarantine; discard
-    }
 
     RepOutcome O;
+    bool Definitive = Classify(PC.Result, O);
     O.CycleIdx = FI.Cycle;
     O.Rep = FI.Rep;
     O.Attempts = FI.Attempt + 1;
     O.Seed = SeedFor(FI.Rep);
-    bool Definitive = Classify(PC.Result, O);
     if (!Definitive && FI.Attempt < Config.MaxRetries) {
-      // Non-final attempt: its sidecar is discarded — only the final
-      // attempt's telemetry can merge, keeping totals jobs-deterministic.
-      if (!FI.SidecarPath.empty())
-        unlink(FI.SidecarPath.c_str());
+      // Non-final attempt: its telemetry is dropped — only the final
+      // attempt's can merge, keeping totals jobs-deterministic.
       if (AllowRetry) {
         DLF_DEBUG_LOG("rep " << FI.Cycle << "/" << FI.Rep << " attempt "
                              << FI.Attempt << " " << runClassName(O.Class)
@@ -981,12 +964,8 @@ void CampaignRunner::runPhaseTwo(
     PO.StartUs = FI.StartUs;
     PO.EndUs = ElapsedUs();
     PO.Lane = FI.Lane;
-    if (!FI.SidecarPath.empty()) {
-      PO.HadSidecarPath = true;
-      telemetry::readSidecar(FI.SidecarPath, PO.Metrics, PO.Events,
-                             PO.ChildThreads, &PO.SidecarComplete);
-      unlink(FI.SidecarPath.c_str());
-    }
+    if (Config.Telemetry)
+      PO.Telemetry = splitPayload(PC.Result.Payload).second;
     Pending[{FI.Cycle, FI.Rep}] = std::move(PO);
   };
 
@@ -999,8 +978,6 @@ void CampaignRunner::runPhaseTwo(
         Pool.cancel(It->first);
         if (TrackLanes && It->second.Lane < LaneBusy.size())
           LaneBusy[It->second.Lane] = 0;
-        if (!It->second.SidecarPath.empty())
-          unlink(It->second.SidecarPath.c_str());
         It = Flight.erase(It);
       } else {
         ++It;
@@ -1075,29 +1052,16 @@ void CampaignRunner::runPhaseTwo(
           // The frontier is the one place child telemetry enters the
           // report: canceled speculation and non-final attempts never get
           // here, so merged counter totals match the serial campaign.
-          Report.Metrics.merge(PO.Metrics);
-          if (PO.HadSidecarPath && !PO.SidecarComplete)
-            ++Report.Metrics.Counters["dlf_campaign_sidecars_missing_total"];
           Report.Timeline.push_back(telemetry::TraceEvent{
               'X', 1, PO.Lane, PO.StartUs, PO.EndUs - PO.StartUs,
               "c" + std::to_string(O.CycleIdx) + "/r" +
                   std::to_string(O.Rep) + ":" + runClassName(O.Class)});
           Report.TimelineThreadNames[(uint64_t(1) << 32) | PO.Lane] =
               "worker " + std::to_string(PO.Lane);
-          if (!PO.Events.empty()) {
-            uint32_t Pid = 10 + O.CycleIdx * Reps + O.Rep;
-            Report.TimelineProcessNames[Pid] =
-                "cycle " + std::to_string(O.CycleIdx) + " rep " +
-                std::to_string(O.Rep);
-            for (telemetry::TraceEvent E : PO.Events) {
-              E.Pid = Pid;
-              E.TsUs += PO.StartUs;
-              Report.Timeline.push_back(std::move(E));
-            }
-            for (const auto &KV : PO.ChildThreads)
-              Report.TimelineThreadNames[(uint64_t(Pid) << 32) | KV.first] =
-                  KV.second;
-          }
+          mergeChildTelemetry(Report, PO.Telemetry,
+                              10 + O.CycleIdx * Reps + O.Rep, PO.StartUs,
+                              "cycle " + std::to_string(O.CycleIdx) +
+                                  " rep " + std::to_string(O.Rep));
         }
       }
       if (runClassIsTransient(O.Class))
@@ -1378,7 +1342,6 @@ void CampaignRunner::runPhaseTwo(
 CampaignReport CampaignRunner::run(bool Resume) {
   CampaignReport Report;
   TelemetryEpoch = std::chrono::steady_clock::now();
-  SidecarDirInUse = resolveSidecarDir();
 
   std::map<std::pair<unsigned, unsigned>, RepOutcome> Replay;
   std::map<unsigned, std::string> JournaledQuarantines;
@@ -1429,17 +1392,7 @@ CampaignReport CampaignRunner::run(bool Resume) {
         Phase1Rec = std::move(Rec);
       } else if (Event == "rep") {
         RepOutcome O;
-        O.CycleIdx = static_cast<unsigned>(Rec["cycle"].asUInt());
-        O.Rep = static_cast<unsigned>(Rec["rep"].asUInt());
-        if (!runClassFromName(Rec["class"].asString(), O.Class))
-          O.Class = RunClass::CrashedExit;
-        O.Attempts = static_cast<unsigned>(Rec["attempts"].asUInt(1));
-        O.Seed = Rec["seed"].asUInt();
-        O.Thrashes = Rec["thrashes"].asUInt();
-        O.ForcedUnpauses = Rec["unpauses"].asUInt();
-        O.WallMs = Rec["wall_ms"].asNumber();
-        O.CpuMs = Rec["cpu_ms"].asNumber();
-        O.Diagnostic = Rec["diag"].asString();
+        decodeRep(Rec, O); // an unknown class reads as crashed-exit
         Replay[{O.CycleIdx, O.Rep}] = std::move(O);
       } else if (Event == "quarantine") {
         JournaledQuarantines[static_cast<unsigned>(Rec["cycle"].asUInt())] =
@@ -1477,24 +1430,16 @@ CampaignReport CampaignRunner::run(bool Resume) {
     Config.Status->publishStatus(St);
   }
   if (HavePhase1) {
-    Report.PhaseOneCompleted = Phase1Rec["completed"].asBool();
     Report.PhaseOneAttempts =
         static_cast<unsigned>(Phase1Rec["attempts"].asUInt());
     for (const JsonValue &S : Phase1Rec["seeds"].items())
       Report.PhaseOneSeeds.push_back(S.asUInt());
+    // Journaled cycles are already in sound-first order.
     std::string ParseError;
-    if (!deserializeCycles(Phase1Rec["cycles"].asString(), Report.Cycles,
-                           &ParseError)) {
+    if (!decodePhaseOne(Phase1Rec, Report, &ParseError)) {
       Report.Error = "journal phase-1 cycles are corrupt: " + ParseError;
       return Report;
     }
-    // Missing/garbled verdicts degrade to all-Schedulable (nothing skipped).
-    Report.Classifications =
-        parsePrune(Phase1Rec["prune"].asString(), Report.Cycles.size());
-    // Journaled cycles are already in sound-first order; only the verdicts
-    // themselves need restoring (garbled → empty → nothing skipped).
-    Report.Predictions =
-        parsePredict(Phase1Rec["predict"].asString(), Report.Cycles.size());
   } else {
     JsonValue Record;
     if (!runPhaseOneSandboxed(Report, Record))
@@ -1522,9 +1467,6 @@ CampaignReport CampaignRunner::run(bool Resume) {
   }
 
   runPhaseTwo(Report, Replay, JournaledQuarantines, HaveDone);
-
-  if (!SidecarDirInUse.empty())
-    rmdir(SidecarDirInUse.c_str()); // best-effort; fails if files remain
 
   if (JournalDegraded) {
     Report.JournalDegraded = true;

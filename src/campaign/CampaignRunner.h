@@ -11,20 +11,22 @@
 /// deadlock-prone by construction; in-process execution means one hung or
 /// crashed repetition destroys the whole campaign. The CampaignRunner
 /// executes Phase I and every Phase II repetition in a ProcessSandbox
-/// child, communicates results back over the sandbox pipe using a
-/// TraceFormat-style line protocol, classifies each run (completed /
-/// reproduced / other-deadlock / stalled / hung / crashed-signal /
-/// crashed-exit / oom), supervises transient failures with bounded
-/// same-seed restarts under capped exponential backoff (a restarted
-/// repetition re-runs its original seed, so a crash that was environmental
-/// — OOM kill, injected fault, machine pressure — converges to the
-/// fault-free classification and committed counts stay byte-identical to
-/// an undisturbed run), and journals progress after every repetition so an
-/// interrupted campaign resumes exactly where it left off. A cycle whose
-/// repetitions keep failing is quarantined with a diagnostic record
-/// instead of aborting the campaign; a journal whose writes start failing
-/// (ENOSPC, EIO) degrades the campaign to in-memory results instead of
-/// aborting it.
+/// child. Each child answers on the sandbox pipe with one line, a JSON
+/// object in the journal record's own schema, which the parent decodes
+/// with the same function journal replay uses; with telemetry on, the
+/// child's telemetry section follows that line. The runner classifies
+/// each run (completed / reproduced / other-deadlock / stalled / hung /
+/// crashed-signal / crashed-exit / oom), supervises transient failures
+/// with bounded same-seed restarts under capped exponential backoff (a
+/// restarted repetition re-runs its original seed, so a crash that was
+/// environmental — OOM kill, injected fault, machine pressure — converges
+/// to the fault-free classification and committed counts stay
+/// byte-identical to an undisturbed run), and journals progress after
+/// every repetition so an interrupted campaign resumes exactly where it
+/// left off. A cycle whose repetitions keep failing is quarantined with a
+/// diagnostic record instead of aborting the campaign; a journal whose
+/// writes start failing (ENOSPC, EIO) degrades the campaign to in-memory
+/// results instead of aborting it.
 ///
 /// Phase II is sharded over a WorkerPool of up to Jobs concurrent
 /// children. Results complete out of order but are committed — journaled
@@ -174,17 +176,13 @@ struct CampaignConfig {
   uint64_t RlimitCpuS = 0;
 
   /// Campaign-wide telemetry (off by default; flipped on by --metrics-out
-  /// / --timeline-out). Children dump metrics + timeline sidecars which
-  /// the parent merges — only the final attempt of each *committed*
-  /// repetition, at the in-order commit frontier, so merged counter totals
-  /// are identical for every Jobs value. A missing or truncated sidecar
-  /// (crashed child) is counted, never a campaign failure.
+  /// / --timeline-out). Children append their metrics + timeline section
+  /// to the result pipe after their record, and the parent merges it —
+  /// only the final attempt of each *committed* repetition, at the
+  /// in-order commit frontier, so merged counter totals are identical for
+  /// every Jobs value. A missing or cut section (crashed child) is
+  /// counted, never a campaign failure.
   bool Telemetry = false;
-
-  /// Directory for child sidecar files. Empty derives
-  /// "<JournalPath>.sidecars", falling back to a directory under TMPDIR
-  /// for journal-less campaigns.
-  std::string SidecarDir;
 
   /// Checkpoint file (JSON Lines). Empty runs without a journal (no
   /// resume, but still fault-isolated).
@@ -261,7 +259,7 @@ struct CycleCampaignStats {
     return Reps ? static_cast<double>(Reproduced) / Reps : 0.0;
   }
   /// The deterministic classification counts as a comparable string (used
-  /// by the resume-equivalence test and toString).
+  /// by the resume-equivalence tests).
   std::string countsKey() const;
 };
 
@@ -304,7 +302,7 @@ struct CampaignReport {
   }
 
   /// Campaign-wide merged telemetry (populated when Config.Telemetry):
-  /// campaign-level counters plus every committed child's sidecar
+  /// campaign-level counters plus every committed child's telemetry
   /// snapshot. Counter totals are deterministic across Jobs; gauges and
   /// wall-clock histograms are informational.
   telemetry::MetricsSnapshot Metrics;
@@ -332,7 +330,12 @@ struct CampaignReport {
   /// Set on configuration/journal errors; the report is then empty.
   std::string Error;
 
-  std::string toString() const;
+  /// The campaign report as dlf-run prints it (the per-cycle table, notes,
+  /// throughput and the resume advice); an error report renders as its
+  /// "error: " line. \p Benchmark heads the report and \p JournalPath
+  /// names the journal in the advice.
+  std::string toString(const std::string &Benchmark,
+                       const std::string &JournalPath) const;
 };
 
 /// Drives one campaign: Phase I and every Phase II repetition in a
@@ -379,10 +382,6 @@ private:
   void journalAppend(const JsonValue &Record);
   /// Switches to in-memory mode after a persistent journal write failure.
   void degradeJournal(const std::string &Why);
-  /// Creates (if needed) and returns the sidecar directory; empty string
-  /// disables sidecars for this run (telemetry off or mkdir failure —
-  /// the campaign still runs, metrics just lose child detail).
-  std::string resolveSidecarDir();
 
   CampaignConfig Config;
   JournalWriter Writer;
@@ -390,7 +389,6 @@ private:
   uint64_t JournalRecords = 0;
   bool JournalDegraded = false;
   std::string JournalDegradedWhy;
-  std::string SidecarDirInUse;
   /// Zero point of the merged timeline (run() entry); child events are
   /// rebased onto it via their launch offset.
   std::chrono::steady_clock::time_point TelemetryEpoch;

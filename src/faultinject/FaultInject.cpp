@@ -366,7 +366,7 @@ FaultPlan &globalPlan() {
   return *P;
 }
 
-/// Set once by applyChildFaults in campaign children; writeSidecar then
+/// Set once by applyChildFaults in campaign children; takeChildTelemetry then
 /// replays the parent's decision instead of consulting the inherited plan.
 bool GChildContext = false;
 int GSidecarFault = 0;

@@ -35,9 +35,9 @@
 ///   child.crash     abort|segv|kill|exit  the phase-2 child dies mid-rep
 ///   child.hang      -                   the phase-2 child hangs until the
 ///                                       sandbox watchdog fires
-///   sidecar.truncate -                  the child's telemetry sidecar is cut
-///                                       off mid-file (torn write)
-///   sidecar.missing  -                  the sidecar is never written
+///   sidecar.truncate -                  the child's telemetry section is cut
+///                                       off mid-way (torn write)
+///   sidecar.missing  -                  the section is never written
 ///   ring.write.halfslot -               the event-ring writer dies after
 ///                                       claiming a slot and sequence number
 ///                                       but before the payload (the observer
@@ -165,15 +165,15 @@ int failErrno(const char *Site, int DefaultErrno);
 bool fires(const char *Site);
 
 /// Applies \p CF inside a freshly forked phase-2 child: records the sidecar
-/// directives for writeSidecar, then crashes or hangs if asked to. Also
-/// marks the process as a campaign child so writeSidecar stops consulting
-/// the (inherited) global plan directly.
+/// directives for takeChildTelemetry, then crashes or hangs if asked to.
+/// Also marks the process as a campaign child so takeChildTelemetry stops
+/// consulting the (inherited) global plan directly.
 void applyChildFaults(const ChildFaults &CF);
 
-/// What writeSidecar should do: 0 = write normally, 1 = truncate mid-file,
-/// 2 = skip the write entirely. In a campaign child this replays the
-/// directives from applyChildFaults; in any other process it consults the
-/// global plan (sites sidecar.truncate / sidecar.missing).
+/// What takeChildTelemetry should do: 0 = write normally, 1 = truncate
+/// mid-section, 2 = skip the write entirely. In a campaign child this
+/// replays the directives from applyChildFaults; in any other process it
+/// consults the global plan (sites sidecar.truncate / sidecar.missing).
 int sidecarWriteFault();
 
 } // namespace faultinject

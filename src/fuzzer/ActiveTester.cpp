@@ -128,6 +128,32 @@ ExecutionResult ActiveTester::runOnce(const AbstractCycle &Cycle,
   return RT.run(TheProgram);
 }
 
+const char *dlf::repClassName(RepClass C) {
+  switch (C) {
+  case RepClass::Completed:
+    return "completed";
+  case RepClass::Reproduced:
+    return "reproduced";
+  case RepClass::OtherDeadlock:
+    return "other-deadlock";
+  case RepClass::Stalled:
+    return "stalled";
+  }
+  return "unknown";
+}
+
+RepClass ActiveTester::classify(const ExecutionResult &R,
+                                const AbstractCycle &Cycle) const {
+  if (R.DeadlockFound && R.Witness)
+    return witnessMatchesCycle(*R.Witness, Cycle, Config.Base.Kind,
+                               Config.Base.UseContext)
+               ? RepClass::Reproduced
+               : RepClass::OtherDeadlock;
+  if (R.Stalled || R.LivelockAborted)
+    return RepClass::Stalled;
+  return RepClass::Completed;
+}
+
 CycleFuzzStats ActiveTester::fuzzCycle(const AbstractCycle &Cycle) {
   CycleFuzzStats Stats;
   Stats.Cycle = Cycle;
@@ -137,16 +163,19 @@ CycleFuzzStats ActiveTester::fuzzCycle(const AbstractCycle &Cycle) {
     Stats.TotalThrashes += R.Thrashes;
     Stats.TotalForcedUnpauses += R.ForcedUnpauses;
     Stats.TotalWallMs += R.WallMs;
-    if (R.DeadlockFound && R.Witness) {
-      if (witnessMatchesCycle(*R.Witness, Cycle, Config.Base.Kind,
-                              Config.Base.UseContext))
-        ++Stats.ReproducedTarget;
-      else
-        ++Stats.OtherDeadlocks;
-    } else if (R.Stalled) {
+    switch (classify(R, Cycle)) {
+    case RepClass::Reproduced:
+      ++Stats.ReproducedTarget;
+      break;
+    case RepClass::OtherDeadlock:
+      ++Stats.OtherDeadlocks;
+      break;
+    case RepClass::Stalled:
       ++Stats.Stalls;
-    } else {
+      break;
+    case RepClass::Completed:
       ++Stats.CleanRuns;
+      break;
     }
   }
   return Stats;

@@ -95,6 +95,18 @@ struct PhaseOneResult {
   std::string Error;
 };
 
+/// How one Phase II repetition ended, judged from its ExecutionResult.
+enum class RepClass {
+  Completed,     ///< ran clean: no deadlock, no stall
+  Reproduced,    ///< confirmed a deadlock matching the target cycle
+  OtherDeadlock, ///< confirmed a different real deadlock
+  Stalled,       ///< uncontrolled stall, or the MaxSteps/livelock net tripped
+};
+
+/// Stable short name ("completed", "reproduced", "other-deadlock",
+/// "stalled"); the campaign journal uses the same names for these classes.
+const char *repClassName(RepClass C);
+
 /// Phase II statistics for one target cycle.
 struct CycleFuzzStats {
   AbstractCycle Cycle;
@@ -105,7 +117,8 @@ struct CycleFuzzStats {
   /// Runs that confirmed a *different* real deadlock (the paper observed
   /// this for the synchronized-map benchmarks, probability 0.52).
   unsigned OtherDeadlocks = 0;
-  /// Runs that ended in an uncontrolled stall (no checker cycle).
+  /// Runs that ended in an uncontrolled stall (no checker cycle) or were
+  /// cut by the MaxSteps / livelock safety net.
   unsigned Stalls = 0;
   /// Runs that completed without any deadlock.
   unsigned CleanRuns = 0;
@@ -156,6 +169,11 @@ public:
 
   /// One Phase II execution targeting \p Cycle with \p Seed.
   ExecutionResult runOnce(const AbstractCycle &Cycle, uint64_t Seed);
+
+  /// Classifies one Phase II execution that targeted \p Cycle. The one
+  /// classifier fuzzCycle and the campaign child share, so `dlf-run X` and
+  /// `dlf-run X --campaign` agree at the same seed.
+  RepClass classify(const ExecutionResult &R, const AbstractCycle &Cycle) const;
 
   /// Phase II for one cycle: PhaseTwoReps executions, classified.
   CycleFuzzStats fuzzCycle(const AbstractCycle &Cycle);

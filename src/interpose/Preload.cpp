@@ -525,8 +525,8 @@ void sleepMs(unsigned Ms) {
 __attribute__((constructor)) void dlfPreloadInit() {
   resolveReals();
   State = new GlobalState();
-  // A campaign (or operator) that wants metrics from the traced program
-  // points DLF_METRICS_SIDECAR at a file; the shutdown hook dumps there.
+  // An operator that wants metrics from the traced program points
+  // DLF_METRICS_SIDECAR at a file; the shutdown hook dumps there.
   if (getenv(dlf::telemetry::SidecarEnvVar))
     dlf::telemetry::setEnabled(true);
   if (const char *Path = getenv(dlf::interpose::TraceEnvVar)) {

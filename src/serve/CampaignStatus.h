@@ -128,7 +128,7 @@ public:
                             const std::string &Json) = 0;
 
   /// Replaces the sink's frontier-merged metrics snapshot (the campaign
-  /// aggregate including child sidecars); served by GET /metrics on top of
+  /// aggregate including child telemetry); served by GET /metrics on top of
   /// the live process registry.
   virtual void publishMetrics(const telemetry::MetricsSnapshot &M) = 0;
 };

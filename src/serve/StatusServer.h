@@ -14,7 +14,7 @@
 ///
 /// Endpoints (GET only, everything else is 405):
 ///   /metrics   Prometheus text v0.0.4: the publisher's frontier-merged
-///              snapshot (campaign aggregate incl. child sidecars) merged
+///              snapshot (campaign aggregate incl. child telemetry) merged
 ///              with a live pull from the process registry, plus a
 ///              dlf_build_info{...} 1 info metric.
 ///   /status    The last published CampaignStatus as JSON.

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Minimal path/directory helpers for the campaign layer. Journals and
-/// telemetry sidecars are routinely pointed at paths like
-/// `out/campaigns/2026-08/dbcp.jsonl`; `makeDirs` is the `mkdir -p`
-/// equivalent that creates every missing component instead of only the last
-/// one, with a precise error message when a component cannot be created.
+/// Minimal path/directory helpers for the campaign layer. Journals are
+/// routinely pointed at paths like `out/campaigns/2026-08/dbcp.jsonl`;
+/// `makeDirs` is the `mkdir -p` equivalent that creates every missing
+/// component instead of only the last one, with a precise error message
+/// when a component cannot be created.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -30,7 +30,7 @@
 /// fork() note: the campaign layer forks children while the process is
 /// quiescent (no other live threads); a child calls Registry::reset() so
 /// values inherited from the parent are not double-counted when its
-/// sidecar snapshot is merged back (see telemetry/Sidecar.h).
+/// telemetry section is merged back (see telemetry/Sidecar.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -57,12 +57,9 @@ bool parseI64(const std::string &Tok, int64_t &Out) {
 
 } // namespace
 
-bool writeSidecar(const std::string &Path, const MetricsSnapshot &Snap,
-                  const std::vector<TraceEvent> &Events,
-                  const std::map<uint32_t, std::string> &ThreadNames) {
-  int Fault = faultinject::sidecarWriteFault();
-  if (Fault == 2)
-    return false; // sidecar.missing: the file is simply never produced
+std::string encodeSidecar(const MetricsSnapshot &Snap,
+                          const std::vector<TraceEvent> &Events,
+                          const std::map<uint32_t, std::string> &ThreadNames) {
   std::string Body;
   Body.reserve(4096);
   Body += HeaderLine;
@@ -130,38 +127,18 @@ bool writeSidecar(const std::string &Path, const MetricsSnapshot &Snap,
     Body += '\n';
   }
   Body += "end\n";
-
-  // sidecar.truncate: stop mid-file, as a child killed mid-write would —
-  // the `end` marker never lands, so readers must treat the file as
-  // partial. Exercises the truncation tolerance in readSidecar.
-  size_t WriteBytes = Fault == 1 ? Body.size() / 2 : Body.size();
-
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Body.data(), 1, WriteBytes, F) == WriteBytes;
-  Ok = std::fclose(F) == 0 && Ok;
-  return Ok && Fault == 0;
+  return Body;
 }
 
-bool readSidecar(const std::string &Path, MetricsSnapshot &Snap,
-                 std::vector<TraceEvent> &Events,
-                 std::map<uint32_t, std::string> &ThreadNames,
-                 bool *Complete) {
+bool decodeSidecar(const std::string &Contents, MetricsSnapshot &Snap,
+                   std::vector<TraceEvent> &Events,
+                   std::map<uint32_t, std::string> &ThreadNames,
+                   bool *Complete) {
   if (Complete)
     *Complete = false;
-  std::FILE *F = std::fopen(Path.c_str(), "r");
-  if (!F)
-    return false;
-  std::string Contents;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Contents.append(Buf, N);
-  std::fclose(F);
-
-  // The file may be truncated mid-line by a killed child: only lines
-  // terminated by '\n' are trusted, so a partial final line is dropped.
+  // The section may be cut mid-line (a killed child, sidecar.truncate, the
+  // sandbox payload cap): only lines terminated by '\n' are trusted, so a
+  // partial final line is dropped.
   std::vector<std::string> Lines;
   size_t Pos = 0;
   while (true) {
@@ -270,12 +247,9 @@ void beginChildTelemetry() {
     Timeline::global().reset();
 }
 
-void flushChildTelemetry() {
-  const char *Path = std::getenv(SidecarEnvVar);
-  if (!Path || !*Path)
-    return;
+std::string takeChildTelemetry() {
   if (!enabled() && !Timeline::global().enabled())
-    return;
+    return std::string();
   MetricsSnapshot Snap;
   if (enabled())
     Snap = Registry::global().snapshot();
@@ -283,7 +257,29 @@ void flushChildTelemetry() {
   std::map<uint32_t, std::string> ThreadNames;
   if (Timeline::global().enabled())
     Timeline::global().take(Events, ThreadNames);
-  writeSidecar(Path, Snap, Events, ThreadNames);
+  int Fault = faultinject::sidecarWriteFault();
+  if (Fault == 2)
+    return std::string(); // sidecar.missing: the section is never produced
+  std::string Section = encodeSidecar(Snap, Events, ThreadNames);
+  // sidecar.truncate: stop mid-section, as a child killed mid-write would —
+  // the `end` marker never lands, so the reader must treat it as partial.
+  if (Fault == 1)
+    Section.resize(Section.size() / 2);
+  return Section;
+}
+
+void flushChildTelemetry() {
+  const char *Path = std::getenv(SidecarEnvVar);
+  if (!Path || !*Path)
+    return;
+  std::string Section = takeChildTelemetry();
+  if (Section.empty())
+    return;
+  std::FILE *F = std::fopen(Path, "w");
+  if (!F)
+    return;
+  std::fwrite(Section.data(), 1, Section.size(), F);
+  std::fclose(F);
 }
 
 } // namespace telemetry

@@ -20,7 +20,7 @@
 ///
 /// Timestamps are microseconds relative to the timeline epoch (reset()
 /// re-arms the epoch); the campaign parent rebases child event times
-/// into its own epoch when merging sidecars, so lanes line up.
+/// into its own epoch when merging their telemetry, so lanes line up.
 ///
 //===----------------------------------------------------------------------===//
 

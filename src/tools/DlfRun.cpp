@@ -195,89 +195,13 @@ int runCampaign(const BenchmarkInfo &Bench, campaign::CampaignConfig Config,
   campaign::CampaignRunner::installSigintHandler();
   campaign::CampaignRunner Runner(std::move(Config));
   campaign::CampaignReport Report = Runner.run(Resume);
+  std::string Text =
+      Report.toString(Bench.Name, Runner.config().JournalPath);
   if (!Report.Error.empty()) {
-    std::cerr << "error: " << Report.Error << "\n";
+    std::cerr << Text;
     return 1;
   }
-
-  std::cout << "campaign (" << Bench.Name << "): phase 1 "
-            << (Report.PhaseOneCompleted ? "completed" : "partial") << " in "
-            << Report.PhaseOneAttempts << " sandboxed attempt(s), "
-            << Report.Cycles.size() << " potential cycle(s)\n\n";
-  Table T({"Cycle", "Reproduced", "Other", "Stalls", "Clean", "Hung",
-           "Crashed", "OOM", "Retries", "Probability", "Note"});
-  for (size_t I = 0; I != Report.PerCycle.size(); ++I) {
-    const campaign::CycleCampaignStats &S = Report.PerCycle[I];
-    T.addRow({"#" + std::to_string(I),
-              Table::fmt(static_cast<uint64_t>(S.Reproduced)) + "/" +
-                  Table::fmt(static_cast<uint64_t>(S.Reps)),
-              Table::fmt(static_cast<uint64_t>(S.OtherDeadlocks)),
-              Table::fmt(static_cast<uint64_t>(S.Stalls)),
-              Table::fmt(static_cast<uint64_t>(S.CleanRuns)),
-              Table::fmt(static_cast<uint64_t>(S.Hung)),
-              Table::fmt(
-                  static_cast<uint64_t>(S.CrashedSignal + S.CrashedExit)),
-              Table::fmt(static_cast<uint64_t>(S.Oom)),
-              Table::fmt(static_cast<uint64_t>(S.RetriesSpent)),
-              Table::fmt(S.probability(), 2),
-              S.Quarantined ? "QUARANTINED"
-                            : (S.Skipped ? "SKIPPED" : "")});
-  }
-  T.print(std::cout);
-  for (size_t I = 0; I != Report.PerCycle.size(); ++I)
-    if (Report.PerCycle[I].Quarantined)
-      std::cout << "cycle #" << I
-                << " quarantined: " << Report.PerCycle[I].QuarantineReason
-                << "\n";
-  for (size_t I = 0; I != Report.PerCycle.size(); ++I)
-    if (!Report.PerCycle[I].Prediction.empty())
-      std::cout << "cycle #" << I
-                << " prediction: " << Report.PerCycle[I].Prediction << "\n";
-  for (size_t I = 0; I != Report.PerCycle.size(); ++I)
-    if (Report.PerCycle[I].Skipped) {
-      // Name whichever engine discharged the cycle: the pruner verdict when
-      // it is non-schedulable, the prediction verdict otherwise (a cycle
-      // the pruner could not discharge but the predictor left UNCONFIRMED).
-      const campaign::CycleCampaignStats &S = Report.PerCycle[I];
-      bool PrunerDischarged =
-          !S.Classification.empty() && S.Classification != "schedulable";
-      std::cout << "cycle #" << I << " statically discharged as "
-                << (PrunerDischarged ? S.Classification : S.Prediction)
-                << "; rerun with --include-guarded to spend reps on it\n";
-    }
-  std::cout << "reps executed " << Report.RepsExecuted
-            << ", replayed from journal " << Report.RepsReplayed << "\n";
-  if (Report.RepsExecuted)
-    std::cout << "throughput: " << Table::fmt(Report.repsPerSecond(), 2)
-              << " reps/s (wall " << Table::fmt(Report.PhaseTwoWallMs / 1000.0, 2)
-              << " s, child cpu " << Table::fmt(Report.ChildCpuMs / 1000.0, 2)
-              << " s), peak " << Report.PeakConcurrency
-              << " concurrent child(ren), jobs " << Report.JobsUsed << "\n";
-  if (Report.JournalTailDropped)
-    std::cout << "journal salvage: dropped " << Report.JournalTailDropped
-              << " torn/corrupt line(s); the tail was quarantined to "
-              << Runner.config().JournalPath << ".corrupt\n";
-  if (Report.JournalDegraded)
-    std::cout << "journal degraded (" << Report.JournalError
-              << "); results were computed in-memory and the unusable "
-              << "journal was moved to " << Runner.config().JournalPath
-              << ".broken\n";
-  // The journal fingerprint covers seeds, reps, and abstraction settings,
-  // so the resume invocation must repeat this one's options. A degraded
-  // journal cannot seed a resume: suppress the advice rather than point the
-  // user at a known-incomplete record stream.
-  if (Report.BudgetExhausted || Report.Interrupted) {
-    const char *Why = Report.BudgetExhausted ? "wall-clock budget exhausted"
-                                             : "interrupted";
-    if (Report.JournalDegraded)
-      std::cout << Why << "; the journal is degraded, so this campaign "
-                << "cannot be resumed — rerun it from scratch\n";
-    else
-      std::cout << Why << "; resume with the same options plus: --resume "
-                << Runner.config().JournalPath << "\n";
-  } else {
-    std::cout << "campaign complete\n";
-  }
+  std::cout << Text;
 
   if (Telemetry.any()) {
     // The campaign aggregate lives in the report; the parent's global

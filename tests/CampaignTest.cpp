@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -330,7 +331,8 @@ TEST(Campaign, HealthyWorkloadCompletesAndReproduces) {
   EXPECT_TRUE(R.PhaseOneCompleted);
   ASSERT_EQ(R.PerCycle.size(), 1u);
   EXPECT_EQ(R.PerCycle[0].Reps, 4u);
-  EXPECT_EQ(R.PerCycle[0].Reproduced, 4u) << R.toString();
+  EXPECT_EQ(R.PerCycle[0].Reproduced, 4u)
+      << R.toString("campaign-test", File.path());
   EXPECT_EQ(R.RepsExecuted, 4u);
   EXPECT_EQ(R.RepsReplayed, 0u);
 }
@@ -352,7 +354,7 @@ TEST(Campaign, TransientCrashIsRestartedWithTheSameSeed) {
   EXPECT_TRUE(R.CampaignComplete);
   ASSERT_EQ(R.PerCycle.size(), 1u);
   const CycleCampaignStats &S = R.PerCycle[0];
-  EXPECT_EQ(S.Reproduced, 4u) << R.toString();
+  EXPECT_EQ(S.Reproduced, 4u) << R.toString("campaign-test", "");
   EXPECT_EQ(S.RetriesSpent, 4u);
   // Final classifications carry no trace of the retried crashes.
   EXPECT_EQ(S.CrashedSignal, 0u);
@@ -379,7 +381,7 @@ TEST(Campaign, PersistentHangQuarantinesTheCycleNotTheCampaign) {
   ASSERT_EQ(R.PerCycle.size(), 1u);
   const CycleCampaignStats &S = R.PerCycle[0];
   EXPECT_TRUE(S.Quarantined);
-  EXPECT_EQ(S.Hung, 2u) << R.toString();
+  EXPECT_EQ(S.Hung, 2u) << R.toString("campaign-test", "");
   EXPECT_EQ(S.Reps, 2u);
   EXPECT_NE(S.QuarantineReason.find("consecutive failed"), std::string::npos)
       << S.QuarantineReason;
@@ -614,7 +616,7 @@ TEST(Campaign, ParallelRetryMatchesSerialSemantics) {
   EXPECT_TRUE(R.CampaignComplete);
   ASSERT_EQ(R.PerCycle.size(), 1u);
   const CycleCampaignStats &S = R.PerCycle[0];
-  EXPECT_EQ(S.Reproduced, 4u) << R.toString();
+  EXPECT_EQ(S.Reproduced, 4u) << R.toString("campaign-test", "");
   EXPECT_EQ(S.RetriesSpent, 4u);
   EXPECT_EQ(S.CrashedSignal, 0u);
 }
@@ -637,7 +639,7 @@ TEST(Campaign, ParallelQuarantineJournalsNothingPastTheThreshold) {
   ASSERT_EQ(R.PerCycle.size(), 1u);
   const CycleCampaignStats &S = R.PerCycle[0];
   EXPECT_TRUE(S.Quarantined);
-  EXPECT_EQ(S.Hung, 2u) << R.toString();
+  EXPECT_EQ(S.Hung, 2u) << R.toString("campaign-test", "");
   EXPECT_EQ(S.Reps, 2u);
   // Speculative repetitions past the quarantine point were in flight but
   // must never be journaled: the record set matches the serial campaign.
@@ -706,7 +708,9 @@ TEST(Campaign, JournalWriteFailureDegradesToInMemory) {
   EXPECT_TRUE(Degraded.JournalDegraded);
   EXPECT_NE(Degraded.JournalError.find("fsync"), std::string::npos)
       << Degraded.JournalError;
-  EXPECT_NE(Degraded.toString().find("journal degraded"), std::string::npos);
+  EXPECT_NE(Degraded.toString("campaign-test", J.path())
+                .find("journal degraded"),
+            std::string::npos);
   // The journal was renamed out of the way so a later --resume cannot pick
   // up a known-incomplete record stream.
   EXPECT_EQ(access((J.path() + ".broken").c_str(), F_OK), 0);
@@ -832,7 +836,7 @@ TEST(Campaign, ChaosPlanConvergesToFaultFreeCounts) {
   for (size_t I = 0; I != Full.PerCycle.size(); ++I)
     EXPECT_EQ(classificationKey(R.PerCycle[I].countsKey()),
               classificationKey(Full.PerCycle[I].countsKey()))
-        << R.toString();
+        << R.toString("campaign-test", "");
 }
 
 TEST(Campaign, ResumeRejectsAMismatchedConfiguration) {
@@ -869,6 +873,45 @@ void gateProgram() {
   T2.join();
 }
 
+/// The gate-protected inversion followed by a long single-thread tail:
+/// under a small MaxSteps every execution is cut by the step net after
+/// the inversion, which Phase I has already observed by then.
+void gateThenTailProgram() {
+  gateProgram();
+  Mutex Tail("ct", DLF_SITE());
+  for (int I = 0; I != 64; ++I)
+    MutexGuard Hold(Tail, DLF_NAMED_SITE("camp:tail"));
+}
+
+TEST(CampaignPhase1, StepCappedRunsClassifyAlikeInProcessAndInCampaign) {
+  // One repetition classifier: a run the MaxSteps net cut is a stall both
+  // for ActiveTester::fuzzCycle (plain dlf-run) and for a campaign child.
+  ActiveTesterConfig TC;
+  TC.Base.MaxSteps = 24;
+  TC.PhaseTwoReps = 4;
+  TC.Goodlock.KeepGuardedCycles = true;
+  ActiveTester T(gateThenTailProgram, TC);
+  PhaseOneResult P1 = T.runPhaseOne();
+  ASSERT_EQ(P1.Cycles.size(), 1u);
+  CycleFuzzStats InProcess = T.fuzzCycle(P1.Cycles[0]);
+
+  TempFile File("step-capped.jsonl");
+  CampaignConfig CC = baseConfig(File.path());
+  CC.BenchmarkName = "campaign-test-step-capped";
+  CC.Entry = gateThenTailProgram;
+  CC.Tester = TC;
+  CC.IncludeGuarded = true; // the pruner discharges the gate cycle
+  CampaignReport R = CampaignRunner(std::move(CC)).run();
+  ASSERT_TRUE(R.Error.empty()) << R.Error;
+  ASSERT_EQ(R.PerCycle.size(), 1u);
+  EXPECT_EQ(R.Cycles[0].key(AbstractionKind::ExecutionIndex, true),
+            P1.Cycles[0].key(AbstractionKind::ExecutionIndex, true));
+  EXPECT_EQ(InProcess.Stalls, 4u);
+  EXPECT_EQ(R.PerCycle[0].Stalls, InProcess.Stalls)
+      << R.toString("campaign-test", File.path());
+  EXPECT_EQ(R.PerCycle[0].CleanRuns, InProcess.CleanRuns);
+}
+
 TEST(CampaignPhase1, PredictEngineCertifiesTheAbbaCycle) {
   TempFile File("predict-abba.jsonl");
   CampaignConfig CC = baseConfig(File.path());
@@ -879,7 +922,8 @@ TEST(CampaignPhase1, PredictEngineCertifiesTheAbbaCycle) {
   EXPECT_EQ(R.PerCycle[0].Prediction.rfind("PREDICTED-SOUND", 0), 0u)
       << R.PerCycle[0].Prediction;
   EXPECT_FALSE(R.PerCycle[0].Skipped);
-  EXPECT_EQ(R.PerCycle[0].Reproduced, 4u) << R.toString();
+  EXPECT_EQ(R.PerCycle[0].Reproduced, 4u)
+      << R.toString("campaign-test", File.path());
 }
 
 TEST(CampaignPhase1, PredictEngineSkipsAGuardDischargedCycle) {
@@ -906,7 +950,8 @@ TEST(CampaignPhase1, BothModeReportsVerdictsAndSpendsBudget) {
   ASSERT_TRUE(R.Error.empty()) << R.Error;
   ASSERT_EQ(R.PerCycle.size(), 1u);
   EXPECT_FALSE(R.PerCycle[0].Prediction.empty());
-  EXPECT_EQ(R.PerCycle[0].Reproduced, 4u) << R.toString();
+  EXPECT_EQ(R.PerCycle[0].Reproduced, 4u)
+      << R.toString("campaign-test", File.path());
 }
 
 TEST(CampaignPhase1, ResumeReplaysPredictionsFromTheJournal) {
@@ -942,6 +987,55 @@ TEST(CampaignPhase1, EngineIsPartOfTheJournalFingerprint) {
   CampaignReport R = CampaignRunner(std::move(Changed)).run(/*Resume=*/true);
   EXPECT_FALSE(R.Error.empty());
   EXPECT_NE(R.Error.find("does not match"), std::string::npos) << R.Error;
+}
+
+TEST(CampaignPhase1, ChildThatRanAndFailedIsRetriedWithAFreshSeed) {
+  // The program aborts on its first call only: the first Phase I child
+  // dies after it ran, so the runner must step past that child's whole
+  // observation seed range, and the retry must observe what an undisturbed
+  // campaign observes. A marker file (not a hook) carries the "already
+  // aborted once" bit across the forked children.
+  TempFile Marker("p1-abort.marker");
+  TempFile File("p1-retry.jsonl");
+  TempFile Control("p1-retry-control.jsonl");
+  std::string MarkerPath = Marker.path();
+  CampaignConfig CC = baseConfig(File.path());
+  CC.Entry = [MarkerPath] {
+    int Fd = ::open(MarkerPath.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0600);
+    if (Fd >= 0) {
+      ::close(Fd);
+      abort();
+    }
+    abbaProgram();
+  };
+  const uint64_t S = CC.Tester.PhaseOneSeed;
+  const uint64_t Step = CC.Tester.PhaseOneRetries + 1;
+  CampaignReport R = CampaignRunner(CC).run();
+  ASSERT_TRUE(R.Error.empty()) << R.Error;
+  EXPECT_EQ(R.PhaseOneAttempts, 2u);
+  EXPECT_EQ(R.PhaseOneSeeds, (std::vector<uint64_t>{S, S + Step}));
+
+  JournalContents JC;
+  std::string Error;
+  ASSERT_TRUE(loadJournal(File.path(), JC, &Error)) << Error;
+  std::vector<uint64_t> Journaled;
+  for (const JsonValue &Rec : JC.Records)
+    if (Rec["event"].asString() == "phase1") {
+      EXPECT_EQ(Rec["attempts"].asUInt(), 2u);
+      for (const JsonValue &Seed : Rec["seeds"].items())
+        Journaled.push_back(Seed.asUInt());
+    }
+  EXPECT_EQ(Journaled, R.PhaseOneSeeds);
+
+  CampaignReport Undisturbed =
+      CampaignRunner(baseConfig(Control.path())).run();
+  ASSERT_TRUE(Undisturbed.Error.empty()) << Undisturbed.Error;
+  EXPECT_EQ(Undisturbed.PhaseOneAttempts, 1u);
+  ASSERT_EQ(R.Cycles.size(), Undisturbed.Cycles.size());
+  for (size_t I = 0; I != R.Cycles.size(); ++I)
+    EXPECT_EQ(R.Cycles[I].key(AbstractionKind::ExecutionIndex, true),
+              Undisturbed.Cycles[I].key(AbstractionKind::ExecutionIndex,
+                                        true));
 }
 
 TEST(CampaignPhase1, EngineNamesRoundTrip) {

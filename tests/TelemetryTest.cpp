@@ -1,11 +1,11 @@
 //===- tests/TelemetryTest.cpp - Unified telemetry subsystem ------------------===//
 //
 // Exercises the telemetry layer bottom-up: histogram bucket geometry, the
-// lock-free thread-sharded counter merge, sidecar round trips including
-// truncated files, Chrome trace-event rendering, and the campaign-level
-// aggregation contracts — merged counter totals identical for every
-// --jobs value, and a crashed child's missing sidecar degrading to a
-// counter instead of failing the campaign.
+// lock-free thread-sharded counter merge, telemetry-section round trips
+// including cut and missing sections, Chrome trace-event rendering, and the
+// campaign-level aggregation contracts — merged counter totals identical
+// for every --jobs value, and a crashed child's missing section degrading
+// to a counter instead of failing the campaign.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -204,14 +203,13 @@ TEST(TelemetrySidecar, RoundTripPreservesSnapshotEventsAndNames) {
   Events.push_back(Instant);
   std::map<uint32_t, std::string> Names{{1, "worker 1"}};
 
-  TempFile File("roundtrip.sidecar");
-  ASSERT_TRUE(writeSidecar(File.path(), S, Events, Names));
+  std::string Section = encodeSidecar(S, Events, Names);
 
   MetricsSnapshot S2;
   std::vector<TraceEvent> E2;
   std::map<uint32_t, std::string> N2;
   bool Complete = false;
-  ASSERT_TRUE(readSidecar(File.path(), S2, E2, N2, &Complete));
+  ASSERT_TRUE(decodeSidecar(Section, S2, E2, N2, &Complete));
   EXPECT_TRUE(Complete);
   EXPECT_EQ(S2.Counters, S.Counters);
   EXPECT_EQ(S2.Gauges, S.Gauges);
@@ -225,45 +223,37 @@ TEST(TelemetrySidecar, RoundTripPreservesSnapshotEventsAndNames) {
   EXPECT_EQ(N2.at(1), "worker 1");
 }
 
-TEST(TelemetrySidecar, TruncatedFileYieldsCompleteLinesWithoutEndMarker) {
+TEST(TelemetrySidecar, TruncatedSectionYieldsCompleteLinesWithoutEndMarker) {
   MetricsSnapshot S;
   S.Counters["dlf_test_first_total"] = 1;
   S.Counters["dlf_test_second_total"] = 2;
-  TempFile File("truncated.sidecar");
-  ASSERT_TRUE(writeSidecar(File.path(), S, {}, {}));
+  std::string Section = encodeSidecar(S, {}, {});
 
-  // Chop the file mid-line, the way a SIGKILLed child would leave it: the
-  // "end" marker and the torn final line must both be discarded.
-  std::string Contents;
-  {
-    std::ifstream In(File.path(), std::ios::binary);
-    Contents.assign(std::istreambuf_iterator<char>(In),
-                    std::istreambuf_iterator<char>());
-  }
-  size_t SecondLine = Contents.find("c dlf_test_second_total");
+  // Chop the section mid-line, the way a SIGKILLed child (or the sandbox
+  // payload cap) would leave it: the "end" marker and the torn final line
+  // must both be discarded.
+  size_t SecondLine = Section.find("c dlf_test_second_total");
   ASSERT_NE(SecondLine, std::string::npos);
-  {
-    std::ofstream Out(File.path(), std::ios::binary | std::ios::trunc);
-    Out << Contents.substr(0, SecondLine + 5);
-  }
+  Section.resize(SecondLine + 5);
 
   MetricsSnapshot S2;
   std::vector<TraceEvent> E2;
   std::map<uint32_t, std::string> N2;
   bool Complete = true;
-  ASSERT_TRUE(readSidecar(File.path(), S2, E2, N2, &Complete));
+  ASSERT_TRUE(decodeSidecar(Section, S2, E2, N2, &Complete));
   EXPECT_FALSE(Complete);
   EXPECT_EQ(S2.Counters.count("dlf_test_first_total"), 1u);
   EXPECT_EQ(S2.Counters.count("dlf_test_second_total"), 0u);
 }
 
-TEST(TelemetrySidecar, MissingFileReadsAsFailureNotCrash) {
+TEST(TelemetrySidecar, MissingSectionReadsAsFailureNotCrash) {
+  // A child that crashed before its telemetry (or ran under
+  // sidecar.missing) leaves nothing after its record line.
   MetricsSnapshot S;
   std::vector<TraceEvent> E;
   std::map<uint32_t, std::string> N;
   bool Complete = true;
-  EXPECT_FALSE(readSidecar("/nonexistent/dlf-telemetry.sidecar", S, E, N,
-                           &Complete));
+  EXPECT_FALSE(decodeSidecar("", S, E, N, &Complete));
   EXPECT_FALSE(Complete);
   EXPECT_TRUE(S.empty());
 }
@@ -402,6 +392,11 @@ TEST(TelemetryCampaign, MergedCounterTotalsAreJobsInvariant) {
     ASSERT_TRUE(R.CampaignComplete);
     ASSERT_FALSE(R.Metrics.Counters.empty());
     EXPECT_EQ(R.Metrics.Counters.at("dlf_campaign_reps_total"), 4u);
+    EXPECT_EQ(R.Metrics.Counters.count("dlf_campaign_sidecars_missing_total"),
+              0u);
+    // Child telemetry rides the result pipe: nothing lands beside the
+    // journal.
+    EXPECT_NE(access((Journal.path() + ".sidecars").c_str(), F_OK), 0);
     if (Jobs == 1)
       Baseline = R.Metrics.Counters;
     else
@@ -414,8 +409,8 @@ TEST(TelemetryCampaign, CrashedChildMissingSidecarDegradesToACounter) {
   TempFile Journal("crash.jsonl");
   campaign::CampaignConfig CC = telemetryConfig(Journal.path());
   CC.MaxRetries = 0;
-  // Rep 0's child dies before it can flush a sidecar; the campaign must
-  // commit the crash outcome, count the missing sidecar, and keep going.
+  // Rep 0's child dies before it can send its telemetry; the campaign must
+  // commit the crash outcome, count the missing section, and keep going.
   CC.ChildFaultHook = [](unsigned, unsigned Rep, unsigned) {
     if (Rep == 0)
       abort();
