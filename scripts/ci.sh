@@ -5,13 +5,16 @@
 # clang-tidy is not installed. Tier 1: the plain build and full test suite
 # (the gate every change must hold), plus end-to-end workload smokes
 # including the --phase1 predict engine (sound cycles certified, guarded
-# ones skipped). Tier 1b (flake gate): the same suite 20 times back to
+# ones skipped), a cross-jobs check (every registry campaign's table and
+# journal identical at --jobs 1 and --jobs 3) and a lane-wrap run (three
+# pinned lanes on two CPUs still reproduce every collections-lists
+# cycle). Tier 1b (flake gate): the same suite 20 times back to
 # back under ctest -j, with no failure allowed — a test that fails one run
 # in twenty on a multi-core host is a bug, not noise. Tier 2: the same suite under ASan+UBSan
 # (DLF_SANITIZE=address), which is how the sandbox/journal/pool code gets
-# its memory-error coverage. Tier 2b: the runtime and scheduler suites under
-# ThreadSanitizer (DLF_SANITIZE=thread) — the code that juggles real
-# pthreads gets real data-race coverage. Sanitized children run several
+# its memory-error coverage. Tier 2b: the runtime, scheduler and campaign
+# suites under ThreadSanitizer (DLF_SANITIZE=thread) — the code that
+# juggles real pthreads gets real data-race coverage. Sanitized children run several
 # times slower, so those tiers use a reduced per-test timeout rather than
 # the suite default. Tier 3 (bench smoke): builds the micro-benchmark
 # binaries and runs one short closure case so bench-code rot is caught
@@ -70,6 +73,40 @@ build/src/dlf-run condvar-hybrid --campaign --phase1 predict --reps 3 \
 build/src/dlf-run guarded --campaign --phase1 predict --reps 3 \
   --journal "$PREDICTDIR/guarded.jsonl" | grep -q 'reps executed 0'
 rm -rf "$PREDICTDIR"
+# Cross-jobs identity: campaign output must not depend on --jobs, however
+# the lanes are pinned. For every registry benchmark the per-cycle table
+# and the journal (per-rep timing fields and line CRCs stripped) must be
+# byte-identical at --jobs 1 and --jobs 3.
+XJDIR="$(mktemp -d)"
+for BENCH in $(build/src/dlf-run --list |
+               awk -F'|' 'NR > 2 { gsub(/ /, "", $2); print $2 }'); do
+  for XJOBS in 1 3; do
+    build/src/dlf-run "$BENCH" --campaign --reps 3 --jobs "$XJOBS" \
+      --journal "$XJDIR/$BENCH.$XJOBS.jsonl" > "$XJDIR/$BENCH.$XJOBS.out"
+    grep '^|' "$XJDIR/$BENCH.$XJOBS.out" > "$XJDIR/$BENCH.$XJOBS.table" || true
+    sed -E 's/\t[0-9a-f]{8}$//; s/"(wall_ms|cpu_ms)":[^,}]*//g' \
+      "$XJDIR/$BENCH.$XJOBS.jsonl" > "$XJDIR/$BENCH.$XJOBS.canon"
+  done
+  cmp "$XJDIR/$BENCH.1.table" "$XJDIR/$BENCH.3.table" \
+    || { echo "$BENCH: per-cycle table depends on --jobs"; exit 1; }
+  cmp "$XJDIR/$BENCH.1.canon" "$XJDIR/$BENCH.3.canon" \
+    || { echo "$BENCH: journal depends on --jobs"; exit 1; }
+done
+echo "== cross-jobs identity: every benchmark identical at --jobs 1 and 3 =="
+# Lane wrap: three lanes on two CPUs share a core, and every cycle must
+# still reproduce.
+if [ "$(nproc)" -ge 2 ]; then
+  taskset -c 0,1 build/src/dlf-run collections-lists --campaign --jobs 3 \
+    --journal "$XJDIR/wrap.jsonl" > "$XJDIR/wrap.out"
+  WRAP="$(awk -F'|' '/^\| #/ { split($3, R, "/"); if (R[1] + 0 > 0) ++N }
+                     END { print N + 0 }' "$XJDIR/wrap.out")"
+  grep -q ' 27 potential cycle(s)' "$XJDIR/wrap.out" && [ "$WRAP" = 27 ] \
+    || { echo "lane wrap: $WRAP/27 cycles reproduced"; exit 1; }
+  echo "== lane wrap: 27/27 cycles reproduced on 2 CPUs at --jobs 3 =="
+else
+  echo "== lane wrap: skipped (needs 2 CPUs, host has $(nproc)) =="
+fi
+rm -rf "$XJDIR"
 
 echo "== tier 1b: flake gate (tier-1 suite 20 times back to back) =="
 FLAKELOG="$(mktemp)"
@@ -90,13 +127,17 @@ cmake --build build-asan -j "$JOBS"
 # letting a wedged sanitized child stall the whole pipeline.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" --timeout 90
 
-echo "== tier 2b: TSan build + runtime/scheduler suites =="
+echo "== tier 2b: TSan build + runtime/scheduler/campaign suites =="
 cmake -B build-tsan -S . -DDLF_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
-  runtime_test scheduler_test parallel_closure_test ring_test predict_test \
-  status_server_test dlf-run
+  runtime_test scheduler_test campaign_test parallel_closure_test ring_test \
+  predict_test status_server_test dlf-run
 build-tsan/tests/runtime_test
 build-tsan/tests/scheduler_test
+# The token handoff under TSan: the per-thread wake, the teardown
+# wake-all and the affinity restore, in-process and in campaign children.
+build-tsan/tests/campaign_test
+build-tsan/src/dlf-run collections-lists --reps 3 --seed 1 >/dev/null
 build-tsan/tests/parallel_closure_test
 # The predictor under TSan: its tests run the sharded iGoodlock closure
 # at several --analysis-jobs values before grading.

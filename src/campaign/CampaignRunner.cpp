@@ -5,6 +5,7 @@
 #include "faultinject/FaultInject.h"
 #include "igoodlock/Serialize.h"
 #include "serve/CampaignStatus.h"
+#include "support/Affinity.h"
 #include "support/Debug.h"
 #include "support/Fs.h"
 #include "support/Retry.h"
@@ -728,7 +729,8 @@ struct FlightInfo {
   unsigned Attempt = 0;
   /// Launch time in µs since the campaign telemetry epoch.
   uint64_t StartUs = 0;
-  /// Worker-lane index for the timeline (smallest free slot at launch).
+  /// Worker lane (smallest free slot at launch): the child's CPU, its
+  /// timeline tid and its slot in the status plane's worker view.
   uint32_t Lane = 0;
 };
 
@@ -803,11 +805,12 @@ void CampaignRunner::runPhaseTwo(
   std::vector<RetryItem> Retries;
   unsigned CommitCycle = 0;
 
-  // Timeline worker lanes: each launch takes the smallest free slot, so
-  // the trace shows pool occupancy directly. The status plane reuses the
-  // same lane bookkeeping for its worker view, so lanes are tracked
-  // whenever either consumer is on.
-  const bool TrackLanes = Config.Telemetry || Config.Status != nullptr;
+  // Worker lanes: each launch takes the smallest free slot, and lane k's
+  // child runs on the k-th CPU this process may use (wrapping when lanes
+  // outnumber CPUs), so concurrent serialized children never share a core
+  // while there are cores to spare. The timeline shows pool occupancy by
+  // lane, and the status plane's worker view is indexed by it.
+  const std::vector<int> LaneCpus = allowedCpus();
   std::vector<char> LaneBusy;
   bool StatusDirty = Config.Status != nullptr;
   auto ElapsedUs = [&]() {
@@ -839,15 +842,15 @@ void CampaignRunner::runPhaseTwo(
     if (faultinject::enabled())
       CF = faultinject::plan().childFaults(C, R, Attempt);
     uint32_t Lane = 0;
-    if (TrackLanes) {
-      while (Lane < LaneBusy.size() && LaneBusy[Lane])
-        ++Lane;
-      if (Lane == LaneBusy.size())
-        LaneBusy.push_back(0);
-      LaneBusy[Lane] = 1;
-    }
+    while (Lane < LaneBusy.size() && LaneBusy[Lane])
+      ++Lane;
+    if (Lane == LaneBusy.size())
+      LaneBusy.push_back(0);
+    LaneBusy[Lane] = 1;
+    const int Cpu = laneCpu(LaneCpus, Lane);
     uint64_t Ticket = Pool.launch(
-        [this, C, R, Attempt, Seed, &Cycle, CF](int Fd) {
+        [this, C, R, Attempt, Seed, &Cycle, CF, Cpu](int Fd) {
+          pinCallingThread(Cpu);
           if (Config.Telemetry)
             telemetry::beginChildTelemetry();
           // Unconditional: also marks this process as a campaign child so
@@ -921,8 +924,7 @@ void CampaignRunner::runPhaseTwo(
       return; // canceled speculative work
     FlightInfo FI = It->second;
     Flight.erase(It);
-    if (TrackLanes && FI.Lane < LaneBusy.size())
-      LaneBusy[FI.Lane] = 0;
+    LaneBusy[FI.Lane] = 0;
     StatusDirty = true;
     Report.ChildCpuMs += PC.Result.CpuMs;
     if (Progress[FI.Cycle].Quarantined)
@@ -976,8 +978,7 @@ void CampaignRunner::runPhaseTwo(
     for (auto It = Flight.begin(); It != Flight.end();) {
       if (It->second.Cycle == C) {
         Pool.cancel(It->first);
-        if (TrackLanes && It->second.Lane < LaneBusy.size())
-          LaneBusy[It->second.Lane] = 0;
+        LaneBusy[It->second.Lane] = 0;
         It = Flight.erase(It);
       } else {
         ++It;

@@ -6,6 +6,7 @@
 #include "runtime/Recorder.h"
 #include "runtime/Scheduler.h"
 #include "runtime/Strategy.h"
+#include "support/Affinity.h"
 #include "support/Debug.h"
 #include "telemetry/Metrics.h"
 #include "telemetry/Timeline.h"
@@ -230,6 +231,11 @@ ExecutionResult Runtime::run(const std::function<void()> &Entry) {
   }
 
   case RunMode::Active: {
+    // One managed thread runs at a time, so the execution stays on the CPU
+    // it starts on: managed threads inherit the pin from this thread, and
+    // no token handoff crosses cores. Record and Passthrough stay unpinned
+    // because they claim real concurrency.
+    CpuPin Pin;
     Scheduler S(*this, Opts, *Strat, Recorder);
     Sched = &S;
     ThreadRecord &Main = createThreadRecord(

@@ -60,7 +60,9 @@ public:
   static Runtime *current();
 
   /// Executes \p Entry under this runtime's mode and returns the outcome.
-  /// Must be called exactly once.
+  /// Must be called exactly once. An Active-mode run pins the calling
+  /// thread (and so every managed thread) to the CPU it is on, and restores
+  /// the caller's mask before returning.
   ExecutionResult run(const std::function<void()> &Entry);
 
   const Options &options() const { return Opts; }

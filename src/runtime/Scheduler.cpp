@@ -58,7 +58,8 @@ void Scheduler::adoptMainThread(ThreadRecord &Main) {
 
 void Scheduler::threadBodyBegin(ThreadRecord &Self) {
   std::unique_lock<std::mutex> Lk(Mu);
-  Cv.wait(Lk, [&] { return AbortFlag || RunningId == Self.Id; });
+  wakeOf(Self.Id).wait(Lk,
+                       [&] { return AbortFlag || RunningId == Self.Id; });
   if (AbortFlag)
     throw ExecutionAborted();
   assert(Self.State == ThreadState::Running && "token without Running state");
@@ -86,24 +87,21 @@ void Scheduler::threadBodyEnd(ThreadRecord &Self) {
   }
   Self.LockStack.clear();
 
-  if (AbortFlag) {
-    // Teardown path: no scheduling; just make sure waiters re-check state.
-    Cv.notify_all();
-    DoneCv.notify_all();
-    return;
-  }
-  if (HadToken) {
+  // Teardown needs no scheduling (abortAll already woke everyone). A
+  // normal exit hands the token on; pickLoop wakes whoever gets it, or
+  // everyone once no thread is left.
+  if (!AbortFlag && HadToken) {
     RunningId = ThreadId();
     pickLoop();
   }
-  Cv.notify_all();
-  DoneCv.notify_all();
 }
 
 void Scheduler::mainThreadDone(ThreadRecord &Main) {
   threadBodyEnd(Main);
   std::unique_lock<std::mutex> Lk(Mu);
-  DoneCv.wait(Lk, [&] { return Done; });
+  // Main is finished, so it is never picked again: its wake word only
+  // fires once the run completes or aborts.
+  wakeOf(Main.Id).wait(Lk, [&] { return Done; });
   // All managed threads are finished (or unwinding past their last
   // scheduling point); OS-level joins happen in dlf::Thread.
 }
@@ -256,7 +254,8 @@ void Scheduler::announceAndWait(ThreadRecord &Self, PendingOp Op,
   Self.YieldsRemaining = 0;
   RunningId = ThreadId();
   pickLoop();
-  Cv.wait(Lk, [&] { return AbortFlag || RunningId == Self.Id; });
+  wakeOf(Self.Id).wait(Lk,
+                       [&] { return AbortFlag || RunningId == Self.Id; });
   if (AbortFlag) {
     if (NoThrowOnAbort)
       return;
@@ -342,14 +341,25 @@ void Scheduler::giveToken(ThreadRecord &T) {
   T.State = ThreadState::Running;
   T.Pending = PendingOp();
   RunningId = T.Id;
-  Cv.notify_all();
+  wakeOf(T.Id).notify_one();
 }
 
 void Scheduler::abortAll() {
   AbortFlag = true;
   Done = true;
-  Cv.notify_all();
-  DoneCv.notify_all();
+  wakeAll();
+}
+
+std::condition_variable &Scheduler::wakeOf(ThreadId Id) {
+  assert(Id.isValid() && "wake word of an invalid thread");
+  while (Wakes.size() < Id.Raw)
+    Wakes.emplace_back();
+  return Wakes[Id.Raw - 1];
+}
+
+void Scheduler::wakeAll() {
+  for (std::condition_variable &W : Wakes)
+    W.notify_all();
 }
 
 std::optional<DeadlockWitness>
@@ -410,7 +420,7 @@ void Scheduler::pickLoop() {
       return;
     runLivelockMonitor();
 
-    std::vector<ThreadRecord *> Enabled;
+    Enabled.clear();
     bool AnyUnfinished = false;
     for (ThreadRecord &T : RT.threadRecords()) {
       if (T.State == ThreadState::Finished)
@@ -423,8 +433,7 @@ void Scheduler::pickLoop() {
     if (!AnyUnfinished) {
       Result.Completed = true;
       Done = true;
-      Cv.notify_all();
-      DoneCv.notify_all();
+      wakeAll();
       return;
     }
 
@@ -452,7 +461,7 @@ void Scheduler::pickLoop() {
 
     // Candidates: Enabled \ Paused (Algorithm 3 line 6), minus threads the
     // avoidance extension is deferring.
-    std::vector<ThreadRecord *> Candidates;
+    Candidates.clear();
     bool AnyDeferred = false;
     for (ThreadRecord *T : Enabled) {
       if (T->DeferredByAvoidance) {
@@ -504,7 +513,7 @@ void Scheduler::pickLoop() {
 
     // §4 yield filtering: threads entering a potential cycle defer to the
     // other candidates for a bounded number of rounds.
-    std::vector<ThreadRecord *> Preferred;
+    Preferred.clear();
     if (Opts.UseYields) {
       for (ThreadRecord *T : Candidates) {
         if (T->Pending.K == PendingOp::Kind::AcquireAttempt &&
@@ -523,7 +532,7 @@ void Scheduler::pickLoop() {
     std::vector<ThreadRecord *> &Pool =
         (!Opts.UseYields || Preferred.empty()) ? Candidates : Preferred;
 
-    std::vector<const ThreadRecord *> PoolView(Pool.begin(), Pool.end());
+    PoolView.assign(Pool.begin(), Pool.end());
     size_t Idx = Strat.pickIndex(PoolView, Random);
     assert(Idx < Pool.size() && "strategy picked out of range");
     ThreadRecord *Picked = Pool[Idx];

@@ -12,7 +12,10 @@
 /// operation and hands control to the scheduling loop, which consults the
 /// SchedulerStrategy to pick the next thread (Algorithms 2 and 3 of the
 /// paper) and commits that thread's operation against the modeled lock
-/// state.
+/// state. The handoff is direct: every managed thread parks on its own wake
+/// word, and granting the token wakes exactly the chosen thread (CalFuzzer
+/// parks each JVM thread on its own semaphore the same way). Only run
+/// completion and teardown wake everyone.
 ///
 /// Because lock state is modeled here rather than delegated to the OS, the
 /// scheduler knows Enabled(s) exactly: it can detect a system stall
@@ -42,7 +45,9 @@
 #include "support/Rng.h"
 
 #include <condition_variable>
+#include <deque>
 #include <mutex>
+#include <vector>
 
 namespace dlf {
 
@@ -163,11 +168,18 @@ private:
   /// monitor).
   void runLivelockMonitor();
 
-  /// Grants the token to \p T and wakes it.
+  /// Grants the token to \p T and wakes it, and only it.
   void giveToken(ThreadRecord &T);
 
   /// Tears the run down: sets the abort flag and wakes everyone.
   void abortAll();
+
+  /// The wake word thread \p Id parks on (under Mu) while it waits for the
+  /// token or, for main, for the run to end. Created on first use.
+  std::condition_variable &wakeOf(ThreadId Id);
+
+  /// Wakes every parked thread: run completion and teardown.
+  void wakeAll();
 
   /// Runs Algorithm 4 with \p Tentative substituted for \p For's stack
   /// (pass nullptr to use the recorded stacks everywhere).
@@ -181,8 +193,10 @@ private:
   DependencyRecorder *Recorder;
 
   mutable std::mutex Mu;
-  std::condition_variable Cv;
-  std::condition_variable DoneCv;
+  /// One wake word per managed thread, indexed by ThreadId (a deque keeps
+  /// their addresses stable as threads register). They live here, not in
+  /// ThreadRecord, because records are copied by value elsewhere.
+  std::deque<std::condition_variable> Wakes;
 
   ThreadId RunningId; ///< current token holder; invalid inside pickLoop
   bool AbortFlag = false;
@@ -190,6 +204,11 @@ private:
 
   Rng Random;
   ExecutionResult Result;
+
+  /// pickLoop's per-round working sets, cleared (not freed) every round so
+  /// a pick round allocates nothing.
+  std::vector<ThreadRecord *> Enabled, Candidates, Preferred;
+  std::vector<const ThreadRecord *> PoolView;
 };
 
 } // namespace dlf

@@ -21,9 +21,11 @@
 #include "runtime/Mutex.h"
 #include "runtime/Runtime.h"
 #include "runtime/Thread.h"
+#include "support/Affinity.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -145,17 +147,17 @@ TEST(ProcessSandbox, OversizedPayloadNeverWedgesTheChild) {
   EXPECT_LE(R.Payload.size(), 1024u);
 }
 
-#if defined(__SANITIZE_ADDRESS__)
-#define DLF_HAS_ASAN 1
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DLF_HAS_SHADOW_SANITIZER 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define DLF_HAS_ASAN 1
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DLF_HAS_SHADOW_SANITIZER 1
 #endif
 #endif
 
 TEST(ProcessSandbox, AddressSpaceCapIsClassifiedOutOfMemory) {
-#ifdef DLF_HAS_ASAN
-  GTEST_SKIP() << "RLIMIT_AS is incompatible with ASan shadow memory";
+#ifdef DLF_HAS_SHADOW_SANITIZER
+  GTEST_SKIP() << "RLIMIT_AS is incompatible with ASan/TSan shadow memory";
 #else
   SandboxLimits L;
   L.AddressSpaceMb = 192;
@@ -335,6 +337,38 @@ TEST(Campaign, HealthyWorkloadCompletesAndReproduces) {
       << R.toString("campaign-test", File.path());
   EXPECT_EQ(R.RepsExecuted, 4u);
   EXPECT_EQ(R.RepsReplayed, 0u);
+}
+
+TEST(Campaign, EachChildRunsOnItsLaneCpu) {
+  // Lane k's child is narrowed to the k-th CPU of the runner's allowed set
+  // before the repetition runs. A serial campaign has one lane, so its
+  // children sit on the first allowed CPU; a parallel one may use any
+  // allowed CPU, but each child only one. A misplaced child exits 9
+  // (CrashedExit: retries are off).
+  const std::vector<int> Allowed = allowedCpus();
+  ASSERT_FALSE(Allowed.empty());
+  for (unsigned Jobs : {1u, 3u}) {
+    TempFile File(Jobs == 1 ? "lanes-1.jsonl" : "lanes-3.jsonl");
+    CampaignConfig CC = baseConfig(File.path());
+    CC.Jobs = Jobs;
+    CC.MaxRetries = 0;
+    CC.ChildFaultHook = [Allowed, Jobs](unsigned, unsigned, unsigned) {
+      std::vector<int> Mine = allowedCpus();
+      bool Placed = Jobs == 1 ? Mine == std::vector<int>{Allowed[0]}
+                              : Mine.size() == 1 &&
+                                    std::find(Allowed.begin(), Allowed.end(),
+                                              Mine[0]) != Allowed.end();
+      if (!Placed)
+        _exit(9);
+    };
+    CampaignReport R = CampaignRunner(std::move(CC)).run();
+    ASSERT_TRUE(R.Error.empty()) << R.Error;
+    ASSERT_EQ(R.PerCycle.size(), 1u);
+    EXPECT_EQ(R.PerCycle[0].CrashedExit, 0u)
+        << "--jobs " << Jobs << ": " << R.toString("campaign-test", "");
+    EXPECT_EQ(R.PerCycle[0].Reproduced, 4u);
+  }
+  EXPECT_EQ(allowedCpus(), Allowed) << "the runner itself stays unpinned";
 }
 
 TEST(Campaign, TransientCrashIsRestartedWithTheSameSeed) {

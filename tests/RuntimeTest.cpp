@@ -5,11 +5,14 @@
 #include "runtime/Mutex.h"
 #include "runtime/Runtime.h"
 #include "runtime/Thread.h"
+#include "support/Affinity.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -355,6 +358,83 @@ TEST(ActiveMode, WallTimeIsMeasured) {
     MutexGuard Guard(M, DLF_SITE());
   });
   EXPECT_GT(R.WallMs, 0.0);
+}
+
+// -- CPU pinning ------------------------------------------------------------------
+
+/// Every thread's allowed CPUs, main's first, as seen from inside a run of
+/// \p Mode with three workers.
+std::vector<std::vector<int>> masksInsideRun(RunMode Mode) {
+  Options Opts;
+  Opts.Mode = Mode;
+  SimpleRandomStrategy Strategy;
+  Runtime RT(Opts, Mode == RunMode::Active ? &Strategy : nullptr);
+  std::vector<std::vector<int>> Masks(4);
+  ExecutionResult R = RT.run([&Masks] {
+    Masks[0] = allowedCpus();
+    std::vector<Thread> Workers;
+    for (size_t T = 1; T != Masks.size(); ++T)
+      Workers.emplace_back(Thread([&Masks, T] {
+        yieldNow();
+        Masks[T] = allowedCpus();
+      }));
+    for (Thread &W : Workers)
+      W.join();
+  });
+  EXPECT_TRUE(R.Completed);
+  return Masks;
+}
+
+TEST(CpuPinning, ActiveRunKeepsEveryManagedThreadOnOneCpu) {
+  const std::vector<int> Before = allowedCpus();
+  ASSERT_FALSE(Before.empty());
+  std::vector<std::vector<int>> Masks = masksInsideRun(RunMode::Active);
+  ASSERT_EQ(Masks[0].size(), 1u) << "main is not pinned";
+  EXPECT_NE(std::find(Before.begin(), Before.end(), Masks[0][0]),
+            Before.end())
+      << "pinned outside the caller's allowed set";
+  for (size_t T = 1; T != Masks.size(); ++T)
+    EXPECT_EQ(Masks[T], Masks[0]) << "worker " << T << " left main's CPU";
+  EXPECT_EQ(allowedCpus(), Before) << "run did not restore the caller's mask";
+}
+
+TEST(CpuPinning, RecordRunLeavesTheMaskAlone) {
+  const std::vector<int> Before = allowedCpus();
+  for (const std::vector<int> &Mask : masksInsideRun(RunMode::Record))
+    EXPECT_EQ(Mask, Before);
+  EXPECT_EQ(allowedCpus(), Before);
+}
+
+TEST(CpuPinning, LaneCpuWrapsModuloTheSetSize) {
+  const std::vector<int> Two{1, 3};
+  EXPECT_EQ(laneCpu(Two, 0), 1);
+  EXPECT_EQ(laneCpu(Two, 1), 3);
+  EXPECT_EQ(laneCpu(Two, 2), 1);
+  EXPECT_EQ(laneCpu({}, 0), -1);
+}
+
+TEST(CpuPinning, LaneCpuWrapsUnderATwoCpuMask) {
+  const std::vector<int> Host = allowedCpus();
+  if (Host.size() < 2)
+    GTEST_SKIP() << "needs two allowed CPUs";
+  // Narrow a scratch thread, not the test process, to the first two CPUs.
+  std::vector<int> Seen, Lanes, Pinned;
+  std::thread([&] {
+    cpu_set_t Set;
+    CPU_ZERO(&Set);
+    CPU_SET(Host[0], &Set);
+    CPU_SET(Host[1], &Set);
+    if (sched_setaffinity(0, sizeof Set, &Set) != 0)
+      return;
+    Seen = allowedCpus();
+    for (size_t Lane = 0; Lane != 3; ++Lane)
+      Lanes.push_back(laneCpu(Seen, Lane));
+    pinCallingThread(Lanes[2]);
+    Pinned = allowedCpus();
+  }).join();
+  EXPECT_EQ(Seen, (std::vector<int>{Host[0], Host[1]}));
+  EXPECT_EQ(Lanes, (std::vector<int>{Host[0], Host[1], Host[0]}));
+  EXPECT_EQ(Pinned, (std::vector<int>{Host[0]}));
 }
 
 TEST(YieldNow, OutsideRuntimeIsANoOpHint) {

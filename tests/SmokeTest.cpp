@@ -11,12 +11,11 @@
 #include "runtime/Mutex.h"
 #include "runtime/Runtime.h"
 #include "runtime/Thread.h"
+#include "support/Affinity.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
-
-#include <sched.h>
 
 namespace {
 
@@ -91,10 +90,7 @@ TEST(Smoke, Figure1PassthroughNeverDeadlocks) {
   for (int I = 0; I != 5; ++I) {
     campaign::SandboxResult R = campaign::runInSandbox(
         [&Tester](int) {
-          cpu_set_t One;
-          CPU_ZERO(&One);
-          CPU_SET(sched_getcpu(), &One);
-          sched_setaffinity(0, sizeof(One), &One);
+          CpuPin Pin;
           return Tester.runPassthrough().Completed ? 0 : 1;
         },
         Limits);

@@ -10,6 +10,7 @@
 #include "campaign/ProcessSandbox.h"
 #include "fuzzer/ActiveTester.h"
 #include "substrates/BenchmarkRegistry.h"
+#include "support/Affinity.h"
 #include "support/Retry.h"
 
 #include <gtest/gtest.h>
@@ -17,8 +18,6 @@
 #include <iostream>
 #include <set>
 #include <sstream>
-
-#include <sched.h>
 
 namespace {
 
@@ -190,10 +189,7 @@ std::set<std::string> recordPhaseOneKeys(const std::string &Name,
   for (Deadlocks = 0; Deadlocks != MaxAttempts;) {
     campaign::SandboxResult R = campaign::runInSandbox(
         [&Name](int PayloadFd) {
-          cpu_set_t One;
-          CPU_ZERO(&One);
-          CPU_SET(sched_getcpu(), &One);
-          sched_setaffinity(0, sizeof(One), &One);
+          CpuPin Pin;
           ActiveTesterConfig Config;
           Config.PhaseOneMode = RunMode::Record;
           ActiveTester Tester(bench(Name).Entry, Config);

@@ -14,12 +14,11 @@
 #include "substrates/dbcp/Dbcp.h"
 #include "substrates/logging/Logging.h"
 #include "substrates/swing/Swing.h"
+#include "support/Affinity.h"
 
 #include <gtest/gtest.h>
 
 #include <iostream>
-
-#include <sched.h>
 
 namespace {
 
@@ -198,10 +197,7 @@ TEST(Registry, EveryBenchmarkRunsUninstrumented) {
     while (!Completed && Deadlocks != MaxAttempts) {
       campaign::SandboxResult R = campaign::runInSandbox(
           [&Info](int) {
-            cpu_set_t One;
-            CPU_ZERO(&One);
-            CPU_SET(sched_getcpu(), &One);
-            sched_setaffinity(0, sizeof(One), &One);
+            CpuPin Pin;
             Info.Entry();
             return 0;
           },
