@@ -2,7 +2,8 @@
 //
 // Measures the trace reader in front of every offline analysis (events/s
 // over a storm-shaped trace file, the shape of e2ebench's
-// preload-lockstorm capture) and the two trace-analysis passes added with
+// preload-lockstorm capture), the same read streamed into the dependency
+// log as dlf-analyze does it, and the two trace-analysis passes added with
 // the static-analysis suite: the guard-lock cycle pruner (cost vs. number
 // of witnessing assignments it has to enumerate) and the lockset +
 // vector-clock race detector (cost vs. trace size).
@@ -10,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/GuardPruner.h"
+#include "analysis/LogBuilder.h"
 #include "analysis/RaceDetector.h"
 #include "analysis/Trace.h"
 #include "igoodlock/IGoodlock.h"
@@ -161,6 +163,34 @@ void BM_ReadTrace(benchmark::State &State) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ReadTrace)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+/// dlf-analyze's default walk over the same file: each event goes from the
+/// reader straight into the dependency log, with no event vector between.
+void BM_AnalyzeStream(benchmark::State &State) {
+  std::string Path = writeStormTrace(static_cast<uint64_t>(State.range(0)));
+  uint64_t Events = 0;
+  for (auto _ : State) {
+    IncrementalLogBuilder Builder;
+    std::string Error;
+    if (streamTrace(
+            Path, [&Builder](const TraceEvent &E) { Builder.feed(E); },
+            &Error) != TraceReadStatus::Ok) {
+      State.SkipWithError(Error.c_str());
+      break;
+    }
+    Events = Builder.eventsSeen();
+    benchmark::DoNotOptimize(Builder.log().entries().size());
+  }
+  std::remove(Path.c_str());
+  State.counters["events"] = static_cast<double>(Events);
+  State.counters["events_per_s"] = benchmark::Counter(
+      static_cast<double>(Events) * static_cast<double>(State.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_AnalyzeStream)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 /// A synthetic access trace: \p Objects shared objects, each touched by
 /// two forked threads at several sites, half the objects lock-protected

@@ -20,7 +20,8 @@
 # binaries and runs one short closure case so bench-code rot is caught
 # here, not when someone finally reruns scripts/bench.sh; it then grades
 # the analyze-tangle trace at ten fixed seeds and checks the verdict
-# counts the generator plants.
+# counts the generator plants, and runs the preload-lockstorm workload
+# (capture plus dlf-analyze) briefly, requiring a correct result.
 # Tier 4 (telemetry smoke): a small campaign with --metrics-out and
 # --timeline-out; the trace must parse as JSON and the metrics must carry
 # the expected dlf_* names — catching export-format rot end to end.
@@ -190,6 +191,20 @@ with tempfile.TemporaryDirectory() as tmp:
 print("tangle verdicts: 10 seeds, 14 cycles each (6 sound, 4 guarded, "
       "4 hb-ordered)")
 PY
+# Lock storm end to end: the contended preload capture of an 800k-event
+# two-thread storm, then dlf-analyze streaming the captured trace. Nothing
+# else here drives that path at this size on a multi-core host. run.py
+# (read-only; it builds into .bench_build/) checks the trace's line count
+# and the four planted cycles; every operation must pass.
+PYTHONDONTWRITEBYTECODE=1 python3 e2ebench/run.py \
+  --workload preload-lockstorm --seed 7 --seconds 2 | tail -n 1 |
+  python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("preload-lockstorm: correct=%s, %s of %s operations failed"
+             % (r.get("correct"), r.get("failed"), r.get("attempted")))
+print("preload-lockstorm: correct, %d operations, 0 failed" % r["attempted"])'
 
 echo "== tier 4: telemetry smoke (campaign export formats) =="
 TELDIR="$(mktemp -d)"

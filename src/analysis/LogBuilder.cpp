@@ -25,10 +25,14 @@ std::string cycleSpecOf(const AbstractCycle &Cycle) {
   return interpose::encodeCycleSpec(Spec);
 }
 
-void IncrementalLogBuilder::feed(const std::vector<TraceEvent> &Events) {
+void IncrementalLogBuilder::feed(const TraceEvent &E) {
   LogVisitor V(Walker, Log);
+  Walker.step(E, V);
+}
+
+void IncrementalLogBuilder::feed(const std::vector<TraceEvent> &Events) {
   for (const TraceEvent &E : Events)
-    Walker.step(E, V);
+    feed(E);
 }
 
 void printCycleReport(std::ostream &OS, const char *Tool,

@@ -7,10 +7,11 @@
 /// \file
 /// Incremental construction of the lock dependency relation from a trace
 /// event stream, extracted from dlf-analyze so the dlf-observe sidecar can
-/// feed events in epochs as they drain from the ring: the SyncWalker state
-/// (thread clocks, held stacks, pending notify clocks, the running event
-/// number used in warnings) persists across feed() calls, and feeding a
-/// whole trace in one call is exactly the batch behavior.
+/// feed events in epochs as they drain from the ring and dlf-analyze can
+/// feed them one at a time as the trace reader decodes them: the SyncWalker
+/// state (thread clocks, held stacks, pending notify clocks, the running
+/// event number used in warnings) persists across feed() calls, and
+/// feeding a whole trace in one call is exactly the streamed behavior.
 ///
 /// The walker runs the must-order partial order (fork, join and
 /// notify->wake edges; see analysis/SyncWalker.h), so the pruner's
@@ -67,8 +68,10 @@ public:
   explicit IncrementalLogBuilder(std::ostream *WarnOS = nullptr)
       : Walker(SyncOrder::MustOrder, WarnOS) {}
 
-  /// Feeds a batch of events. Each event must be fed exactly once, in
-  /// stream order.
+  /// Feeds one event. Each event must be fed exactly once, in stream
+  /// order.
+  void feed(const TraceEvent &E);
+  /// Feeds a batch of events, one at a time.
   void feed(const std::vector<TraceEvent> &Events);
 
   const LockDependencyLog &log() const { return Log; }

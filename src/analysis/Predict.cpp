@@ -117,10 +117,7 @@ struct PerLock {
 
 /// The walk output (layer 1). Threads and locks are indexed by the
 /// walker's dense ids.
-class TraceIndex {
-public:
-  explicit TraceIndex(const TraceFile &Trace);
-
+struct TraceIndex {
   /// Clocks carry MUST-order edges only: fork, join, notify->wake. The
   /// observed release->acquire order is deliberately NOT joined — it is a
   /// schedule artifact that a sync-preserving reordering may undo whenever
@@ -138,8 +135,8 @@ public:
 };
 
 /// Feeds the dependency log and builds the per-thread event lists,
-/// critical sections and occurrences from the same walk; holds the
-/// walk-only state discarded after construction.
+/// critical sections and occurrences from the same walk; holds the state
+/// only the walk needs.
 struct IndexVisitor : LogVisitor {
   TraceIndex &Ix;
   // Per (thread, lock): open critical-section indices, innermost last.
@@ -224,12 +221,6 @@ struct IndexVisitor : LogVisitor {
                                              : IndexedEvent{IndexedEvent::Wake});
   }
 };
-
-TraceIndex::TraceIndex(const TraceFile &Trace) {
-  IndexVisitor V(*this);
-  for (const TraceEvent &E : Trace.Events)
-    Walk.step(E, V);
-}
 
 /// The sync-preserving closure over one candidate assignment (layer 2).
 /// Scratch buffers are reused across assignments and cycles.
@@ -551,7 +542,7 @@ CyclePrediction evaluateOne(const TraceIndex &Ix, const AbstractCycle &Cycle,
   return unconfirmed("no-witness");
 }
 
-/// Grades \p Cycles over \p Ix; \p Start is when the caller's walk began.
+/// Grades \p Cycles over \p Ix; \p Start is when the walk began.
 std::vector<CyclePrediction>
 gradeCycles(const TraceIndex &Ix, const std::vector<AbstractCycle> &Cycles,
             std::chrono::steady_clock::time_point Start, PredictStats *Stats) {
@@ -611,14 +602,6 @@ std::string CyclePrediction::label() const {
   return "UNCONFIRMED (" + (Reason.empty() ? "no-witness" : Reason) + ")";
 }
 
-std::vector<CyclePrediction>
-evaluateCycles(const TraceFile &Trace, const std::vector<AbstractCycle> &Cycles,
-               PredictStats *Stats) {
-  auto Start = std::chrono::steady_clock::now();
-  TraceIndex Ix(Trace);
-  return gradeCycles(Ix, Cycles, Start, Stats);
-}
-
 size_t PredictAnalysis::soundCount() const {
   size_t N = 0;
   for (const CyclePrediction &P : Predictions)
@@ -626,43 +609,60 @@ size_t PredictAnalysis::soundCount() const {
   return N;
 }
 
-namespace {
+struct IncrementalPredictor::State {
+  std::chrono::steady_clock::time_point Start =
+      std::chrono::steady_clock::now();
+  TraceIndex Ix;
+  IndexVisitor V{Ix};
+};
 
-/// The --predict pipeline after the walk: iGoodlock over the walk's log,
-/// then the verdicts.
-PredictAnalysis predictOver(const TraceIndex &Ix,
-                            const IGoodlockOptions &Closure,
-                            std::chrono::steady_clock::time_point Start) {
+IncrementalPredictor::IncrementalPredictor() : S(std::make_unique<State>()) {}
+
+IncrementalPredictor::~IncrementalPredictor() = default;
+
+void IncrementalPredictor::feed(const TraceEvent &E) {
+  S->Ix.Walk.step(E, S->V);
+}
+
+uint64_t IncrementalPredictor::eventsSeen() const {
+  return S->Ix.Walk.eventsSeen();
+}
+
+PredictAnalysis
+IncrementalPredictor::finish(const IGoodlockOptions &Closure) const {
   PredictAnalysis R;
   IGoodlockOptions ClosureOpts = Closure;
   // Keep guarded cycles: --predict grades every candidate, and UNCONFIRMED
   // (guarded) is exactly the pruner's discharge made visible.
   ClosureOpts.KeepGuardedCycles = true;
-  R.Cycles = runIGoodlock(Ix.Log, ClosureOpts, &R.ClosureStats);
-  R.DependencyEntries = Ix.Log.entries().size();
-  R.AcquireEvents = Ix.Log.acquireEvents();
-  R.Predictions = gradeCycles(Ix, R.Cycles, Start, &R.Stats);
+  R.Cycles = runIGoodlock(S->Ix.Log, ClosureOpts, &R.ClosureStats);
+  R.DependencyEntries = S->Ix.Log.entries().size();
+  R.AcquireEvents = S->Ix.Log.acquireEvents();
+  R.Predictions = grade(R.Cycles, &R.Stats);
   return R;
 }
 
-} // namespace
+std::vector<CyclePrediction>
+IncrementalPredictor::grade(const std::vector<AbstractCycle> &Cycles,
+                            PredictStats *Stats) const {
+  return gradeCycles(S->Ix, Cycles, S->Start, Stats);
+}
+
+std::vector<CyclePrediction>
+evaluateCycles(const TraceFile &Trace, const std::vector<AbstractCycle> &Cycles,
+               PredictStats *Stats) {
+  IncrementalPredictor P;
+  for (const TraceEvent &E : Trace.Events)
+    P.feed(E);
+  return P.grade(Cycles, Stats);
+}
 
 PredictAnalysis predictDeadlocks(const TraceFile &Trace,
                                  const IGoodlockOptions &Closure) {
-  auto Start = std::chrono::steady_clock::now();
-  TraceIndex Ix(Trace);
-  return predictOver(Ix, Closure, Start);
-}
-
-PredictAnalysis predictDeadlocks(TraceFile &&Trace,
-                                 const IGoodlockOptions &Closure) {
-  auto Start = std::chrono::steady_clock::now();
-  TraceIndex Ix(Trace);
-  // The walk was the trace's last reader. The closure below is the
-  // pipeline's memory peak, and the index must live through it, so the
-  // events go first.
-  std::vector<TraceEvent>().swap(Trace.Events);
-  return predictOver(Ix, Closure, Start);
+  IncrementalPredictor P;
+  for (const TraceEvent &E : Trace.Events)
+    P.feed(E);
+  return P.finish(Closure);
 }
 
 void printPredictReport(std::ostream &OS, const char *Tool,

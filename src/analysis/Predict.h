@@ -29,13 +29,15 @@
 /// hb-ordered / sync-order / no-witness / assignment-cap), which iGoodlock
 /// semantics still cover — prediction never *adds* cycles, it grades them.
 ///
-/// The trace is walked once. That walk builds the lock dependency log and,
-/// beside it, the closure's per-thread event lists and per-lock critical
-/// sections. A cycle component is matched to dependency entries by the
-/// guard pruner's matcher; each entry keeps its first few concrete acquires
-/// (occurrences) with their clocks, and reads held set, modes and context
-/// off the entry itself. Guard and order tests are the pruner's too; the
-/// engines differ in the wait-edge check, the aggregation and the closure.
+/// The trace is walked once, event by event (IncrementalPredictor), so a
+/// caller can stream it from the reader without holding it. That walk
+/// builds the lock dependency log and, beside it, the closure's per-thread
+/// event lists and per-lock critical sections. A cycle component is
+/// matched to dependency entries by the guard pruner's matcher; each entry
+/// keeps its first few concrete acquires (occurrences) with their clocks,
+/// and reads held set, modes and context off the entry itself. Guard and
+/// order tests are the pruner's too; the engines differ in the wait-edge
+/// check, the aggregation and the closure.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,6 +50,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -85,7 +88,8 @@ struct PredictStats {
   uint64_t EventsSeen = 0;
   uint64_t AcquiresIndexed = 0;
   uint64_t AssignmentsTried = 0;
-  /// Wall time of the whole call, trace walk included.
+  /// Wall time from the walk's start to the last verdict, trace walk
+  /// (and, streamed, the trace read) included.
   uint64_t ElapsedMicros = 0;
 };
 
@@ -112,15 +116,35 @@ struct PredictAnalysis {
   size_t soundCount() const;
 };
 
-/// Runs enumeration + prediction over \p Trace (the dlf-analyze --predict
-/// entry point), both over the one walk's dependency log. \p Closure
-/// controls the candidate enumeration (MaxCycleLength, AnalysisJobs).
-PredictAnalysis predictDeadlocks(const TraceFile &Trace,
-                                 const IGoodlockOptions &Closure = {});
+/// The --predict walk, fed one event at a time: it builds the dependency
+/// log and the closure's index as the events arrive, so a caller that
+/// streams the trace (dlf-analyze) never holds it. predictDeadlocks and
+/// evaluateCycles are loops over feed().
+class IncrementalPredictor {
+public:
+  IncrementalPredictor();
+  ~IncrementalPredictor();
 
-/// The same, for a caller done with \p Trace: its events are released
-/// after the walk, before the closure, which is the pipeline's memory peak.
-PredictAnalysis predictDeadlocks(TraceFile &&Trace,
+  /// Feeds one event. Each event must be fed exactly once, in trace order.
+  void feed(const TraceEvent &E);
+  uint64_t eventsSeen() const;
+
+  /// After the last event: the iGoodlock enumeration over the walk's log
+  /// plus a verdict per cycle (predictDeadlocks).
+  PredictAnalysis finish(const IGoodlockOptions &Closure = {}) const;
+  /// After the last event: verdicts for \p Cycles (evaluateCycles).
+  std::vector<CyclePrediction> grade(const std::vector<AbstractCycle> &Cycles,
+                                     PredictStats *Stats = nullptr) const;
+
+private:
+  struct State;
+  std::unique_ptr<State> S;
+};
+
+/// Runs enumeration + prediction over \p Trace, both over the one walk's
+/// dependency log. \p Closure controls the candidate enumeration
+/// (MaxCycleLength, AnalysisJobs).
+PredictAnalysis predictDeadlocks(const TraceFile &Trace,
                                  const IGoodlockOptions &Closure = {});
 
 /// Prints the --predict report. Deterministic: no timing or job-count

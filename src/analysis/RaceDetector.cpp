@@ -167,20 +167,37 @@ struct AccessVisitor : SyncVisitor {
 
 } // namespace
 
-RaceAnalysis dlf::analysis::detectRaces(const TraceFile &Trace,
-                                        const RaceDetectorOptions &Opts) {
+struct IncrementalRaceDetector::State {
+  /// Filled by the walk (accesses seen, warnings); finish() copies it and
+  /// adds the pairs.
   RaceAnalysis Result;
-  // Pass 1: the full-sync walk (fork, join, notify->wake and
-  // release->acquire edges) summarizes every access.
-  SyncWalker W(SyncOrder::FullSync);
-  AccessVisitor V(W, Result);
-  for (const TraceEvent &E : Trace.Events)
-    W.step(E, V);
-  Result.ObjectsSeen = V.ObjectOrder.size();
+  // The full-sync walk: fork, join, notify->wake and release->acquire edges.
+  SyncWalker Walker{SyncOrder::FullSync};
+  AccessVisitor V{Walker, Result};
+};
 
-  // Pass 2: pair checks per object, in object-first-seen order.
-  for (uint64_t Oid : V.ObjectOrder)
-    checkObject(Oid, V.Objects.find(Oid)->second, W, Opts.MaxReports, Result);
+IncrementalRaceDetector::IncrementalRaceDetector()
+    : S(std::make_unique<State>()) {}
+
+IncrementalRaceDetector::~IncrementalRaceDetector() = default;
+
+void IncrementalRaceDetector::feed(const TraceEvent &E) {
+  S->Walker.step(E, S->V);
+}
+
+uint64_t IncrementalRaceDetector::eventsSeen() const {
+  return S->Walker.eventsSeen();
+}
+
+RaceAnalysis
+IncrementalRaceDetector::finish(const RaceDetectorOptions &Opts) const {
+  RaceAnalysis Result = S->Result;
+  Result.ObjectsSeen = S->V.ObjectOrder.size();
+
+  // Pair checks per object, in object-first-seen order.
+  for (uint64_t Oid : S->V.ObjectOrder)
+    checkObject(Oid, S->V.Objects.find(Oid)->second, S->Walker,
+                Opts.MaxReports, Result);
 
   if (telemetry::enabled()) {
     telemetry::Registry &Reg = telemetry::Registry::global();
@@ -189,4 +206,12 @@ RaceAnalysis dlf::analysis::detectRaces(const TraceFile &Trace,
     Reg.counter("dlf_analysis_shared_objects_total").inc(Result.ObjectsSeen);
   }
   return Result;
+}
+
+RaceAnalysis dlf::analysis::detectRaces(const TraceFile &Trace,
+                                        const RaceDetectorOptions &Opts) {
+  IncrementalRaceDetector D;
+  for (const TraceEvent &E : Trace.Events)
+    D.feed(E);
+  return D.finish(Opts);
 }

@@ -35,6 +35,7 @@
 #include "analysis/Trace.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,25 @@ struct RaceAnalysis {
   /// Semantic oddities (releases of unheld locks, events naming an
   /// undeclared thread or lock).
   std::vector<std::string> Warnings;
+};
+
+/// The detector's walk, fed one event at a time, so a caller can stream
+/// the trace from the reader without holding it. detectRaces is a loop
+/// over feed().
+class IncrementalRaceDetector {
+public:
+  IncrementalRaceDetector();
+  ~IncrementalRaceDetector();
+
+  /// Feeds one event. Each event must be fed exactly once, in trace order.
+  void feed(const TraceEvent &E);
+  uint64_t eventsSeen() const;
+  /// After the last event: the pair checks and the report.
+  RaceAnalysis finish(const RaceDetectorOptions &Opts = {}) const;
+
+private:
+  struct State;
+  std::unique_ptr<State> S;
 };
 
 /// Runs the detector over \p Trace.

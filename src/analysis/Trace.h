@@ -6,8 +6,11 @@
 ///
 /// \file
 /// Reader for the preload trace format (interpose/TraceFormat.h), shared by
-/// dlf-analyze and the offline analysis passes. Reading distinguishes three
-/// outcomes a caller must treat differently:
+/// dlf-analyze and the offline analysis passes. The reader streams: each
+/// line is decoded into one reused event and handed straight to the
+/// consumer (streamTrace), so an analysis that walks the trace once never
+/// holds it; readTrace collects the events for callers that want them all.
+/// Reading distinguishes three outcomes a caller must treat differently:
 ///
 ///   * Ok          — events parsed (there is something to analyze)
 ///   * NoEvents    — the file opened but carries no events (empty file,
@@ -28,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -113,8 +117,19 @@ struct TraceFile {
   std::vector<TraceEvent> Events;
 };
 
-/// Reads and parses \p Path. On Unreadable, \p Error describes the failure
-/// (including the offending line number for malformed lines).
+/// Receives each decoded event, in trace order. The event is the reader's
+/// one reused buffer: it (and its Text) is valid for the call only.
+using TraceEventSink = std::function<void(const TraceEvent &)>;
+
+/// Reads and decodes \p Path, handing each event to \p Sink as its line
+/// is decoded; nothing is kept. On Unreadable, \p Error describes the
+/// failure (including the offending line number for malformed lines), and
+/// the sink has seen the events before that line: a caller that reports
+/// as it consumes must hold its output until the read returns Ok.
+TraceReadStatus streamTrace(const std::string &Path,
+                            const TraceEventSink &Sink, std::string *Error);
+
+/// streamTrace, collecting the events into \p Out.
 TraceReadStatus readTrace(const std::string &Path, TraceFile &Out,
                           std::string *Error);
 

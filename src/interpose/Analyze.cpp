@@ -5,7 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // dlf-analyze: reads a trace written by libdlf_preload.so (Phase I of the
-// LD_PRELOAD workflow) and runs the offline analysis passes over it.
+// LD_PRELOAD workflow) and runs the offline analysis passes over it. Every
+// mode streams the trace: its walk takes each event as the reader decodes
+// it, so the trace is never held in memory.
 //
 // Default mode rebuilds the lock dependency relation, runs iGoodlock with
 // guarded cycles kept, classifies every cycle through the guard-lock pruner
@@ -55,6 +57,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,13 +70,31 @@ constexpr int ExitUsage = 1;
 constexpr int ExitCorruptTrace = 2;
 constexpr int ExitNoEvents = 3;
 
-int runDeadlockAnalysis(const analysis::TraceFile &Trace,
-                        IGoodlockOptions Opts) {
+/// Streams the trace at \p Path through \p Walk, one event at a time as the
+/// reader decodes it: no mode holds the whole trace. Returns 0 when the
+/// trace was read; otherwise prints the one error line and returns the
+/// exit code.
+template <typename Walk> int streamInto(const char *Path, Walk &W) {
+  std::string Error;
+  analysis::TraceReadStatus St = analysis::streamTrace(
+      Path, [&W](const analysis::TraceEvent &E) { W.feed(E); }, &Error);
+  if (St == analysis::TraceReadStatus::Ok)
+    return 0;
+  std::cerr << "error: " << Error << "\n";
+  return St == analysis::TraceReadStatus::NoEvents ? ExitNoEvents
+                                                    : ExitCorruptTrace;
+}
+
+int runDeadlockAnalysis(const char *Path, IGoodlockOptions Opts) {
   // The dependency-log construction and the report format live in
-  // analysis/LogBuilder.{h,cpp}, shared with dlf-observe; a one-shot feed
-  // of the whole trace is the batch case of the incremental builder.
-  analysis::IncrementalLogBuilder Builder(&std::cerr);
-  Builder.feed(Trace.Events);
+  // analysis/LogBuilder.{h,cpp}, shared with dlf-observe. The walker warns
+  // as it goes, but a corrupt trace must leave stderr with its one error
+  // line, so the warnings wait until the read succeeds.
+  std::ostringstream Warnings;
+  analysis::IncrementalLogBuilder Builder(&Warnings);
+  if (int Rc = streamInto(Path, Builder))
+    return Rc;
+  std::cerr << Warnings.str();
 
   // Keep guarded cycles in the closure so the pruner can classify and name
   // them; dlf-analyze is a reporting tool, Phase II budget is not at stake.
@@ -89,10 +110,11 @@ int runDeadlockAnalysis(const analysis::TraceFile &Trace,
   return 0;
 }
 
-int runPredictAnalysis(analysis::TraceFile &&Trace,
-                       const IGoodlockOptions &Opts) {
-  analysis::PredictAnalysis R =
-      analysis::predictDeadlocks(std::move(Trace), Opts);
+int runPredictAnalysis(const char *Path, const IGoodlockOptions &Opts) {
+  analysis::IncrementalPredictor Predictor;
+  if (int Rc = streamInto(Path, Predictor))
+    return Rc;
+  analysis::PredictAnalysis R = Predictor.finish(Opts);
 
   // Run-dependent chatter (timing, assignment counts) stays on stderr:
   // stdout is byte-identical for every --analysis-jobs value.
@@ -105,10 +127,13 @@ int runPredictAnalysis(analysis::TraceFile &&Trace,
   return 0;
 }
 
-int runRaceAnalysis(const analysis::TraceFile &Trace) {
-  analysis::RaceAnalysis Result = analysis::detectRaces(Trace);
+int runRaceAnalysis(const char *Path) {
+  analysis::IncrementalRaceDetector Detector;
+  if (int Rc = streamInto(Path, Detector))
+    return Rc;
+  analysis::RaceAnalysis Result = Detector.finish();
 
-  std::cerr << "dlf-analyze: race pass over " << Trace.Events.size()
+  std::cerr << "dlf-analyze: race pass over " << Detector.eventsSeen()
             << " events\n";
   for (const std::string &W : Result.Warnings)
     std::cerr << "warning: " << W << "\n";
@@ -261,24 +286,13 @@ int main(int Argc, char **Argv) {
   };
   PublishPhase("analyzing", false);
 
-  analysis::TraceFile Trace;
-  std::string Error;
-  switch (analysis::readTrace(Argv[1], Trace, &Error)) {
-  case analysis::TraceReadStatus::Ok:
-    break;
-  case analysis::TraceReadStatus::Unreadable:
-    std::cerr << "error: " << Error << "\n";
-    return ExitCorruptTrace;
-  case analysis::TraceReadStatus::NoEvents:
-    std::cerr << "error: " << Error << "\n";
-    return ExitNoEvents;
-  }
-
-  int Rc = Races     ? runRaceAnalysis(Trace)
-           : Predict ? runPredictAnalysis(std::move(Trace), Opts)
-                     : runDeadlockAnalysis(Trace, Opts);
-  PublishPhase("done", Rc == 0);
-  if (Rc == 0 && !MetricsOut.empty()) {
+  int Rc = Races     ? runRaceAnalysis(Argv[1])
+           : Predict ? runPredictAnalysis(Argv[1], Opts)
+                     : runDeadlockAnalysis(Argv[1], Opts);
+  if (Rc != 0)
+    return Rc; // the trace was unreadable or carried no events
+  PublishPhase("done", true);
+  if (!MetricsOut.empty()) {
     telemetry::MetricsSnapshot Snap =
         telemetry::Registry::global().snapshot();
     std::ofstream OS(MetricsOut, std::ios::binary | std::ios::trunc);
@@ -290,5 +304,5 @@ int main(int Argc, char **Argv) {
     }
     std::cerr << "metrics written to " << MetricsOut << "\n";
   }
-  return Rc;
+  return 0;
 }

@@ -158,7 +158,10 @@ void resolveReals() {
 
 struct HeldEntry {
   uint64_t Lock = 0;
-  std::string AcqSite;
+  /// Views the holding thread's own site cache (Sites): every acquire's
+  /// site comes from it, and its entries stay put until the trampoline
+  /// frees it, after clearing this thread's stack and pending entry.
+  std::string_view AcqSite;
   /// Shared for the read side of a rwlock: a shared hold only conflicts
   /// with exclusive waiters.
   LockMode Mode = LockMode::Exclusive;
@@ -177,13 +180,10 @@ struct ThreadSlot {
   /// Lock this thread is blocked on / paused before; Lock 0 when none.
   HeldEntry Pending;
 
-  // Field-wise, so the site string keeps its buffer across acquires.
-  void setPending(uint64_t Lock, const std::string &Site, bool Shared) {
-    Pending.Lock = Lock;
-    Pending.AcqSite = Site;
-    Pending.Mode = modeOf(Shared);
+  void setPending(uint64_t Lock, std::string_view Site, bool Shared) {
+    Pending = {Lock, Site, modeOf(Shared)};
   }
-  void clearPending() { setPending(0, std::string(), false); }
+  void clearPending() { Pending = HeldEntry(); }
 };
 
 void onModelEvent(const TraceLine &E);
@@ -191,7 +191,10 @@ void onModelEvent(const TraceLine &E);
 /// All global state; created by the library constructor. Internal locking
 /// uses RealLock directly, so the interposition never recurses.
 struct GlobalState {
-  pthread_mutex_t Mu = PTHREAD_MUTEX_INITIALIZER;
+  /// Adaptive: its sections are short, so a contender spins briefly before
+  /// it sleeps (a two-thread lock storm makes about half the context
+  /// switches it makes under a plain mutex).
+  pthread_mutex_t Mu = PTHREAD_ADAPTIVE_MUTEX_INITIALIZER_NP;
   FILE *Trace = nullptr;
   bool TraceAccesses = false;
   /// Shared-memory event transport (DLF_RING); null when not requested.
@@ -365,7 +368,9 @@ void onModelEvent(const TraceLine &E) {
   if (State->Trace) {
     State->Line.clear();
     dlf::interpose::appendTraceLine(E, State->Line);
-    fwrite(State->Line.data(), 1, State->Line.size(), State->Trace);
+    // The state lock serializes every trace write (and the flush before a
+    // deadlock exit), so stdio's own stream lock is not needed.
+    fwrite_unlocked(State->Line.data(), 1, State->Line.size(), State->Trace);
   }
   // Tids are dense from 1 in registration order (GlobalState::Threads).
   auto Slot = [&] { return State->Threads[E.A - 1]; };
@@ -375,8 +380,7 @@ void onModelEvent(const TraceLine &E) {
     break;
   case K::Acquire:
   case K::SharedAcquire:
-    Slot()->Stack.push_back(
-        {E.B, std::string(E.Text), modeOf(E.K == K::SharedAcquire)});
+    Slot()->Stack.push_back({E.B, E.Text, modeOf(E.K == K::SharedAcquire)});
     break;
   case K::Release:
   case K::SharedRelease: {
@@ -499,8 +503,11 @@ void reportDeadlockAndExit(const std::string &Witness) {
   fprintf(stderr, "DLF-PRELOAD: %s\n", Witness.c_str());
   if (State && State->Ring)
     State->Ring->markDone(); // _exit skips the destructor
-  if (State && State->Trace)
+  if (State && State->Trace) {
+    // Held until _exit: trace lines are written without stdio's lock.
+    State->lock();
     fflush(State->Trace);
+  }
   if (dlf::telemetry::enabled()) {
     InternalGuard G;
     dlf::telemetry::Registry::global()
@@ -576,9 +583,13 @@ __attribute__((constructor)) void dlfPreloadInit() {
 
 __attribute__((destructor)) void dlfPreloadShutdown() {
   if (State && State->Trace) {
+    // Under the state lock: a thread still running writes its trace lines
+    // without stdio's lock.
+    State->lock();
     fflush(State->Trace);
     fclose(State->Trace);
     State->Trace = nullptr;
+    State->unlock();
   }
   if (State && State->Ring)
     State->Ring->markDone(); // tells dlf-observe to finish draining
@@ -642,11 +653,13 @@ void registerBlockedAndCheck(ThreadSlot *T, uint64_t LockId,
 
 /// Acquire protocol of pthread_mutex_lock and the blocking rwlock sides.
 /// Ring-only: block, then one ring write for the grant. Otherwise the lock
-/// is seen at the attempt (LockSeen), Algorithm 3 pauses an attempt that
-/// matches a cycle component, a busy lock registers the wait-for edge and
-/// checks for a completed deadlock before blocking, and the grant is
-/// captured last. A mutex the thread already owns (\p MayRecurse) is
-/// re-entered without any of that: invisible to the analysis (footnote 2).
+/// is seen at the attempt (LockSeen), and an uncontended attempt takes the
+/// real trylock and captures its grant in that same state-lock section.
+/// Algorithm 3 pauses an attempt that matches a cycle component, a busy
+/// lock registers the wait-for edge and checks for a completed deadlock
+/// before blocking, and the grant is captured last. A mutex the thread
+/// already owns (\p MayRecurse) is re-entered without any of that:
+/// invisible to the analysis (footnote 2).
 template <typename TryFn, typename BlockFn>
 int acquireCaptured(RecordKind Kind, const void *Lock, bool MayRecurse,
                     void *CallerAddr, TryFn Try, BlockFn Block) {
@@ -677,6 +690,12 @@ int acquireCaptured(RecordKind Kind, const void *Lock, bool MayRecurse,
     Reentrant = MayRecurse && L.OwnerTid == T->Tid;
     ShouldPause = !Reentrant && !State->Cycle.empty() &&
                   matchesComponent(*T, L.Abs, Site.Text);
+    // A trylock never blocks, so it may run under the state lock.
+    if (!Reentrant && !ShouldPause && Try() == 0) {
+      captureLocked(Kind, T->Tid, Addr, Site.Text, Site.RingId);
+      State->unlock();
+      return 0;
+    }
     State->unlock();
   }
 
@@ -684,9 +703,12 @@ int acquireCaptured(RecordKind Kind, const void *Lock, bool MayRecurse,
     if (int Rc = Block())
       return Rc;
   } else {
-    if (ShouldPause)
+    bool Busy = true; // the trylock above failed, unless we pause first
+    if (ShouldPause) {
       pauseAndWatch(T, LockId, Site.Text, Shared);
-    if (Try() != 0) {
+      Busy = Try() != 0;
+    }
+    if (Busy) {
       registerBlockedAndCheck(T, LockId, Site.Text, Shared);
       if (int Rc = Block()) {
         State->lock();
