@@ -132,9 +132,12 @@ echo "== tier 2b: TSan build + runtime/scheduler/campaign suites =="
 cmake -B build-tsan -S . -DDLF_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   runtime_test scheduler_test campaign_test parallel_closure_test ring_test \
-  predict_test status_server_test dlf-run
+  predict_test status_server_test primitives_test dlf-run
 build-tsan/tests/runtime_test
 build-tsan/tests/scheduler_test
+# The shared lock transitions driven from real threads: the Record-mode
+# trylock and producer/consumer cases run them under the record mutex.
+build-tsan/tests/primitives_test
 # The token handoff under TSan: the per-thread wake, the teardown
 # wake-all and the affinity restore, in-process and in campaign children.
 build-tsan/tests/campaign_test

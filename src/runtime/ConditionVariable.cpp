@@ -29,9 +29,16 @@ void ConditionVariable::wait(Mutex &M, Label ReacquireSite) {
     Sched->condWait(*Self, *Rec, *Lock, ReacquireSite);
     return;
   }
-  // Record/Passthrough: condition_variable_any drives M.unlock()/M.lock(),
-  // which keeps the recorder's bookkeeping consistent automatically.
-  Real.wait(M);
+  // Record/Passthrough: condition_variable_any drops and retakes M through
+  // this adaptor, so the reacquire goes through M.lock at ReacquireSite and
+  // is logged with the same context as an Active-mode reacquire.
+  struct Relock {
+    Mutex &M;
+    Label Site;
+    void lock() { M.lock(Site); }
+    void unlock() { M.unlock(); }
+  } Lock{M, ReacquireSite};
+  Real.wait(Lock);
 }
 
 void ConditionVariable::notifyOne() {

@@ -14,8 +14,9 @@
 /// ExecutionResult (an extension to the paper's classification).
 ///
 /// In Record and Passthrough modes the class delegates to a
-/// std::condition_variable_any over the instrumented Mutex, so the lock
-/// release/re-acquire is observed by the recorder automatically.
+/// std::condition_variable_any that releases and re-acquires the
+/// instrumented Mutex, the re-acquire at the wait's ReacquireSite, so the
+/// recorder sees the same events as in Active mode.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,7 +2,6 @@
 
 #include "runtime/Mutex.h"
 
-#include "runtime/Recorder.h"
 #include "runtime/Records.h"
 #include "runtime/Runtime.h"
 #include "runtime/Scheduler.h"
@@ -34,173 +33,74 @@ Mutex::~Mutex() {
     RT->objectDestroyed(this);
 }
 
-void Mutex::lock(Label Site) {
-  // Unbound or passthrough: plain recursive mutex with owner tracking.
-  if (!RT || !Rec) {
-    uint64_t Self = osThreadKey();
-    if (RealOwner.load(std::memory_order_relaxed) == Self) {
-      ++RealRecursion;
-      return;
-    }
-    Real.lock();
-    RealOwner.store(Self, std::memory_order_relaxed);
-    RealRecursion = 1;
-    return;
-  }
-
-  assert(RT == Runtime::current() &&
+bool Mutex::modeledByScheduler() const {
+  assert((!Rec || RT == Runtime::current()) &&
          "lock bound to a different runtime than the one running");
+  return Rec && RT->mode() == RunMode::Active;
+}
 
-  if (RT->mode() == RunMode::Active) {
+// Outside Active mode the OS lock provides the exclusion, with owner
+// tracking for re-entrancy; in Record mode each 0->1 and 1->0 transition is
+// also a lock transition of the runtime, logged while the real lock is held.
+
+void Mutex::lock(Label Site) {
+  if (modeledByScheduler()) {
     ThreadRecord *Self = RT->selfRecord();
     assert(Self && "unmanaged thread touched an active-mode lock");
-    Scheduler *Sched = RT->scheduler();
-    assert(Sched && "active mode without a scheduler");
-    Sched->acquire(*Self, *Rec, Site);
+    RT->scheduler()->acquire(*Self, *Rec, Site);
     return;
   }
-
-  // Record mode: real blocking first, then the event under the record
-  // mutex so the dependency relation sees a consistent LockSet.
-  assert(RT->mode() == RunMode::Record && "unexpected runtime mode");
-  uint64_t SelfKey = osThreadKey();
-  if (RealOwner.load(std::memory_order_relaxed) == SelfKey) {
+  uint64_t Self = osThreadKey();
+  if (RealOwner.load(std::memory_order_relaxed) == Self) {
     ++RealRecursion; // re-entrant: invisible to the analysis (footnote 2)
     return;
   }
-  ThreadRecord *Self = RT->selfRecord();
-  assert(Self && "unmanaged thread touched a record-mode lock");
   Real.lock();
-  {
-    std::lock_guard<std::mutex> Guard(RT->recordMu());
-    if (RT->options().HappensBefore == HbMode::FullSync)
-      vcJoin(Self->Clock, Rec->Clock);
-    if (RT->options().HappensBefore != HbMode::Off)
-      vcTick(Self->Clock, Self->Id);
-    if (DependencyRecorder *Recorder = RT->recorder()) {
-      Recorder->onAcquireExecuted(*Self, *Rec, Self->LockStack, Site,
-                                  LockMode::Exclusive);
-      // The real mutex is already held here, so grant order is record order.
-      Recorder->onLockGranted(*Self, *Rec, Site, LockMode::Exclusive);
-    }
-    RT->noteRecordedAcquire();
-    Self->LockStack.push_back({Rec->Id, Site});
-    Rec->Owner = Self->Id;
-    Rec->Recursion = 1;
-  }
-  RealOwner.store(SelfKey, std::memory_order_relaxed);
+  if (Rec)
+    RT->recordAcquire(*Rec, Site, LockMode::Exclusive);
+  RealOwner.store(Self, std::memory_order_relaxed);
   RealRecursion = 1;
 }
 
 bool Mutex::tryLock(Label Site) {
-  if (!RT || !Rec) {
-    uint64_t Self = osThreadKey();
-    if (RealOwner.load(std::memory_order_relaxed) == Self) {
-      ++RealRecursion;
-      return true;
-    }
-    if (!Real.try_lock())
-      return false;
-    RealOwner.store(Self, std::memory_order_relaxed);
-    RealRecursion = 1;
-    return true;
-  }
-
-  assert(RT == Runtime::current() &&
-         "lock bound to a different runtime than the one running");
-
-  if (RT->mode() == RunMode::Active) {
+  if (modeledByScheduler()) {
     ThreadRecord *Self = RT->selfRecord();
-    Scheduler *Sched = RT->scheduler();
-    assert(Self && Sched && "unmanaged thread touched an active-mode lock");
-    return Sched->tryAcquire(*Self, *Rec, Site);
+    assert(Self && "unmanaged thread touched an active-mode lock");
+    return RT->scheduler()->tryAcquire(*Self, *Rec, Site);
   }
-
-  assert(RT->mode() == RunMode::Record && "unexpected runtime mode");
-  uint64_t SelfKey = osThreadKey();
-  if (RealOwner.load(std::memory_order_relaxed) == SelfKey) {
+  uint64_t Self = osThreadKey();
+  if (RealOwner.load(std::memory_order_relaxed) == Self) {
     ++RealRecursion;
     return true;
   }
   if (!Real.try_lock())
     return false;
-  ThreadRecord *Self = RT->selfRecord();
-  assert(Self && "unmanaged thread touched a record-mode lock");
-  {
-    std::lock_guard<std::mutex> Guard(RT->recordMu());
-    if (RT->options().HappensBefore == HbMode::FullSync)
-      vcJoin(Self->Clock, Rec->Clock);
-    if (RT->options().HappensBefore != HbMode::Off)
-      vcTick(Self->Clock, Self->Id);
-    if (DependencyRecorder *Recorder = RT->recorder()) {
-      Recorder->onAcquireExecuted(*Self, *Rec, Self->LockStack, Site,
-                                  LockMode::Exclusive);
-      // The real mutex is already held here, so grant order is record order.
-      Recorder->onLockGranted(*Self, *Rec, Site, LockMode::Exclusive);
-    }
-    RT->noteRecordedAcquire();
-    Self->LockStack.push_back({Rec->Id, Site});
-    Rec->Owner = Self->Id;
-    Rec->Recursion = 1;
-  }
-  RealOwner.store(SelfKey, std::memory_order_relaxed);
+  if (Rec)
+    RT->recordAcquire(*Rec, Site, LockMode::Exclusive);
+  RealOwner.store(Self, std::memory_order_relaxed);
   RealRecursion = 1;
   return true;
 }
 
 void Mutex::unlock() {
-  if (!RT || !Rec) {
-    assert(RealOwner.load(std::memory_order_relaxed) == osThreadKey() &&
-           "unlock by non-owner");
-    if (--RealRecursion > 0)
-      return;
-    RealOwner.store(0, std::memory_order_relaxed);
-    Real.unlock();
-    return;
-  }
-
-  assert(RT == Runtime::current() &&
-         "lock bound to a different runtime than the one running");
-
-  if (RT->mode() == RunMode::Active) {
+  if (modeledByScheduler()) {
     ThreadRecord *Self = RT->selfRecord();
-    Scheduler *Sched = RT->scheduler();
-    assert(Self && Sched && "active-mode unlock off a managed thread");
-    Sched->release(*Self, *Rec, Label());
+    assert(Self && "active-mode unlock off a managed thread");
+    RT->scheduler()->release(*Self, *Rec, Label());
     return;
   }
-
-  assert(RT->mode() == RunMode::Record && "unexpected runtime mode");
   assert(RealOwner.load(std::memory_order_relaxed) == osThreadKey() &&
          "unlock by non-owner");
   if (--RealRecursion > 0)
     return;
-  ThreadRecord *Self = RT->selfRecord();
-  {
-    std::lock_guard<std::mutex> Guard(RT->recordMu());
-    for (size_t I = Self->LockStack.size(); I-- > 0;) {
-      if (Self->LockStack[I].Lock == Rec->Id) {
-        Self->LockStack.erase(Self->LockStack.begin() + static_cast<long>(I));
-        break;
-      }
-    }
-    Rec->Owner = ThreadId();
-    Rec->Recursion = 0;
-    if (RT->options().HappensBefore == HbMode::FullSync) {
-      vcTick(Self->Clock, Self->Id);
-      Rec->Clock = Self->Clock;
-    }
-    if (DependencyRecorder *Recorder = RT->recorder())
-      Recorder->onReleaseExecuted(*Self, *Rec, LockMode::Exclusive);
-  }
+  if (Rec)
+    RT->recordRelease(*Rec);
   RealOwner.store(0, std::memory_order_relaxed);
   Real.unlock();
 }
 
 bool Mutex::heldByCurrentThread() const {
-  if (!RT || !Rec)
-    return RealOwner.load(std::memory_order_relaxed) == osThreadKey();
-  if (RT->mode() == RunMode::Active) {
+  if (Rec && RT->mode() == RunMode::Active) {
     ThreadRecord *Self = RT->selfRecord();
     return Self && Rec->Owner == Self->Id;
   }

@@ -73,6 +73,9 @@ public:
   LockRecord *record() { return Rec; }
 
 private:
+  /// True when the Active scheduler models this lock (bound, Active run).
+  bool modeledByScheduler() const;
+
   Runtime *RT = nullptr;
   LockRecord *Rec = nullptr;
 

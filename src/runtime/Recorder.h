@@ -10,9 +10,13 @@
 /// only) and at thread/lock creations; src/igoodlock implements it to build
 /// the lock dependency relation of Definition 1.
 ///
-/// All calls are externally synchronized by the runtime (scheduler lock in
-/// Active mode, the record mutex in Record mode); implementations need no
-/// locking of their own.
+/// All calls are externally synchronized by the runtime; implementations
+/// need no locking of their own. The lock callbacks come from the Runtime's
+/// lock transitions (acquireEvent, grantLock, releaseLock, joinEdge), which
+/// the Active scheduler runs under its lock and Record mode under
+/// Runtime::recordMu(); creation callbacks run under recordMu() in both
+/// modes, and the condvar callbacks (Active mode only) under the scheduler
+/// lock.
 ///
 //===----------------------------------------------------------------------===//
 

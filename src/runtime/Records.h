@@ -182,8 +182,9 @@ struct LockRecord {
   /// Abstractions of the lock object, computed at creation (§2.4).
   AbstractionSet Abs;
 
-  /// Current owner; invalid when free. Only meaningful in Active mode where
-  /// the runtime models lock state itself.
+  /// Current exclusive owner; invalid when free. Set by the runtime's lock
+  /// transitions in Active and Record mode alike (Record mode keeps the real
+  /// lock too; re-entrant holds are counted there, not in Recursion).
   ThreadId Owner;
 
   /// Re-entrancy usage counter (paper footnote 2): only 0->1 transitions

@@ -11,6 +11,7 @@
 #include "telemetry/Metrics.h"
 #include "telemetry/Timeline.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -100,7 +101,7 @@ ThreadRecord &Runtime::createThreadRecord(const std::string &Name,
   auto [ObjId, Abs] = Engine.registerCreation(Obj, Parent, Site, Index);
   (void)ObjId;
 
-  std::lock_guard<std::mutex> Guard(RegistryMu);
+  std::lock_guard<std::mutex> Guard(RecordMu);
   Threads.emplace_back();
   ThreadRecord &Rec = Threads.back();
   Rec.Id = ThreadId(Threads.size());
@@ -132,7 +133,7 @@ LockRecord &Runtime::createLockRecord(const std::string &Name, const void *Obj,
   auto [ObjId, Abs] = Engine.registerCreation(Obj, Parent, Site, Index);
   (void)ObjId;
 
-  std::lock_guard<std::mutex> Guard(RegistryMu);
+  std::lock_guard<std::mutex> Guard(RecordMu);
   Locks.emplace_back();
   LockRecord &Rec = Locks.back();
   Rec.Id = LockId(Locks.size());
@@ -144,7 +145,7 @@ LockRecord &Runtime::createLockRecord(const std::string &Name, const void *Obj,
 }
 
 CondRecord &Runtime::createCondRecord(const std::string &Name) {
-  std::lock_guard<std::mutex> Guard(RegistryMu);
+  std::lock_guard<std::mutex> Guard(RecordMu);
   Conds.emplace_back();
   CondRecord &Rec = Conds.back();
   Rec.Id = Conds.size();
@@ -170,6 +171,107 @@ LockRecord &Runtime::lockById(LockId Id) {
 const LockRecord &Runtime::lockById(LockId Id) const {
   assert(Id.isValid() && Id.Raw <= Locks.size() && "bad lock id");
   return Locks[Id.Raw - 1];
+}
+
+// -- Lock transitions ----------------------------------------------------------
+
+void Runtime::acquireEvent(ThreadRecord &T, LockRecord &L, Label Site,
+                           LockMode Mode) {
+  if (Opts.HappensBefore == HbMode::FullSync) {
+    vcJoin(T.Clock, L.Clock); // release -> acquire edge
+    if (Mode == LockMode::Exclusive)
+      vcJoin(T.Clock, L.ReadersClock); // every read release precedes a write
+  }
+  if (Opts.HappensBefore != HbMode::Off)
+    vcTick(T.Clock, T.Id);
+  if (Recorder)
+    Recorder->onAcquireExecuted(T, L, T.LockStack, Site, Mode);
+  T.LockStack.push_back({L.Id, Site, Mode});
+  ++AcquireEvents;
+}
+
+void Runtime::grantLock(ThreadRecord &T, LockRecord &L, Label Site,
+                        LockMode Mode) {
+  // A thread that blocked at its acquire event now also orders after the
+  // releases it waited for; when the grant follows the event at once, the
+  // event already joined these clocks and the joins change nothing.
+  bool FullSync = Opts.HappensBefore == HbMode::FullSync;
+  if (FullSync)
+    vcJoin(T.Clock, L.Clock);
+  if (Mode == LockMode::Shared) {
+    L.Readers.push_back(T.Id);
+  } else {
+    L.Owner = T.Id;
+    L.Recursion = 1;
+    if (FullSync)
+      vcJoin(T.Clock, L.ReadersClock);
+    L.ReadersClock = VectorClock();
+  }
+  if (Recorder)
+    Recorder->onLockGranted(T, L, Site, Mode);
+}
+
+LockMode Runtime::releaseLock(ThreadRecord &T, LockRecord &L) {
+  // Pop the topmost matching entry: release orders need not nest (the
+  // paper's "can easily be extended" case), and the entry's mode tells
+  // which side of a rwlock is being released.
+  LockMode Mode = LockMode::Exclusive;
+  for (size_t I = T.LockStack.size(); I-- > 0;) {
+    if (T.LockStack[I].Lock == L.Id) {
+      Mode = T.LockStack[I].Mode;
+      T.LockStack.erase(T.LockStack.begin() + static_cast<long>(I));
+      break;
+    }
+  }
+  bool FullSync = Opts.HappensBefore == HbMode::FullSync;
+  if (FullSync)
+    vcTick(T.Clock, T.Id);
+  if (Mode == LockMode::Shared) {
+    L.Readers.erase(std::remove(L.Readers.begin(), L.Readers.end(), T.Id),
+                    L.Readers.end());
+    // Read releases accumulate: the next *write* acquire orders after every
+    // reader, but the next read acquire only after the last writer (readers
+    // do not order among themselves).
+    if (FullSync)
+      vcJoin(L.ReadersClock, T.Clock);
+  } else {
+    L.Owner = ThreadId();
+    L.Recursion = 0;
+    if (FullSync)
+      L.Clock = T.Clock;
+  }
+  if (Recorder)
+    Recorder->onReleaseExecuted(T, L, Mode);
+  return Mode;
+}
+
+void Runtime::joinEdge(ThreadRecord &T, const ThreadRecord &Target) {
+  if (Opts.HappensBefore != HbMode::Off)
+    vcJoin(T.Clock, Target.Clock);
+  if (Recorder)
+    Recorder->onJoinExecuted(T, Target);
+}
+
+void Runtime::recordAcquire(LockRecord &L, Label Site, LockMode Mode) {
+  ThreadRecord *Self = selfRecord();
+  assert(Self && "unmanaged thread touched a record-mode lock");
+  std::lock_guard<std::mutex> Guard(RecordMu);
+  acquireEvent(*Self, L, Site, Mode);
+  grantLock(*Self, L, Site, Mode);
+}
+
+LockMode Runtime::recordRelease(LockRecord &L) {
+  ThreadRecord *Self = selfRecord();
+  assert(Self && "unmanaged thread touched a record-mode lock");
+  std::lock_guard<std::mutex> Guard(RecordMu);
+  return releaseLock(*Self, L);
+}
+
+void Runtime::recordJoin(const ThreadRecord &Target) {
+  if (ThreadRecord *Self = selfRecord()) {
+    std::lock_guard<std::mutex> Guard(RecordMu);
+    joinEdge(*Self, Target);
+  }
 }
 
 ThreadRecord *Runtime::selfRecord() { return SelfTls; }
@@ -226,7 +328,6 @@ ExecutionResult Runtime::run(const std::function<void()> &Entry) {
     Main.State = ThreadState::Finished;
     setSelfRecord(nullptr);
     Result.Completed = true;
-    Result.AcquireEvents = RecordAcquires;
     break;
   }
 
@@ -254,6 +355,7 @@ ExecutionResult Runtime::run(const std::function<void()> &Entry) {
     break;
   }
   }
+  Result.AcquireEvents = AcquireEvents;
 
   Result.WallMs = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - Start)

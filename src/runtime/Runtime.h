@@ -115,15 +115,45 @@ public:
   AbstractionEngine &abstractions() { return Engine; }
   /// Non-null only while an Active-mode run() is in flight.
   Scheduler *scheduler() { return Sched; }
-  DependencyRecorder *recorder() { return Recorder; }
   /// Cycles the avoidance extension must keep infeasible; may be null.
   const std::vector<CycleSpec> *avoidSpecs() const { return Avoid; }
 
-  /// Serializes Record-mode bookkeeping.
+  /// Serializes the registries and Record-mode bookkeeping.
   std::mutex &recordMu() { return RecordMu; }
-  /// Counts one executed acquire event in Record mode (caller holds
-  /// recordMu()).
-  void noteRecordedAcquire() { ++RecordAcquires; }
+
+  // -- Lock transitions --------------------------------------------------------
+  //
+  // The one place a lock's modeled state, the happens-before clocks, the
+  // holder's lock stack, the recorder's lock callbacks and the acquire count
+  // change. The Active scheduler runs them under its own lock; Record mode
+  // runs them through the record* wrappers below, under recordMu().
+
+  /// `Site : Acquire(L)` executed by \p T in \p Mode: the release->acquire
+  /// join (FullSync), the tick, onAcquireExecuted with the stack before the
+  /// push, the push, and the acquire count. Ownership follows at grantLock.
+  void acquireEvent(ThreadRecord &T, LockRecord &L, Label Site, LockMode Mode);
+
+  /// \p T now holds \p L in \p Mode (acquired at \p Site): the owner or
+  /// reader set, the join with the releases it waited for (FullSync), and
+  /// onLockGranted.
+  void grantLock(ThreadRecord &T, LockRecord &L, Label Site, LockMode Mode);
+
+  /// \p T releases \p L: pops the topmost matching stack entry, frees the
+  /// owner or reader slot, stores the release clock (FullSync) and fires
+  /// onReleaseExecuted. Returns the released mode (the popped entry's).
+  LockMode releaseLock(ThreadRecord &T, LockRecord &L);
+
+  /// \p T's join of the finished thread \p Target returned.
+  void joinEdge(ThreadRecord &T, const ThreadRecord &Target);
+
+  /// Record mode: the calling thread really holds \p L now (a 0->1
+  /// transition); acquireEvent then grantLock, under recordMu().
+  void recordAcquire(LockRecord &L, Label Site, LockMode Mode);
+  /// Record mode: the calling thread is about to drop \p L; releaseLock
+  /// under recordMu().
+  LockMode recordRelease(LockRecord &L);
+  /// Record mode: the calling thread's OS join of \p Target returned.
+  void recordJoin(const ThreadRecord &Target);
 
 private:
   Options Opts;
@@ -132,7 +162,7 @@ private:
   const std::vector<CycleSpec> *Avoid;
 
   AbstractionEngine Engine;
-  std::mutex RegistryMu;
+  std::mutex RecordMu;
   std::deque<ThreadRecord> Threads;
   std::deque<LockRecord> Locks;
   std::deque<CondRecord> Conds;
@@ -141,8 +171,8 @@ private:
   /// the main thread record exists (i.e. the main thread record itself).
   IndexingState BootstrapIndex;
 
-  std::mutex RecordMu;
-  uint64_t RecordAcquires = 0;
+  /// Executed acquire events, in either mode (ExecutionResult::AcquireEvents).
+  uint64_t AcquireEvents = 0;
 
   Scheduler *Sched = nullptr;
   bool Ran = false;

@@ -2,12 +2,10 @@
 
 #include "runtime/RwLock.h"
 
-#include "runtime/Recorder.h"
 #include "runtime/Records.h"
 #include "runtime/Runtime.h"
 #include "runtime/Scheduler.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace dlf;
@@ -36,163 +34,58 @@ bool RwLock::tryLockShared(Label Site) {
 void RwLock::unlock() { releaseSide(/*Shared=*/false); }
 void RwLock::unlockShared() { releaseSide(/*Shared=*/true); }
 
-void RwLock::acquire(Label Site, bool Shared) {
-  if (!RT || !Rec) {
-    if (Shared)
-      Real.lock_shared();
-    else
-      Real.lock();
-    return;
-  }
-
-  assert(RT == Runtime::current() &&
+bool RwLock::modeledByScheduler() const {
+  assert((!Rec || RT == Runtime::current()) &&
          "rwlock bound to a different runtime than the one running");
-  LockMode Mode = Shared ? LockMode::Shared : LockMode::Exclusive;
+  return Rec && RT->mode() == RunMode::Active;
+}
 
-  if (RT->mode() == RunMode::Active) {
+// Outside Active mode the OS rwlock provides the exclusion; in Record mode
+// each acquire and release is also a lock transition of the runtime, logged
+// while the real lock is held.
+
+void RwLock::acquire(Label Site, bool Shared) {
+  LockMode Mode = Shared ? LockMode::Shared : LockMode::Exclusive;
+  if (modeledByScheduler()) {
     ThreadRecord *Self = RT->selfRecord();
-    Scheduler *Sched = RT->scheduler();
-    assert(Self && Sched && "unmanaged thread touched an active-mode rwlock");
-    Sched->acquire(*Self, *Rec, Site, Mode);
+    assert(Self && "unmanaged thread touched an active-mode rwlock");
+    RT->scheduler()->acquire(*Self, *Rec, Site, Mode);
     return;
   }
-
-  // Record mode: real blocking first, then the event under the record
-  // mutex so the dependency relation sees a consistent LockSet.
-  assert(RT->mode() == RunMode::Record && "unexpected runtime mode");
-  ThreadRecord *Self = RT->selfRecord();
-  assert(Self && "unmanaged thread touched a record-mode rwlock");
   if (Shared)
     Real.lock_shared();
   else
     Real.lock();
-  {
-    std::lock_guard<std::mutex> Guard(RT->recordMu());
-    if (RT->options().HappensBefore == HbMode::FullSync) {
-      vcJoin(Self->Clock, Rec->Clock);
-      if (!Shared)
-        vcJoin(Self->Clock, Rec->ReadersClock);
-    }
-    if (RT->options().HappensBefore != HbMode::Off)
-      vcTick(Self->Clock, Self->Id);
-    if (DependencyRecorder *Recorder = RT->recorder()) {
-      Recorder->onAcquireExecuted(*Self, *Rec, Self->LockStack, Site, Mode);
-      // The real rwlock is already held: grant order is record order.
-      Recorder->onLockGranted(*Self, *Rec, Site, Mode);
-    }
-    RT->noteRecordedAcquire();
-    Self->LockStack.push_back({Rec->Id, Site, Mode});
-    if (Shared) {
-      Rec->Readers.push_back(Self->Id);
-    } else {
-      Rec->Owner = Self->Id;
-      Rec->Recursion = 1;
-      Rec->ReadersClock = VectorClock();
-    }
-  }
+  if (Rec)
+    RT->recordAcquire(*Rec, Site, Mode);
 }
 
 bool RwLock::tryAcquire(Label Site, bool Shared) {
-  if (!RT || !Rec)
-    return Shared ? Real.try_lock_shared() : Real.try_lock();
-
-  assert(RT == Runtime::current() &&
-         "rwlock bound to a different runtime than the one running");
   LockMode Mode = Shared ? LockMode::Shared : LockMode::Exclusive;
-
-  if (RT->mode() == RunMode::Active) {
+  if (modeledByScheduler()) {
     ThreadRecord *Self = RT->selfRecord();
-    Scheduler *Sched = RT->scheduler();
-    assert(Self && Sched && "unmanaged thread touched an active-mode rwlock");
-    return Sched->tryAcquire(*Self, *Rec, Site, Mode);
+    assert(Self && "unmanaged thread touched an active-mode rwlock");
+    return RT->scheduler()->tryAcquire(*Self, *Rec, Site, Mode);
   }
-
-  assert(RT->mode() == RunMode::Record && "unexpected runtime mode");
   if (!(Shared ? Real.try_lock_shared() : Real.try_lock()))
     return false;
-  ThreadRecord *Self = RT->selfRecord();
-  assert(Self && "unmanaged thread touched a record-mode rwlock");
-  {
-    std::lock_guard<std::mutex> Guard(RT->recordMu());
-    if (RT->options().HappensBefore == HbMode::FullSync) {
-      vcJoin(Self->Clock, Rec->Clock);
-      if (!Shared)
-        vcJoin(Self->Clock, Rec->ReadersClock);
-    }
-    if (RT->options().HappensBefore != HbMode::Off)
-      vcTick(Self->Clock, Self->Id);
-    if (DependencyRecorder *Recorder = RT->recorder()) {
-      Recorder->onAcquireExecuted(*Self, *Rec, Self->LockStack, Site, Mode);
-      // The real rwlock is already held: grant order is record order.
-      Recorder->onLockGranted(*Self, *Rec, Site, Mode);
-    }
-    RT->noteRecordedAcquire();
-    Self->LockStack.push_back({Rec->Id, Site, Mode});
-    if (Shared) {
-      Rec->Readers.push_back(Self->Id);
-    } else {
-      Rec->Owner = Self->Id;
-      Rec->Recursion = 1;
-      Rec->ReadersClock = VectorClock();
-    }
-  }
+  if (Rec)
+    RT->recordAcquire(*Rec, Site, Mode);
   return true;
 }
 
 void RwLock::releaseSide(bool Shared) {
-  if (!RT || !Rec) {
-    if (Shared)
-      Real.unlock_shared();
-    else
-      Real.unlock();
-    return;
-  }
-
-  assert(RT == Runtime::current() &&
-         "rwlock bound to a different runtime than the one running");
-
-  if (RT->mode() == RunMode::Active) {
+  if (modeledByScheduler()) {
     ThreadRecord *Self = RT->selfRecord();
-    Scheduler *Sched = RT->scheduler();
-    assert(Self && Sched && "active-mode unlock off a managed thread");
+    assert(Self && "active-mode unlock off a managed thread");
     // The scheduler pops the stack entry, whose mode is the released side.
-    Sched->release(*Self, *Rec, Label());
+    RT->scheduler()->release(*Self, *Rec, Label());
     return;
   }
-
-  assert(RT->mode() == RunMode::Record && "unexpected runtime mode");
-  ThreadRecord *Self = RT->selfRecord();
-  assert(Self && "unmanaged thread touched a record-mode rwlock");
-  {
-    std::lock_guard<std::mutex> Guard(RT->recordMu());
-    for (size_t I = Self->LockStack.size(); I-- > 0;) {
-      if (Self->LockStack[I].Lock == Rec->Id) {
-        assert((Self->LockStack[I].Mode == LockMode::Shared) == Shared &&
-               "rwlock released on the wrong side");
-        Self->LockStack.erase(Self->LockStack.begin() + static_cast<long>(I));
-        break;
-      }
-    }
-    if (Shared) {
-      Rec->Readers.erase(
-          std::remove(Rec->Readers.begin(), Rec->Readers.end(), Self->Id),
-          Rec->Readers.end());
-      if (RT->options().HappensBefore == HbMode::FullSync) {
-        vcTick(Self->Clock, Self->Id);
-        vcJoin(Rec->ReadersClock, Self->Clock);
-      }
-    } else {
-      Rec->Owner = ThreadId();
-      Rec->Recursion = 0;
-      if (RT->options().HappensBefore == HbMode::FullSync) {
-        vcTick(Self->Clock, Self->Id);
-        Rec->Clock = Self->Clock;
-      }
-    }
-    if (DependencyRecorder *Recorder = RT->recorder())
-      Recorder->onReleaseExecuted(*Self, *Rec,
-                                  Shared ? LockMode::Shared
-                                         : LockMode::Exclusive);
+  if (Rec) {
+    [[maybe_unused]] LockMode Released = RT->recordRelease(*Rec);
+    assert((Released == LockMode::Shared) == Shared &&
+           "rwlock released on the wrong side");
   }
   if (Shared)
     Real.unlock_shared();

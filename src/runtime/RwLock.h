@@ -77,6 +77,8 @@ private:
   void acquire(Label Site, bool Shared);
   bool tryAcquire(Label Site, bool Shared);
   void releaseSide(bool Shared);
+  /// True when the Active scheduler models this lock (bound, Active run).
+  bool modeledByScheduler() const;
 
   Runtime *RT = nullptr;
   LockRecord *Rec = nullptr;

@@ -181,28 +181,10 @@ bool Scheduler::tryAcquire(ThreadRecord &Self, LockRecord &L, Label Site,
     ++Result.TryProbes;
     return false;
   }
-  // A successful tryLock is an Acquire event like any other.
-  if (Opts.HappensBefore == HbMode::FullSync) {
-    vcJoin(Self.Clock, L.Clock);
-    if (Mode == LockMode::Exclusive)
-      vcJoin(Self.Clock, L.ReadersClock); // every read release precedes us
-  }
-  if (Opts.HappensBefore != HbMode::Off)
-    vcTick(Self.Clock, Self.Id);
-  if (Recorder) {
-    Recorder->onAcquireExecuted(Self, L, Self.LockStack, Site, Mode);
-    // A successful trylock is granted at the same instant it is attempted.
-    Recorder->onLockGranted(Self, L, Site, Mode);
-  }
-  ++Result.AcquireEvents;
-  Self.LockStack.push_back({L.Id, Site, Mode});
-  if (Mode == LockMode::Shared) {
-    L.Readers.push_back(Self.Id);
-  } else {
-    L.Owner = Self.Id;
-    L.Recursion = 1;
-    L.ReadersClock = VectorClock();
-  }
+  // A successful tryLock is an Acquire event like any other, granted at the
+  // instant it is attempted.
+  RT.acquireEvent(Self, L, Site, Mode);
+  RT.grantLock(Self, L, Site, Mode);
   return true;
 }
 
@@ -505,8 +487,7 @@ void Scheduler::pickLoop() {
       // Only avoidance deferrals remain: retry them (transient — the
       // in-progress participant is otherwise runnable, so this branch
       // cannot recur indefinitely).
-      for (ThreadRecord &T : RT.threadRecords())
-        T.DeferredByAvoidance = false;
+      clearAvoidanceDeferrals();
       continue;
     }
     (void)AnyDeferred;
@@ -570,17 +551,9 @@ bool Scheduler::commitOp(ThreadRecord &T) {
     LockRecord &L = RT.lockById(T.Pending.Lock);
     assert(lockAvailable(L, T.Pending.Mode) &&
            "completing acquire of an unavailable lock");
-    if (T.Pending.Mode == LockMode::Shared) {
-      L.Readers.push_back(T.Id);
-    } else {
-      L.Owner = T.Id;
-      L.Recursion = 1;
-      L.ReadersClock = VectorClock();
-    }
-    // The attempt already fired onAcquireExecuted; the blocked thread now
+    // The attempt already was the acquire event; the blocked thread now
     // actually holds the lock (trace capture is grant-ordered).
-    if (Recorder)
-      Recorder->onLockGranted(T, L, T.Pending.Site, T.Pending.Mode);
+    RT.grantLock(T, L, T.Pending.Site, T.Pending.Mode);
     giveToken(T);
     return true;
   }
@@ -590,40 +563,7 @@ bool Scheduler::commitOp(ThreadRecord &T) {
     LockRecord &L = RT.lockById(T.Pending.Lock);
     assert((L.Owner == T.Id || holdsShared(L, T.Id)) &&
            "releasing an unowned lock");
-    // Pop the topmost matching entry; supports non-nested release orders
-    // (the paper's "can easily be extended" case). The entry's mode tells
-    // us which side of a rwlock is being released.
-    LockMode Mode = LockMode::Exclusive;
-    for (size_t I = T.LockStack.size(); I-- > 0;) {
-      if (T.LockStack[I].Lock == L.Id) {
-        Mode = T.LockStack[I].Mode;
-        T.LockStack.erase(T.LockStack.begin() + static_cast<long>(I));
-        break;
-      }
-    }
-    if (Mode == LockMode::Shared) {
-      L.Readers.erase(std::remove(L.Readers.begin(), L.Readers.end(), T.Id),
-                      L.Readers.end());
-      if (Opts.HappensBefore == HbMode::FullSync) {
-        // Read releases accumulate: the next *write* acquire orders after
-        // every reader, but the next read acquire only after the last
-        // writer (readers do not order among themselves).
-        vcTick(T.Clock, T.Id);
-        vcJoin(L.ReadersClock, T.Clock);
-      }
-    } else {
-      L.Owner = ThreadId();
-      L.Recursion = 0;
-      if (Opts.HappensBefore == HbMode::FullSync) {
-        vcTick(T.Clock, T.Id);
-        L.Clock = T.Clock;
-      }
-    }
-    if (Recorder)
-      Recorder->onReleaseExecuted(T, L, Mode);
-    // A release can clear avoidance conflicts: let deferred threads retry.
-    for (ThreadRecord &U : RT.threadRecords())
-      U.DeferredByAvoidance = false;
+    commitRelease(T, L);
     giveToken(T);
     return true;
   }
@@ -633,10 +573,7 @@ bool Scheduler::commitOp(ThreadRecord &T) {
     assert(RT.threadById(T.Pending.JoinTarget).State ==
                ThreadState::Finished &&
            "join committed before target finished");
-    if (Opts.HappensBefore != HbMode::Off)
-      vcJoin(T.Clock, RT.threadById(T.Pending.JoinTarget).Clock);
-    if (Recorder)
-      Recorder->onJoinExecuted(T, RT.threadById(T.Pending.JoinTarget));
+    RT.joinEdge(T, RT.threadById(T.Pending.JoinTarget));
     giveToken(T);
     return true;
 
@@ -645,25 +582,10 @@ bool Scheduler::commitOp(ThreadRecord &T) {
     LockRecord &L = RT.lockById(T.Pending.Lock);
     CondRecord &CV = RT.condById(T.Pending.Cond);
     assert(L.Owner == T.Id && "condition wait without the lock");
-    // Atomically release the lock and park on the condition.
-    for (size_t I = T.LockStack.size(); I-- > 0;) {
-      if (T.LockStack[I].Lock == L.Id) {
-        T.LockStack.erase(T.LockStack.begin() + static_cast<long>(I));
-        break;
-      }
-    }
-    L.Owner = ThreadId();
-    L.Recursion = 0;
-    if (Opts.HappensBefore == HbMode::FullSync) {
-      vcTick(T.Clock, T.Id);
-      L.Clock = T.Clock;
-    }
-    // wait() drops the mutex: an Exclusive release in the trace (the
-    // reacquire after wakeup re-enters as a fresh acquire).
-    if (Recorder)
-      Recorder->onReleaseExecuted(T, L, LockMode::Exclusive);
-    for (ThreadRecord &U : RT.threadRecords())
-      U.DeferredByAvoidance = false;
+    // Atomically release the lock and park on the condition. wait() drops
+    // the mutex: an Exclusive release in the trace (the reacquire after
+    // wakeup re-enters as a fresh acquire).
+    commitRelease(T, L);
     T.State = ThreadState::Blocked;
     T.Pending.K = PendingOp::Kind::CondBlocked;
     CV.Waiting.push_back(T.Id);
@@ -679,43 +601,14 @@ bool Scheduler::commitOp(ThreadRecord &T) {
     // lock across wait, another thread takes the wait mutex and then wants
     // the held lock) is reproducible only if the scheduler can hold the
     // notified waiter right before it re-enters the lock.
-    if (!T.ForceExecute) {
-      std::vector<LockStackEntry> Tentative = T.LockStack;
-      Tentative.push_back({L.Id, T.Pending.Site, LockMode::Exclusive});
-      if (Strat.shouldPause(T, L, Tentative)) {
-        T.Paused = true;
-        ++T.TimesPaused;
-        ++Result.Pauses;
-        T.PausedSinceStep = Result.Steps;
-        T.PausedSinceWall = std::chrono::steady_clock::now();
-        T.HasPausedPending = true;
-        T.PausedPending = Tentative.back();
-        {
-          telemetry::Timeline &TL = telemetry::Timeline::global();
-          if (TL.enabled())
-            TL.instant("pause:" + L.Name, timelineTid(T));
-        }
-        DLF_DEBUG_LOG("paused " << T.Name << " before reacquiring " << L.Name
-                                << " after wait");
-        return false;
-      }
-    }
-    T.ForceExecute = false;
+    std::vector<LockStackEntry> Tentative = T.LockStack;
+    Tentative.push_back({L.Id, T.Pending.Site, LockMode::Exclusive});
+    if (pauseBeforeAcquire(T, L, Tentative))
+      return false;
     // The re-acquisition is an Acquire event (the wait's monitorexit /
-    // monitorenter pair in the Java model).
-    if (Opts.HappensBefore == HbMode::FullSync)
-      vcJoin(T.Clock, L.Clock);
-    if (Opts.HappensBefore != HbMode::Off)
-      vcTick(T.Clock, T.Id);
-    if (Recorder) {
-      Recorder->onAcquireExecuted(T, L, T.LockStack, T.Pending.Site,
-                                  LockMode::Exclusive);
-      Recorder->onLockGranted(T, L, T.Pending.Site, LockMode::Exclusive);
-    }
-    ++Result.AcquireEvents;
-    T.LockStack.push_back({L.Id, T.Pending.Site, LockMode::Exclusive});
-    L.Owner = T.Id;
-    L.Recursion = 1;
+    // monitorenter pair in the Java model), granted at once.
+    RT.acquireEvent(T, L, T.Pending.Site, LockMode::Exclusive);
+    RT.grantLock(T, L, T.Pending.Site, LockMode::Exclusive);
     giveToken(T);
     return true;
   }
@@ -809,53 +702,15 @@ bool Scheduler::commitAcquireAttempt(ThreadRecord &T) {
     }
   }
 
-  // Algorithm 3 lines 12-18: pause if this acquire is a cycle component —
-  // unless the thread was force-resumed by thrash handling or the livelock
-  // monitor.
-  if (!T.ForceExecute && Strat.shouldPause(T, L, Tentative)) {
-    T.Paused = true;
-    ++T.TimesPaused;
-    ++Result.Pauses;
-    T.PausedSinceStep = Result.Steps;
-    T.PausedSinceWall = std::chrono::steady_clock::now();
-    T.HasPausedPending = true;
-    T.PausedPending = Tentative.back();
-    {
-      telemetry::Timeline &TL = telemetry::Timeline::global();
-      if (TL.enabled())
-        TL.instant("pause:" + L.Name, timelineTid(T));
-    }
-    DLF_DEBUG_LOG("paused " << T.Name << " before acquiring " << L.Name
-                            << " at " << Site.text());
+  if (pauseBeforeAcquire(T, L, Tentative))
     return false;
-  }
-  T.ForceExecute = false;
 
   // Execute the acquire: this is the event Phase I records (Definition 1).
-  if (Opts.HappensBefore == HbMode::FullSync) {
-    vcJoin(T.Clock, L.Clock); // release -> acquire edge
-    if (Mode == LockMode::Exclusive)
-      vcJoin(T.Clock, L.ReadersClock); // every read release precedes a write
-  }
-  if (Opts.HappensBefore != HbMode::Off)
-    vcTick(T.Clock, T.Id);
-  if (Recorder)
-    Recorder->onAcquireExecuted(T, L, T.LockStack, Site, Mode);
-  ++Result.AcquireEvents;
-  T.LockStack.push_back({L.Id, Site, Mode});
-
+  RT.acquireEvent(T, L, Site, Mode);
   if (lockAvailable(L, Mode)) {
-    if (Mode == LockMode::Shared) {
-      L.Readers.push_back(T.Id);
-    } else {
-      L.Owner = T.Id;
-      L.Recursion = 1;
-      L.ReadersClock = VectorClock();
-    }
-    // Immediate grant: attempt and grant coincide (the blocked path fires
-    // onLockGranted later, at CompleteAcquire commit).
-    if (Recorder)
-      Recorder->onLockGranted(T, L, Site, Mode);
+    // Immediate grant: attempt and grant coincide (the blocked path is
+    // granted later, at its CompleteAcquire commit).
+    RT.grantLock(T, L, Site, Mode);
     giveToken(T);
     return true;
   }
@@ -867,4 +722,41 @@ bool Scheduler::commitAcquireAttempt(ThreadRecord &T) {
       PendingOp{PendingOp::Kind::CompleteAcquire, L.Id, Site, {}, 0, false,
                 Mode};
   return false;
+}
+
+bool Scheduler::pauseBeforeAcquire(ThreadRecord &T, const LockRecord &L,
+                                   const std::vector<LockStackEntry> &Tentative) {
+  // Algorithm 3 lines 12-18: pause if this acquire is a cycle component —
+  // unless the thread was force-resumed by thrash handling or the livelock
+  // monitor, in which case it executes the acquire now.
+  if (T.ForceExecute || !Strat.shouldPause(T, L, Tentative)) {
+    T.ForceExecute = false;
+    return false;
+  }
+  T.Paused = true;
+  ++T.TimesPaused;
+  ++Result.Pauses;
+  T.PausedSinceStep = Result.Steps;
+  T.PausedSinceWall = std::chrono::steady_clock::now();
+  T.HasPausedPending = true;
+  T.PausedPending = Tentative.back();
+  {
+    telemetry::Timeline &TL = telemetry::Timeline::global();
+    if (TL.enabled())
+      TL.instant("pause:" + L.Name, timelineTid(T));
+  }
+  DLF_DEBUG_LOG("paused " << T.Name << " before acquiring " << L.Name
+                          << " at " << T.PausedPending.Site.text());
+  return true;
+}
+
+void Scheduler::commitRelease(ThreadRecord &T, LockRecord &L) {
+  RT.releaseLock(T, L);
+  // A release can clear avoidance conflicts: let deferred threads retry.
+  clearAvoidanceDeferrals();
+}
+
+void Scheduler::clearAvoidanceDeferrals() {
+  for (ThreadRecord &U : RT.threadRecords())
+    U.DeferredByAvoidance = false;
 }

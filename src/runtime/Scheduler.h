@@ -153,6 +153,18 @@ private:
   /// pause decision, ownership transfer / blocking).
   bool commitAcquireAttempt(ThreadRecord &T);
 
+  /// Algorithm 3's pause decision for \p T's acquire of \p L, whose stack
+  /// after the push would be \p Tentative: pauses T and returns true when
+  /// the strategy matches a cycle component (and T was not force-resumed).
+  bool pauseBeforeAcquire(ThreadRecord &T, const LockRecord &L,
+                          const std::vector<LockStackEntry> &Tentative);
+
+  /// Commits \p T's release of \p L and re-arms avoidance deferrals.
+  void commitRelease(ThreadRecord &T, LockRecord &L);
+
+  /// Lets every avoidance-deferred thread retry its acquire.
+  void clearAvoidanceDeferrals();
+
   /// True when \p T can be committed right now: announced and, for blocked
   /// operations, the resource condition holds (lock available in the
   /// pending mode / target finished).

@@ -3,7 +3,6 @@
 #include "runtime/Thread.h"
 
 #include "runtime/Abort.h"
-#include "runtime/Recorder.h"
 #include "runtime/Records.h"
 #include "runtime/Runtime.h"
 #include "runtime/Scheduler.h"
@@ -72,18 +71,10 @@ void Thread::join() {
     }
   }
   Os.join();
+  // Join edge in Record mode (Active mode takes it at the Join commit).
   if (RT && Rec && RT == Runtime::current() &&
-      RT->mode() == RunMode::Record) {
-    // Join edge in Record mode (Active mode merges at the Join commit).
-    ThreadRecord *Self = RT->selfRecord();
-    if (Self) {
-      std::lock_guard<std::mutex> Guard(RT->recordMu());
-      if (RT->options().HappensBefore != HbMode::Off)
-        vcJoin(Self->Clock, Rec->Clock);
-      if (DependencyRecorder *Recorder = RT->recorder())
-        Recorder->onJoinExecuted(*Self, *Rec);
-    }
-  }
+      RT->mode() == RunMode::Record)
+    RT->recordJoin(*Rec);
 }
 
 Thread::~Thread() {

@@ -153,15 +153,16 @@ bool writeMetricsAtomic(const std::string &Path, bool Prom,
 }
 
 /// The observation loop shared by both modes: drain epochs until the
-/// writer marks the ring done or disappears, feeding the builder as
-/// events arrive. \p ChildPid is the launched target (0 in attach mode),
-/// reaped here so a wedged child cannot wedge the observer's exit.
+/// writer marks the ring done or disappears, feeding the builder (and the
+/// race detector \p Races, when not null) as events arrive. \p ChildPid is
+/// the launched target (0 in attach mode), reaped here so a wedged child
+/// cannot wedge the observer's exit.
 /// \p Status (may be null) receives a snapshot, an "epoch" event, and the
 /// ring metrics once per progress epoch, from this thread only.
 /// \p UnknownKinds counts records of a kind this build does not know.
 void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
              uint64_t &UnknownKinds, analysis::IncrementalLogBuilder &Builder,
-             std::vector<analysis::TraceEvent> &AllEvents,
+             analysis::IncrementalRaceDetector *Races,
              serve::StatusSink *Status, const std::string &Target) {
   const auto Start = std::chrono::steady_clock::now();
   interpose::EventModel Model;
@@ -174,17 +175,21 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
   const unsigned NoWriterBudgetMs = 10000;
   bool SawWriter = false;
   bool ChildExited = false;
+  auto Assemble = [&] {
+    UnknownKinds += ring::assemble(Reader, Batch, Model, Events);
+    Builder.feed(Events);
+    if (Races)
+      for (const analysis::TraceEvent &E : Events)
+        Races->feed(E);
+  };
 
   while (true) {
     ++Epoch;
     Batch.clear();
     Events.clear();
     bool Progress = Reader.drainPass(Batch);
-    if (!Batch.empty()) {
-      UnknownKinds += ring::assemble(Reader, Batch, Model, Events);
-      Builder.feed(Events);
-      AllEvents.insert(AllEvents.end(), Events.begin(), Events.end());
-    }
+    if (!Batch.empty())
+      Assemble();
 
     if (Progress) {
       IdleMs = 0;
@@ -271,11 +276,8 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
   Batch.clear();
   Events.clear();
   Reader.finishDrain(Batch);
-  if (!Batch.empty()) {
-    UnknownKinds += ring::assemble(Reader, Batch, Model, Events);
-    Builder.feed(Events);
-    AllEvents.insert(AllEvents.end(), Events.begin(), Events.end());
-  }
+  if (!Batch.empty())
+    Assemble();
 
   if (ChildPid > 0 && !ChildExited)
     waitpid(ChildPid, nullptr, 0);
@@ -446,9 +448,9 @@ int main(int Argc, char **Argv) {
 
   uint64_t UnknownKinds = 0;
   analysis::IncrementalLogBuilder Builder(&std::cerr);
-  std::vector<analysis::TraceEvent> AllEvents;
-  observe(*Reader, ChildPid, Opts, UnknownKinds, Builder, AllEvents,
-          Server.get(), Target);
+  analysis::IncrementalRaceDetector Races;
+  observe(*Reader, ChildPid, Opts, UnknownKinds, Builder,
+          Opts.Races ? &Races : nullptr, Server.get(), Target);
 
   const ring::DrainStats &S = Reader->stats();
   std::cerr << "dlf-observe: drained " << S.Drained << " record(s) in "
@@ -456,7 +458,7 @@ int main(int Argc, char **Argv) {
             << " dropped, " << S.Torn << " torn, " << S.Corrupt
             << " corrupt, " << S.HalfWritten << " half-written\n";
 
-  if (AllEvents.empty()) {
+  if (Builder.eventsSeen() == 0) {
     std::cerr << "error: ring carries no events\n";
     return ExitNoEvents;
   }
@@ -464,10 +466,8 @@ int main(int Argc, char **Argv) {
   int Rc = 0;
   unsigned FinalCycles = 0;
   if (Opts.Races) {
-    analysis::TraceFile Trace;
-    Trace.Events = AllEvents;
-    analysis::RaceAnalysis Result = analysis::detectRaces(Trace);
-    std::cerr << "dlf-observe: race pass over " << Trace.Events.size()
+    analysis::RaceAnalysis Result = Races.finish();
+    std::cerr << "dlf-observe: race pass over " << Races.eventsSeen()
               << " events\n";
     for (const std::string &W : Result.Warnings)
       std::cerr << "warning: " << W << "\n";

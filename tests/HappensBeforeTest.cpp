@@ -171,6 +171,46 @@ TEST(HappensBefore, JigsawFalsePositivesPrunedRealCyclesKept) {
       << "the genuinely concurrent cycles must survive";
 }
 
+TEST(HappensBefore, BlockedGrantJoinsTheReleaseItWaitedFor) {
+  // The waiter attempts M while main holds it, so it blocks; main's release
+  // then grants M to it. Everything the waiter does next must order after
+  // that release, as it does after a real lock in Record mode.
+  Options Opts;
+  Opts.Mode = RunMode::Active;
+  Opts.HappensBefore = HbMode::FullSync;
+  Opts.RecordDependencies = true;
+  LockDependencyLog Log;
+  SimpleRandomStrategy Strategy;
+  Runtime RT(Opts, &Strategy, &Log);
+  VectorClock ReleaseClock;
+  LockId Next;
+  ExecutionResult R = RT.run([&] {
+    Mutex M("hb-held", DLF_SITE());
+    Mutex N("hb-next", DLF_SITE());
+    Next = N.record()->Id;
+    M.lock(DLF_NAMED_SITE("hb:main-m"));
+    Thread Waiter([&] {
+      MutexGuard First(M, DLF_NAMED_SITE("hb:waiter-m"));
+      MutexGuard Second(N, DLF_NAMED_SITE("hb:waiter-n"));
+    });
+    while (Waiter.record()->State != ThreadState::Blocked)
+      yieldNow();
+    M.unlock();
+    ReleaseClock = M.record()->Clock;
+    Waiter.join();
+  });
+  ASSERT_TRUE(R.Completed);
+  ASSERT_FALSE(ReleaseClock.empty());
+  const DependencyEntry *AfterGrant = nullptr;
+  for (const DependencyEntry &E : Log.entries())
+    if (E.Acquired == Next)
+      AfterGrant = &E;
+  ASSERT_NE(AfterGrant, nullptr);
+  EXPECT_TRUE(vcLeq(ReleaseClock, AfterGrant->Clock))
+      << "the acquire after a blocked grant is concurrent with the release "
+         "that granted it";
+}
+
 TEST(HappensBefore, RecordModeTracksClocksToo) {
   ActiveTesterConfig Config;
   Config.PhaseOneMode = RunMode::Record;

@@ -1,9 +1,11 @@
 //===- tests/RuntimeTest.cpp - runtime/ unit tests ---------------------------===//
 
+#include "analysis/TraceRecorder.h"
 #include "fuzzer/RandomStrategy.h"
 #include "igoodlock/LockDependency.h"
 #include "runtime/Mutex.h"
 #include "runtime/Runtime.h"
+#include "runtime/RwLock.h"
 #include "runtime/Thread.h"
 #include "support/Affinity.h"
 
@@ -290,6 +292,96 @@ TEST(ActiveMode, NonNestedReleaseOrder) {
     B.unlock();
   });
   EXPECT_TRUE(R.Completed);
+}
+
+// -- Record and Active modes agree ------------------------------------------------------
+
+/// A serial program (threads start and are joined one at a time) that
+/// drives every lock transition: mutex recursion, a trylock miss and hit,
+/// both rwlock sides, a non-nested release and joins. Record and Active
+/// mode see the same interleaving, so they must log the same events. Locks
+/// nest in one order (A, B, R) so the real locks of Record mode never
+/// invert.
+void serialTransitions() {
+  Mutex A("serial-a", DLF_SITE());
+  Mutex B("serial-b", DLF_SITE());
+  RwLock R("serial-r", DLF_SITE());
+  A.lock(DLF_NAMED_SITE("serial:a"));
+  A.lock(DLF_NAMED_SITE("serial:a-again"));
+  Thread Prober(
+      [&] {
+        EXPECT_FALSE(A.tryLock(DLF_NAMED_SITE("serial:probe-a")));
+        EXPECT_TRUE(B.tryLock(DLF_NAMED_SITE("serial:probe-b")));
+        B.unlock();
+      },
+      "prober", DLF_SITE());
+  Prober.join();
+  B.lock(DLF_NAMED_SITE("serial:b"));
+  A.unlock();
+  A.unlock(); // A goes before B, which was taken after it
+  R.lockShared(DLF_NAMED_SITE("serial:r-read"));
+  R.unlockShared();
+  B.unlock();
+  Thread Writer(
+      [&] {
+        MutexGuard G(A, DLF_NAMED_SITE("serial:a-before-write"));
+        RwWriteGuard W(R, DLF_NAMED_SITE("serial:r-write"));
+      },
+      "writer", DLF_SITE());
+  Writer.join();
+  MutexGuard G(B, DLF_NAMED_SITE("serial:b-before-read"));
+  RwReadGuard Read(R, DLF_NAMED_SITE("serial:r-read-again"));
+}
+
+const char *modeText(LockMode Mode) {
+  return Mode == LockMode::Shared ? "s" : "x";
+}
+
+std::string clockText(const VectorClock &C) {
+  std::string Out = "[";
+  for (uint32_t V : C)
+    Out += std::to_string(V) + " ";
+  return Out + "]";
+}
+
+/// The dependency log and the trace of one full-sync run of
+/// serialTransitions in \p Mode, one line per entry or event.
+std::vector<std::string> observeSerialRun(RunMode Mode) {
+  Options Opts;
+  Opts.Mode = Mode;
+  Opts.HappensBefore = HbMode::FullSync;
+  Opts.RecordDependencies = true;
+  LockDependencyLog Log;
+  analysis::TraceRecorder Trace(&Log);
+  SimpleRandomStrategy Strategy;
+  Runtime RT(Opts, &Strategy, &Trace);
+  ExecutionResult R = RT.run(serialTransitions);
+  EXPECT_TRUE(R.Completed);
+  std::vector<std::string> Lines;
+  Lines.push_back("acquires " + std::to_string(R.AcquireEvents));
+  for (const DependencyEntry &E : Log.entries()) {
+    std::string Line = "entry t" + std::to_string(E.Thread.Raw) + " held";
+    for (size_t I = 0; I != E.Held.size(); ++I)
+      Line += " " + std::to_string(E.Held[I].Raw) +
+              modeText(E.HeldModes[I]);
+    Line += " acq " + std::to_string(E.Acquired.Raw) +
+            modeText(E.AcquiredMode) + " ctx";
+    for (Label Site : E.Context)
+      Line += " " + Site.text();
+    Lines.push_back(Line + " clock " + clockText(E.Clock));
+  }
+  for (const analysis::TraceEvent &E : Trace.events())
+    Lines.push_back("event " + std::to_string(static_cast<int>(E.K)) + " " +
+                    std::to_string(E.A) + " " + std::to_string(E.B) + " " +
+                    E.Text);
+  return Lines;
+}
+
+TEST(RuntimeModes, SerialProgramLogsTheSameInRecordAndActiveMode) {
+  std::vector<std::string> Record = observeSerialRun(RunMode::Record);
+  std::vector<std::string> Active = observeSerialRun(RunMode::Active);
+  EXPECT_EQ(Record, Active);
+  EXPECT_EQ(Record.front(), "acquires 8");
 }
 
 TEST(ActiveMode, ThreadObjectsCarryAbstractions) {

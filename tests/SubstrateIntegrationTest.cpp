@@ -18,6 +18,7 @@
 #include <iostream>
 #include <set>
 #include <sstream>
+#include <utility>
 
 namespace {
 
@@ -216,27 +217,32 @@ std::set<std::string> recordPhaseOneKeys(const std::string &Name,
 }
 
 TEST(RecordPhaseOne, AgreesWithActivePhaseOneOnLists) {
-  // The two observation modes must report the same abstract cycles. The
+  // The two observation modes must report the same abstract cycles, on the
+  // lists bundle and on the rwlock and cond-wait reacquire workloads. Each
   // Record run is genuinely concurrent, so it runs sandboxed (see
   // recordPhaseOneKeys).
-  ActiveTesterConfig ActiveConfig;
-  ActiveTester ActiveTesterInst(bench("collections-lists").Entry,
-                                ActiveConfig);
-  PhaseOneResult ActiveP1 = ActiveTesterInst.runPhaseOne();
+  const std::pair<const char *, size_t> Inputs[] = {
+      {"collections-lists", 27}, {"condvar-hybrid", 1}, {"rwlock-abba", 1}};
+  for (const auto &[Name, Cycles] : Inputs) {
+    SCOPED_TRACE(Name);
+    ActiveTesterConfig ActiveConfig;
+    ActiveTester ActiveTesterInst(bench(Name).Entry, ActiveConfig);
+    PhaseOneResult ActiveP1 = ActiveTesterInst.runPhaseOne();
 
-  // Cycle keys carry interned label ids; the Active run interned every
-  // site first, and the forked Record child inherits that table.
-  unsigned Deadlocks = 0;
-  std::set<std::string> RecordKeys =
-      recordPhaseOneKeys("collections-lists", 5, Deadlocks);
-  if (Deadlocks)
-    std::cout << Deadlocks << " Record-mode deadlock(s) before a clean run\n";
+    // Cycle keys carry interned label ids; the Active run interned every
+    // site first, and the forked Record child inherits that table.
+    unsigned Deadlocks = 0;
+    std::set<std::string> RecordKeys = recordPhaseOneKeys(Name, 5, Deadlocks);
+    if (Deadlocks)
+      std::cout << Name << ": " << Deadlocks
+                << " Record-mode deadlock(s) before a clean run\n";
 
-  std::set<std::string> ActiveKeys;
-  for (const AbstractCycle &Cycle : ActiveP1.Cycles)
-    ActiveKeys.insert(Cycle.key(AbstractionKind::ExecutionIndex, true));
-  EXPECT_EQ(RecordKeys, ActiveKeys);
-  EXPECT_EQ(RecordKeys.size(), 27u);
+    std::set<std::string> ActiveKeys;
+    for (const AbstractCycle &Cycle : ActiveP1.Cycles)
+      ActiveKeys.insert(Cycle.key(AbstractionKind::ExecutionIndex, true));
+    EXPECT_EQ(RecordKeys, ActiveKeys);
+    EXPECT_EQ(RecordKeys.size(), Cycles);
+  }
 }
 
 } // namespace
