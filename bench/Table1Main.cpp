@@ -8,9 +8,18 @@
 // control column runs each deadlock-prone benchmark uninstrumented N times
 // under a watchdog and counts deadlocks (the paper observed zero).
 //
+// The uninstrumented baseline runs also go through the watchdog:
+// unpinned, a deadlock-prone benchmark can deadlock for real even
+// uninstrumented. They run back to back in one forked child (a fresh one
+// only after a hung or crashed run), each timed inside the child, so the
+// fork is billed to none of them and only the first pays the child's cold
+// start. A hung baseline run counts as one more deadlock in the row's
+// control column (which then covers the baseline runs too) and is left
+// out of the Normal ms average.
+//
 // Knobs: DLF_BENCH_REPS (Phase II repetitions per cycle; paper used 100,
 // default 20), DLF_BENCH_NORMAL_RUNS (control runs, default 20),
-// DLF_BENCH_TIMEOUT_MS (control watchdog, default 5000).
+// DLF_BENCH_TIMEOUT_MS (baseline and control watchdog, default 5000).
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,12 +54,14 @@ int main() {
     Config.PhaseTwoReps = Reps;
     ActiveTester Tester(Info.Entry, Config);
 
-    // Baseline: average of uninstrumented runs.
-    double NormalMs = 0;
+    // Baseline: average of the uninstrumented runs that completed.
     constexpr unsigned BaselineRuns = 5;
-    for (unsigned I = 0; I != BaselineRuns; ++I)
-      NormalMs += Tester.runPassthrough().WallMs;
-    NormalMs /= BaselineRuns;
+    ForkedRuns Baseline = runForkedRuns(Info.Entry, BaselineRuns, TimeoutMs);
+    double NormalMs = 0;
+    for (double Ms : Baseline.WallMs)
+      NormalMs += Ms;
+    const size_t NormalDone = Baseline.WallMs.size();
+    unsigned Hung = Baseline.Hung;
 
     // Phase I.
     PhaseOneResult P1 = Tester.runPhaseOne();
@@ -71,26 +82,31 @@ int main() {
       Phase2Ms += Stats.TotalWallMs;
     }
 
-    // Control: uninstrumented runs under a watchdog.
-    unsigned Hung = 0;
+    // Control: uninstrumented runs under a watchdog, counted together with
+    // the baseline runs.
+    unsigned UninstrumentedRuns = BaselineRuns;
     if (!Info.DeadlockFree) {
+      UninstrumentedRuns += NormalRuns;
       for (unsigned I = 0; I != NormalRuns; ++I)
         if (runForkedWithTimeout(Info.Entry, TimeoutMs) ==
             ForkedOutcome::Hung)
           ++Hung;
     }
 
-    Out.addRow({Info.Name, Table::fmt(NormalMs, 2), Table::fmt(Phase1Ms, 2),
+    Out.addRow({Info.Name,
+                NormalDone ? Table::fmt(NormalMs / NormalDone, 2) : "-",
+                Table::fmt(Phase1Ms, 2),
                 Runs ? Table::fmt(Phase2Ms / Runs, 2) : "-",
                 Table::fmt(static_cast<uint64_t>(P1.Cycles.size())),
                 Table::fmt(static_cast<uint64_t>(Confirmed)),
                 Runs ? Table::fmt(static_cast<double>(Hits) / Runs, 3) : "-",
                 Runs ? Table::fmt(static_cast<double>(Thrashes) / Runs, 2)
                      : "-",
-                Info.DeadlockFree
+                Info.DeadlockFree && Hung == 0
                     ? "-"
                     : Table::fmt(static_cast<uint64_t>(Hung)) + "/" +
-                          Table::fmt(static_cast<uint64_t>(NormalRuns))});
+                          Table::fmt(
+                              static_cast<uint64_t>(UninstrumentedRuns))});
   }
 
   Out.print(std::cout);

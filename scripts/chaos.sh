@@ -99,17 +99,41 @@ EOF
 # sandbox ties child lifetimes to the runner with PR_SET_PDEATHSIG, so even
 # a SIGKILLed runner must take its children with it. /proc is scanned
 # directly to avoid a pgrep dependency.
+#
+# --after-runner-kill is for the round whose runner was SIGKILLed on
+# purpose, and only loosens the check there: a lane child runs a batch of
+# reps, so the kill usually catches one mid-batch. It dies at once, but
+# orphaned it stays a zombie until init reaps it, and some container inits
+# reap lazily (half a second and more). A zombie whose parent is init then
+# gets up to 5 s to be reaped; any other dlf-run (running, or a zombie of
+# a live process) is a stray at once. Every other round is strict.
 no_strays() {
+  local grace=0
+  [ "${1:-}" = --after-runner-kill ] && grace=50
   sleep 0.3 # let PDEATHSIG delivery and reaping settle
-  local stat pid comm state found=0
-  for stat in /proc/[0-9]*/stat; do
-    read -r pid comm state _ < "$stat" 2>/dev/null || continue
-    if [ "$comm" = "(dlf-run)" ]; then
-      echo "chaos: stray dlf-run process $pid (state $state)" >&2
-      found=1
+  local stat pid comm state ppid found orphans waited=0
+  while :; do
+    found=0
+    orphans=0
+    for stat in /proc/[0-9]*/stat; do
+      read -r pid comm state ppid _ < "$stat" 2>/dev/null || continue
+      [ "$comm" = "(dlf-run)" ] || continue
+      if [ "$grace" != 0 ] && [ "$state" = Z ] && [ "$ppid" = 1 ]; then
+        orphans=$((orphans + 1))
+      else
+        echo "chaos: stray dlf-run process $pid (state $state)" >&2
+        found=1
+      fi
+    done
+    [ "$found" = 0 ] || return 1
+    [ "$orphans" != 0 ] || return 0
+    if [ "$waited" -ge "$grace" ]; then
+      echo "chaos: $orphans orphaned dlf-run zombie(s) not reaped by init" >&2
+      return 1
     fi
+    waited=$((waited + 1))
+    sleep 0.1
   done
-  return $found
 }
 
 echo "== chaos: fault-free serial reference ($BENCH, $REPS reps) =="
@@ -137,7 +161,7 @@ run_crash() {
     if [ "$code" -eq 137 ]; then
       echo "  round $round: runner killed as planned; validating journal"
       check_journal "$J"
-      no_strays
+      no_strays --after-runner-kill
       continue
     fi
     [ "$code" -eq 0 ] || { echo "chaos: unexpected exit $code" >&2

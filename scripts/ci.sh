@@ -6,9 +6,10 @@
 # (the gate every change must hold), plus end-to-end workload smokes
 # including the --phase1 predict engine (sound cycles certified, guarded
 # ones skipped), a cross-jobs check (every registry campaign's table and
-# journal identical at --jobs 1 and --jobs 3) and a lane-wrap run (three
-# pinned lanes on two CPUs still reproduce every collections-lists
-# cycle). Tier 1b (flake gate): the same suite 20 times back to
+# journal identical at --jobs 1 and --jobs 3), a driver-parity check
+# (plain dlf-run and the campaign classify every rep alike) and a
+# lane-wrap run (three pinned lanes on two CPUs still reproduce every
+# collections-lists cycle). Tier 1b (flake gate): the same suite 20 times back to
 # back under ctest -j, with no failure allowed — a test that fails one run
 # in twenty on a multi-core host is a bug, not noise. Tier 2: the same suite under ASan+UBSan
 # (DLF_SANITIZE=address), which is how the sandbox/journal/pool code gets
@@ -77,7 +78,10 @@ rm -rf "$PREDICTDIR"
 # Cross-jobs identity: campaign output must not depend on --jobs, however
 # the lanes are pinned. For every registry benchmark the per-cycle table
 # and the journal (per-rep timing fields and line CRCs stripped) must be
-# byte-identical at --jobs 1 and --jobs 3.
+# byte-identical at --jobs 1 and --jobs 3. A lane child runs a batch of
+# ceil(reps / jobs) reps, so this compares one 3-rep child per cycle
+# (--jobs 1) with three 1-rep children (--jobs 3): it pins that reps run
+# back to back in one child classify exactly like reps in fresh children.
 XJDIR="$(mktemp -d)"
 for BENCH in $(build/src/dlf-run --list |
                awk -F'|' 'NR > 2 { gsub(/ /, "", $2); print $2 }'); do
@@ -94,6 +98,33 @@ for BENCH in $(build/src/dlf-run --list |
     || { echo "$BENCH: journal depends on --jobs"; exit 1; }
 done
 echo "== cross-jobs identity: every benchmark identical at --jobs 1 and 3 =="
+# Driver parity: plain dlf-run (the in-process Phase II loop) and the
+# campaign at --jobs 1 and 3 (batches of 10 reps, and of 4, 4 and 2) must
+# classify alike: the Cycle, Reproduced, Other, Stalls and Clean columns
+# are identical. guarded and jigsaw are left out because the campaign's
+# closure keeps the guard-protected cycles plain mode drops, so their
+# cycle lists differ, not their classifications.
+for BENCH in $(build/src/dlf-run --list |
+               awk -F'|' 'NR > 2 { gsub(/ /, "", $2); print $2 }'); do
+  case "$BENCH" in guarded | jigsaw) continue ;; esac
+  build/src/dlf-run "$BENCH" --reps 10 --seed 7 > "$XJDIR/$BENCH.plain" \
+    2>/dev/null
+  for PJOBS in 1 3; do
+    build/src/dlf-run "$BENCH" --campaign --reps 10 --seed 7 \
+      --jobs "$PJOBS" --journal "$XJDIR/$BENCH.p$PJOBS.jsonl" \
+      > "$XJDIR/$BENCH.p$PJOBS"
+  done
+  for RUN in plain p1 p3; do
+    awk -F'|' '/^\| #/ { for (I = 2; I <= 6; ++I) { gsub(/ /, "", $I)
+                          printf "%s%s", $I, (I < 6 ? "|" : "\n") } }' \
+      "$XJDIR/$BENCH.$RUN" > "$XJDIR/$BENCH.$RUN.cols"
+  done
+  { cmp "$XJDIR/$BENCH.plain.cols" "$XJDIR/$BENCH.p1.cols" &&
+      cmp "$XJDIR/$BENCH.plain.cols" "$XJDIR/$BENCH.p3.cols"; } \
+    || { echo "$BENCH: in-process and campaign classify differently"
+         exit 1; }
+done
+echo "== driver parity: in-process and campaign classify alike =="
 # Lane wrap: three lanes on two CPUs share a core, and every cycle must
 # still reproduce.
 if [ "$(nproc)" -ge 2 ]; then
@@ -217,8 +248,10 @@ trap 'rm -rf "$TELDIR"' EXIT
 # covers deadlock-found. The guarded campaign runs at --jobs 1 and
 # --jobs 4: child telemetry rides the result pipe and is merged at the
 # in-order commit frontier, so the two counter maps must be identical (the
-# DESIGN.md §10 determinism contract), and each journal's directory must
-# hold nothing but the journal afterwards.
+# DESIGN.md §10 determinism contract) except for the operational
+# dlf_campaign_children_total, which counts forked children and so follows
+# the batch size --jobs sets; each journal's directory must hold nothing
+# but the journal afterwards.
 for JOBS in 1 4; do
   mkdir "$TELDIR/j$JOBS"
   build/src/dlf-run guarded --campaign --include-guarded --reps 10 \
@@ -249,6 +282,10 @@ with open(f"{teldir}/m1.json") as f:
     serial = json.load(f)
 with open(f"{teldir}/m4.json") as f:
     metrics = json.load(f)
+# Operational: one 10-rep child at --jobs 1, four children at --jobs 4.
+children = "dlf_campaign_children_total"
+assert serial["counters"].pop(children, 0) == 1, f"{children} at --jobs 1"
+assert metrics["counters"].pop(children, 0) == 4, f"{children} at --jobs 4"
 if serial["counters"] != metrics["counters"]:
     diff = {k: (serial["counters"].get(k), metrics["counters"].get(k))
             for k in set(serial["counters"]) | set(metrics["counters"])
@@ -266,6 +303,7 @@ for name in required:
 prom = open(f"{teldir}/m.prom").read()
 for name in ["dlf_scheduler_deadlocks_found_total",
              "dlf_campaign_reps_total",
+             "dlf_campaign_children_total",
              "dlf_campaign_rep_wall_ms_bucket{le=\"+Inf\"}"]:
     assert name in prom, f"missing Prometheus metric {name}"
 print("== telemetry smoke: formats OK ==")

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -168,9 +169,9 @@ std::string CampaignReport::toString(const std::string &Benchmark,
   if (RepsExecuted)
     OS << "throughput: " << Table::fmt(repsPerSecond(), 2) << " reps/s (wall "
        << Table::fmt(PhaseTwoWallMs / 1000.0, 2) << " s, child cpu "
-       << Table::fmt(ChildCpuMs / 1000.0, 2) << " s), peak "
-       << PeakConcurrency << " concurrent child(ren), jobs " << JobsUsed
-       << "\n";
+       << Table::fmt(ChildCpuMs / 1000.0, 2) << " s), " << PhaseTwoChildren
+       << " child(ren) for " << RepsExecuted << " reps, peak "
+       << PeakConcurrency << " concurrent, jobs " << JobsUsed << "\n";
   if (JournalTailDropped)
     OS << "journal salvage: dropped " << JournalTailDropped
        << " torn/corrupt line(s); the tail was quarantined to " << JournalPath
@@ -221,18 +222,25 @@ bool CampaignRunner::interruptRequested() { return GInterruptRequested != 0; }
 
 namespace {
 
-/// A campaign child's whole reply on the sandbox pipe: \p Rec (the
-/// journal record's own schema) on one line, then — with campaign
-/// telemetry on — the child's telemetry section. The record goes first, so
-/// a cut at the payload cap can only ever hit telemetry.
-void replyToParent(int Fd, const JsonValue &Rec, bool Telemetry) {
+/// A campaign child's reply for one run: \p Rec (the journal record's own
+/// schema) on one line, then — with campaign telemetry on — the child's
+/// telemetry section for that run. The record goes first, so a cut at the
+/// payload cap can only ever hit telemetry.
+std::string childReply(const JsonValue &Rec, bool Telemetry) {
   std::string Out = Rec.dump();
   Out += '\n';
   if (Telemetry)
     Out += telemetry::takeChildTelemetry();
-  // Best-effort: if the parent vanished there is nothing sensible left to
-  // do in the child.
-  (void)writeFully(Fd, Out.data(), Out.size());
+  return Out;
+}
+
+/// CPU time this process has used so far (every thread, live or exited).
+double processCpuMs() {
+  struct timespec TS;
+  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &TS) != 0)
+    return 0.0;
+  return static_cast<double>(TS.tv_sec) * 1000.0 +
+         static_cast<double>(TS.tv_nsec) / 1e6;
 }
 
 /// Splits a child's payload back into its record line and the telemetry
@@ -474,8 +482,6 @@ SandboxLimits CampaignRunner::childLimits() const {
   SandboxLimits L;
   L.TimeoutMs = runTimeoutMs();
   L.GraceMs = graceMs();
-  L.CpuSeconds = Config.RlimitCpuS;
-  L.AddressSpaceMb = Config.RlimitAsMb;
   L.CaptureStderr = true;
   return L;
 }
@@ -571,36 +577,43 @@ bool CampaignRunner::runPhaseOneSandboxed(CampaignReport &Report,
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - TelemetryEpoch)
             .count());
-    SandboxResult SR = runInSandbox(
-        [&](int Fd) {
-          if (Config.Telemetry)
-            telemetry::beginChildTelemetry();
-          ActiveTester T(Config.Entry, TC);
-          PhaseOneResult P1 = T.runPhaseOne();
-          JsonValue Rec = JsonValue::object();
-          Rec.set("completed", P1.Exec.Completed);
-          Rec.set("cycles", serializeCycles(P1.Cycles));
-          Rec.set("prune",
-                  serializePrune(analysis::classifyCycles(P1.Log, P1.Cycles)));
-          std::vector<analysis::CyclePrediction> Preds;
-          if (TC.RecordTrace) {
-            // Sync-preserving verdicts over the captured trace; the walk
-            // builds its own dependency log, whose held sets they read.
-            analysis::TraceFile Trace;
-            Trace.Events = std::move(P1.Trace);
-            Preds = analysis::evaluateCycles(Trace, P1.Cycles);
-          }
-          Rec.set("predict", serializePredict(Preds));
-          replyToParent(Fd, Rec, Config.Telemetry);
-          return 0;
-        },
-        childLimits());
+    // An injected spawn failure behaves exactly like a failed fork: the
+    // result stays ForkFailed and the retry keeps the seed.
+    SandboxResult SR;
+    std::string Reply;
+    if (!faultinject::spawnFailErrno(faultinject::PhaseOneLaunch, 0, Attempt))
+      SR = runInSandbox(
+          [&](int Fd) {
+            if (Config.Telemetry)
+              telemetry::beginChildTelemetry();
+            ActiveTester T(Config.Entry, TC);
+            PhaseOneResult P1 = T.runPhaseOne();
+            JsonValue Rec = JsonValue::object();
+            Rec.set("completed", P1.Exec.Completed);
+            Rec.set("cycles", serializeCycles(P1.Cycles));
+            Rec.set("prune", serializePrune(
+                                 analysis::classifyCycles(P1.Log, P1.Cycles)));
+            std::vector<analysis::CyclePrediction> Preds;
+            if (TC.RecordTrace) {
+              // Sync-preserving verdicts over the captured trace; the walk
+              // builds its own dependency log, whose held sets they read.
+              analysis::TraceFile Trace;
+              Trace.Events = std::move(P1.Trace);
+              Preds = analysis::evaluateCycles(Trace, P1.Cycles);
+            }
+            Rec.set("predict", serializePredict(Preds));
+            // Best-effort: if the parent vanished there is nothing sensible
+            // left to do in the child.
+            (void)writeFrame(Fd, childReply(Rec, Config.Telemetry));
+            return 0;
+          },
+          childLimits(), [&](std::string Frame) { Reply = std::move(Frame); });
 
     if (Config.Telemetry)
       ++Report.Metrics.Counters["dlf_campaign_phase1_attempts_total"];
 
     if (SR.Status == SandboxStatus::Completed) {
-      auto [Line, Section] = splitPayload(SR.Payload);
+      auto [Line, Section] = splitPayload(Reply);
       JsonValue Rec;
       std::string ParseError;
       if (!parseJson(Line, Rec, &ParseError) || !Rec.has("completed") ||
@@ -720,15 +733,27 @@ struct CycleProgress {
   unsigned NextDispatch = 0;        ///< next rep index to launch fresh
   unsigned ConsecutiveFailures = 0; ///< transient classes at the frontier
   bool Quarantined = false;
+  /// Fresh reps handed back when their batch's child died before reaching
+  /// them, keyed by their first rep: each is dispatched again as one
+  /// batch, before NextDispatch. Batches are never merged, so what every
+  /// child runs (and every fault keyed by it) is the same however the
+  /// lanes' timing falls.
+  std::map<unsigned, std::vector<unsigned>> Returned;
 };
 
-/// What a pool ticket was running.
+/// What a pool ticket is running: a batch of reps of one cycle, in order.
 struct FlightInfo {
   unsigned Cycle = 0;
-  unsigned Rep = 0;
+  std::vector<unsigned> Reps;
+  /// Reps whose frame is in; Reps[Framed] is the one running.
+  size_t Framed = 0;
+  /// Attempt index of every rep in the batch (a retry runs one rep).
   unsigned Attempt = 0;
-  /// Launch time in µs since the campaign telemetry epoch.
-  uint64_t StartUs = 0;
+  /// When Reps[Framed] started, in µs since the campaign telemetry epoch:
+  /// the launch, then the arrival of the previous rep's frame.
+  uint64_t RepStartUs = 0;
+  /// Child CPU time the framed reps reported.
+  double FramedCpuMs = 0.0;
   /// Worker lane (smallest free slot at launch): the child's CPU, its
   /// timeline tid and its slot in the status plane's worker view.
   uint32_t Lane = 0;
@@ -754,6 +779,34 @@ struct PendingOutcome {
   uint32_t Lane = 0;
 };
 
+/// Fills \p O for the rep a batch child was running when it ended without
+/// that rep's frame.
+void classifyUnframed(const SandboxResult &SR, RepOutcome &O) {
+  switch (SR.Status) {
+  case SandboxStatus::Completed:
+    // Exited 0 without the record: the child broke the protocol (e.g.
+    // crashed inside the serializer); retried like any process failure.
+    O.Class = RunClass::CrashedExit;
+    O.Diagnostic = "result protocol violation: the child exited without "
+                   "the repetition's record";
+    return;
+  case SandboxStatus::Hung:
+    O.Class = RunClass::Hung;
+    break;
+  case SandboxStatus::Signaled:
+    O.Class = RunClass::CrashedSignal;
+    break;
+  case SandboxStatus::OutOfMemory:
+    O.Class = RunClass::OutOfMemory;
+    break;
+  case SandboxStatus::Exited:
+  case SandboxStatus::ForkFailed:
+    O.Class = RunClass::CrashedExit;
+    break;
+  }
+  O.Diagnostic = SR.triage();
+}
+
 } // namespace
 
 void CampaignRunner::runPhaseTwo(
@@ -771,6 +824,11 @@ void CampaignRunner::runPhaseTwo(
 
   WorkerPool Pool(WorkerPool::resolveJobs(Config.Jobs));
   Report.JobsUsed = Pool.jobs();
+  // One child runs a batch of up to ceil(Reps / Jobs) fresh reps of one
+  // cycle, so each cycle's reps are spread over every lane and a serial
+  // campaign forks once per cycle.
+  const unsigned BatchSize =
+      std::max(1u, (Reps + Pool.jobs() - 1) / Pool.jobs());
 
   std::vector<CycleProgress> Progress(NumCycles);
   // Statically discharged cycles consume no repetition budget unless
@@ -793,7 +851,7 @@ void CampaignRunner::runPhaseTwo(
     }
   }
   // Journaled outcomes enter the commit queue up front; fresh results join
-  // them as children finish (possibly out of order).
+  // them as frames arrive (possibly out of order across lanes).
   std::map<std::pair<unsigned, unsigned>, PendingOutcome> Pending;
   for (auto &KV : Replay) {
     PendingOutcome &PO = Pending[KV.first];
@@ -833,157 +891,233 @@ void CampaignRunner::runPhaseTwo(
     return Config.Tester.PhaseTwoSeedBase + Rep;
   };
 
-  auto LaunchAttempt = [&](unsigned C, unsigned R, unsigned Attempt) {
-    uint64_t Seed = SeedFor(R);
+  // The stop and budget gates sit where the serial loop had them: before
+  // each fresh repetition. A batch's first rep passes them at dispatch and
+  // each later one when the frame before it arrives; retries are not
+  // re-gated.
+  auto Admit = [&]() {
+    if (Stop != StopReason::None)
+      return false;
+    if (Config.ShouldStop && Config.ShouldStop()) {
+      Stop = StopReason::Hook;
+      return false;
+    }
+    if (Clock::now() >= Deadline) {
+      Stop = StopReason::Budget;
+      return false;
+    }
+    return true;
+  };
+
+  // Fills in the parent-owned fields of the outcome of \p FI's running rep
+  // and queues it for the in-order commit.
+  auto QueueOutcome = [&](const FlightInfo &FI, RepOutcome O,
+                          std::string Telemetry) {
+    const unsigned R = FI.Reps[FI.Framed];
+    O.CycleIdx = FI.Cycle;
+    O.Rep = R;
+    O.Attempts = FI.Attempt + 1;
+    O.Seed = SeedFor(R);
+    PendingOutcome PO;
+    PO.O = std::move(O);
+    PO.Telemetry = std::move(Telemetry);
+    PO.StartUs = FI.RepStartUs;
+    PO.EndUs = ElapsedUs();
+    PO.Lane = FI.Lane;
+    Pending[{FI.Cycle, R}] = std::move(PO);
+  };
+
+  // The batch's running rep ended without its frame (the child crashed,
+  // hung, ran out of memory or broke the protocol): that rep alone is
+  // retried with its seed, or committed as failed once its attempts are
+  // spent, and the reps after it return to the dispatch queue at attempt
+  // 0. While draining, nothing is retried or handed back: those reps are
+  // dropped un-journaled, and resume re-runs them from attempt 0 with the
+  // same seeds, reaching the same classifications.
+  auto FailRunningRep = [&](const FlightInfo &FI, RepOutcome O) {
+    const bool Draining = Stop != StopReason::None;
+    const unsigned R = FI.Reps[FI.Framed];
+    if (!Draining && FI.Framed + 1 < FI.Reps.size())
+      Progress[FI.Cycle].Returned[FI.Reps[FI.Framed + 1]].assign(
+          FI.Reps.begin() + FI.Framed + 1, FI.Reps.end());
+    if (FI.Attempt < Config.MaxRetries) {
+      if (Draining)
+        return;
+      DLF_DEBUG_LOG("rep " << FI.Cycle << "/" << R << " attempt "
+                           << FI.Attempt << " " << runClassName(O.Class)
+                           << "; restarting with the same seed");
+      // Counted live at restart-scheduling time, so an operator watching
+      // the metrics sees supervision working as it happens. Unlike
+      // dlf_campaign_retries_total (counted at the commit frontier) this
+      // includes restarts of work a drain later drops, so it is
+      // operational — not jobs-deterministic.
+      if (Config.Telemetry)
+        ++Report.Metrics.Counters["dlf_campaign_worker_restarts_total"];
+      uint64_t DelayMs = backoffDelayMs(FI.Attempt, Config.BackoffBaseMs,
+                                        Config.BackoffCapMs);
+      Retries.push_back({FI.Cycle, R, FI.Attempt + 1,
+                         Clock::now() + std::chrono::milliseconds(DelayMs)});
+      return;
+    }
+    QueueOutcome(FI, std::move(O), std::string());
+  };
+
+  auto LaunchBatch = [&](unsigned C, const std::vector<unsigned> &Batch,
+                         unsigned Attempt) {
+    FlightInfo FI;
+    FI.Cycle = C;
+    FI.Reps = Batch;
+    FI.Attempt = Attempt;
+    FI.RepStartUs = ElapsedUs();
+    if (faultinject::spawnFailErrno(C, Batch[0], Attempt)) {
+      // An injected spawn failure behaves exactly like a failed fork: the
+      // batch's first rep fails without running.
+      RepOutcome O;
+      classifyUnframed(SandboxResult(), O);
+      FailRunningRep(FI, std::move(O));
+      return;
+    }
     const AbstractCycle &Cycle = Report.Cycles[C];
     // Child-site faults are decided here, in the parent, where the plan's
-    // counters live; the child just applies the verdict after the fork.
-    faultinject::ChildFaults CF;
+    // counters live: one verdict per (cycle, rep, attempt), which the
+    // child applies before that rep only.
+    std::vector<faultinject::ChildFaults> Faults(Batch.size());
     if (faultinject::enabled())
-      CF = faultinject::plan().childFaults(C, R, Attempt);
-    uint32_t Lane = 0;
+      for (size_t I = 0; I != Batch.size(); ++I)
+        Faults[I] = faultinject::plan().childFaults(C, Batch[I], Attempt);
+    uint32_t &Lane = FI.Lane;
     while (Lane < LaneBusy.size() && LaneBusy[Lane])
       ++Lane;
     if (Lane == LaneBusy.size())
       LaneBusy.push_back(0);
     LaneBusy[Lane] = 1;
     const int Cpu = laneCpu(LaneCpus, Lane);
+    // The child runs in launch()'s fork, so it may read these locals.
     uint64_t Ticket = Pool.launch(
-        [this, C, R, Attempt, Seed, &Cycle, CF, Cpu](int Fd) {
+        [&](int Fd) {
           pinCallingThread(Cpu);
-          if (Config.Telemetry)
-            telemetry::beginChildTelemetry();
-          // Unconditional: also marks this process as a campaign child so
-          // the inherited global plan cannot double-fire sidecar faults.
-          faultinject::applyChildFaults(CF);
-          if (Config.ChildFaultHook)
-            Config.ChildFaultHook(C, R, Attempt);
           ActiveTester T(Config.Entry, Config.Tester);
-          ExecutionResult E = T.runOnce(Cycle, Seed);
-          JsonValue Rec = JsonValue::object();
-          Rec.set("class", repClassName(T.classify(E, Cycle)));
-          Rec.set("thrashes", E.Thrashes);
-          Rec.set("unpauses", E.ForcedUnpauses);
-          replyToParent(Fd, Rec, Config.Telemetry);
+          for (size_t I = 0; I != Batch.size(); ++I) {
+            const Clock::time_point RepStart = Clock::now();
+            const double CpuStart = processCpuMs();
+            if (Config.Telemetry)
+              telemetry::beginChildTelemetry();
+            // Unconditional: also marks this process as a campaign child
+            // so the inherited global plan cannot double-fire sidecar
+            // faults.
+            faultinject::applyChildFaults(Faults[I]);
+            if (Config.ChildFaultHook)
+              Config.ChildFaultHook(C, Batch[I], Attempt);
+            ExecutionResult E = T.runOnce(Cycle, SeedFor(Batch[I]));
+            JsonValue Rec = JsonValue::object();
+            Rec.set("class", repClassName(T.classify(E, Cycle)));
+            Rec.set("thrashes", E.Thrashes);
+            Rec.set("unpauses", E.ForcedUnpauses);
+            Rec.set("wall_ms", std::chrono::duration<double, std::milli>(
+                                   Clock::now() - RepStart)
+                                   .count());
+            Rec.set("cpu_ms", processCpuMs() - CpuStart);
+            // Best-effort: if the parent vanished there is nothing
+            // sensible left to do in the child.
+            if (!writeFrame(Fd, childReply(Rec, Config.Telemetry)))
+              return 0;
+          }
           return 0;
         },
-        childLimits());
-    Flight[Ticket] = {C, R, Attempt, ElapsedUs(), Lane};
+        childLimits(), /*Framed=*/true);
+    Flight[Ticket] = std::move(FI);
+    ++Report.PhaseTwoChildren;
+    // Counted at launch: operational, like worker restarts — not
+    // jobs-deterministic, since batch sizes follow --jobs.
+    if (Config.Telemetry)
+      ++Report.Metrics.Counters["dlf_campaign_children_total"];
     StatusDirty = true;
   };
 
-  // Fills \p O from the child's record (fields the parent owns are set by
-  // the caller afterwards) and the sandbox's wall/cpu times.
-  auto Classify = [](const SandboxResult &SR, RepOutcome &O) {
-    bool Definitive = false;
-    switch (SR.Status) {
-    case SandboxStatus::Completed: {
-      JsonValue Rec;
-      if (parseJson(splitPayload(SR.Payload).first, Rec) &&
-          decodeRep(Rec, O)) {
-        Definitive = true;
-      } else {
-        // Exited 0 without a decodable record: the child broke the
-        // protocol (e.g. crashed inside the serializer); retry like any
-        // other process-level failure.
-        O = RepOutcome();
-        O.Class = RunClass::CrashedExit;
-        O.Diagnostic = "result protocol violation; payload: " +
-                       SR.Payload.substr(0, 120);
-      }
-      break;
-    }
-    case SandboxStatus::Hung:
-      O.Class = RunClass::Hung;
-      O.Diagnostic = SR.triage();
-      break;
-    case SandboxStatus::Signaled:
-      O.Class = RunClass::CrashedSignal;
-      O.Diagnostic = SR.triage();
-      break;
-    case SandboxStatus::OutOfMemory:
-      O.Class = RunClass::OutOfMemory;
-      O.Diagnostic = SR.triage();
-      break;
-    case SandboxStatus::Exited:
-    case SandboxStatus::ForkFailed:
-      O.Class = RunClass::CrashedExit;
-      O.Diagnostic = SR.triage();
-      break;
-    }
-    O.WallMs = SR.WallMs;
-    O.CpuMs = SR.CpuMs;
-    return Definitive;
+  // Takes a batch off the lanes; its child is already reaped or killed.
+  auto EndBatch = [&](std::map<uint64_t, FlightInfo>::iterator It) {
+    LaneBusy[It->second.Lane] = 0;
+    StatusDirty = true;
+    return Flight.erase(It);
   };
 
-  // Finalizes one finished child: retry a transient failure (when retries
-  // remain and we are not draining) or queue the outcome for commit.
-  auto HandleCompletion = [&](PoolCompletion &PC, bool AllowRetry) {
-    auto It = Flight.find(PC.Ticket);
-    if (It == Flight.end())
-      return; // canceled speculative work
-    FlightInfo FI = It->second;
-    Flight.erase(It);
-    LaneBusy[FI.Lane] = 0;
-    StatusDirty = true;
-    Report.ChildCpuMs += PC.Result.CpuMs;
-    if (Progress[FI.Cycle].Quarantined)
-      return; // speculation past a quarantine; discard
+  // Kills a batch's child and takes the batch off the lanes.
+  auto KillBatch = [&](std::map<uint64_t, FlightInfo>::iterator It) {
+    Report.ChildCpuMs += Pool.cancel(It->first);
+    return EndBatch(It);
+  };
 
+  // One rep's frame: queue its outcome for commit, then admit the batch's
+  // next rep through the stop gates or end the lane here.
+  auto HandleFrame = [&](std::map<uint64_t, FlightInfo>::iterator It,
+                         const std::string &Frame) {
+    FlightInfo &FI = It->second;
+    auto [Line, Section] = splitPayload(Frame);
+    JsonValue Rec;
     RepOutcome O;
-    bool Definitive = Classify(PC.Result, O);
-    O.CycleIdx = FI.Cycle;
-    O.Rep = FI.Rep;
-    O.Attempts = FI.Attempt + 1;
-    O.Seed = SeedFor(FI.Rep);
-    if (!Definitive && FI.Attempt < Config.MaxRetries) {
-      // Non-final attempt: its telemetry is dropped — only the final
-      // attempt's can merge, keeping totals jobs-deterministic.
-      if (AllowRetry) {
-        DLF_DEBUG_LOG("rep " << FI.Cycle << "/" << FI.Rep << " attempt "
-                             << FI.Attempt << " " << runClassName(O.Class)
-                             << "; restarting with the same seed");
-        // Counted live at restart-scheduling time, so an operator watching
-        // the metrics sees supervision working as it happens. Unlike
-        // dlf_campaign_retries_total (counted at the commit frontier) this
-        // includes restarts of work a drain later drops, so it is
-        // operational — not jobs-deterministic.
-        if (Config.Telemetry)
-          ++Report.Metrics.Counters["dlf_campaign_worker_restarts_total"];
-        uint64_t DelayMs = backoffDelayMs(FI.Attempt, Config.BackoffBaseMs,
-                                          Config.BackoffCapMs);
-        Retries.push_back({FI.Cycle, FI.Rep, FI.Attempt + 1,
-                           Clock::now() + std::chrono::milliseconds(DelayMs)});
-      }
-      // While draining, the unfinished repetition is dropped un-journaled:
-      // resume re-runs it from attempt 0 and, by per-seed determinism,
-      // reaches the same final classification.
+    if (!parseJson(Line, Rec) || !decodeRep(Rec, O)) {
+      RepOutcome Bad;
+      Bad.Class = RunClass::CrashedExit;
+      Bad.Diagnostic =
+          "result protocol violation; payload: " + Frame.substr(0, 120);
+      Bad.WallMs = static_cast<double>(ElapsedUs() - FI.RepStartUs) / 1000.0;
+      FailRunningRep(FI, std::move(Bad));
+      KillBatch(It);
       return;
     }
-    PendingOutcome PO;
-    PO.O = std::move(O);
-    PO.Replayed = false;
-    PO.StartUs = FI.StartUs;
-    PO.EndUs = ElapsedUs();
-    PO.Lane = FI.Lane;
-    if (Config.Telemetry)
-      PO.Telemetry = splitPayload(PC.Result.Payload).second;
-    Pending[{FI.Cycle, FI.Rep}] = std::move(PO);
+    FI.FramedCpuMs += O.CpuMs;
+    QueueOutcome(FI, std::move(O),
+                 Config.Telemetry ? std::move(Section) : std::string());
+    ++FI.Framed;
+    FI.RepStartUs = ElapsedUs();
+    StatusDirty = true;
+    // The child is already running the next rep; if that rep may not run,
+    // the lane ends now and the rep is left for resume.
+    if (FI.Framed < FI.Reps.size() && !Admit())
+      KillBatch(It);
   };
 
-  // Quarantine kills the cycle's speculative children and retries, and
-  // drops its uncommitted outcomes so nothing past the quarantine point is
-  // ever journaled — exactly the records a serial campaign writes.
-  auto CancelCycle = [&](unsigned C) {
-    for (auto It = Flight.begin(); It != Flight.end();) {
-      if (It->second.Cycle == C) {
-        Pool.cancel(It->first);
-        LaneBusy[It->second.Lane] = 0;
-        It = Flight.erase(It);
-      } else {
-        ++It;
-      }
+  // A reaped child: a batch that framed every rep is simply done; one that
+  // ended early fails its running rep.
+  auto HandleFinished = [&](uint64_t Ticket, const SandboxResult &SR) {
+    auto It = Flight.find(Ticket);
+    if (It == Flight.end())
+      return; // canceled
+    Report.ChildCpuMs += SR.CpuMs;
+    const FlightInfo &FI = It->second;
+    if (FI.Framed < FI.Reps.size()) {
+      RepOutcome O;
+      classifyUnframed(SR, O);
+      O.WallMs = static_cast<double>(ElapsedUs() - FI.RepStartUs) / 1000.0;
+      O.CpuMs = std::max(0.0, SR.CpuMs - FI.FramedCpuMs);
+      FailRunningRep(FI, std::move(O));
     }
+    EndBatch(It);
+  };
+
+  // Takes one poll's news from the pool. Returns whether there was any.
+  auto Collect = [&](int WaitMs) {
+    std::vector<PoolCompletion> Done = Pool.poll(WaitMs);
+    for (PoolCompletion &PC : Done) {
+      for (const std::string &Frame : PC.Frames) {
+        auto It = Flight.find(PC.Ticket);
+        // Frames after a lane ended (or past its batch) are ignored.
+        if (It == Flight.end() || It->second.Framed == It->second.Reps.size())
+          break;
+        HandleFrame(It, Frame);
+      }
+      if (PC.Finished)
+        HandleFinished(PC.Ticket, PC.Result);
+    }
+    return !Done.empty();
+  };
+
+  // Quarantine kills the cycle's children and retries, and drops its
+  // uncommitted outcomes so nothing past the quarantine point is ever
+  // journaled — exactly the records a serial campaign writes.
+  auto CancelCycle = [&](unsigned C) {
+    for (auto It = Flight.begin(); It != Flight.end();)
+      It = It->second.Cycle == C ? KillBatch(It) : std::next(It);
     Retries.erase(std::remove_if(Retries.begin(), Retries.end(),
                                  [C](const RetryItem &RI) {
                                    return RI.Cycle == C;
@@ -992,6 +1126,7 @@ void CampaignRunner::runPhaseTwo(
     for (auto It = Pending.lower_bound({C, 0});
          It != Pending.end() && It->first.first == C;)
       It = Pending.erase(It);
+    Progress[C].Returned.clear();
     Progress[C].NextDispatch = Reps;
   };
 
@@ -1100,19 +1235,35 @@ void CampaignRunner::runPhaseTwo(
     }
   };
 
-  // Next repetition that needs a fresh (attempt 0) child, in dispatch
-  // order. Replayed repetitions are skipped: their outcome is queued.
-  auto PeekFresh = [&]() -> std::optional<std::pair<unsigned, unsigned>> {
+  // The cycle whose fresh (attempt 0) reps are next in dispatch order, if
+  // any. Replayed repetitions are skipped: their outcome is queued.
+  auto PeekFresh = [&]() -> std::optional<unsigned> {
     for (unsigned C = CommitCycle; C < NumCycles; ++C) {
       CycleProgress &P = Progress[C];
       if (P.Quarantined)
         continue;
       while (P.NextDispatch < Reps && Replay.count({C, P.NextDispatch}))
         ++P.NextDispatch;
-      if (P.NextDispatch < Reps)
-        return std::make_pair(C, P.NextDispatch);
+      if (!P.Returned.empty() || P.NextDispatch < Reps)
+        return C;
     }
     return std::nullopt;
+  };
+
+  // The next batch of cycle \p C: the lowest handed-back one (it holds
+  // the commit frontier back), else the next BatchSize fresh reps.
+  auto TakeBatch = [&](unsigned C) {
+    CycleProgress &P = Progress[C];
+    std::vector<unsigned> Batch;
+    if (!P.Returned.empty()) {
+      Batch = std::move(P.Returned.begin()->second);
+      P.Returned.erase(P.Returned.begin());
+      return Batch;
+    }
+    for (; P.NextDispatch < Reps && Batch.size() < BatchSize; ++P.NextDispatch)
+      if (!Replay.count({C, P.NextDispatch}))
+        Batch.push_back(P.NextDispatch);
+    return Batch;
   };
 
   auto Dispatch = [&]() {
@@ -1126,24 +1277,13 @@ void CampaignRunner::runPhaseTwo(
       if (Ripe != Retries.end()) {
         RetryItem RI = *Ripe;
         Retries.erase(Ripe);
-        LaunchAttempt(RI.Cycle, RI.Rep, RI.Attempt);
+        LaunchBatch(RI.Cycle, {RI.Rep}, RI.Attempt);
         continue;
       }
-      auto Fresh = PeekFresh();
-      if (!Fresh)
+      std::optional<unsigned> Fresh = PeekFresh();
+      if (!Fresh || !Admit())
         return;
-      // The stop/budget gates sit where the serial loop had them: before
-      // each fresh repetition (in-flight retries are not re-gated).
-      if (Config.ShouldStop && Config.ShouldStop()) {
-        Stop = StopReason::Hook;
-        return;
-      }
-      if (Now >= Deadline) {
-        Stop = StopReason::Budget;
-        return;
-      }
-      LaunchAttempt(Fresh->first, Fresh->second, /*Attempt=*/0);
-      ++Progress[Fresh->first].NextDispatch;
+      LaunchBatch(*Fresh, TakeBatch(*Fresh), /*Attempt=*/0);
     }
   };
 
@@ -1206,7 +1346,7 @@ void CampaignRunner::runPhaseTwo(
       if (FI.Lane < St.Workers.size()) {
         serve::WorkerStatus &W = St.Workers[FI.Lane];
         W.Cycle = FI.Cycle;
-        W.Rep = FI.Rep;
+        W.Rep = FI.Reps[std::min(FI.Framed, FI.Reps.size() - 1)];
         W.Attempt = FI.Attempt;
       }
     }
@@ -1242,9 +1382,7 @@ void CampaignRunner::runPhaseTwo(
     if (Stop != StopReason::None)
       break;
 
-    std::vector<PoolCompletion> Done = Pool.poll(/*WaitMs=*/1);
-    for (PoolCompletion &PC : Done)
-      HandleCompletion(PC, /*AllowRetry=*/true);
+    bool News = Collect(/*WaitMs=*/1);
 
     // Publish at most once per loop iteration, and only when something
     // changed: the sink copies under its own mutex and never does network
@@ -1259,7 +1397,7 @@ void CampaignRunner::runPhaseTwo(
     // Nothing in flight and only unripe retries left: sleep toward the
     // earliest backoff expiry instead of spinning (SIGINT still wakes us
     // via EINTR).
-    if (Pool.inFlight() == 0 && Done.empty() && !Retries.empty()) {
+    if (Pool.inFlight() == 0 && !News && !Retries.empty()) {
       auto Next = std::min_element(Retries.begin(), Retries.end(),
                                    [](const RetryItem &A, const RetryItem &B) {
                                      return A.NotBefore < B.NotBefore;
@@ -1276,17 +1414,16 @@ void CampaignRunner::runPhaseTwo(
     }
   }
 
-  // -- Graceful drain: stop dispatching, let in-flight children finish
-  // naturally (their watchdogs bound the wait), and commit the in-order
-  // prefix of what they produced. Outcomes past the first gap are dropped
-  // un-journaled; resume re-executes them deterministically.
-  if (Stop != StopReason::None) {
-    std::vector<PoolCompletion> Rest;
-    Pool.drainAll(Rest);
-    for (PoolCompletion &PC : Rest)
-      HandleCompletion(PC, /*AllowRetry=*/false);
+  // -- Drain: stop dispatching, and let each lane's running rep finish
+  // (its watchdog bounds the wait); the gate then ends the lane at that
+  // rep's frame. Commit the in-order prefix of what came in. Outcomes past
+  // the first gap are dropped un-journaled; resume re-executes them
+  // deterministically. A completed campaign passes through here too, to
+  // reap the children that framed their last rep and are exiting.
+  while (Pool.inFlight() != 0)
+    Collect(/*WaitMs=*/2);
+  if (Stop != StopReason::None)
     CommitReady();
-  }
 
   switch (Stop) {
   case StopReason::None:

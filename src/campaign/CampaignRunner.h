@@ -10,20 +10,27 @@
 /// (100 reps x N cycles for Table 1 / Figure 2) against a workload that is
 /// deadlock-prone by construction; in-process execution means one hung or
 /// crashed repetition destroys the whole campaign. The CampaignRunner
-/// executes Phase I and every Phase II repetition in a ProcessSandbox
-/// child. Each child answers on the sandbox pipe with one line, a JSON
-/// object in the journal record's own schema, which the parent decodes
-/// with the same function journal replay uses; with telemetry on, the
-/// child's telemetry section follows that line. The runner classifies
-/// each run (completed / reproduced / other-deadlock / stalled / hung /
-/// crashed-signal / crashed-exit / oom), supervises transient failures
-/// with bounded same-seed restarts under capped exponential backoff (a
-/// restarted repetition re-runs its original seed, so a crash that was
-/// environmental — OOM kill, injected fault, machine pressure — converges
-/// to the fault-free classification and committed counts stay
-/// byte-identical to an undisturbed run), and journals progress after
-/// every repetition so an interrupted campaign resumes exactly where it
-/// left off. A cycle whose repetitions keep failing is quarantined with a
+/// executes Phase I in a ProcessSandbox child, and Phase II in sandboxed
+/// lane children that each run a *batch* of up to ceil(Reps / Jobs)
+/// consecutive fresh repetitions of one cycle, in process, one after the
+/// other. After each repetition the child writes one frame on the sandbox
+/// pipe: a JSON line in the journal record's own schema (with that
+/// repetition's own in-child wall and CPU time), then, with telemetry on,
+/// that repetition's telemetry section. The parent decodes each frame as
+/// it arrives with the same function journal replay uses. The sandbox
+/// watchdog restarts at every frame, so the run timeout bounds one
+/// repetition, not a batch. The runner classifies each run (completed /
+/// reproduced / other-deadlock / stalled / hung / crashed-signal /
+/// crashed-exit / oom) and supervises transient failures with bounded
+/// same-seed restarts under capped exponential backoff. A crash, hang or
+/// OOM costs only the repetition whose frame had not arrived: it is
+/// restarted alone, with its original seed, in a fresh child, and the rest
+/// of its batch returns to the dispatch queue as fresh work. So a crash
+/// that was environmental — OOM kill, injected fault, machine pressure —
+/// converges to the fault-free classification and committed counts stay
+/// byte-identical to an undisturbed run. Progress is journaled after every
+/// repetition, so an interrupted campaign resumes exactly where it left
+/// off. A cycle whose repetitions keep failing is quarantined with a
 /// diagnostic record instead of aborting the campaign; a journal whose
 /// writes start failing (ENOSPC, EIO) degrades the campaign to in-memory
 /// results instead of aborting it.
@@ -33,7 +40,10 @@
 /// and accumulated — strictly in (cycle, rep) order, so the journal a
 /// parallel campaign writes is record-for-record what the serial campaign
 /// writes, classification counts are byte-identical across any Jobs
-/// value, and journals resume interchangeably between modes.
+/// value, and journals resume interchangeably between modes. A stop
+/// (SIGINT, the budget, ShouldStop) lets each lane finish the repetition
+/// it is running and ends the lane at that repetition's frame; the
+/// repetitions no frame reported are left un-journaled for resume.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -121,7 +131,8 @@ struct CampaignConfig {
   Program Entry;
   ActiveTesterConfig Tester;
 
-  /// Wall-clock watchdog per child run (0: use Tester.Base.WatchdogMs).
+  /// Wall-clock watchdog per repetition (0: use Tester.Base.WatchdogMs).
+  /// A batch child's watchdog restarts at every repetition's frame.
   uint64_t RunTimeoutMs = 0;
 
   /// SIGTERM -> SIGKILL grace (0: use Tester.Base.WatchdogGraceMs).
@@ -171,16 +182,12 @@ struct CampaignConfig {
   /// cycle indices and which repetitions exist.
   Phase1Engine Phase1 = Phase1Engine::IGoodlock;
 
-  /// rlimit caps applied to every child; 0 inherits.
-  uint64_t RlimitAsMb = 0;
-  uint64_t RlimitCpuS = 0;
-
   /// Campaign-wide telemetry (off by default; flipped on by --metrics-out
-  /// / --timeline-out). Children append their metrics + timeline section
-  /// to the result pipe after their record, and the parent merges it —
-  /// only the final attempt of each *committed* repetition, at the
-  /// in-order commit frontier, so merged counter totals are identical for
-  /// every Jobs value. A missing or cut section (crashed child) is
+  /// / --timeline-out). Children append each repetition's metrics +
+  /// timeline section to its frame after the record, and the parent
+  /// merges it — only the final attempt of each *committed* repetition,
+  /// at the in-order commit frontier, so merged counter totals are
+  /// identical for every Jobs value. A missing or cut section (crashed child) is
   /// counted, never a campaign failure.
   bool Telemetry = false;
 
@@ -195,13 +202,16 @@ struct CampaignConfig {
   /// so the no-server hot path is unchanged.
   serve::StatusSink *Status = nullptr;
 
-  /// Test hook: runs *in the child* before each Phase II repetition, so
-  /// tests can inject hangs/crashes/allocation storms deterministically.
+  /// Test hook: runs *in the child* before each Phase II repetition of its
+  /// batch, so tests can inject hangs/crashes/allocation storms
+  /// deterministically.
   std::function<void(unsigned Cycle, unsigned Rep, unsigned Attempt)>
       ChildFaultHook;
 
-  /// Test hook: checked before each fresh child run; returning true stops
-  /// the campaign as if interrupted (journaled, resumable).
+  /// Test hook: checked in the parent before each fresh repetition — at
+  /// dispatch for a batch's first repetition, and for each later one when
+  /// the frame before it arrives. Returning true stops the campaign as if
+  /// interrupted (journaled, resumable).
   std::function<bool()> ShouldStop;
 };
 
@@ -216,8 +226,11 @@ struct RepOutcome {
   uint64_t Seed = 0;
   uint64_t Thrashes = 0;
   uint64_t ForcedUnpauses = 0;
+  /// Wall and CPU time of the final attempt, measured in the child around
+  /// the repetition (no fork or exit). For a repetition that ended without
+  /// its frame, the parent's view: time since it started, and the child's
+  /// CPU time not reported by earlier frames.
   double WallMs = 0.0;
-  /// CPU time of the final attempt's child (user + system).
   double CpuMs = 0.0;
   /// Crash triage for failed runs: sandbox classification + stderr tail.
   std::string Diagnostic;
@@ -279,7 +292,7 @@ struct CampaignReport {
   std::vector<analysis::CyclePrediction> Predictions;
   std::vector<CycleCampaignStats> PerCycle;
 
-  /// Fresh child repetitions executed by this invocation.
+  /// Fresh repetitions executed (and committed) by this invocation.
   unsigned RepsExecuted = 0;
   /// Repetitions restored from the journal instead of re-run.
   unsigned RepsReplayed = 0;
@@ -287,9 +300,13 @@ struct CampaignReport {
   // -- Throughput observability (this invocation's Phase II only).
   /// Wall-clock time Phase II took, in milliseconds.
   double PhaseTwoWallMs = 0.0;
-  /// Cumulative CPU time of every Phase II child run (including retried
-  /// attempts); under parallel execution this exceeds the wall clock.
+  /// Cumulative CPU time of every reaped Phase II child (including retried
+  /// attempts and each child's fork and exit); under parallel execution
+  /// this exceeds the wall clock.
   double ChildCpuMs = 0.0;
+  /// Phase II children forked; each ran a batch of repetitions (or one
+  /// retried repetition).
+  unsigned PhaseTwoChildren = 0;
   /// Most sandboxed children simultaneously in flight.
   unsigned PeakConcurrency = 0;
   /// Worker count the campaign ran with (after resolving Jobs = 0).
@@ -338,8 +355,9 @@ struct CampaignReport {
                        const std::string &JournalPath) const;
 };
 
-/// Drives one campaign: Phase I and every Phase II repetition in a
-/// sandboxed child, journaled and resumable.
+/// Drives one campaign: Phase I in a sandboxed child and Phase II in
+/// batches of repetitions per sandboxed lane child, journaled and
+/// resumable.
 class CampaignRunner {
 public:
   explicit CampaignRunner(CampaignConfig Config);
@@ -351,10 +369,10 @@ public:
   CampaignReport run(bool Resume = false);
 
   /// Arms a SIGINT handler that requests a graceful stop (clearing any
-  /// pending request first): new work stops being dispatched, in-flight
-  /// children drain naturally (bounded by their watchdogs) and their
-  /// in-order results are journaled, then the campaign returns a
-  /// resumable partial report.
+  /// pending request first): new work stops being dispatched, each lane
+  /// finishes the repetition it is running (bounded by its watchdog) and
+  /// ends there, the in-order results are journaled, then the campaign
+  /// returns a resumable partial report.
   static void installSigintHandler();
   static bool interruptRequested();
 

@@ -2,11 +2,12 @@
 
 #include "campaign/ProcessSandbox.h"
 
-#include "faultinject/FaultInject.h"
 #include "support/Retry.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <new>
@@ -99,15 +100,61 @@ double rusageCpuMs(const struct rusage &RU) {
 
 } // namespace
 
-/// Accumulates up to Cap bytes from Fd into Out; beyond the cap, for the
-/// payload pipe excess is read and discarded (so the child never blocks on
-/// a full pipe), and for the stderr pipe only the tail is kept.
+bool dlf::campaign::writeFrame(int Fd, const std::string &Body) {
+  std::string Frame = std::to_string(Body.size());
+  Frame += '\n';
+  Frame += Body;
+  return writeFully(Fd, Frame.data(), Frame.size());
+}
+
+void SandboxProcess::FrameReader::feed(const char *Data, size_t Size) {
+  while (Size && !Broken) {
+    if (!InBody) {
+      char C = *Data++;
+      --Size;
+      if (C != '\n') {
+        // A length is at most 20 digits; anything else is not a frame.
+        if (C < '0' || C > '9' || Length.size() == 20)
+          Broken = true;
+        Length += C;
+        continue;
+      }
+      if (Length.empty()) {
+        Broken = true;
+        continue;
+      }
+      Left = std::strtoull(Length.c_str(), nullptr, 10);
+      Length.clear();
+      InBody = true;
+    }
+    size_t Take = static_cast<size_t>(std::min<uint64_t>(Left, Size));
+    if (Body.size() < Cap)
+      Body.append(Data, std::min(Take, Cap - Body.size()));
+    Data += Take;
+    Size -= Take;
+    Left -= Take;
+    if (Left == 0) {
+      Done.push_back(std::move(Body));
+      Body.clear();
+      InBody = false;
+    }
+  }
+}
+
+/// Accumulates up to Cap bytes from Fd into Out (or hands every byte to
+/// Frames); beyond the cap, for the payload pipe excess is read and
+/// discarded (so the child never blocks on a full pipe), and for the
+/// stderr pipe only the tail is kept.
 void SandboxProcess::Drain::pump() {
   if (Fd < 0 || Eof)
     return;
   char Buf[4096];
   for (;;) {
     ssize_t N = retryEintr([&] { return read(Fd, Buf, sizeof(Buf)); });
+    if (N > 0 && Frames) {
+      Frames->feed(Buf, static_cast<size_t>(N));
+      continue;
+    }
     if (N > 0) {
       Out->append(Buf, static_cast<size_t>(N));
       if (Out->size() > Cap) {
@@ -152,16 +199,8 @@ void SandboxProcess::closePipes() {
 }
 
 bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
-                           const SandboxLimits &L) {
+                           const SandboxLimits &L, bool Framed) {
   Limits = L;
-  if (int E = faultinject::failErrno("worker.spawn", EAGAIN)) {
-    // Injected spawn failure: behaves exactly like a failed fork — the
-    // result stays ForkFailed and the campaign's supervised-restart path
-    // retries with the same seed (the child never ran).
-    errno = E;
-    Finished = true;
-    return false;
-  }
   int PayloadPipe[2] = {-1, -1};
   int StderrPipe[2] = {-1, -1};
   if (pipe(PayloadPipe) != 0) {
@@ -240,18 +279,34 @@ bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
   if (StderrFd >= 0)
     fcntl(StderrFd, F_SETFL, O_NONBLOCK);
 
-  PayloadDrain = {PayloadFd, &Result.Payload, Limits.MaxPayloadBytes,
-                  /*KeepTail=*/false, /*Eof=*/false};
-  StderrDrain = {StderrFd, &Result.StderrTail, Limits.MaxStderrBytes,
+  Frames.Cap = Limits.MaxPayloadBytes;
+  PayloadDrain = {PayloadFd, &Result.Payload, Framed ? &Frames : nullptr,
+                  Limits.MaxPayloadBytes, /*KeepTail=*/false, /*Eof=*/false};
+  StderrDrain = {StderrFd, &Result.StderrTail, nullptr, Limits.MaxStderrBytes,
                  /*KeepTail=*/true, /*Eof=*/false};
   return true;
+}
+
+void SandboxProcess::pumpPayload() {
+  size_t Before = Frames.Done.size();
+  PayloadDrain.pump();
+  // Every complete frame is a unit of work done: the watchdog's window
+  // restarts, unless it has already fired.
+  if (Frames.Done.size() != Before && Ph == Phase::Running)
+    StartTime = std::chrono::steady_clock::now();
+}
+
+std::vector<std::string> SandboxProcess::takeFrames() {
+  std::vector<std::string> Out = std::move(Frames.Done);
+  Frames.Done.clear();
+  return Out;
 }
 
 void SandboxProcess::finalize(int Status) {
   Result.WallMs = elapsedMs();
   // Final drain: the child may have written between our last pump and its
   // exit; EOF is guaranteed now that the write ends are closed.
-  PayloadDrain.pump();
+  pumpPayload();
   StderrDrain.pump();
   closePipes();
   Finished = true;
@@ -288,7 +343,7 @@ void SandboxProcess::finalize(int Status) {
 bool SandboxProcess::poll() {
   if (Finished)
     return true;
-  PayloadDrain.pump();
+  pumpPayload();
   StderrDrain.pump();
 
   int Status = 0;
@@ -344,18 +399,25 @@ void SandboxProcess::forceKill() {
   finalize(Status);
 }
 
-SandboxResult
-dlf::campaign::runInSandbox(const std::function<int(int PayloadFd)> &Fn,
-                            const SandboxLimits &Limits) {
+SandboxResult dlf::campaign::runInSandbox(
+    const std::function<int(int PayloadFd)> &Fn, const SandboxLimits &Limits,
+    const std::function<void(std::string Frame)> &OnFrame) {
   SandboxProcess P;
-  if (!P.start(Fn, Limits))
+  if (!P.start(Fn, Limits, /*Framed=*/static_cast<bool>(OnFrame)))
     return P.takeResult();
+  auto HandFrames = [&] {
+    if (OnFrame)
+      for (std::string &Frame : P.takeFrames())
+        OnFrame(std::move(Frame));
+  };
   while (!P.poll()) {
+    HandFrames();
     // Sleep in poll() on the pipes so child output wakes us immediately
     // and a quiet child costs one syscall per millisecond at most.
     std::vector<struct pollfd> Fds;
     P.appendPollFds(Fds);
     ::poll(Fds.empty() ? nullptr : Fds.data(), Fds.size(), /*timeout=*/1);
   }
+  HandFrames();
   return P.takeResult();
 }

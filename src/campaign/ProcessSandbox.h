@@ -27,6 +27,12 @@
 /// SandboxProcess (start / poll / reap), which the campaign WorkerPool
 /// uses to keep N children in flight from a single dispatch thread.
 ///
+/// A child that does several units of work in a row (a campaign lane's
+/// batch of repetitions) is started *framed*: it reports each unit as one
+/// writeFrame frame, the parent takes the frames as they complete, and the
+/// watchdog and the payload cap apply per frame, so a long batch of quick
+/// units is never mistaken for one hung unit.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DLF_CAMPAIGN_PROCESSSANDBOX_H
@@ -53,6 +59,8 @@ inline constexpr int ExceptionExitCode = 112; ///< any other exception escaped
 /// Resource caps and watchdog settings for one sandboxed run.
 struct SandboxLimits {
   /// Wall-clock watchdog; 0 disables (the child may then run forever).
+  /// For a framed child it restarts at every complete frame, so it bounds
+  /// one unit of work, not the child's whole life.
   uint64_t TimeoutMs = 10'000;
 
   /// Grace period between SIGTERM and SIGKILL when the watchdog fires.
@@ -66,7 +74,8 @@ struct SandboxLimits {
   uint64_t AddressSpaceMb = 0;
 
   /// Upper bound on the payload the parent accumulates from the result
-  /// pipe (excess is discarded, not blocked on).
+  /// pipe, per frame for a framed child (excess is discarded, not blocked
+  /// on).
   size_t MaxPayloadBytes = 1 << 20;
 
   /// Capture the child's stderr (bounded tail) for crash triage.
@@ -102,7 +111,8 @@ struct SandboxResult {
   /// True when the child ignored SIGTERM and had to be SIGKILLed.
   bool TermEscalated = false;
 
-  /// Wall-clock duration of the child, in milliseconds.
+  /// Wall-clock duration of the child, in milliseconds; for a framed
+  /// child, since its last frame (the window the watchdog was timing).
   double WallMs = 0.0;
 
   /// CPU time the child consumed (user + system, from wait4's rusage), in
@@ -111,7 +121,8 @@ struct SandboxResult {
   double CpuMs = 0.0;
 
   /// Bytes the child wrote to the result pipe (possibly truncated at
-  /// MaxPayloadBytes).
+  /// MaxPayloadBytes). Empty for a framed child: its frames are taken
+  /// with SandboxProcess::takeFrames as they complete.
   std::string Payload;
 
   /// Bounded tail of the child's stderr (when CaptureStderr was set).
@@ -140,9 +151,10 @@ public:
 
   /// Forks the child (see runInSandbox for \p Fn's contract). Returns
   /// false when pipe/fork creation fails; the process is then finished()
-  /// with SandboxStatus::ForkFailed.
+  /// with SandboxStatus::ForkFailed. A \p Framed child writes its payload
+  /// as writeFrame frames.
   bool start(const std::function<int(int PayloadFd)> &Fn,
-             const SandboxLimits &Limits);
+             const SandboxLimits &Limits, bool Framed = false);
 
   /// True once the child is reaped (or start failed); the result is final.
   bool finished() const { return Finished; }
@@ -164,21 +176,41 @@ public:
   const SandboxResult &result() const { return Result; }
   SandboxResult takeResult() { return std::move(Result); }
 
+  /// The frames a framed child completed since the last call, in order.
+  std::vector<std::string> takeFrames();
+
 private:
+  /// Reassembles writeFrame frames from the payload stream. A body longer
+  /// than Cap keeps its first Cap bytes; a malformed length ends framing
+  /// (the rest of the stream is ignored).
+  struct FrameReader {
+    size_t Cap = 0;
+    std::string Length; ///< digits of the length being read
+    uint64_t Left = 0;  ///< body bytes still to come
+    bool InBody = false;
+    bool Broken = false;
+    std::string Body;
+    std::vector<std::string> Done;
+    void feed(const char *Data, size_t Size);
+  };
+
   struct Drain {
     int Fd = -1;
     std::string *Out = nullptr;
+    FrameReader *Frames = nullptr; ///< framed payload: feed this instead
     size_t Cap = 0;
     bool KeepTail = false;
     bool Eof = false;
     void pump();
   };
 
+  void pumpPayload();
   double elapsedMs() const;
   void finalize(int Status);
   void closePipes();
 
   SandboxLimits Limits;
+  /// Start of the watchdog's window: the fork, then each complete frame.
   std::chrono::steady_clock::time_point StartTime;
   enum class Phase { Running, Termed, Killed } Ph = Phase::Running;
   double TermAtMs = 0;
@@ -188,16 +220,25 @@ private:
   int PayloadFd = -1;
   int StderrFd = -1;
   Drain PayloadDrain, StderrDrain;
+  FrameReader Frames;
   SandboxResult Result;
 };
+
+/// Writes \p Body as one frame ("<byte count>\n<body>") on a framed
+/// child's result pipe. Returns false if the write failed.
+bool writeFrame(int Fd, const std::string &Body);
 
 /// Runs \p Fn in a forked child under \p Limits. \p Fn receives the write
 /// end of the result pipe and returns the child's exit code; exceptions
 /// escaping \p Fn are mapped to the reserved exit codes above. The child
 /// exits via _exit (no atexit handlers run), so the parent's state is
-/// never perturbed. POSIX-only.
-SandboxResult runInSandbox(const std::function<int(int PayloadFd)> &Fn,
-                           const SandboxLimits &Limits = {});
+/// never perturbed. With \p OnFrame the child is framed: it writes
+/// writeFrame frames, and each is handed to \p OnFrame as it completes.
+/// POSIX-only.
+SandboxResult
+runInSandbox(const std::function<int(int PayloadFd)> &Fn,
+             const SandboxLimits &Limits = {},
+             const std::function<void(std::string Frame)> &OnFrame = {});
 
 } // namespace campaign
 } // namespace dlf

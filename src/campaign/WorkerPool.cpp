@@ -28,10 +28,10 @@ unsigned WorkerPool::resolveJobs(unsigned Requested) {
 }
 
 uint64_t WorkerPool::launch(const std::function<int(int PayloadFd)> &Fn,
-                            const SandboxLimits &Limits) {
+                            const SandboxLimits &Limits, bool Framed) {
   uint64_t Ticket = NextTicket++;
   auto P = std::make_unique<SandboxProcess>();
-  P->start(Fn, Limits); // a failed fork is finished() with ForkFailed
+  P->start(Fn, Limits, Framed); // a failed fork is finished() with ForkFailed
   InFlight.emplace(Ticket, std::move(P));
   Peak = std::max(Peak, static_cast<unsigned>(InFlight.size()));
   return Ticket;
@@ -39,12 +39,17 @@ uint64_t WorkerPool::launch(const std::function<int(int PayloadFd)> &Fn,
 
 void WorkerPool::pump(std::vector<PoolCompletion> &Out) {
   for (auto It = InFlight.begin(); It != InFlight.end();) {
-    if (It->second->poll()) {
-      Out.push_back({It->first, It->second->takeResult()});
+    bool Finished = It->second->poll();
+    std::vector<std::string> Frames = It->second->takeFrames();
+    if (Finished) {
+      Out.push_back({It->first, std::move(Frames), true,
+                     It->second->takeResult()});
       It = InFlight.erase(It);
-    } else {
-      ++It;
+      continue;
     }
+    if (!Frames.empty())
+      Out.push_back({It->first, std::move(Frames), false, SandboxResult()});
+    ++It;
   }
 }
 
@@ -64,18 +69,12 @@ std::vector<PoolCompletion> WorkerPool::poll(int WaitMs) {
   return Done;
 }
 
-void WorkerPool::cancel(uint64_t Ticket) {
+double WorkerPool::cancel(uint64_t Ticket) {
   auto It = InFlight.find(Ticket);
   if (It == InFlight.end())
-    return;
+    return 0.0;
   It->second->forceKill();
+  double CpuMs = It->second->result().CpuMs;
   InFlight.erase(It);
-}
-
-void WorkerPool::drainAll(std::vector<PoolCompletion> &Out) {
-  while (!InFlight.empty()) {
-    std::vector<PoolCompletion> Done = poll(/*WaitMs=*/2);
-    Out.insert(Out.end(), std::make_move_iterator(Done.begin()),
-               std::make_move_iterator(Done.end()));
-  }
+  return CpuMs;
 }

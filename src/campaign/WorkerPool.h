@@ -8,10 +8,11 @@
 /// A process worker pool over SandboxProcess: up to N forked children in
 /// flight at once, driven from a single dispatch thread with a combined
 /// ::poll over every child's pipes (no thread per child, no blocking
-/// run-one-wait-one). Each launch returns a ticket; completions are
-/// reported with the ticket so the caller can reassociate out-of-order
-/// results with their work items. The pool guarantees every child is
-/// reaped — drainAll() on shutdown, forceKill on cancel — so a campaign
+/// run-one-wait-one). Each launch returns a ticket; completions (and, for
+/// framed children, each frame as it completes) are reported with the
+/// ticket so the caller can reassociate out-of-order results with their
+/// work items. The pool guarantees every child is reaped — by poll() when
+/// it exits, by forceKill on cancel and on destruction — so a campaign
 /// never leaks zombies however it ends.
 ///
 //===----------------------------------------------------------------------===//
@@ -24,14 +25,20 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace dlf {
 namespace campaign {
 
-/// One finished child, keyed by the ticket launch() returned.
+/// News from one child, keyed by the ticket launch() returned: the frames
+/// a framed child completed since the last poll and, once it is reaped,
+/// its final result.
 struct PoolCompletion {
   uint64_t Ticket = 0;
+  std::vector<std::string> Frames;
+  /// The child is reaped and Result is final.
+  bool Finished = false;
   SandboxResult Result;
 };
 
@@ -53,25 +60,24 @@ public:
   /// Most children simultaneously in flight over the pool's lifetime.
   unsigned peakConcurrency() const { return Peak; }
 
-  /// Forks \p Fn under \p Limits (requires hasCapacity()). Returns the
-  /// completion ticket. A failed fork still returns a ticket; the
-  /// completion carries SandboxStatus::ForkFailed.
+  /// Forks \p Fn under \p Limits (requires hasCapacity()); a \p Framed
+  /// child reports through writeFrame. Returns the completion ticket. A
+  /// failed fork still returns a ticket; the completion carries
+  /// SandboxStatus::ForkFailed.
   uint64_t launch(const std::function<int(int PayloadFd)> &Fn,
-                  const SandboxLimits &Limits);
+                  const SandboxLimits &Limits, bool Framed = false);
 
-  /// Pumps every in-flight child once, then — if none finished — sleeps
-  /// up to \p WaitMs in ::poll on their pipes and pumps again. Returns
-  /// the children that finished. WaitMs should stay small (~1 ms): it
-  /// bounds the watchdog granularity for hung children.
+  /// Pumps every in-flight child once, then — if there is no news —
+  /// sleeps up to \p WaitMs in ::poll on their pipes and pumps again.
+  /// Returns the children with new frames or that finished. WaitMs should
+  /// stay small (~1 ms): it bounds the watchdog granularity for hung
+  /// children.
   std::vector<PoolCompletion> poll(int WaitMs);
 
   /// SIGKILLs one in-flight child and discards it (no completion is ever
-  /// reported for the ticket). Used to cancel speculative work.
-  void cancel(uint64_t Ticket);
-
-  /// Blocks until every in-flight child has finished naturally (their
-  /// watchdogs bound the wait), appending the completions to \p Out.
-  void drainAll(std::vector<PoolCompletion> &Out);
+  /// reported for the ticket). Used to cancel speculative work and to end
+  /// a lane early. Returns the CPU time the child used, in milliseconds.
+  double cancel(uint64_t Ticket);
 
 private:
   void pump(std::vector<PoolCompletion> &Out);

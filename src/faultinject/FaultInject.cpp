@@ -297,12 +297,29 @@ bool FaultPlan::fires(const FaultSpec &Spec, uint64_t HitIndex) {
   return false;
 }
 
-const FaultSpec *FaultPlan::hit(const std::string &Site) {
-  uint64_t Index = ++Hits[Site];
-  for (const FaultSpec &S : Specs)
-    if (S.Site == Site && fires(S, Index))
+const FaultSpec *FaultPlan::firstFiring(const std::string &Site,
+                                        uint64_t HitIndex,
+                                        const uint64_t *Identity) {
+  for (const FaultSpec &S : Specs) {
+    if (S.Site != Site)
+      continue;
+    if (Identity && S.Kind == Trigger::Probability
+            ? unitHash(Seed, Site, *Identity) < S.P
+            : fires(S, HitIndex))
       return &S;
+  }
   return nullptr;
+}
+
+const FaultSpec *FaultPlan::hit(const std::string &Site) {
+  return firstFiring(Site, ++Hits[Site], nullptr);
+}
+
+const FaultSpec *FaultPlan::spawnHit(uint64_t Cycle, uint64_t Rep,
+                                     uint64_t Attempt) {
+  const std::string Site = "worker.spawn";
+  uint64_t Identity = packCycleRep(Cycle, Rep) ^ (Attempt << 56);
+  return firstFiring(Site, ++Hits[Site], &Identity);
 }
 
 ChildFaults FaultPlan::childFaults(uint64_t Cycle, uint64_t Rep,
@@ -310,8 +327,8 @@ ChildFaults FaultPlan::childFaults(uint64_t Cycle, uint64_t Rep,
   ChildFaults CF;
   if (Specs.empty())
     return CF;
-  // All child sites share one launch counter: `child.crash@3` means "the
-  // third phase-2 attempt this runner launches".
+  // All child sites share one counter: `child.crash@3` means "the third
+  // phase-2 repetition attempt this runner hands to a child".
   uint64_t Launch = ++Hits["child.launch"];
   for (const FaultSpec &S : Specs) {
     if (!isChildSite(S.Site))
@@ -398,6 +415,14 @@ int faultinject::failErrno(const char *Site, int DefaultErrno) {
     return 0;
   const FaultSpec *S = globalPlan().hit(Site);
   return S ? actionErrno(S->Action, DefaultErrno) : 0;
+}
+
+int faultinject::spawnFailErrno(uint64_t Cycle, uint64_t Rep,
+                                uint64_t Attempt) {
+  if (!enabled())
+    return 0;
+  const FaultSpec *S = globalPlan().spawnHit(Cycle, Rep, Attempt);
+  return S ? actionErrno(S->Action, EAGAIN) : 0;
 }
 
 bool faultinject::fires(const char *Site) {

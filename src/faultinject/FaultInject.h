@@ -29,7 +29,7 @@
 ///   journal.fsync   enospc|eio          the per-record fsync fails
 ///   journal.torn    -                   half a record is written, then the
 ///                                       process dies (simulates power loss)
-///   worker.spawn    eagain|enomem       fork of a sandboxed child fails
+///   worker.spawn    eagain|enomem       fork of a campaign child fails
 ///   runner.kill     -                   SIGKILL the runner right after the
 ///                                       Nth rep record is committed
 ///   child.crash     abort|segv|kill|exit  the phase-2 child dies mid-rep
@@ -45,13 +45,19 @@
 ///
 /// Determinism notes. Ordinal (`@N`) triggers count hits per process and per
 /// site: parent sites (journal.*, worker.spawn, runner.kill) count events in
-/// the runner, child sites count launched phase-2 attempts in launch order —
-/// which makes ordinal child triggers deterministic for `--jobs 1` but
-/// launch-order-dependent otherwise; use `rep=`/`p=` triggers when the plan
-/// must be jobs-invariant. `rep=` and `p=` child triggers are keyed by the
-/// (cycle, rep) identity, so they fire for the same logical work regardless
-/// of sharding, retries (crash/hang fire on attempt 0 only; sidecar faults
-/// apply to every attempt of the rep), or resume.
+/// the runner, child sites count phase-2 repetition attempts in the order
+/// the runner hands them to children (a batch's reps in rep order at its
+/// launch; a rep handed back after its batch's child died counts again when
+/// it is dispatched again) — which makes ordinal child triggers
+/// deterministic for `--jobs 1` but launch-order-dependent otherwise; use
+/// `rep=`/`p=` triggers when the plan must be jobs-invariant. `rep=` and `p=`
+/// child triggers are keyed by the (cycle, rep) identity, so they fire for
+/// the same logical work regardless of sharding, retries (crash/hang fire on
+/// attempt 0 only; sidecar faults apply to every attempt of the rep), or
+/// resume. A `p=` worker.spawn trigger is keyed by the launch: a phase-2
+/// launch by the (cycle, rep, attempt) of its first repetition, so it fails
+/// the same launch whatever order the lanes dispatch in, and a phase-1
+/// launch by its attempt.
 ///
 /// This header is standard-library-only on purpose: Sidecar.cpp is compiled
 /// into the LD_PRELOAD DSO, which must stay a self-contained interposer.
@@ -86,8 +92,9 @@ struct FaultSpec {
   double P = 0.0; ///< Probability for Trigger::Probability.
 };
 
-/// Fault directives for one phase-2 child, decided by the parent at launch
-/// time (the parent owns the plan state; the child just applies these).
+/// Fault directives for one phase-2 repetition attempt, decided by the
+/// parent when it launches the child that runs it (the parent owns the plan
+/// state; the child just applies these before that repetition).
 struct ChildFaults {
   std::string CrashAction; ///< Empty = no crash; else abort/segv/kill/exit.
   bool Hang = false;
@@ -127,15 +134,24 @@ public:
   /// participate; rep triggers never match parent sites.
   const FaultSpec *hit(const std::string &Site);
 
+  /// Records one hit of worker.spawn for the phase-2 launch whose first
+  /// repetition attempt is (\p Cycle, \p Rep, \p Attempt), or for attempt
+  /// \p Attempt of phase 1 when \p Cycle is PhaseOneLaunch, and returns
+  /// the matching spec, or nullptr. Ordinal and always triggers count hits
+  /// as hit() does; probability triggers are keyed by that identity.
+  const FaultSpec *spawnHit(uint64_t Cycle, uint64_t Rep, uint64_t Attempt);
+
   /// Decides every child-site fault for the phase-2 attempt (\p Cycle,
-  /// \p Rep, \p Attempt) about to be launched. Advances ordinal counters for
-  /// child sites (one hit per launch).
+  /// \p Rep, \p Attempt) about to be handed to a child. Advances ordinal
+  /// counters for child sites (one hit per repetition handed out).
   ChildFaults childFaults(uint64_t Cycle, uint64_t Rep, uint64_t Attempt);
 
   const std::vector<FaultSpec> &specs() const { return Specs; }
 
 private:
   bool fires(const FaultSpec &Spec, uint64_t HitIndex);
+  const FaultSpec *firstFiring(const std::string &Site, uint64_t HitIndex,
+                               const uint64_t *Identity);
 
   std::vector<FaultSpec> Specs;
   std::map<std::string, uint64_t> Hits;
@@ -160,12 +176,21 @@ bool enabled();
 /// used for clauses written without an explicit action.
 int failErrno(const char *Site, int DefaultErrno);
 
+/// The cycle index that names a phase-1 launch to spawnHit and
+/// spawnFailErrno (phase 1 has no cycle or repetition of its own).
+inline constexpr uint64_t PhaseOneLaunch = 0xFFFFFFFF;
+
+/// Parent-side helper for the worker.spawn site at every campaign launch
+/// (see FaultPlan::spawnHit): the errno to inject, or 0.
+int spawnFailErrno(uint64_t Cycle, uint64_t Rep, uint64_t Attempt);
+
 /// Parent-side helper for action-less sites (journal.torn, runner.kill):
 /// counts one hit and returns true when a clause fires.
 bool fires(const char *Site);
 
-/// Applies \p CF inside a freshly forked phase-2 child: records the sidecar
-/// directives for takeChildTelemetry, then crashes or hangs if asked to.
+/// Applies \p CF inside a phase-2 child, right before the repetition it was
+/// decided for: records the sidecar directives for takeChildTelemetry, then
+/// crashes or hangs if asked to.
 /// Also marks the process as a campaign child so takeChildTelemetry stops
 /// consulting the (inherited) global plan directly.
 void applyChildFaults(const ChildFaults &CF);

@@ -12,6 +12,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <cstdlib>
 #include <sstream>
 #include <unordered_set>
 
@@ -289,4 +290,43 @@ ForkedOutcome dlf::runForkedWithTimeout(const Program &P, uint64_t TimeoutMs,
     return ForkedOutcome::Crashed;
   }
   return ForkedOutcome::Crashed;
+}
+
+ForkedRuns dlf::runForkedRuns(const Program &P, unsigned Runs,
+                              uint64_t TimeoutMs, uint64_t GraceMs) {
+  campaign::SandboxLimits Limits;
+  Limits.TimeoutMs = TimeoutMs;
+  Limits.GraceMs = GraceMs;
+  ForkedRuns Out;
+  unsigned Done = 0;
+  while (Done != Runs) {
+    const unsigned Left = Runs - Done;
+    campaign::SandboxResult R = campaign::runInSandbox(
+        [&](int Fd) {
+          for (unsigned I = 0; I != Left; ++I) {
+            auto Start = std::chrono::steady_clock::now();
+            P();
+            double Ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - Start)
+                            .count();
+            if (!campaign::writeFrame(Fd, std::to_string(Ms)))
+              return 1;
+          }
+          return 0;
+        },
+        Limits,
+        [&](std::string Frame) {
+          Out.WallMs.push_back(std::strtod(Frame.c_str(), nullptr));
+          ++Done;
+        });
+    if (Done == Runs)
+      break;
+    // The child ended without the frame of the run it was in.
+    if (R.Status == campaign::SandboxStatus::Hung)
+      ++Out.Hung;
+    else
+      ++Out.Crashed;
+    ++Done;
+  }
+  return Out;
 }

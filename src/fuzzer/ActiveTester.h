@@ -226,6 +226,21 @@ ForkedOutcome runForkedWithTimeout(const Program &P, uint64_t TimeoutMs,
                                    double *WallMsOut = nullptr,
                                    uint64_t GraceMs = 500);
 
+/// The outcome of runForkedRuns.
+struct ForkedRuns {
+  std::vector<double> WallMs; ///< wall time of each completed run, in ms
+  unsigned Hung = 0;          ///< runs the watchdog killed
+  unsigned Crashed = 0;       ///< runs that crashed, or whose child never ran
+};
+
+/// Runs \p P \p Runs times in a row, uninstrumented, in one forked child
+/// under a watchdog. Each run is timed in the child and reported as its
+/// own frame, so \p TimeoutMs bounds each run, and neither the fork nor
+/// the exit is billed to a run. A run that hangs or crashes ends the
+/// child; the runs left go on in a fresh one. POSIX-only.
+ForkedRuns runForkedRuns(const Program &P, unsigned Runs, uint64_t TimeoutMs,
+                         uint64_t GraceMs = 500);
+
 } // namespace dlf
 
 #endif // DLF_FUZZER_ACTIVETESTER_H

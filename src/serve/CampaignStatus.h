@@ -83,7 +83,7 @@ struct CampaignStatus {
   unsigned CyclesFound = 0;
   unsigned RepsTotal = 0;     ///< planned repetitions (skipped cycles: 0)
   unsigned RepsCommitted = 0; ///< committed at the in-order frontier
-  unsigned RepsExecuted = 0;  ///< fresh child runs this invocation
+  unsigned RepsExecuted = 0;  ///< fresh repetitions run this invocation
   unsigned RepsReplayed = 0;  ///< restored from the journal on resume
   unsigned Quarantines = 0;
   uint64_t RetriesSpent = 0;

@@ -69,13 +69,14 @@ void printUsage() {
          "                         confirmed cycles and run N random\n"
          "                         executions (all should complete)\n"
          "  --campaign             fault-isolated campaign: phase 1 and\n"
-         "                         every repetition in a watchdog-guarded\n"
-         "                         child process, journaled for resume\n"
+         "                         batches of repetitions in watchdog-\n"
+         "                         guarded child processes, journaled for\n"
+         "                         resume\n"
          "  --resume FILE          resume an interrupted campaign from its\n"
          "                         journal (implies --campaign)\n"
          "  --journal FILE         campaign journal path (default\n"
          "                         <benchmark>.campaign.jsonl)\n"
-         "  --run-timeout-ms N     per-child watchdog (default 5000)\n"
+         "  --run-timeout-ms N     per-repetition watchdog (default 5000)\n"
          "  --budget-s N           wall-clock budget; on exhaustion the\n"
          "                         campaign checkpoints and exits\n"
          "  --max-retries N        retries per repetition for hung or\n"

@@ -331,4 +331,40 @@ TEST(ForkedRun, CrashIsReported) {
             ForkedOutcome::Crashed);
 }
 
+TEST(ForkedRuns, TheWatchdogBoundsEachRunNotTheChild) {
+  // Three 200 ms runs in one child take 600 ms, past the 400 ms watchdog:
+  // only a window that restarts at every run lets them all complete.
+  ForkedRuns R = runForkedRuns([] { usleep(200 * 1000); }, 3,
+                               /*TimeoutMs=*/400);
+  ASSERT_EQ(R.WallMs.size(), 3u);
+  EXPECT_EQ(R.Hung, 0u);
+  EXPECT_EQ(R.Crashed, 0u);
+  for (double Ms : R.WallMs)
+    EXPECT_GE(Ms, 200.0);
+}
+
+TEST(ForkedRuns, AHungRunEndsItsChildAndTheRestGoOnInAFreshOne) {
+  // Each child is forked from this process, so each counts calls from 0
+  // and hangs on its second: of 4 runs, the 1st and 3rd complete.
+  int Calls = 0;
+  ForkedRuns R = runForkedRuns(
+      [&] {
+        if (++Calls == 2)
+          for (;;)
+            usleep(1000);
+      },
+      4, /*TimeoutMs=*/200);
+  EXPECT_EQ(R.WallMs.size(), 2u);
+  EXPECT_EQ(R.Hung, 2u);
+  EXPECT_EQ(R.Crashed, 0u);
+  EXPECT_EQ(Calls, 0); // only the children ran the program
+}
+
+TEST(ForkedRuns, CrashedRunsAreCountedApart) {
+  ForkedRuns R = runForkedRuns([] { _exit(3); }, 2, 2000);
+  EXPECT_TRUE(R.WallMs.empty());
+  EXPECT_EQ(R.Hung, 0u);
+  EXPECT_EQ(R.Crashed, 2u);
+}
+
 } // namespace

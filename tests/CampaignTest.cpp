@@ -29,6 +29,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -145,6 +146,94 @@ TEST(ProcessSandbox, OversizedPayloadNeverWedgesTheChild) {
       L);
   EXPECT_EQ(R.Status, SandboxStatus::Completed);
   EXPECT_LE(R.Payload.size(), 1024u);
+}
+
+/// Pumps a framed child to completion, collecting its frames in order.
+SandboxResult runFramed(const std::function<int(int)> &Fn,
+                        const SandboxLimits &L,
+                        std::vector<std::string> &Frames) {
+  SandboxProcess P;
+  P.start(Fn, L, /*Framed=*/true);
+  while (!P.poll()) {
+    std::vector<std::string> More = P.takeFrames();
+    Frames.insert(Frames.end(), More.begin(), More.end());
+    usleep(1000);
+  }
+  std::vector<std::string> More = P.takeFrames();
+  Frames.insert(Frames.end(), More.begin(), More.end());
+  return P.takeResult();
+}
+
+TEST(ProcessSandbox, FramedChildRestartsTheWatchdogAtEachFrame) {
+  // Four units of half the timeout each: twice the timeout in all, but no
+  // window between frames reaches the timeout.
+  SandboxLimits L;
+  L.TimeoutMs = 400;
+  L.GraceMs = 50;
+  std::vector<std::string> Frames;
+  SandboxResult R = runFramed(
+      [](int Fd) {
+        for (int I = 0; I != 4; ++I) {
+          usleep(200 * 1000);
+          writeFrame(Fd, "unit " + std::to_string(I));
+        }
+        return 0;
+      },
+      L, Frames);
+  EXPECT_EQ(R.Status, SandboxStatus::Completed) << R.triage();
+  EXPECT_EQ(Frames, (std::vector<std::string>{"unit 0", "unit 1", "unit 2",
+                                              "unit 3"}));
+  EXPECT_TRUE(R.Payload.empty());
+
+  // A unit that stalls still trips the watchdog; the frames before it
+  // arrived.
+  Frames.clear();
+  R = runFramed(
+      [](int Fd) {
+        writeFrame(Fd, "done");
+        for (;;)
+          pause();
+        return 0;
+      },
+      L, Frames);
+  EXPECT_EQ(R.Status, SandboxStatus::Hung);
+  EXPECT_EQ(Frames, std::vector<std::string>{"done"});
+}
+
+TEST(ProcessSandbox, FramedPayloadCapAppliesPerFrame) {
+  // Each frame is cut at the cap on its own, and framing survives the cut:
+  // the small frame after two oversized ones arrives whole.
+  SandboxLimits L;
+  L.MaxPayloadBytes = 1024;
+  L.TimeoutMs = 5000;
+  std::vector<std::string> Frames;
+  SandboxResult R = runFramed(
+      [](int Fd) {
+        writeFrame(Fd, std::string(100 * 1024, 'x'));
+        writeFrame(Fd, std::string(3000, 'y'));
+        writeFrame(Fd, "tail\nline");
+        return 0;
+      },
+      L, Frames);
+  EXPECT_EQ(R.Status, SandboxStatus::Completed);
+  ASSERT_EQ(Frames.size(), 3u);
+  EXPECT_EQ(Frames[0], std::string(1024, 'x'));
+  EXPECT_EQ(Frames[1], std::string(1024, 'y'));
+  EXPECT_EQ(Frames[2], "tail\nline");
+
+  // A malformed length ends framing: nothing after it is a frame.
+  Frames.clear();
+  R = runFramed(
+      [](int Fd) {
+        writeFrame(Fd, "ok");
+        const char *Junk = "12x\nnot a frame";
+        (void)!write(Fd, Junk, std::strlen(Junk));
+        writeFrame(Fd, "lost");
+        return 0;
+      },
+      L, Frames);
+  EXPECT_EQ(R.Status, SandboxStatus::Completed);
+  EXPECT_EQ(Frames, std::vector<std::string>{"ok"});
 }
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -475,7 +564,9 @@ TEST(WorkerPool, RunsChildrenConcurrentlyAndReportsPeak) {
         L);
   EXPECT_EQ(Pool.inFlight(), 4u);
   std::vector<PoolCompletion> Done;
-  Pool.drainAll(Done);
+  while (Pool.inFlight() != 0)
+    for (PoolCompletion &PC : Pool.poll(/*WaitMs=*/2))
+      Done.push_back(std::move(PC));
   ASSERT_EQ(Done.size(), 4u);
   EXPECT_EQ(Pool.peakConcurrency(), 4u);
   EXPECT_EQ(Pool.inFlight(), 0u);
@@ -712,6 +803,197 @@ TEST(Campaign, SigintDrainsInFlightChildrenWithoutZombies) {
   ASSERT_EQ(Resumed.PerCycle.size(), Full.PerCycle.size());
   for (size_t I = 0; I != Full.PerCycle.size(); ++I)
     EXPECT_EQ(Resumed.PerCycle[I].countsKey(), Full.PerCycle[I].countsKey());
+}
+
+// -- Batched children ---------------------------------------------------------
+//
+// A lane's child runs a batch of up to ceil(reps / jobs) consecutive fresh
+// repetitions of one cycle and reports each on its own frame. A failure
+// costs only the repetition with no frame yet.
+
+/// Appends one "cycle/rep/attempt" line per child-side run to \p Path: a
+/// side channel that survives the child (O_APPEND keeps lines whole).
+void logChildRun(const std::string &Path, unsigned Cycle, unsigned Rep,
+                 unsigned Attempt) {
+  std::string Line = std::to_string(Cycle) + "/" + std::to_string(Rep) +
+                     "/" + std::to_string(Attempt) + "\n";
+  int Fd = open(Path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0600);
+  if (Fd >= 0) {
+    (void)!write(Fd, Line.data(), Line.size());
+    close(Fd);
+  }
+}
+
+/// The lines logChildRun wrote, sorted.
+std::vector<std::string> childRuns(const std::string &Path) {
+  std::vector<std::string> Lines;
+  std::FILE *F = std::fopen(Path.c_str(), "r");
+  if (!F)
+    return Lines;
+  char Buf[64];
+  while (std::fgets(Buf, sizeof(Buf), F)) {
+    std::string L(Buf);
+    if (!L.empty() && L.back() == '\n')
+      L.pop_back();
+    Lines.push_back(L);
+  }
+  std::fclose(F);
+  std::sort(Lines.begin(), Lines.end());
+  return Lines;
+}
+
+/// Every journal record in order, with the per-run timing fields dropped.
+std::vector<std::string> journalWithoutTiming(const std::string &Path) {
+  JournalContents JC;
+  std::string Error;
+  EXPECT_TRUE(loadJournal(Path, JC, &Error)) << Error;
+  std::vector<std::string> Out;
+  for (JsonValue R : JC.Records) {
+    if (R["event"].asString() == "rep") {
+      R.set("wall_ms", 0);
+      R.set("cpu_ms", 0);
+    }
+    Out.push_back(R.dump());
+  }
+  return Out;
+}
+
+TEST(CampaignBatch, CrashMidBatchRerunsOnlyTheUnframedRep) {
+  TempFile J("batch-crash.jsonl");
+  TempFile Control("batch-crash-control.jsonl");
+  TempFile Runs("batch-crash.runs");
+  CampaignConfig CC = baseConfig(J.path());
+  CC.MaxRetries = 2;
+  const std::string RunLog = Runs.path();
+  CC.ChildFaultHook = [RunLog](unsigned C, unsigned R, unsigned Attempt) {
+    logChildRun(RunLog, C, R, Attempt);
+    if (R == 2 && Attempt == 0)
+      abort();
+  };
+  CampaignReport R = CampaignRunner(std::move(CC)).run();
+  ASSERT_TRUE(R.Error.empty()) << R.Error;
+  ASSERT_TRUE(R.CampaignComplete);
+  // Reps 0 and 1 committed from the first child and never ran again; rep
+  // 2 ran once more with its seed; rep 3 ran once, in a fresh child.
+  EXPECT_EQ(childRuns(RunLog),
+            (std::vector<std::string>{"0/0/0", "0/1/0", "0/2/0", "0/2/1",
+                                      "0/3/0"}));
+  EXPECT_EQ(R.RepsExecuted, 4u);
+  EXPECT_EQ(R.PhaseTwoChildren, 3u);
+
+  CampaignReport Full = CampaignRunner(baseConfig(Control.path())).run();
+  ASSERT_TRUE(Full.Error.empty()) << Full.Error;
+  ASSERT_EQ(R.PerCycle.size(), Full.PerCycle.size());
+  EXPECT_EQ(Full.PhaseTwoChildren, 1u) << "one batch for the whole cycle";
+  for (size_t I = 0; I != Full.PerCycle.size(); ++I)
+    EXPECT_EQ(classificationKey(R.PerCycle[I].countsKey()),
+              classificationKey(Full.PerCycle[I].countsKey()));
+  EXPECT_EQ(R.PerCycle[0].RetriesSpent, 1u);
+
+  // The journals agree record for record, but for rep 2's attempts.
+  std::vector<std::string> Faulted = journalWithoutTiming(J.path());
+  std::vector<std::string> Clean = journalWithoutTiming(Control.path());
+  ASSERT_EQ(Faulted.size(), Clean.size());
+  unsigned Differing = 0;
+  for (size_t I = 0; I != Clean.size(); ++I) {
+    if (Faulted[I] == Clean[I])
+      continue;
+    ++Differing;
+    JsonValue F, C;
+    ASSERT_TRUE(parseJson(Faulted[I], F));
+    ASSERT_TRUE(parseJson(Clean[I], C));
+    EXPECT_EQ(F["rep"].asUInt(), 2u) << Faulted[I];
+    EXPECT_EQ(F["attempts"].asUInt(), 2u);
+    EXPECT_EQ(C["attempts"].asUInt(), 1u);
+    F.set("attempts", 1);
+    EXPECT_EQ(F.dump(), C.dump());
+  }
+  EXPECT_EQ(Differing, 1u);
+}
+
+TEST(CampaignBatch, WatchdogBoundsEachRepNotTheBatch) {
+  // Four reps of 0.6 x the timeout each: the batch runs 2.4 timeouts, but
+  // the watchdog restarts at every frame, so no rep is hung.
+  TempFile J("batch-watchdog.jsonl");
+  CampaignConfig CC = baseConfig(J.path());
+  CC.RunTimeoutMs = 500;
+  CC.GraceMs = 50;
+  CC.MaxRetries = 0;
+  CC.ChildFaultHook = [](unsigned, unsigned, unsigned) { usleep(300 * 1000); };
+  CampaignReport R = CampaignRunner(std::move(CC)).run();
+  ASSERT_TRUE(R.Error.empty()) << R.Error;
+  EXPECT_TRUE(R.CampaignComplete);
+  ASSERT_EQ(R.PerCycle.size(), 1u);
+  EXPECT_EQ(R.PerCycle[0].Hung, 0u) << R.toString("campaign-test", "");
+  EXPECT_EQ(R.PerCycle[0].Reps, 4u);
+  EXPECT_EQ(R.PerCycle[0].Reproduced, 4u);
+  EXPECT_EQ(R.PhaseTwoChildren, 1u);
+}
+
+TEST(CampaignBatch, QuarantineMidBatchJournalsNothingPastTheThreshold) {
+  // Six reps; reps 1 and 2 crash and reach the threshold in what began as
+  // one batch. At --jobs 3 the batch holding reps 4 and 5 is still running
+  // (rep 4 is slow) when the quarantine lands, and is killed.
+  for (unsigned Jobs : {1u, 3u}) {
+    TempFile J(Jobs == 1 ? "batch-quarantine-1.jsonl"
+                         : "batch-quarantine-3.jsonl");
+    CampaignConfig CC = baseConfig(J.path());
+    CC.Tester.PhaseTwoReps = 6;
+    CC.Jobs = Jobs;
+    CC.MaxRetries = 0;
+    CC.QuarantineThreshold = 2;
+    CC.ChildFaultHook = [](unsigned, unsigned R, unsigned) {
+      if (R == 1 || R == 2)
+        abort();
+      if (R == 4)
+        usleep(300 * 1000);
+    };
+    CampaignReport R = CampaignRunner(std::move(CC)).run();
+    ASSERT_TRUE(R.Error.empty()) << R.Error;
+    EXPECT_TRUE(R.CampaignComplete);
+    ASSERT_EQ(R.PerCycle.size(), 1u);
+    const CycleCampaignStats &S = R.PerCycle[0];
+    EXPECT_TRUE(S.Quarantined) << "--jobs " << Jobs;
+    EXPECT_EQ(S.Reps, 3u) << R.toString("campaign-test", "");
+    EXPECT_EQ(S.CrashedSignal, 2u);
+    std::vector<std::string> Keys = journaledRepKeys(J.path());
+    ASSERT_EQ(Keys.size(), 3u) << "--jobs " << Jobs;
+    EXPECT_EQ(Keys[2].rfind("0/2 ", 0), 0u) << Keys[2];
+    int WaitStatus = 0;
+    EXPECT_EQ(waitpid(-1, &WaitStatus, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+  }
+}
+
+TEST(CampaignBatch, StopMidBatchThenResumeMatchesUninterruptedCounts) {
+  TempFile J("batch-stop.jsonl");
+  TempFile Control("batch-stop-control.jsonl");
+  // The gate admits the batch's first rep at dispatch and each later rep
+  // at the frame before it: the third check comes at rep 1's frame and
+  // ends the lane with rep 2 running.
+  CampaignConfig CC = baseConfig(J.path());
+  auto Checks = std::make_shared<int>(0);
+  CC.ShouldStop = [Checks] { return ++*Checks > 2; };
+  CampaignReport Partial = CampaignRunner(std::move(CC)).run();
+  ASSERT_TRUE(Partial.Error.empty()) << Partial.Error;
+  EXPECT_TRUE(Partial.Interrupted);
+  EXPECT_EQ(Partial.RepsExecuted, 2u);
+  EXPECT_EQ(Partial.PhaseTwoChildren, 1u);
+  int WaitStatus = 0;
+  EXPECT_EQ(waitpid(-1, &WaitStatus, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+
+  CampaignReport Resumed = CampaignRunner(baseConfig(J.path())).run(true);
+  ASSERT_TRUE(Resumed.Error.empty()) << Resumed.Error;
+  EXPECT_TRUE(Resumed.CampaignComplete);
+  EXPECT_EQ(Resumed.RepsReplayed, 2u);
+  EXPECT_EQ(Resumed.RepsExecuted, 2u);
+  CampaignReport Full = CampaignRunner(baseConfig(Control.path())).run();
+  ASSERT_TRUE(Full.Error.empty()) << Full.Error;
+  ASSERT_EQ(Resumed.PerCycle.size(), Full.PerCycle.size());
+  for (size_t I = 0; I != Full.PerCycle.size(); ++I)
+    EXPECT_EQ(Resumed.PerCycle[I].countsKey(), Full.PerCycle[I].countsKey());
+  EXPECT_EQ(journaledRepKeys(J.path()), journaledRepKeys(Control.path()));
 }
 
 // -- Journal durability ------------------------------------------------------

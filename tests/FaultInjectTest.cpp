@@ -17,9 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -156,6 +158,37 @@ TEST(FaultPlanTriggers, ChildSitesShareOneLaunchCounter) {
   EXPECT_EQ(P.childFaults(0, 1, 0).CrashAction, "abort"); // launch #2
   EXPECT_TRUE(P.childFaults(0, 2, 0).Hang);        // launch #3
   EXPECT_FALSE(P.childFaults(0, 3, 0).any());      // launch #4
+}
+
+TEST(FaultPlanTriggers, SpawnProbabilityIsKeyedByTheLaunchNotItsOrder) {
+  // A phase-2 launch's spawn verdict depends on the (cycle, rep, attempt)
+  // of its first repetition, not on how many launches came before it, so
+  // lanes dispatching in a different order fail the same launches. The
+  // ordinal trigger still counts hits.
+  auto Decisions = [](bool Reversed) {
+    FaultPlan P;
+    std::string Error;
+    EXPECT_TRUE(P.parse("worker.spawn@p=0.5;seed=7", &Error)) << Error;
+    std::vector<std::string> Out(32);
+    for (int I = 0; I != 32; ++I) {
+      uint64_t Rep = Reversed ? 31 - I : I;
+      Out[Rep] = P.spawnHit(0, Rep, Rep % 2) ? "1" : "0";
+    }
+    return Out;
+  };
+  std::vector<std::string> Forward = Decisions(false);
+  EXPECT_EQ(Forward, Decisions(true));
+  EXPECT_NE(std::count(Forward.begin(), Forward.end(), "1"), 0);
+  EXPECT_NE(std::count(Forward.begin(), Forward.end(), "0"), 0);
+
+  FaultPlan Ordinal;
+  std::string Error;
+  ASSERT_TRUE(Ordinal.parse("worker.spawn:enomem@2", &Error)) << Error;
+  EXPECT_EQ(Ordinal.spawnHit(0, 5, 0), nullptr);
+  const FaultSpec *Second = Ordinal.spawnHit(0, 0, 0);
+  ASSERT_NE(Second, nullptr);
+  EXPECT_EQ(Second->Action, "enomem");
+  EXPECT_EQ(Ordinal.spawnHit(0, 0, 0), nullptr);
 }
 
 TEST(FaultPlanChaos, GeneratedPlansAreSeedDeterministicAndNeverKillTheRunner) {

@@ -397,6 +397,13 @@ TEST(TelemetryCampaign, MergedCounterTotalsAreJobsInvariant) {
     // Child telemetry rides the result pipe: nothing lands beside the
     // journal.
     EXPECT_NE(access((Journal.path() + ".sidecars").c_str(), F_OK), 0);
+    // The children count is operational: batch sizes follow --jobs (one
+    // 4-rep child at --jobs 1, four 1-rep children at --jobs 4), so it is
+    // the one counter left out of the comparison.
+    ASSERT_EQ(R.Metrics.Counters.count("dlf_campaign_children_total"), 1u);
+    EXPECT_EQ(R.Metrics.Counters.at("dlf_campaign_children_total"),
+              R.PhaseTwoChildren);
+    R.Metrics.Counters.erase("dlf_campaign_children_total");
     if (Jobs == 1)
       Baseline = R.Metrics.Counters;
     else
