@@ -49,8 +49,9 @@ void addEntry(LockDependencyLog &Log, uint64_t Tid,
 }
 
 /// T threads, each acquiring a private inner lock while holding a shared
-/// outer lock plus pairwise inversions: a relation with many chains but few
-/// cycles, sized by the benchmark argument.
+/// outer lock plus pairwise inversions, sized by the benchmark argument.
+/// The ordered pairs lie on no lock-graph cycle, so the closure prunes
+/// them and chains only the inversion ring.
 void buildScaledRelation(LockDependencyLog &Log, uint64_t Threads) {
   for (uint64_t T = 1; T <= Threads; ++T) {
     // Ordered (benign) pairs.

@@ -21,7 +21,8 @@
 # binaries and runs one short closure case so bench-code rot is caught
 # here, not when someone finally reruns scripts/bench.sh; it then grades
 # the analyze-tangle trace at ten fixed seeds and checks the verdict
-# counts the generator plants, and runs the preload-lockstorm workload
+# counts the generator plants (plus default mode's cycle-spec set and its
+# exact closure chain count), and runs the preload-lockstorm workload
 # (capture plus dlf-analyze) briefly, requiring a correct result.
 # Tier 4 (telemetry smoke): a small campaign with --metrics-out and
 # --timeline-out; the trace must parse as JSON and the metrics must carry
@@ -201,20 +202,38 @@ build/bench/micro_predict \
   --benchmark_filter='BM_PredictLinear/256' --benchmark_min_time=0.02
 # Verdict check: the analyze-tangle trace at ten fixed seeds must grade
 # as constructed: 14 cycles, 6 PREDICTED-SOUND, 4 guarded, 4 hb-ordered.
-# The generator is imported read-only (no bytecode written beside it).
+# Default mode must report the same cycle-spec set, and its closure must
+# build exactly 28 chains: the rank-ordered background lies on no
+# lock-graph cycle and is never chained, so a larger count means that
+# prune was lost. The generator is imported read-only (no bytecode written
+# beside it).
 DLF_ANALYZE=build/src/dlf-analyze PYTHONDONTWRITEBYTECODE=1 python3 - <<'PY'
 import os, subprocess, sys, tempfile
 sys.path.insert(0, "e2ebench")
 import tangle
 
+def analyze(path, *mode):
+    return subprocess.run([os.environ["DLF_ANALYZE"], path, *mode],
+                          check=True, capture_output=True,
+                          text=True).stdout.splitlines()
+
+def specs(lines):
+    return {l for l in lines if l.startswith("cycle-spec: ")}
+
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "tangle.trace")
     for seed in range(201, 211):
         tangle.write(path, seed)
-        out = subprocess.run([os.environ["DLF_ANALYZE"], path, "--predict"],
-                             check=True, capture_output=True,
-                             text=True).stdout
-        verdicts = [l for l in out.splitlines() if l.startswith("prediction: ")]
+        out = analyze(path, "--predict")
+        default = analyze(path)
+        if specs(default) != specs(out):
+            sys.exit("tangle seed %d: default and --predict report different "
+                     "cycle-spec sets" % seed)
+        closure = [l for l in default if l.startswith("closure: ")]
+        if not closure or not closure[0].startswith("closure: 28 chains,"):
+            sys.exit("tangle seed %d: %s, want closure: 28 chains"
+                     % (seed, closure))
+        verdicts = [l for l in out if l.startswith("prediction: ")]
         got = (len(verdicts),
                sum("PREDICTED-SOUND" in l for l in verdicts),
                sum("UNCONFIRMED (guarded" in l for l in verdicts),
@@ -223,7 +242,7 @@ with tempfile.TemporaryDirectory() as tmp:
             sys.exit("tangle seed %d: cycles/sound/guarded/hb-ordered = %s, "
                      "want (14, 6, 4, 4)" % (seed, got))
 print("tangle verdicts: 10 seeds, 14 cycles each (6 sound, 4 guarded, "
-      "4 hb-ordered)")
+      "4 hb-ordered), default mode alike in 28 closure chains")
 PY
 # Lock storm end to end: the contended preload capture of an 800k-event
 # two-thread storm, then dlf-analyze streaming the captured trace. Nothing

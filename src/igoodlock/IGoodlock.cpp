@@ -2,6 +2,16 @@
 //
 // The iterative closure, rebuilt as a parallel, allocation-lean engine:
 //
+//  * Chains are built only over *live* entries: those whose acquired lock
+//    shares a strongly connected component of the lock graph (an edge
+//    h -> l for every entry holding h != l while acquiring l) with one of
+//    their held locks. The prune is exact. Member i of any cycle holds
+//    l_{i-1} != l_i and acquires l_i, so l_1 -> ... -> l_m -> l_1 is a
+//    lock-graph cycle and every member is live, whatever the lock modes,
+//    KeepGuardedCycles or the happens-before filter. A chain through a dead
+//    entry therefore never closes. Entry indices and candidate order are
+//    unchanged, so the cycle list, its order and its multiplicities are
+//    those of the unpruned closure; only the chain counts shrink.
 //  * Levels are flat arenas (one contiguous index buffer per level; every
 //    chain of level k has exactly k entries, so slices are uniform) instead
 //    of per-chain heap vectors.
@@ -92,8 +102,8 @@ struct RelationIndex {
   /// (the >64-lock fallback needs per-occurrence modes, not just masks).
   std::vector<uint8_t> HeldSortedExcl;
   /// CSR candidate index: for dense lock id L, CandData[CandOffsets[L],
-  /// CandOffsets[L+1]) are the entries whose held set contains L, in entry
-  /// order — the extension candidates for a chain whose last acquired lock
+  /// CandOffsets[L+1]) are the live entries whose held set contains L, in
+  /// entry order — the extension candidates for a chain whose last acquired lock
   /// is L. Built per held *occurrence* so candidate iteration order (and
   /// thus discovery order) matches the pre-arena engine exactly.
   std::vector<uint32_t> CandOffsets;
@@ -102,11 +112,62 @@ struct RelationIndex {
   /// entry on the candidate list. A chain whose last acquire is Shared
   /// only waits on candidates whose hold of that lock is Exclusive.
   std::vector<LockMode> CandMode;
+  /// Live[I]: entry I can lie on a cycle (see the file comment). Dead
+  /// entries head no chain and sit on no candidate list.
+  std::vector<uint8_t> Live;
   uint32_t NumLocks = 0;
   /// True when lockBit is injective (<= 64 distinct locks): mask tests are
   /// then exact in both directions and the sorted fallback is never needed.
   bool MaskExact = true;
 };
+
+/// Tarjan's strongly connected components of the lock graph, read off the
+/// CSR candidate index: lock h has an edge to the acquired lock of every
+/// entry on h's candidate list. Returns a component id per dense lock. The
+/// call stack is explicit, so deep lock graphs cannot overflow the native
+/// one.
+std::vector<uint32_t> lockComponents(const RelationIndex &Ix) {
+  constexpr uint32_t None = UINT32_MAX;
+  std::vector<uint32_t> Order(Ix.NumLocks, None), Low(Ix.NumLocks),
+      Comp(Ix.NumLocks, None), Stack;
+  std::vector<std::pair<uint32_t, uint32_t>> Calls; // (lock, next slot)
+  uint32_t Visited = 0, Comps = 0;
+  auto Visit = [&](uint32_t V) {
+    Order[V] = Low[V] = Visited++;
+    Stack.push_back(V);
+    Calls.emplace_back(V, Ix.CandOffsets[V]);
+  };
+  for (uint32_t Root = 0; Root != Ix.NumLocks; ++Root) {
+    if (Order[Root] != None)
+      continue;
+    Visit(Root);
+    while (!Calls.empty()) {
+      auto [V, Slot] = Calls.back();
+      if (Slot != Ix.CandOffsets[V + 1]) {
+        ++Calls.back().second;
+        uint32_t W = Ix.Meta[Ix.CandData[Slot]].DenseAcquired;
+        if (Order[W] == None)
+          Visit(W);
+        else if (Comp[W] == None) // W is still on the Tarjan stack
+          Low[V] = std::min(Low[V], Order[W]);
+        continue;
+      }
+      Calls.pop_back();
+      if (!Calls.empty())
+        Low[Calls.back().first] = std::min(Low[Calls.back().first], Low[V]);
+      if (Low[V] != Order[V])
+        continue;
+      uint32_t W;
+      do {
+        W = Stack.back();
+        Stack.pop_back();
+        Comp[W] = Comps;
+      } while (W != V);
+      ++Comps;
+    }
+  }
+  return Comp;
+}
 
 RelationIndex buildIndex(const std::vector<DependencyEntry> &D) {
   RelationIndex Ix;
@@ -171,6 +232,31 @@ RelationIndex buildIndex(const std::vector<DependencyEntry> &D) {
       Ix.CandData[Slot] = I;
       Ix.CandMode[Slot] = HeldModeOf(D[I], K);
     }
+
+  // An entry is live when one of its held locks h != Acquired shares
+  // Acquired's component. Dead entries then leave the candidate lists, in
+  // place and in order.
+  std::vector<uint32_t> Comp = lockComponents(Ix);
+  Ix.Live.assign(D.size(), 0);
+  for (uint32_t I = 0; I != D.size(); ++I) {
+    const EntryMeta &M = Ix.Meta[I];
+    for (uint32_t H = M.HeldBegin; H != M.HeldEnd && !Ix.Live[I]; ++H)
+      Ix.Live[I] = Ix.HeldSorted[H] != M.DenseAcquired &&
+                   Comp[Ix.HeldSorted[H]] == Comp[M.DenseAcquired];
+  }
+  uint32_t Kept = 0;
+  for (uint32_t L = 0; L != Ix.NumLocks; ++L) {
+    uint32_t Begin = Ix.CandOffsets[L], End = Ix.CandOffsets[L + 1];
+    Ix.CandOffsets[L] = Kept;
+    for (uint32_t Slot = Begin; Slot != End; ++Slot)
+      if (Ix.Live[Ix.CandData[Slot]]) {
+        Ix.CandData[Kept] = Ix.CandData[Slot];
+        Ix.CandMode[Kept++] = Ix.CandMode[Slot];
+      }
+  }
+  Ix.CandOffsets[Ix.NumLocks] = Kept;
+  Ix.CandData.resize(Kept);
+  Ix.CandMode.resize(Kept);
   return Ix;
 }
 
@@ -476,13 +562,12 @@ std::vector<AbstractCycle> dlf::runIGoodlock(const LockDependencyLog &Log,
     Cycles.push_back(std::move(Cycle));
   };
 
-  // D_1 = D, restricted to entries that can head a cycle chain: the head's
-  // held set must eventually contain the closing lock, so an empty held
-  // set can never close (Definition 3 needs l_m ∈ L_1).
+  // D_1 = the live entries of D (an entry off every lock-graph cycle,
+  // including one with an empty held set, can never close a chain).
   ChainLevel Current;
   Current.Len = 1;
   for (uint32_t I = 0; I != D.size(); ++I) {
-    if (D[I].Held.empty())
+    if (!Ix.Live[I])
       continue;
     Current.Idx.push_back(I);
     Current.Meta.push_back({Ix.Meta[I].HeldMask, Ix.Meta[I].HeldMaskExcl,

@@ -19,6 +19,12 @@
 /// chain (§2.2.3), and cycles are not extended further, so no "complex"
 /// cycles are reported.
 ///
+/// Chains are built only over entries that can lie on a cycle: an entry
+/// whose acquired lock shares a strongly connected component of the lock
+/// graph (edge h -> l per entry holding h != l while acquiring l) with one
+/// of its held locks. Every member of a cycle passes that test, so the
+/// reported cycles are exactly those of the unpruned closure.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DLF_IGOODLOCK_IGOODLOCK_H
@@ -79,6 +85,8 @@ struct IGoodlockOptions {
 struct IGoodlockStats {
   /// |D|: dependency entries the closure ran over.
   uint64_t Entries = 0;
+  /// Chains materialized, over all levels: the chains of D_1 (the entries
+  /// that can lie on a lock-graph cycle) plus every committed extension.
   uint64_t ChainsExplored = 0;
   unsigned Iterations = 0;
   bool Truncated = false;

@@ -63,6 +63,34 @@ INSTANTIATE_TEST_SUITE_P(Benchmarks, SubstrateDifferential,
 
 // -- Random relations -----------------------------------------------------------
 
+/// Records thread \p Tid acquiring \p Acq while holding \p Held.
+void addEntry(LockDependencyLog &Log, uint64_t Tid,
+              const std::set<uint64_t> &Held, uint64_t Acq) {
+  ThreadRecord T;
+  T.Id = ThreadId(Tid);
+  T.Name = "t" + std::to_string(Tid);
+  T.Abs.Index.Elements = {static_cast<uint32_t>(Tid), 1};
+  Log.onThreadCreated(T);
+
+  std::vector<LockStackEntry> Stack;
+  for (uint64_t H : Held) {
+    LockRecord L;
+    L.Id = LockId(H);
+    L.Name = "l" + std::to_string(H);
+    L.Abs.Index.Elements = {static_cast<uint32_t>(H)};
+    Log.onLockCreated(L);
+    Stack.push_back({LockId(H), Label::intern("gd:" + std::to_string(H))});
+  }
+  LockRecord Acquired;
+  Acquired.Id = LockId(Acq);
+  Acquired.Name = "l" + std::to_string(Acq);
+  Acquired.Abs.Index.Elements = {static_cast<uint32_t>(Acq)};
+  Log.onLockCreated(Acquired);
+  Log.onAcquireExecuted(T, Acquired, Stack,
+                        Label::intern("gd:" + std::to_string(Acq)),
+                        LockMode::Exclusive);
+}
+
 class RandomRelationDifferential : public ::testing::TestWithParam<uint64_t> {
 };
 
@@ -73,12 +101,6 @@ TEST_P(RandomRelationDifferential, SameCyclesOnGeneratedRelations) {
   LockDependencyLog Log;
   for (unsigned I = 0; I != Entries; ++I) {
     uint64_t Tid = 1 + R.nextBelow(Threads);
-    ThreadRecord T;
-    T.Id = ThreadId(Tid);
-    T.Name = "t" + std::to_string(Tid);
-    T.Abs.Index.Elements = {static_cast<uint32_t>(Tid), 1};
-    Log.onThreadCreated(T);
-
     unsigned HeldCount = 1 + static_cast<unsigned>(R.nextBelow(3));
     std::set<uint64_t> Held;
     while (Held.size() < HeldCount)
@@ -87,24 +109,7 @@ TEST_P(RandomRelationDifferential, SameCyclesOnGeneratedRelations) {
     do {
       Acq = 1 + R.nextBelow(Locks);
     } while (Held.count(Acq));
-
-    std::vector<LockStackEntry> Stack;
-    for (uint64_t H : Held) {
-      LockRecord L;
-      L.Id = LockId(H);
-      L.Name = "l" + std::to_string(H);
-      L.Abs.Index.Elements = {static_cast<uint32_t>(H)};
-      Log.onLockCreated(L);
-      Stack.push_back({LockId(H), Label::intern("gd:" + std::to_string(H))});
-    }
-    LockRecord Acquired;
-    Acquired.Id = LockId(Acq);
-    Acquired.Name = "l" + std::to_string(Acq);
-    Acquired.Abs.Index.Elements = {static_cast<uint32_t>(Acq)};
-    Log.onLockCreated(Acquired);
-    Log.onAcquireExecuted(T, Acquired, Stack,
-                          Label::intern("gd:" + std::to_string(Acq)),
-                          LockMode::Exclusive);
+    addEntry(Log, Tid, Held, Acq);
   }
 
   IGoodlockOptions Opts;
@@ -113,6 +118,42 @@ TEST_P(RandomRelationDifferential, SameCyclesOnGeneratedRelations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomRelationDifferential,
+                         ::testing::Range<uint64_t>(1, 25));
+
+class SparseRelationDifferential : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(SparseRelationDifferential, SameCyclesWhenMostEntriesArePruned) {
+  // Many locks, acquired mostly in ascending order: almost every entry
+  // lies on no lock-graph cycle and is pruned from the closure, while the
+  // few inversions plant the cycles that remain. The DFS baseline is
+  // unpruned, so agreement checks the prune loses no cycle.
+  Rng R(GetParam() * 131 + 7);
+  constexpr unsigned Threads = 8, Locks = 40, Entries = 80;
+
+  LockDependencyLog Log;
+  for (unsigned I = 0; I != Entries; ++I) {
+    uint64_t Tid = 1 + R.nextBelow(Threads);
+    std::set<uint64_t> Held;
+    unsigned HeldCount = 1 + static_cast<unsigned>(R.nextBelow(2));
+    while (Held.size() < HeldCount)
+      Held.insert(1 + R.nextBelow(Locks - 1));
+    uint64_t Top = *Held.rbegin();
+    uint64_t Acq = Top + 1 + R.nextBelow(Locks - Top); // ascending
+    if (Top > 2 && R.nextBelow(10) == 0) {             // an inversion
+      do {
+        Acq = 1 + R.nextBelow(Locks);
+      } while (Held.count(Acq) || Acq > Top);
+    }
+    addEntry(Log, Tid, Held, Acq);
+  }
+
+  IGoodlockOptions Opts;
+  Opts.MaxCycleLength = 5;
+  expectEquivalent(Log, Opts);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SparseRelationDifferential,
                          ::testing::Range<uint64_t>(1, 25));
 
 // -- The memory/runtime trade ------------------------------------------------------

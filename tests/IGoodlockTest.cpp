@@ -22,6 +22,17 @@ public:
   /// the lock numbers so reports are checkable.
   RelationBuilder &dep(uint64_t Thread, std::vector<uint64_t> Held,
                        uint64_t Acquired) {
+    std::vector<std::pair<uint64_t, LockMode>> HeldModes;
+    for (uint64_t H : Held)
+      HeldModes.emplace_back(H, LockMode::Exclusive);
+    return depModes(Thread, HeldModes, Acquired, LockMode::Exclusive);
+  }
+
+  /// dep with explicit modes for each held lock and for the acquire.
+  RelationBuilder &
+  depModes(uint64_t Thread,
+           const std::vector<std::pair<uint64_t, LockMode>> &Held,
+           uint64_t Acquired, LockMode Mode) {
     ThreadRecord T;
     T.Id = ThreadId(Thread);
     T.Name = "t" + std::to_string(Thread);
@@ -38,13 +49,12 @@ public:
     };
 
     std::vector<LockStackEntry> Stack;
-    for (uint64_t H : Held) {
+    for (auto [H, HeldMode] : Held) {
       EnsureLock(H);
-      Stack.push_back({LockId(H), site(H)});
+      Stack.push_back({LockId(H), site(H), HeldMode});
     }
     LockRecord Acq = EnsureLock(Acquired);
-    Log.onAcquireExecuted(T, Acq, Stack, site(Acquired),
-                          LockMode::Exclusive);
+    Log.onAcquireExecuted(T, Acq, Stack, site(Acquired), Mode);
     return *this;
   }
 
@@ -281,13 +291,16 @@ TEST(IGoodlock, HeldSetsWithMultipleLocks) {
 }
 
 TEST(IGoodlock, MaxChainsAbortsLevel) {
-  // A chain of 8 threads t1..t8 (ti holds l_i acquires l_{i+1}): level 1
-  // has 8 chains, of which t1..t7 can extend. MaxChains = 3 commits the
-  // first three extensions, and the fourth *attempt* aborts the level:
-  // the cut chain (t4's) and everything after it count as dropped.
+  // A ring of 8 threads t1..t8 (ti holds l_{10+i} acquires l_{11+i}, t8
+  // closes it by acquiring l11), so every entry lies on a lock-graph cycle
+  // and is chained: level 1 has 8 chains, of which t1..t7 can extend (t8's
+  // only candidate is t1, whose smaller thread id §2.2.3 rejects).
+  // MaxChains = 3 commits the first three extensions, and the fourth
+  // *attempt* aborts the level: the cut chain (t4's) and everything after
+  // it count as dropped.
   RelationBuilder B;
   for (uint64_t T = 1; T <= 8; ++T)
-    B.dep(T, {10 + T}, 10 + T + 1);
+    B.dep(T, {10 + T}, T == 8 ? 11 : 10 + T + 1);
   IGoodlockOptions Opts;
   Opts.MaxChains = 3;
   Opts.MaxCycleLength = 2; // one extension level, no cycles possible
@@ -305,8 +318,8 @@ TEST(IGoodlock, MaxChainsKeepsCyclesFoundBeforeAbort) {
   // extensions, so they never consume capacity).
   RelationBuilder B;
   B.dep(1, {10}, 11).dep(2, {11}, 10); // closes during the level-1 scan
-  for (uint64_t T = 3; T <= 6; ++T)    // chain fodder: t3->t4->t5->t6
-    B.dep(T, {20 + T}, 20 + T + 1);
+  for (uint64_t T = 3; T <= 6; ++T)    // chain fodder: the ring t3..t6,
+    B.dep(T, {20 + T}, T == 6 ? 23 : 20 + T + 1); // too long to close
   IGoodlockOptions Opts;
   Opts.MaxChains = 2;
   Opts.MaxCycleLength = 2;
@@ -315,6 +328,43 @@ TEST(IGoodlock, MaxChainsKeepsCyclesFoundBeforeAbort) {
   ASSERT_EQ(Cycles.size(), 1u);
   EXPECT_TRUE(Stats.Truncated);
   EXPECT_EQ(Stats.ChainsDropped, 2u);
+}
+
+TEST(IGoodlock, EntriesOffEveryLockCycleAreNeverChained) {
+  // A rank-ordered background (every acquire climbs l100..l103, and t24
+  // hangs l100 off cycle lock l1) lies on no lock-graph cycle, so none of
+  // it is chained. The cycles that remain: ABBA (t1, t2), a 3-cycle whose
+  // members all hold gate l9 (reported under KeepGuardedCycles), and a
+  // reader-writer cycle (t6 reads l6 then takes l7, t7 holds l7 and
+  // writes l6).
+  constexpr LockMode S = LockMode::Shared, X = LockMode::Exclusive;
+  RelationBuilder B;
+  B.dep(20, {100}, 101).dep(20, {101}, 102).dep(21, {100}, 102);
+  B.dep(21, {100, 101}, 103).dep(22, {101}, 103).dep(22, {102}, 103);
+  B.dep(23, {100}, 103).dep(24, {1}, 100);
+  B.dep(1, {1}, 2).dep(2, {2}, 1);
+  B.dep(3, {9, 3}, 4).dep(4, {9, 4}, 5).dep(5, {9, 5}, 3);
+  B.depModes(6, {{6, S}}, 7, X).depModes(7, {{7, X}}, 6, X);
+  IGoodlockOptions Opts;
+  Opts.KeepGuardedCycles = true;
+  IGoodlockStats Stats;
+  auto Cycles = B.run(Opts, &Stats);
+
+  std::vector<std::string> Got;
+  for (const AbstractCycle &C : Cycles) {
+    std::string Text;
+    for (const CycleComponent &Comp : C.Components)
+      Text += Comp.ThreadName + ":" + Comp.LockName + " ";
+    Got.push_back(Text);
+  }
+  EXPECT_EQ(Got, (std::vector<std::string>{"t1:l2 t2:l1 ", "t6:l7 t7:l6 ",
+                                           "t3:l4 t4:l5 t5:l3 "}));
+  EXPECT_EQ(Stats.Entries, 15u) << "|D| counts the pruned entries too";
+  // D_1 is the 7 cycle members; level 2 adds [t3,t4] and [t4,t5] (every
+  // other level-1 scan closes a cycle or meets a smaller head thread), and
+  // level 3 only closes the 3-cycle.
+  EXPECT_EQ(Stats.ChainsExplored, 7u + 2u);
+  EXPECT_FALSE(Stats.Truncated);
 }
 
 TEST(IGoodlock, UnderCapNothingDropped) {
