@@ -90,6 +90,32 @@ void BM_ModeActive(benchmark::State &State) {
 }
 BENCHMARK(BM_ModeActive)->Arg(2)->Arg(4);
 
+/// One Active run in which main spawns and joins N managed threads one after
+/// another, each taking one lock: the per-thread spawn, start handoff and
+/// join cost that BM_ModeActive mixes into its lock traffic.
+void BM_ManagedThreadSpawnJoin(benchmark::State &State) {
+  const auto Threads = static_cast<unsigned>(State.range(0));
+  for (auto _ : State) {
+    Options Opts;
+    Opts.Mode = RunMode::Active;
+    Opts.Seed = 42;
+    SimpleRandomStrategy Strategy;
+    Runtime RT(Opts, &Strategy);
+    ExecutionResult R = RT.run([Threads] {
+      Mutex M("spawn", DLF_SITE(), nullptr);
+      for (unsigned T = 0; T != Threads; ++T) {
+        Thread Worker(
+            [&M] { MutexGuard Guard(M, DLF_NAMED_SITE("micro/spawn")); },
+            "s", DLF_SITE());
+        Worker.join();
+      }
+    });
+    benchmark::DoNotOptimize(R.Steps);
+  }
+  State.SetItemsProcessed(State.iterations() * Threads);
+}
+BENCHMARK(BM_ManagedThreadSpawnJoin)->Arg(8)->Arg(32);
+
 /// Active mode with the metrics registry armed: bounds the telemetry cost
 /// (bulk end-of-run recording — the hot path itself only ever pays one
 /// relaxed load, in the disabled case too). Compare against BM_ModeActive;

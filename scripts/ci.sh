@@ -11,7 +11,12 @@
 # lane-wrap run (three pinned lanes on two CPUs still reproduce every
 # collections-lists cycle). Tier 1b (flake gate): the same suite 20 times back to
 # back under ctest -j, with no failure allowed — a test that fails one run
-# in twenty on a multi-core host is a bug, not noise. Tier 2: the same suite under ASan+UBSan
+# in twenty on a multi-core host is a bug, not noise. Tier 1c (paper
+# binaries): table1_main and fig2_variants three times each under a
+# timeout at DLF_BENCH_REPS=2 — both mix in-process Active runs with forked
+# baselines, so they fork after pooled OS threads exist; every run must
+# exit 0, and Table 1 must report zero cycles on the deadlock-free rows.
+# Tier 2: the same suite under ASan+UBSan
 # (DLF_SANITIZE=address), which is how the sandbox/journal/pool code gets
 # its memory-error coverage. Tier 2b: the runtime, scheduler and campaign
 # suites under ThreadSanitizer (DLF_SANITIZE=thread) — the code that
@@ -19,7 +24,9 @@
 # times slower, so those tiers use a reduced per-test timeout rather than
 # the suite default. Tier 3 (bench smoke): builds the micro-benchmark
 # binaries and runs one short closure case so bench-code rot is caught
-# here, not when someone finally reruns scripts/bench.sh; it then grades
+# here, not when someone finally reruns scripts/bench.sh, and compares the
+# scheduler micro binary with itself through scripts/bench_compare.sh,
+# which must flag nothing; it then grades
 # the analyze-tangle trace at ten fixed seeds and checks the verdict
 # counts the generator plants (plus default mode's cycle-spec set and its
 # exact closure chain count), and runs the preload-lockstorm workload
@@ -153,6 +160,30 @@ for RUN in $(seq 1 20); do
 done
 rm -f "$FLAKELOG"
 
+echo "== tier 1c: paper binaries (Table 1, Figure 2) =="
+cmake --build build -j "$JOBS" --target table1_main fig2_variants
+PAPERDIR="$(mktemp -d)"
+FREE_ROWS="$(build/src/dlf-run --list |
+  awk -F'|' '/deadlock-free/ { gsub(/ /, "", $2); print $2 }')"
+for RUN in 1 2 3; do
+  for BIN in table1_main fig2_variants; do
+    DLF_BENCH_REPS=2 timeout 120 "build/bench/$BIN" \
+      > "$PAPERDIR/$BIN.$RUN.out" 2>&1 \
+      || { cat "$PAPERDIR/$BIN.$RUN.out"
+           echo "$BIN run $RUN failed or hung"; exit 1; }
+  done
+  for ROW in $FREE_ROWS; do
+    # Columns: Benchmark, Normal, Phase1, Phase2, iGoodlock, Confirmed.
+    awk -F'|' -v Row="$ROW" '{ gsub(/ /, "") } $2 == Row { Seen = 1
+           if ($6 != 0 || $7 != 0) Bad = 1 }
+         END { exit !(Seen && !Bad) }' "$PAPERDIR/table1_main.$RUN.out" \
+      || { echo "table1_main run $RUN: cycles on deadlock-free row $ROW"
+           exit 1; }
+  done
+done
+rm -rf "$PAPERDIR"
+echo "== paper binaries: 3 runs each, deadlock-free rows clean =="
+
 echo "== tier 2: ASan+UBSan build + full test suite =="
 cmake -B build-asan -S . -DDLF_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
@@ -200,6 +231,11 @@ build/bench/micro_analysis \
   --benchmark_filter='BM_GuardPrune' --benchmark_min_time=0.02
 build/bench/micro_predict \
   --benchmark_filter='BM_PredictLinear/256' --benchmark_min_time=0.02
+# A binary compared with itself must show no change beyond the noise.
+scripts/bench_compare.sh build/bench/micro_scheduler \
+  build/bench/micro_scheduler 'BM_ManagedThreadSpawnJoin/8' 3 0.02 |
+  tee /dev/stderr | tail -n 1 | grep -q '^0 of ' \
+  || { echo "bench_compare flagged a binary against itself"; exit 1; }
 # Verdict check: the analyze-tangle trace at ten fixed seeds must grade
 # as constructed: 14 cycles, 6 PREDICTED-SOUND, 4 guarded, 4 hb-ordered.
 # Default mode must report the same cycle-spec set, and its closure must

@@ -2,6 +2,7 @@
 
 #include "campaign/ProcessSandbox.h"
 
+#include "runtime/ThreadPool.h"
 #include "support/Retry.h"
 
 #include <algorithm>
@@ -263,7 +264,9 @@ bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
     } catch (...) {
       Code = ExceptionExitCode;
     }
-    // _exit: no atexit handlers, no flushes of parent-inherited state.
+    // _exit: no atexit handlers, no flushes of parent-inherited state. The
+    // parked OS threads of the managed threads the child ran go first.
+    retireIdlePooledThreads();
     _exit(Code);
   }
 

@@ -333,10 +333,11 @@ ExecutionResult Runtime::run(const std::function<void()> &Entry) {
 
   case RunMode::Active: {
     // One managed thread runs at a time, so the execution stays on the CPU
-    // it starts on: managed threads inherit the pin from this thread, and
+    // it starts on: managed threads' pooled OS threads adopt this CPU, and
     // no token handoff crosses cores. Record and Passthrough stay unpinned
     // because they claim real concurrency.
     CpuPin Pin;
+    Cpu = Pin.cpu();
     Scheduler S(*this, Opts, *Strat, Recorder);
     Sched = &S;
     ThreadRecord &Main = createThreadRecord(

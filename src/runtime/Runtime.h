@@ -115,6 +115,9 @@ public:
   AbstractionEngine &abstractions() { return Engine; }
   /// Non-null only while an Active-mode run() is in flight.
   Scheduler *scheduler() { return Sched; }
+  /// The CPU an in-flight Active-mode run is pinned to (its managed threads
+  /// run there too), or -1.
+  int cpu() const { return Cpu; }
   /// Cycles the avoidance extension must keep infeasible; may be null.
   const std::vector<CycleSpec> *avoidSpecs() const { return Avoid; }
 
@@ -175,6 +178,7 @@ private:
   uint64_t AcquireEvents = 0;
 
   Scheduler *Sched = nullptr;
+  int Cpu = -1;
   bool Ran = false;
 };
 

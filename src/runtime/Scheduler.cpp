@@ -49,6 +49,17 @@ bool Scheduler::aborted() const {
   return AbortFlag;
 }
 
+template <typename Pred>
+void Scheduler::parkUntil(std::unique_lock<std::mutex> &Lk, ThreadId Self,
+                          Pred Ready) {
+  while (!Ready()) {
+    WakeWord &Mine = wakeOf(Self);
+    Lk.unlock();
+    Mine.acquire();
+    Lk.lock();
+  }
+}
+
 void Scheduler::adoptMainThread(ThreadRecord &Main) {
   std::lock_guard<std::mutex> Guard(Mu);
   Main.State = ThreadState::Running;
@@ -58,8 +69,7 @@ void Scheduler::adoptMainThread(ThreadRecord &Main) {
 
 void Scheduler::threadBodyBegin(ThreadRecord &Self) {
   std::unique_lock<std::mutex> Lk(Mu);
-  wakeOf(Self.Id).wait(Lk,
-                       [&] { return AbortFlag || RunningId == Self.Id; });
+  parkUntil(Lk, Self.Id, [&] { return AbortFlag || RunningId == Self.Id; });
   if (AbortFlag)
     throw ExecutionAborted();
   assert(Self.State == ThreadState::Running && "token without Running state");
@@ -88,11 +98,15 @@ void Scheduler::threadBodyEnd(ThreadRecord &Self) {
   Self.LockStack.clear();
 
   // Teardown needs no scheduling (abortAll already woke everyone). A
-  // normal exit hands the token on; pickLoop wakes whoever gets it, or
-  // everyone once no thread is left.
+  // normal exit hands the token on and wakes whoever gets it (pickLoop
+  // wakes everyone once no thread is left).
   if (!AbortFlag && HadToken) {
     RunningId = ThreadId();
     pickLoop();
+    if (WakeWord *Next = grantedWake(Self.Id)) {
+      Lk.unlock();
+      Next->release();
+    }
   }
 }
 
@@ -101,7 +115,7 @@ void Scheduler::mainThreadDone(ThreadRecord &Main) {
   std::unique_lock<std::mutex> Lk(Mu);
   // Main is finished, so it is never picked again: its wake word only
   // fires once the run completes or aborts.
-  wakeOf(Main.Id).wait(Lk, [&] { return Done; });
+  parkUntil(Lk, Main.Id, [&] { return Done; });
   // All managed threads are finished (or unwinding past their last
   // scheduling point); OS-level joins happen in dlf::Thread.
 }
@@ -236,8 +250,16 @@ void Scheduler::announceAndWait(ThreadRecord &Self, PendingOp Op,
   Self.YieldsRemaining = 0;
   RunningId = ThreadId();
   pickLoop();
-  wakeOf(Self.Id).wait(Lk,
-                       [&] { return AbortFlag || RunningId == Self.Id; });
+  if (WakeWord *Next = grantedWake(Self.Id)) {
+    // Self cannot hold the token until Next passes it on, so it parks
+    // straight after the post; the post of its own grant may land first.
+    WakeWord &Mine = wakeOf(Self.Id);
+    Lk.unlock();
+    Next->release();
+    Mine.acquire();
+    Lk.lock();
+  }
+  parkUntil(Lk, Self.Id, [&] { return AbortFlag || RunningId == Self.Id; });
   if (AbortFlag) {
     if (NoThrowOnAbort)
       return;
@@ -323,7 +345,12 @@ void Scheduler::giveToken(ThreadRecord &T) {
   T.State = ThreadState::Running;
   T.Pending = PendingOp();
   RunningId = T.Id;
-  wakeOf(T.Id).notify_one();
+}
+
+Scheduler::WakeWord *Scheduler::grantedWake(ThreadId Self) {
+  if (AbortFlag || Done || !RunningId.isValid() || RunningId == Self)
+    return nullptr;
+  return &wakeOf(RunningId);
 }
 
 void Scheduler::abortAll() {
@@ -332,16 +359,16 @@ void Scheduler::abortAll() {
   wakeAll();
 }
 
-std::condition_variable &Scheduler::wakeOf(ThreadId Id) {
+Scheduler::WakeWord &Scheduler::wakeOf(ThreadId Id) {
   assert(Id.isValid() && "wake word of an invalid thread");
   while (Wakes.size() < Id.Raw)
-    Wakes.emplace_back();
+    Wakes.emplace_back(0);
   return Wakes[Id.Raw - 1];
 }
 
 void Scheduler::wakeAll() {
-  for (std::condition_variable &W : Wakes)
-    W.notify_all();
+  for (WakeWord &W : Wakes)
+    W.release();
 }
 
 std::optional<DeadlockWitness>

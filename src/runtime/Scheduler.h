@@ -5,16 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The active scheduler: real std::threads executing user code one at a
-/// time, serialized by token passing at synchronization events. This is the
+/// The active scheduler: managed threads, each on a pooled OS thread,
+/// executing user code one at a time, serialized by token passing at
+/// synchronization events. This is the
 /// C++ analogue of how CalFuzzer serializes the JVM: at every Acquire /
 /// Release / join / yield point the running thread publishes its pending
 /// operation and hands control to the scheduling loop, which consults the
 /// SchedulerStrategy to pick the next thread (Algorithms 2 and 3 of the
 /// paper) and commits that thread's operation against the modeled lock
 /// state. The handoff is direct: every managed thread parks on its own wake
-/// word, and granting the token wakes exactly the chosen thread (CalFuzzer
-/// parks each JVM thread on its own semaphore the same way). Only run
+/// word, a counting semaphore, and granting the token wakes exactly the
+/// chosen thread (CalFuzzer parks each JVM thread on its own semaphore the
+/// same way). The granting thread posts that word after it drops the
+/// scheduler lock, so the woken thread never wakes only to block on it; a
+/// post that lands before its target parks is kept by the count. Only run
 /// completion and teardown wake everyone.
 ///
 /// Because lock state is modeled here rather than delegated to the OS, the
@@ -44,9 +48,9 @@
 #include "runtime/Strategy.h"
 #include "support/Rng.h"
 
-#include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <semaphore>
 #include <vector>
 
 namespace dlf {
@@ -132,12 +136,29 @@ public:
   ExecutionResult takeResult() { return std::move(Result); }
 
 private:
+  /// A managed thread's wake word: posted once per token grant to it (and
+  /// once more at run completion or teardown).
+  using WakeWord = std::counting_semaphore<>;
+
   /// Publishes \p Op for \p Self, runs the pick loop, and blocks until the
   /// scheduler hands the token back to Self (its op committed). With
   /// \p NoThrowOnAbort the call returns silently instead of throwing when
   /// the run is torn down (used on unwind paths).
   void announceAndWait(ThreadRecord &Self, PendingOp Op,
                        bool NoThrowOnAbort = false);
+
+  /// The wake word of the thread pickLoop just granted the token to, or
+  /// null when the token stayed with \p Self or the run ended. Taken under
+  /// Mu and posted after Mu is dropped.
+  WakeWord *grantedWake(ThreadId Self);
+
+  /// Parks \p Self on its wake word until \p Ready holds. \p Lk holds Mu
+  /// on entry and on return; \p Ready is checked under Mu before every
+  /// park, so a thread whose condition already holds (a self-grant, an
+  /// aborted run) never parks.
+  template <typename Pred>
+  void parkUntil(std::unique_lock<std::mutex> &Lk, ThreadId Self,
+                 Pred Ready);
 
   /// The scheduling loop (runs under Mu in whichever thread gave up the
   /// token): repeatedly picks a schedulable thread and commits its pending
@@ -180,15 +201,16 @@ private:
   /// monitor).
   void runLivelockMonitor();
 
-  /// Grants the token to \p T and wakes it, and only it.
+  /// Grants the token to \p T. The thread that ran the pick loop wakes T
+  /// once it drops Mu (grantedWake).
   void giveToken(ThreadRecord &T);
 
   /// Tears the run down: sets the abort flag and wakes everyone.
   void abortAll();
 
-  /// The wake word thread \p Id parks on (under Mu) while it waits for the
-  /// token or, for main, for the run to end. Created on first use.
-  std::condition_variable &wakeOf(ThreadId Id);
+  /// The wake word thread \p Id parks on while it waits for the token or,
+  /// for main, for the run to end. Created on first use, under Mu.
+  WakeWord &wakeOf(ThreadId Id);
 
   /// Wakes every parked thread: run completion and teardown.
   void wakeAll();
@@ -206,9 +228,10 @@ private:
 
   mutable std::mutex Mu;
   /// One wake word per managed thread, indexed by ThreadId (a deque keeps
-  /// their addresses stable as threads register). They live here, not in
-  /// ThreadRecord, because records are copied by value elsewhere.
-  std::deque<std::condition_variable> Wakes;
+  /// their addresses stable as threads register, so a word is posted
+  /// outside Mu). They live here, not in ThreadRecord, because records are
+  /// copied by value elsewhere.
+  std::deque<WakeWord> Wakes;
 
   ThreadId RunningId; ///< current token holder; invalid inside pickLoop
   bool AbortFlag = false;

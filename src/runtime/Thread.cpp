@@ -6,6 +6,7 @@
 #include "runtime/Records.h"
 #include "runtime/Runtime.h"
 #include "runtime/Scheduler.h"
+#include "runtime/ThreadPool.h"
 
 #include <cassert>
 #include <utility>
@@ -28,9 +29,13 @@ Thread::Thread(std::function<void()> Fn, const std::string &Name, Label Site,
   // commits that start. The creator keeps running: spawning is not a
   // scheduling point in the paper's model. Capture the runtime and record
   // by value: the Thread object itself may be moved while the body runs.
-  Os = std::thread([BoundRT = RT, BoundRec = Rec, Body = std::move(Fn)] {
+  auto Run = [BoundRT = RT, BoundRec = Rec, Body = std::move(Fn)] {
     body(*BoundRT, *BoundRec, Body);
-  });
+  };
+  if (RT->mode() == RunMode::Active)
+    Pooled = &startPooled(std::move(Run), RT->cpu());
+  else
+    Os = std::thread(std::move(Run));
 }
 
 void Thread::body(Runtime &RT, ThreadRecord &Rec,
@@ -54,8 +59,17 @@ void Thread::body(Runtime &RT, ThreadRecord &Rec,
   RT.setSelfRecord(nullptr);
 }
 
+void Thread::joinOs() {
+  if (Pooled) {
+    joinPooled(*Pooled);
+    Pooled = nullptr;
+  } else {
+    Os.join();
+  }
+}
+
 void Thread::join() {
-  if (!Os.joinable())
+  if (!joinable())
     return;
   if (RT && Rec && RT == Runtime::current() &&
       RT->mode() == RunMode::Active && RT->scheduler()) {
@@ -66,11 +80,11 @@ void Thread::join() {
     } catch (ExecutionAborted &) {
       // Complete the OS join before propagating so the object stays
       // destructible: the target unwinds promptly once the run is aborted.
-      Os.join();
+      joinOs();
       throw;
     }
   }
-  Os.join();
+  joinOs();
   // Join edge in Record mode (Active mode takes it at the Join commit).
   if (RT && Rec && RT == Runtime::current() &&
       RT->mode() == RunMode::Record)
@@ -78,7 +92,7 @@ void Thread::join() {
 }
 
 Thread::~Thread() {
-  if (!Os.joinable())
+  if (!joinable())
     return;
   try {
     join();
@@ -88,19 +102,23 @@ Thread::~Thread() {
 }
 
 Thread::Thread(Thread &&Other) noexcept
-    : RT(Other.RT), Rec(Other.Rec), Os(std::move(Other.Os)) {
+    : RT(Other.RT), Rec(Other.Rec), Pooled(Other.Pooled),
+      Os(std::move(Other.Os)) {
   Other.RT = nullptr;
   Other.Rec = nullptr;
+  Other.Pooled = nullptr;
 }
 
 Thread &Thread::operator=(Thread &&Other) noexcept {
   if (this == &Other)
     return *this;
-  assert(!Os.joinable() && "assigning over a joinable thread");
+  assert(!joinable() && "assigning over a joinable thread");
   RT = Other.RT;
   Rec = Other.Rec;
+  Pooled = Other.Pooled;
   Os = std::move(Other.Os);
   Other.RT = nullptr;
   Other.Rec = nullptr;
+  Other.Pooled = nullptr;
   return *this;
 }

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The instrumented thread primitive. A dlf::Thread is a real std::thread
-/// whose creation is a `new` event (giving the thread object its §2.4
-/// abstractions, computed by the *creating* thread) and whose body is a
-/// managed participant of the active scheduler. Join is a scheduling point:
-/// the joining thread is disabled until the target finishes, matching the
-/// paper's Enabled(s) definition.
+/// The instrumented thread primitive. A dlf::Thread runs on a pooled OS
+/// thread in Active mode (runtime/ThreadPool.h) and on a std::thread of its
+/// own in Record and Passthrough mode, which claim real concurrency and
+/// real spawn timing. Its creation is a `new` event (giving the thread
+/// object its §2.4 abstractions, computed by the *creating* thread) and its
+/// body is a managed participant of the active scheduler. Join is a
+/// scheduling point: the joining thread is disabled until the target
+/// finishes, matching the paper's Enabled(s) definition.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,10 +28,12 @@
 namespace dlf {
 
 class Runtime;
+struct PooledThread;
 struct ThreadRecord;
 
 /// An instrumented thread. Move-only; joins on destruction if still
-/// joinable (managed join first, then the OS join).
+/// joinable (managed join first, then the OS join: the pooled thread's
+/// done signal in Active mode).
 class Thread {
 public:
   Thread() = default;
@@ -53,7 +57,7 @@ public:
   /// destroy).
   void join();
 
-  bool joinable() const { return Os.joinable(); }
+  bool joinable() const { return Pooled || Os.joinable(); }
 
   /// The analysis record, when managed (tests / reports).
   const ThreadRecord *record() const { return Rec; }
@@ -62,9 +66,13 @@ private:
   static void body(Runtime &RT, ThreadRecord &Rec,
                    const std::function<void()> &Fn);
 
+  /// Waits for the OS thread: the pooled thread's body or the std::thread.
+  void joinOs();
+
   Runtime *RT = nullptr;
   ThreadRecord *Rec = nullptr;
-  std::thread Os;
+  PooledThread *Pooled = nullptr; ///< Active mode
+  std::thread Os;                 ///< Record and Passthrough mode
 };
 
 } // namespace dlf

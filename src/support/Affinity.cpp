@@ -35,13 +35,19 @@ void pinCallingThread(int Cpu) {
 
 CpuPin::CpuPin() {
   CPU_ZERO(&Saved);
-  if (sched_getaffinity(0, sizeof Saved, &Saved) != 0 ||
-      CPU_COUNT(&Saved) <= 1)
+  if (sched_getaffinity(0, sizeof Saved, &Saved) != 0)
     return;
-  int Cpu = sched_getcpu();
-  if (Cpu < 0)
+  if (CPU_COUNT(&Saved) <= 1) {
+    for (int Only = 0; Only != CPU_SETSIZE && Cpu < 0; ++Only)
+      if (CPU_ISSET(Only, &Saved))
+        Cpu = Only;
     return;
-  pinCallingThread(Cpu);
+  }
+  int Now = sched_getcpu();
+  if (Now < 0)
+    return;
+  pinCallingThread(Now);
+  Cpu = Now;
   Restore = true;
 }
 

@@ -7,12 +7,18 @@
 #include "runtime/Runtime.h"
 #include "runtime/RwLock.h"
 #include "runtime/Thread.h"
+#include "runtime/ThreadPool.h"
 #include "support/Affinity.h"
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -527,6 +533,113 @@ TEST(CpuPinning, LaneCpuWrapsUnderATwoCpuMask) {
   EXPECT_EQ(Seen, (std::vector<int>{Host[0], Host[1]}));
   EXPECT_EQ(Lanes, (std::vector<int>{Host[0], Host[1], Host[0]}));
   EXPECT_EQ(Pinned, (std::vector<int>{Host[0]}));
+}
+
+// -- Pooled OS threads -------------------------------------------------------------
+
+/// An Active run of \p Threads managed threads that each take one lock and
+/// note their OS thread and CPU. Returns whether the run completed.
+bool runPooled(size_t Threads, std::vector<std::thread::id> *Ids = nullptr,
+               std::vector<int> *Cpus = nullptr) {
+  std::vector<std::thread::id> SeenIds(Threads);
+  std::vector<int> SeenCpus(Threads, -1);
+  ExecutionResult R = runActive([&] {
+    Mutex M("pooled", DLF_SITE());
+    std::vector<Thread> Workers;
+    for (size_t T = 0; T != Threads; ++T)
+      Workers.emplace_back(Thread([&, T] {
+        MutexGuard Guard(M, DLF_NAMED_SITE("pooled:body"));
+        SeenIds[T] = std::this_thread::get_id();
+        SeenCpus[T] = sched_getcpu();
+      }));
+    for (Thread &W : Workers)
+      W.join();
+  });
+  if (Ids)
+    *Ids = SeenIds;
+  if (Cpus)
+    *Cpus = SeenCpus;
+  return R.Completed;
+}
+
+TEST(ThreadPool, BackToBackRunsStartNoMoreWorkersThanTheirThreads) {
+  const size_t Before = pooledThreadsStarted();
+  for (int Run = 0; Run != 50; ++Run)
+    ASSERT_TRUE(runPooled(2)) << "run " << Run;
+  EXPECT_LE(pooledThreadsStarted() - Before, 2u);
+}
+
+TEST(ThreadPool, WorkerIsReusedAfterItsBodyUnwoundWithAbort) {
+  std::thread::id Spinner;
+  Options Opts;
+  Opts.Mode = RunMode::Active;
+  Opts.MaxSteps = 200;
+  SimpleRandomStrategy Strategy;
+  Runtime RT(Opts, &Strategy);
+  ExecutionResult R = RT.run([&] {
+    Thread T([&] {
+      Spinner = std::this_thread::get_id();
+      Mutex M("spin", DLF_SITE());
+      for (;;) {
+        MutexGuard Guard(M, DLF_NAMED_SITE("pool:spin"));
+        yieldNow();
+      }
+    });
+    T.join();
+  });
+  ASSERT_TRUE(R.LivelockAborted);
+
+  const size_t Before = pooledThreadsStarted();
+  std::vector<std::thread::id> Ids;
+  ASSERT_TRUE(runPooled(1, &Ids));
+  EXPECT_EQ(pooledThreadsStarted(), Before) << "started a fresh worker";
+  EXPECT_EQ(Ids[0], Spinner) << "the last parked worker is taken first";
+}
+
+TEST(ThreadPool, ReusedWorkerRunsOnTheNewRunsCpu) {
+  const std::vector<int> Host = allowedCpus();
+  if (Host.size() < 2)
+    GTEST_SKIP() << "needs two allowed CPUs";
+  // Each run starts on a scratch thread confined to one CPU, so the run
+  // (and every body it posts) belongs on that CPU.
+  auto RunOn = [](int Cpu, std::vector<int> &Cpus) {
+    bool Completed = false;
+    std::thread([&] {
+      pinCallingThread(Cpu);
+      Completed = runPooled(1, nullptr, &Cpus);
+    }).join();
+    return Completed;
+  };
+  std::vector<int> First, Second;
+  ASSERT_TRUE(RunOn(Host[0], First));
+  const size_t Before = pooledThreadsStarted();
+  ASSERT_TRUE(RunOn(Host[1], Second));
+  EXPECT_EQ(pooledThreadsStarted(), Before) << "started a fresh worker";
+  EXPECT_EQ(First[0], Host[0]);
+  EXPECT_EQ(Second[0], Host[1]) << "the reused worker kept its old CPU";
+}
+
+TEST(ThreadPool, ForkedChildRunsManagedThreadsAfterTheParentPooled) {
+  ASSERT_TRUE(runPooled(2)); // leaves two parked workers behind
+  pid_t Child = fork();
+  ASSERT_GE(Child, 0);
+  if (Child == 0)
+    _exit(runPooled(2) ? 0 : 1);
+  int Status = 0;
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  pid_t Reaped = 0;
+  while ((Reaped = waitpid(Child, &Status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  if (Reaped == 0) {
+    kill(Child, SIGKILL);
+    waitpid(Child, &Status, 0);
+    FAIL() << "the forked child's run hung";
+  }
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0);
+  // The parent's own runs still work after the fork.
+  EXPECT_TRUE(runPooled(2));
 }
 
 TEST(YieldNow, OutsideRuntimeIsANoOpHint) {

@@ -110,6 +110,23 @@ TEST(SchedulerLivelock, MaxStepsAborts) {
   EXPECT_TRUE(R.LivelockAborted);
 }
 
+TEST(SchedulerLivelock, LoneThreadAbortReturnsAtOnce) {
+  // Main is the only thread, so no other thread ever creates or posts its
+  // wake word: the abort path must see the flag before parking.
+  Options Opts;
+  Opts.Mode = RunMode::Active;
+  Opts.MaxSteps = 50;
+  SimpleRandomStrategy Strategy;
+  Runtime RT(Opts, &Strategy);
+  ExecutionResult R = RT.run([] {
+    Mutex M("lone", DLF_SITE());
+    for (;;)
+      MutexGuard Guard(M, DLF_NAMED_SITE("lone:acq"));
+  });
+  EXPECT_TRUE(R.LivelockAborted);
+  EXPECT_LT(R.WallMs, 2000.0);
+}
+
 TEST(SchedulerLivelock, WallClockFallbackRescuesPausedThread) {
   // A peer spending real time between scheduling points commits no steps,
   // so the step-count bound alone (here effectively disabled) would leave
