@@ -95,12 +95,10 @@ int main() {
                          2)});
   Out.print(std::cout);
 
-  unsigned Hung = 0;
   constexpr unsigned ControlRuns = 50;
-  for (unsigned I = 0; I != ControlRuns; ++I)
-    if (runForkedWithTimeout([] { figure1Program(false); },
-                             /*TimeoutMs=*/2000) == ForkedOutcome::Hung)
-      ++Hung;
+  const unsigned Hung = runForkedRuns([] { figure1Program(false); },
+                                      ControlRuns, /*TimeoutMs=*/2000)
+                            .Hung;
   std::cout << "\ncontrol: uninstrumented deadlocks " << Hung << "/"
             << ControlRuns << "\n";
   std::cout << "\nPaper reference (§3): with abstractions the deadlock is "

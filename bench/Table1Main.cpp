@@ -18,8 +18,8 @@
 // out of the Normal ms average.
 //
 // Knobs: DLF_BENCH_REPS (Phase II repetitions per cycle; paper used 100,
-// default 20), DLF_BENCH_NORMAL_RUNS (control runs, default 20),
-// DLF_BENCH_TIMEOUT_MS (baseline and control watchdog, default 5000).
+// default 20), DLF_BENCH_NORMAL_RUNS (control runs, default 20). The
+// baseline and control runs each get a 5000 ms watchdog.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +37,7 @@ int main() {
       static_cast<unsigned>(envUInt("DLF_BENCH_REPS", 20));
   const unsigned NormalRuns =
       static_cast<unsigned>(envUInt("DLF_BENCH_NORMAL_RUNS", 20));
-  const uint64_t TimeoutMs = envUInt("DLF_BENCH_TIMEOUT_MS", 5000);
+  constexpr uint64_t TimeoutMs = 5000;
 
   std::cout << "Table 1: two-phase results per benchmark (reps=" << Reps
             << ", control runs=" << NormalRuns << ")\n\n";
@@ -87,10 +87,7 @@ int main() {
     unsigned UninstrumentedRuns = BaselineRuns;
     if (!Info.DeadlockFree) {
       UninstrumentedRuns += NormalRuns;
-      for (unsigned I = 0; I != NormalRuns; ++I)
-        if (runForkedWithTimeout(Info.Entry, TimeoutMs) ==
-            ForkedOutcome::Hung)
-          ++Hung;
+      Hung += runForkedRuns(Info.Entry, NormalRuns, TimeoutMs).Hung;
     }
 
     Out.addRow({Info.Name,

@@ -89,11 +89,8 @@ int main() {
   }
 
   std::cout << "\n== Control: 20 uninstrumented runs ==\n";
-  unsigned Hangs = 0;
-  for (int I = 0; I != 20; ++I)
-    if (runForkedWithTimeout(figure1Program, /*TimeoutMs=*/2000) ==
-        ForkedOutcome::Hung)
-      ++Hangs;
+  const unsigned Hangs =
+      runForkedRuns(figure1Program, 20, /*TimeoutMs=*/2000).Hung;
   std::cout << "deadlocks under normal testing: " << Hangs << "/20\n";
   return 0;
 }

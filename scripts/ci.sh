@@ -15,7 +15,9 @@
 # binaries): table1_main and fig2_variants three times each under a
 # timeout at DLF_BENCH_REPS=2 — both mix in-process Active runs with forked
 # baselines, so they fork after pooled OS threads exist; every run must
-# exit 0, and Table 1 must report zero cycles on the deadlock-free rows.
+# exit 0, and Table 1 must report zero cycles on the deadlock-free rows;
+# then the other two runForkedRuns callers, fig1_example's control and
+# dlf-run --normal, must exit 0 and print their summary lines.
 # Tier 2: the same suite under ASan+UBSan
 # (DLF_SANITIZE=address), which is how the sandbox/journal/pool code gets
 # its memory-error coverage. Tier 2b: the runtime, scheduler and campaign
@@ -182,6 +184,14 @@ for RUN in 1 2 3; do
   done
 done
 rm -rf "$PAPERDIR"
+# The uninstrumented control runs: N runs share one watchdogged child.
+cmake --build build -j "$JOBS" --target fig1_example
+DLF_BENCH_REPS=2 timeout 60 build/bench/fig1_example \
+  | grep -E '^control: uninstrumented deadlocks [0-9]+/50$' \
+  || { echo "fig1_example: no control line"; exit 1; }
+timeout 60 build/src/dlf-run collections-maps --normal 20 \
+  | grep -E '^uninstrumented runs: 20, deadlocked: [0-9]+$' \
+  || { echo "dlf-run --normal: no summary line"; exit 1; }
 echo "== paper binaries: 3 runs each, deadlock-free rows clean =="
 
 echo "== tier 2: ASan+UBSan build + full test suite =="

@@ -469,13 +469,11 @@ CampaignRunner::CampaignRunner(CampaignConfig Config)
     : Config(std::move(Config)) {}
 
 uint64_t CampaignRunner::runTimeoutMs() const {
-  return Config.RunTimeoutMs ? Config.RunTimeoutMs
-                             : Config.Tester.Base.WatchdogMs;
+  return Config.RunTimeoutMs ? Config.RunTimeoutMs : SandboxLimits{}.TimeoutMs;
 }
 
 uint64_t CampaignRunner::graceMs() const {
-  return Config.GraceMs ? Config.GraceMs
-                        : Config.Tester.Base.WatchdogGraceMs;
+  return Config.GraceMs ? Config.GraceMs : SandboxLimits{}.GraceMs;
 }
 
 SandboxLimits CampaignRunner::childLimits() const {
@@ -1024,7 +1022,7 @@ void CampaignRunner::runPhaseTwo(
           }
           return 0;
         },
-        childLimits(), /*Framed=*/true);
+        childLimits());
     Flight[Ticket] = std::move(FI);
     ++Report.PhaseTwoChildren;
     // Counted at launch: operational, like worker restarts — not

@@ -83,7 +83,7 @@ enum class RunClass {
   Hung,          ///< watchdog expired (even after retries)
   CrashedSignal, ///< child died on a signal
   CrashedExit,   ///< child exited nonzero or broke the result protocol
-  OutOfMemory,   ///< child exceeded the address-space cap
+  OutOfMemory,   ///< std::bad_alloc escaped the child
 };
 
 /// Returns a stable short name ("reproduced", "crashed-signal", ...) used
@@ -121,8 +121,8 @@ const char *phase1EngineName(Phase1Engine E);
 /// Parses a phase1EngineName back; returns false for unknown names.
 bool phase1EngineFromName(const std::string &Name, Phase1Engine &Out);
 
-/// Campaign configuration. Sandbox and retry knobs default from
-/// Options::WatchdogMs / WatchdogGraceMs via the ActiveTesterConfig.
+/// Campaign configuration. A 0 watchdog or grace takes SandboxLimits{}'s
+/// default (10 000 / 500 ms).
 struct CampaignConfig {
   /// Registry name of the workload; part of the journal fingerprint so a
   /// journal cannot silently resume a different campaign.
@@ -131,11 +131,11 @@ struct CampaignConfig {
   Program Entry;
   ActiveTesterConfig Tester;
 
-  /// Wall-clock watchdog per repetition (0: use Tester.Base.WatchdogMs).
+  /// Wall-clock watchdog per repetition (0: SandboxLimits{}.TimeoutMs).
   /// A batch child's watchdog restarts at every repetition's frame.
   uint64_t RunTimeoutMs = 0;
 
-  /// SIGTERM -> SIGKILL grace (0: use Tester.Base.WatchdogGraceMs).
+  /// SIGTERM -> SIGKILL grace (0: SandboxLimits{}.GraceMs).
   uint64_t GraceMs = 0;
 
   /// Supervised restarts per repetition for transient failures (hung /

@@ -64,7 +64,7 @@ std::string SandboxResult::triage() const {
        << (TermEscalated ? " (SIGTERM ignored; escalated to SIGKILL)" : "");
     break;
   case SandboxStatus::OutOfMemory:
-    OS << "oom: allocation past the address-space cap";
+    OS << "oom: std::bad_alloc escaped the child";
     break;
   case SandboxStatus::ForkFailed:
     OS << "fork failed";
@@ -82,13 +82,6 @@ namespace {
 /// the reaped child's CPU time for the throughput report.
 pid_t wait4EintrSafe(pid_t Pid, int *Status, int Flags, struct rusage *RU) {
   return retryEintr([&] { return wait4(Pid, Status, Flags, RU); });
-}
-
-void applyRlimit(int Resource, uint64_t Value) {
-  struct rlimit Lim;
-  Lim.rlim_cur = Value;
-  Lim.rlim_max = Value;
-  setrlimit(Resource, &Lim); // best-effort: a refused cap is not fatal
 }
 
 double rusageCpuMs(const struct rusage &RU) {
@@ -142,10 +135,9 @@ void SandboxProcess::FrameReader::feed(const char *Data, size_t Size) {
   }
 }
 
-/// Accumulates up to Cap bytes from Fd into Out (or hands every byte to
-/// Frames); beyond the cap, for the payload pipe excess is read and
-/// discarded (so the child never blocks on a full pipe), and for the
-/// stderr pipe only the tail is kept.
+/// Reads Fd until it would block, so the child never blocks on a full
+/// pipe: the FrameReader caps each frame, and the stderr tail keeps its
+/// last Cap bytes.
 void SandboxProcess::Drain::pump() {
   if (Fd < 0 || Eof)
     return;
@@ -157,13 +149,9 @@ void SandboxProcess::Drain::pump() {
       continue;
     }
     if (N > 0) {
-      Out->append(Buf, static_cast<size_t>(N));
-      if (Out->size() > Cap) {
-        if (KeepTail)
-          Out->erase(0, Out->size() - Cap);
-        else
-          Out->resize(Cap);
-      }
+      Tail->append(Buf, static_cast<size_t>(N));
+      if (Tail->size() > Cap)
+        Tail->erase(0, Tail->size() - Cap);
       continue;
     }
     if (N == 0) {
@@ -200,7 +188,7 @@ void SandboxProcess::closePipes() {
 }
 
 bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
-                           const SandboxLimits &L, bool Framed) {
+                           const SandboxLimits &L) {
   Limits = L;
   int PayloadPipe[2] = {-1, -1};
   int StderrPipe[2] = {-1, -1};
@@ -231,8 +219,7 @@ bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
 
   if (Child == 0) {
     // Child. Restore default signal dispositions (the campaign runner may
-    // have a SIGINT handler armed) and apply the resource caps before any
-    // user code runs.
+    // have a SIGINT handler armed) before any user code runs.
     signal(SIGTERM, SIG_DFL);
     signal(SIGINT, SIG_DFL);
 #ifdef __linux__
@@ -251,10 +238,6 @@ bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
       dup2(StderrPipe[1], STDERR_FILENO);
       close(StderrPipe[1]);
     }
-    if (Limits.CpuSeconds)
-      applyRlimit(RLIMIT_CPU, Limits.CpuSeconds);
-    if (Limits.AddressSpaceMb)
-      applyRlimit(RLIMIT_AS, Limits.AddressSpaceMb * 1024 * 1024);
 
     int Code;
     try {
@@ -283,10 +266,9 @@ bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
     fcntl(StderrFd, F_SETFL, O_NONBLOCK);
 
   Frames.Cap = Limits.MaxPayloadBytes;
-  PayloadDrain = {PayloadFd, &Result.Payload, Framed ? &Frames : nullptr,
-                  Limits.MaxPayloadBytes, /*KeepTail=*/false, /*Eof=*/false};
-  StderrDrain = {StderrFd, &Result.StderrTail, nullptr, Limits.MaxStderrBytes,
-                 /*KeepTail=*/true, /*Eof=*/false};
+  PayloadDrain = {PayloadFd, &Frames, nullptr, 0, /*Eof=*/false};
+  StderrDrain = {StderrFd, nullptr, &Result.StderrTail, Limits.MaxStderrBytes,
+                 /*Eof=*/false};
   return true;
 }
 
@@ -318,12 +300,9 @@ void SandboxProcess::finalize(int Status) {
     Result.TermSignal = WTERMSIG(Status);
     // A SIGTERM/SIGKILL death after our watchdog fired is a hang; any
     // other signal (or a signal before the timeout) is the child's own
-    // crash. SIGXCPU from the RLIMIT_CPU cap counts as a hang too: the
-    // child was spinning.
+    // crash.
     if (TimedOut &&
         (Result.TermSignal == SIGTERM || Result.TermSignal == SIGKILL))
-      Result.Status = SandboxStatus::Hung;
-    else if (Result.TermSignal == SIGXCPU)
       Result.Status = SandboxStatus::Hung;
     else
       Result.Status = SandboxStatus::Signaled;
@@ -406,11 +385,11 @@ SandboxResult dlf::campaign::runInSandbox(
     const std::function<int(int PayloadFd)> &Fn, const SandboxLimits &Limits,
     const std::function<void(std::string Frame)> &OnFrame) {
   SandboxProcess P;
-  if (!P.start(Fn, Limits, /*Framed=*/static_cast<bool>(OnFrame)))
+  if (!P.start(Fn, Limits))
     return P.takeResult();
   auto HandFrames = [&] {
-    if (OnFrame)
-      for (std::string &Frame : P.takeFrames())
+    for (std::string &Frame : P.takeFrames())
+      if (OnFrame)
         OnFrame(std::move(Frame));
   };
   while (!P.poll()) {

@@ -11,14 +11,13 @@
 /// livelocked Active run can spin. Fork isolation turns each of those into
 /// a classified outcome instead of a hung or dead campaign.
 ///
-/// Guarantees the previous ad-hoc harness (runForkedWithTimeout) lacked:
+/// Guarantees:
 ///  * SIGTERM -> SIGKILL escalation with a grace period, so children that
 ///    can unwind do, and children that cannot are still collected,
 ///  * EINTR-safe waitpid loops and unconditional reaping (no zombies),
-///  * optional rlimit caps on CPU time and address space, with address-
-///    space exhaustion classified separately (the child maps bad_alloc to
-///    a reserved exit code),
-///  * a result pipe the child writes its payload to (drained concurrently,
+///  * a std::bad_alloc escaping the child classified apart from other
+///    failures (the child maps it to a reserved exit code),
+///  * a result pipe the child writes its frames to (drained concurrently,
 ///    so a full pipe can never wedge the child) and a bounded stderr
 ///    capture for crash triage.
 ///
@@ -27,11 +26,11 @@
 /// SandboxProcess (start / poll / reap), which the campaign WorkerPool
 /// uses to keep N children in flight from a single dispatch thread.
 ///
-/// A child that does several units of work in a row (a campaign lane's
-/// batch of repetitions) is started *framed*: it reports each unit as one
-/// writeFrame frame, the parent takes the frames as they complete, and the
-/// watchdog and the payload cap apply per frame, so a long batch of quick
-/// units is never mistaken for one hung unit.
+/// Every child is *framed*: it reports each unit of work it does (a
+/// campaign lane's repetition, Phase I's observation, one uninstrumented
+/// run) as one writeFrame frame, the parent takes the frames as they
+/// complete, and the watchdog and the payload cap apply per frame, so a
+/// long batch of quick units is never mistaken for one hung unit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,23 +58,15 @@ inline constexpr int ExceptionExitCode = 112; ///< any other exception escaped
 /// Resource caps and watchdog settings for one sandboxed run.
 struct SandboxLimits {
   /// Wall-clock watchdog; 0 disables (the child may then run forever).
-  /// For a framed child it restarts at every complete frame, so it bounds
-  /// one unit of work, not the child's whole life.
+  /// It restarts at every complete frame, so it bounds one unit of work,
+  /// not the child's whole life.
   uint64_t TimeoutMs = 10'000;
 
   /// Grace period between SIGTERM and SIGKILL when the watchdog fires.
   uint64_t GraceMs = 500;
 
-  /// RLIMIT_CPU in seconds; 0 inherits the parent's limit.
-  uint64_t CpuSeconds = 0;
-
-  /// RLIMIT_AS in MiB; 0 inherits. An allocation past this cap surfaces
-  /// as SandboxStatus::OutOfMemory.
-  uint64_t AddressSpaceMb = 0;
-
-  /// Upper bound on the payload the parent accumulates from the result
-  /// pipe, per frame for a framed child (excess is discarded, not blocked
-  /// on).
+  /// Upper bound on the bytes the parent keeps of one frame (excess is
+  /// read and discarded, not blocked on).
   size_t MaxPayloadBytes = 1 << 20;
 
   /// Capture the child's stderr (bounded tail) for crash triage.
@@ -91,7 +82,7 @@ enum class SandboxStatus {
   Exited,      ///< child exited nonzero (other than the reserved codes)
   Signaled,    ///< child was terminated by a signal it raised itself
   Hung,        ///< watchdog expired; child was killed by the sandbox
-  OutOfMemory, ///< child exceeded the address-space cap (reserved code)
+  OutOfMemory, ///< std::bad_alloc escaped the child (reserved code)
   ForkFailed,  ///< fork() itself failed; nothing ran
 };
 
@@ -111,19 +102,14 @@ struct SandboxResult {
   /// True when the child ignored SIGTERM and had to be SIGKILLed.
   bool TermEscalated = false;
 
-  /// Wall-clock duration of the child, in milliseconds; for a framed
-  /// child, since its last frame (the window the watchdog was timing).
+  /// Wall-clock time since the child's last frame (or its fork), in
+  /// milliseconds: the window the watchdog was timing.
   double WallMs = 0.0;
 
   /// CPU time the child consumed (user + system, from wait4's rusage), in
   /// milliseconds. The campaign report sums this across children to show
   /// wall vs. cumulative CPU under parallel execution.
   double CpuMs = 0.0;
-
-  /// Bytes the child wrote to the result pipe (possibly truncated at
-  /// MaxPayloadBytes). Empty for a framed child: its frames are taken
-  /// with SandboxProcess::takeFrames as they complete.
-  std::string Payload;
 
   /// Bounded tail of the child's stderr (when CaptureStderr was set).
   std::string StderrTail;
@@ -151,10 +137,9 @@ public:
 
   /// Forks the child (see runInSandbox for \p Fn's contract). Returns
   /// false when pipe/fork creation fails; the process is then finished()
-  /// with SandboxStatus::ForkFailed. A \p Framed child writes its payload
-  /// as writeFrame frames.
+  /// with SandboxStatus::ForkFailed.
   bool start(const std::function<int(int PayloadFd)> &Fn,
-             const SandboxLimits &Limits, bool Framed = false);
+             const SandboxLimits &Limits);
 
   /// True once the child is reaped (or start failed); the result is final.
   bool finished() const { return Finished; }
@@ -176,7 +161,7 @@ public:
   const SandboxResult &result() const { return Result; }
   SandboxResult takeResult() { return std::move(Result); }
 
-  /// The frames a framed child completed since the last call, in order.
+  /// The frames the child completed since the last call, in order.
   std::vector<std::string> takeFrames();
 
 private:
@@ -194,12 +179,13 @@ private:
     void feed(const char *Data, size_t Size);
   };
 
+  /// Reads one pipe until it would block: the payload pipe's bytes go
+  /// to Frames, the stderr pipe's to Tail, which keeps its last Cap bytes.
   struct Drain {
     int Fd = -1;
-    std::string *Out = nullptr;
-    FrameReader *Frames = nullptr; ///< framed payload: feed this instead
+    FrameReader *Frames = nullptr;
+    std::string *Tail = nullptr;
     size_t Cap = 0;
-    bool KeepTail = false;
     bool Eof = false;
     void pump();
   };
@@ -224,16 +210,16 @@ private:
   SandboxResult Result;
 };
 
-/// Writes \p Body as one frame ("<byte count>\n<body>") on a framed
-/// child's result pipe. Returns false if the write failed.
+/// Writes \p Body as one frame ("<byte count>\n<body>") on a child's
+/// result pipe. Returns false if the write failed.
 bool writeFrame(int Fd, const std::string &Body);
 
 /// Runs \p Fn in a forked child under \p Limits. \p Fn receives the write
 /// end of the result pipe and returns the child's exit code; exceptions
 /// escaping \p Fn are mapped to the reserved exit codes above. The child
 /// exits via _exit (no atexit handlers run), so the parent's state is
-/// never perturbed. With \p OnFrame the child is framed: it writes
-/// writeFrame frames, and each is handed to \p OnFrame as it completes.
+/// never perturbed. The child writes writeFrame frames; each is handed to
+/// \p OnFrame as it completes (without one, frames are discarded).
 /// POSIX-only.
 SandboxResult
 runInSandbox(const std::function<int(int PayloadFd)> &Fn,

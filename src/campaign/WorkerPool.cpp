@@ -28,10 +28,10 @@ unsigned WorkerPool::resolveJobs(unsigned Requested) {
 }
 
 uint64_t WorkerPool::launch(const std::function<int(int PayloadFd)> &Fn,
-                            const SandboxLimits &Limits, bool Framed) {
+                            const SandboxLimits &Limits) {
   uint64_t Ticket = NextTicket++;
   auto P = std::make_unique<SandboxProcess>();
-  P->start(Fn, Limits, Framed); // a failed fork is finished() with ForkFailed
+  P->start(Fn, Limits); // a failed fork is finished() with ForkFailed
   InFlight.emplace(Ticket, std::move(P));
   Peak = std::max(Peak, static_cast<unsigned>(InFlight.size()));
   return Ticket;

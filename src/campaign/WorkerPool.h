@@ -8,12 +8,12 @@
 /// A process worker pool over SandboxProcess: up to N forked children in
 /// flight at once, driven from a single dispatch thread with a combined
 /// ::poll over every child's pipes (no thread per child, no blocking
-/// run-one-wait-one). Each launch returns a ticket; completions (and, for
-/// framed children, each frame as it completes) are reported with the
-/// ticket so the caller can reassociate out-of-order results with their
-/// work items. The pool guarantees every child is reaped — by poll() when
-/// it exits, by forceKill on cancel and on destruction — so a campaign
-/// never leaks zombies however it ends.
+/// run-one-wait-one). Each launch returns a ticket; completions (and each
+/// frame as it completes) are reported with the ticket so the caller can
+/// reassociate out-of-order results with their work items. The pool
+/// guarantees every child is reaped — by poll() when it exits, by
+/// forceKill on cancel and on destruction — so a campaign never leaks
+/// zombies however it ends.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +32,8 @@ namespace dlf {
 namespace campaign {
 
 /// News from one child, keyed by the ticket launch() returned: the frames
-/// a framed child completed since the last poll and, once it is reaped,
-/// its final result.
+/// it completed since the last poll and, once it is reaped, its final
+/// result.
 struct PoolCompletion {
   uint64_t Ticket = 0;
   std::vector<std::string> Frames;
@@ -60,12 +60,12 @@ public:
   /// Most children simultaneously in flight over the pool's lifetime.
   unsigned peakConcurrency() const { return Peak; }
 
-  /// Forks \p Fn under \p Limits (requires hasCapacity()); a \p Framed
-  /// child reports through writeFrame. Returns the completion ticket. A
+  /// Forks \p Fn under \p Limits (requires hasCapacity()); the child
+  /// reports through writeFrame. Returns the completion ticket. A
   /// failed fork still returns a ticket; the completion carries
   /// SandboxStatus::ForkFailed.
   uint64_t launch(const std::function<int(int PayloadFd)> &Fn,
-                  const SandboxLimits &Limits, bool Framed = false);
+                  const SandboxLimits &Limits);
 
   /// Pumps every in-flight child once, then — if there is no news —
   /// sleeps up to \p WaitMs in ::poll on their pipes and pumps again.

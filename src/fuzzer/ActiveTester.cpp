@@ -263,40 +263,10 @@ std::string ActiveTesterReport::toString() const {
   return OS.str();
 }
 
-ForkedOutcome dlf::runForkedWithTimeout(const Program &P, uint64_t TimeoutMs,
-                                        double *WallMsOut, uint64_t GraceMs) {
-  campaign::SandboxLimits Limits;
-  Limits.TimeoutMs = TimeoutMs;
-  Limits.GraceMs = GraceMs;
-  campaign::SandboxResult R = campaign::runInSandbox(
-      [&](int) {
-        // Run the program uninstrumented; the sandbox _exits for us (no
-        // atexit handlers, parent state untouched).
-        P();
-        return 0;
-      },
-      Limits);
-  if (WallMsOut)
-    *WallMsOut = R.WallMs;
-  switch (R.Status) {
-  case campaign::SandboxStatus::Completed:
-    return ForkedOutcome::Completed;
-  case campaign::SandboxStatus::Hung:
-    return ForkedOutcome::Hung;
-  case campaign::SandboxStatus::Exited:
-  case campaign::SandboxStatus::Signaled:
-  case campaign::SandboxStatus::OutOfMemory:
-  case campaign::SandboxStatus::ForkFailed:
-    return ForkedOutcome::Crashed;
-  }
-  return ForkedOutcome::Crashed;
-}
-
 ForkedRuns dlf::runForkedRuns(const Program &P, unsigned Runs,
-                              uint64_t TimeoutMs, uint64_t GraceMs) {
+                              uint64_t TimeoutMs) {
   campaign::SandboxLimits Limits;
   Limits.TimeoutMs = TimeoutMs;
-  Limits.GraceMs = GraceMs;
   ForkedRuns Out;
   unsigned Done = 0;
   while (Done != Runs) {

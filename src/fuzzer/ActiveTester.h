@@ -208,24 +208,6 @@ private:
   ActiveTesterConfig Config;
 };
 
-/// Result classification of a forked, watchdog-guarded execution (used for
-/// the paper's "run 100 times uninstrumented, observe zero deadlocks"
-/// comparison, where a deadlocked run would otherwise hang the harness).
-enum class ForkedOutcome {
-  Completed, ///< child exited cleanly
-  Hung,      ///< watchdog expired; child killed (deadlock, in our usage)
-  Crashed,   ///< child died with a signal or nonzero exit
-};
-
-/// Runs \p P in a forked child with a \p TimeoutMs watchdog. Implemented
-/// on campaign::runInSandbox, which reaps the child unconditionally (no
-/// zombies), retries waits interrupted by signals, and escalates
-/// SIGTERM -> SIGKILL after \p GraceMs instead of killing outright.
-/// POSIX-only.
-ForkedOutcome runForkedWithTimeout(const Program &P, uint64_t TimeoutMs,
-                                   double *WallMsOut = nullptr,
-                                   uint64_t GraceMs = 500);
-
 /// The outcome of runForkedRuns.
 struct ForkedRuns {
   std::vector<double> WallMs; ///< wall time of each completed run, in ms
@@ -234,12 +216,13 @@ struct ForkedRuns {
 };
 
 /// Runs \p P \p Runs times in a row, uninstrumented, in one forked child
-/// under a watchdog. Each run is timed in the child and reported as its
-/// own frame, so \p TimeoutMs bounds each run, and neither the fork nor
-/// the exit is billed to a run. A run that hangs or crashes ends the
-/// child; the runs left go on in a fresh one. POSIX-only.
-ForkedRuns runForkedRuns(const Program &P, unsigned Runs, uint64_t TimeoutMs,
-                         uint64_t GraceMs = 500);
+/// under a watchdog (the paper's uninstrumented control runs, where a
+/// deadlocked run would otherwise hang the harness). Each run is timed in
+/// the child and reported as its own frame, so \p TimeoutMs bounds each
+/// run, and neither the fork nor the exit is billed to a run. A run that
+/// hangs or crashes ends the child; the runs left go on in a fresh one.
+/// POSIX-only.
+ForkedRuns runForkedRuns(const Program &P, unsigned Runs, uint64_t TimeoutMs);
 
 } // namespace dlf
 

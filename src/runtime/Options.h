@@ -118,14 +118,6 @@ struct Options {
   /// compute stretch). 0 disables; the step bound remains authoritative
   /// for deterministic tests.
   uint64_t MaxPausedWallMs = 2'000;
-
-  /// Wall-clock watchdog for Passthrough/Record executions run through the
-  /// forked harness; 0 disables.
-  uint64_t WatchdogMs = 10'000;
-
-  /// Grace period between the watchdog's SIGTERM and the SIGKILL
-  /// escalation for forked executions.
-  uint64_t WatchdogGraceMs = 500;
 };
 
 } // namespace dlf

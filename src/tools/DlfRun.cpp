@@ -76,7 +76,7 @@ void printUsage() {
          "                         journal (implies --campaign)\n"
          "  --journal FILE         campaign journal path (default\n"
          "                         <benchmark>.campaign.jsonl)\n"
-         "  --run-timeout-ms N     per-repetition watchdog (default 5000)\n"
+         "  --run-timeout-ms N     per-repetition watchdog (default 10000)\n"
          "  --budget-s N           wall-clock budget; on exhaustion the\n"
          "                         campaign checkpoints and exits\n"
          "  --max-retries N        retries per repetition for hung or\n"
@@ -558,13 +558,10 @@ int main(int Argc, char **Argv) {
   }
 
   if (NormalRuns > 0) {
-    unsigned Hung = 0;
-    for (int I = 0; I != NormalRuns; ++I)
-      if (runForkedWithTimeout(Bench->Entry, /*TimeoutMs=*/5000) ==
-          ForkedOutcome::Hung)
-        ++Hung;
+    ForkedRuns Normal = runForkedRuns(
+        Bench->Entry, static_cast<unsigned>(NormalRuns), /*TimeoutMs=*/5000);
     std::cout << "uninstrumented runs: " << NormalRuns << ", deadlocked: "
-              << Hung << "\n";
+              << Normal.Hung << "\n";
     return exportLocalTelemetry(Telemetry) ? 0 : 1;
   }
 
@@ -607,10 +604,17 @@ int main(int Argc, char **Argv) {
 
   Table T({"Cycle", "Reproduced", "Other", "Stalls", "Clean", "Probability",
            "Avg thrashes"});
+  // Phase II results by cycle; a cycle --cycle leaves out stays unfuzzed
+  // unless --heal needs it.
+  auto LeftOut = [&](size_t I) {
+    return OnlyCycle >= 0 && static_cast<size_t>(OnlyCycle) != I;
+  };
+  std::vector<CycleFuzzStats> PerCycle(P1.Cycles.size());
   for (size_t I = 0; I != P1.Cycles.size(); ++I) {
-    if (OnlyCycle >= 0 && static_cast<size_t>(OnlyCycle) != I)
+    if (LeftOut(I))
       continue;
-    CycleFuzzStats Stats = Tester.fuzzCycle(P1.Cycles[I]);
+    PerCycle[I] = Tester.fuzzCycle(P1.Cycles[I]);
+    const CycleFuzzStats &Stats = PerCycle[I];
     T.addRow({"#" + std::to_string(I),
               Table::fmt(static_cast<uint64_t>(Stats.ReproducedTarget)) +
                   "/" + Table::fmt(static_cast<uint64_t>(Stats.Runs)),
@@ -627,12 +631,15 @@ int main(int Argc, char **Argv) {
   T.print(std::cout);
 
   if (HealRuns > 0) {
-    // Healing demo: fuzz everything, arm immunity with the confirmed
-    // cycles, and show the random scheduler can no longer create them.
+    // Healing demo: fuzz every cycle the table left out, arm immunity with
+    // the confirmed cycles, and show the random scheduler can no longer
+    // create them.
     ActiveTesterReport Report;
     Report.PhaseOne = P1;
-    for (const AbstractCycle &Cycle : P1.Cycles)
-      Report.PerCycle.push_back(Tester.fuzzCycle(Cycle));
+    for (size_t I = 0; I != P1.Cycles.size(); ++I)
+      if (LeftOut(I))
+        PerCycle[I] = Tester.fuzzCycle(P1.Cycles[I]);
+    Report.PerCycle = std::move(PerCycle);
     std::vector<CycleSpec> Immunity = ActiveTester::buildImmunity(Report);
     unsigned Completed = 0;
     for (int I = 0; I != HealRuns; ++I)

@@ -309,28 +309,6 @@ TEST(WitnessMatching, SizeMismatchNeverMatches) {
       Witness, Cycle, AbstractionKind::Trivial, false));
 }
 
-TEST(ForkedRun, Completed) {
-  double WallMs = -1;
-  EXPECT_EQ(runForkedWithTimeout([] {}, 2000, &WallMs),
-            ForkedOutcome::Completed);
-  EXPECT_GE(WallMs, 0.0);
-}
-
-TEST(ForkedRun, HungChildIsKilled) {
-  EXPECT_EQ(runForkedWithTimeout(
-                [] {
-                  for (;;)
-                    usleep(1000);
-                },
-                /*TimeoutMs=*/200),
-            ForkedOutcome::Hung);
-}
-
-TEST(ForkedRun, CrashIsReported) {
-  EXPECT_EQ(runForkedWithTimeout([] { _exit(3); }, 2000),
-            ForkedOutcome::Crashed);
-}
-
 TEST(ForkedRuns, TheWatchdogBoundsEachRunNotTheChild) {
   // Three 200 ms runs in one child take 600 ms, past the 400 ms watchdog:
   // only a window that restarts at every run lets them all complete.

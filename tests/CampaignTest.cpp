@@ -2,7 +2,7 @@
 //
 // Exercises the campaign layer bottom-up: the process sandbox against
 // injected faults (hangs, SIGTERM-ignoring children, aborts, nonzero
-// exits, address-space exhaustion), the JSON/journal round trip including
+// exits, an escaping std::bad_alloc), the JSON/journal round trip including
 // torn final lines and CRC salvage of corrupted tails, and the
 // CampaignRunner end-to-end — supervised same-seed restarts, quarantine of
 // persistently-failing cycles, graceful degradation when the journal
@@ -30,7 +30,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -47,13 +47,12 @@ using namespace dlf::campaign;
 // -- Process sandbox against injected faults ---------------------------------
 
 TEST(ProcessSandbox, CompletedChildDeliversPayloadAndIsReaped) {
-  SandboxResult R = runInSandbox([](int Fd) {
-    const char *Msg = "hello sandbox\n";
-    (void)!write(Fd, Msg, std::strlen(Msg));
-    return 0;
-  });
+  std::vector<std::string> Frames;
+  SandboxResult R = runInSandbox(
+      [](int Fd) { return writeFrame(Fd, "hello sandbox\n") ? 0 : 1; }, {},
+      [&](std::string Frame) { Frames.push_back(std::move(Frame)); });
   EXPECT_EQ(R.Status, SandboxStatus::Completed);
-  EXPECT_EQ(R.Payload, "hello sandbox\n");
+  EXPECT_EQ(Frames, std::vector<std::string>{"hello sandbox\n"});
   ASSERT_GT(R.ChildPid, 0);
   // The child must already be reaped: a second wait finds no such child
   // (a zombie would still be waitable).
@@ -132,28 +131,32 @@ TEST(ProcessSandbox, EscapedExceptionMapsToReservedExitCode) {
 
 TEST(ProcessSandbox, OversizedPayloadNeverWedgesTheChild) {
   // The child writes far more than both the payload cap and the kernel
-  // pipe buffer; the parent must keep draining so the child can finish.
+  // pipe buffer, first as one frame, then as bytes that are no frame at
+  // all; the parent must keep draining so the child can finish.
   SandboxLimits L;
   L.MaxPayloadBytes = 1024;
   L.TimeoutMs = 5000;
+  std::vector<std::string> Frames;
   SandboxResult R = runInSandbox(
       [](int Fd) {
-        std::string Chunk(4096, 'x');
+        writeFrame(Fd, std::string(256 * 1024, 'x'));
+        std::string Chunk(4096, 'y');
         for (int I = 0; I != 64; ++I)
           (void)!write(Fd, Chunk.data(), Chunk.size());
         return 0;
       },
-      L);
+      L, [&](std::string Frame) { Frames.push_back(std::move(Frame)); });
   EXPECT_EQ(R.Status, SandboxStatus::Completed);
-  EXPECT_LE(R.Payload.size(), 1024u);
+  EXPECT_EQ(Frames, std::vector<std::string>{std::string(1024, 'x')});
 }
 
-/// Pumps a framed child to completion, collecting its frames in order.
+/// Pumps a child to completion through SandboxProcess, collecting its
+/// frames in order.
 SandboxResult runFramed(const std::function<int(int)> &Fn,
                         const SandboxLimits &L,
                         std::vector<std::string> &Frames) {
   SandboxProcess P;
-  P.start(Fn, L, /*Framed=*/true);
+  P.start(Fn, L);
   while (!P.poll()) {
     std::vector<std::string> More = P.takeFrames();
     Frames.insert(Frames.end(), More.begin(), More.end());
@@ -183,7 +186,6 @@ TEST(ProcessSandbox, FramedChildRestartsTheWatchdogAtEachFrame) {
   EXPECT_EQ(R.Status, SandboxStatus::Completed) << R.triage();
   EXPECT_EQ(Frames, (std::vector<std::string>{"unit 0", "unit 1", "unit 2",
                                               "unit 3"}));
-  EXPECT_TRUE(R.Payload.empty());
 
   // A unit that stalls still trips the watchdog; the frames before it
   // arrived.
@@ -236,36 +238,12 @@ TEST(ProcessSandbox, FramedPayloadCapAppliesPerFrame) {
   EXPECT_EQ(Frames, std::vector<std::string>{"ok"});
 }
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define DLF_HAS_SHADOW_SANITIZER 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define DLF_HAS_SHADOW_SANITIZER 1
-#endif
-#endif
-
-TEST(ProcessSandbox, AddressSpaceCapIsClassifiedOutOfMemory) {
-#ifdef DLF_HAS_SHADOW_SANITIZER
-  GTEST_SKIP() << "RLIMIT_AS is incompatible with ASan/TSan shadow memory";
-#else
-  SandboxLimits L;
-  L.AddressSpaceMb = 192;
-  L.TimeoutMs = 10'000;
-  SandboxResult R = runInSandbox(
-      [](int) {
-        // Allocate and touch until the cap trips; bad_alloc is mapped to
-        // the reserved exit code by the sandbox's child wrapper.
-        std::vector<std::unique_ptr<char[]>> Hog;
-        for (;;) {
-          Hog.push_back(std::make_unique<char[]>(16 << 20));
-          std::memset(Hog.back().get(), 1, 16 << 20);
-        }
-        return 0;
-      },
-      L);
+TEST(ProcessSandbox, ThrownBadAllocIsClassifiedOutOfMemory) {
+  // The child wrapper maps an escaping std::bad_alloc to the reserved exit
+  // code, which the parent classifies apart from other failures.
+  SandboxResult R = runInSandbox([](int) -> int { throw std::bad_alloc(); });
   EXPECT_EQ(R.Status, SandboxStatus::OutOfMemory);
   EXPECT_EQ(R.ExitCode, OomExitCode);
-#endif
 }
 
 // -- JSON and journal --------------------------------------------------------

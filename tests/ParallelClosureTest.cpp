@@ -163,8 +163,9 @@ TEST(ParallelClosure, MaxChainsTruncationMatchesSerial) {
     IGoodlockOptions Opts;
     Opts.MaxChains = MaxChains;
     IGoodlockStats Stats = expectJobCountInvariant(Log, Opts);
-    if (MaxChains <= 20)
+    if (MaxChains <= 20) {
       EXPECT_TRUE(Stats.Truncated) << "MaxChains=" << MaxChains;
+    }
   }
 }
 

@@ -11,7 +11,6 @@
 #include "fuzzer/ActiveTester.h"
 #include "substrates/BenchmarkRegistry.h"
 #include "support/Affinity.h"
-#include "support/Retry.h"
 
 #include <gtest/gtest.h>
 
@@ -188,6 +187,7 @@ std::set<std::string> recordPhaseOneKeys(const std::string &Name,
   campaign::SandboxLimits Limits;
   Limits.TimeoutMs = 3000;
   for (Deadlocks = 0; Deadlocks != MaxAttempts;) {
+    std::string Reply;
     campaign::SandboxResult R = campaign::runInSandbox(
         [&Name](int PayloadFd) {
           CpuPin Pin;
@@ -197,16 +197,16 @@ std::set<std::string> recordPhaseOneKeys(const std::string &Name,
           std::string Keys;
           for (const AbstractCycle &Cycle : Tester.runPhaseOne().Cycles)
             Keys += Cycle.key(AbstractionKind::ExecutionIndex, true) + "\n";
-          return writeFully(PayloadFd, Keys.data(), Keys.size()) ? 0 : 1;
+          return campaign::writeFrame(PayloadFd, Keys) ? 0 : 1;
         },
-        Limits);
+        Limits, [&](std::string Frame) { Reply = std::move(Frame); });
     if (R.Status == campaign::SandboxStatus::Hung) {
       ++Deadlocks;
       continue;
     }
     EXPECT_EQ(R.Status, campaign::SandboxStatus::Completed) << R.triage();
     std::set<std::string> Keys;
-    std::istringstream In(R.Payload);
+    std::istringstream In(Reply);
     for (std::string Line; std::getline(In, Line);)
       Keys.insert(Line);
     return Keys;

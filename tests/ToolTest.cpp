@@ -125,6 +125,37 @@ TEST(DlfRun, HealReportsCompletions) {
       << Out;
 }
 
+/// The dlf_scheduler_runs_total counter of a --metrics-out export made by
+/// dlf-run with \p Args; -1 if the run or the export failed.
+long schedulerRuns(const std::string &Args) {
+  std::string Path =
+      ::testing::TempDir() + "dlfrun-runs-" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".json";
+  std::remove(Path.c_str());
+  if (runCommand(tool() + " " + Args + " --metrics-out " + Path +
+                 " >/dev/null 2>&1") != 0)
+    return -1;
+  std::string Json = captureCommand("cat " + Path);
+  std::remove(Path.c_str());
+  const std::string Key = "\"dlf_scheduler_runs_total\":";
+  size_t Pos = Json.find(Key);
+  return Pos == std::string::npos
+             ? -1
+             : std::stol(Json.substr(Pos + Key.size()));
+}
+
+TEST(DlfRun, HealReusesThePhaseTwoTable) {
+  // Every execution is one scheduler run: the Phase I attempts, each
+  // cycle's reps once (the table's; --heal fuzzes only the cycles --cycle
+  // left out), and the heal runs. dbcp reports 2 cycles.
+  const long PhaseOne = schedulerRuns("dbcp --phase1-only");
+  ASSERT_GT(PhaseOne, 0);
+  EXPECT_EQ(schedulerRuns("dbcp --reps 4 --heal 3"), PhaseOne + 2 * 4 + 3);
+  EXPECT_EQ(schedulerRuns("dbcp --reps 4 --cycle 1 --heal 3"),
+            PhaseOne + 2 * 4 + 3);
+}
+
 TEST(DlfRun, CampaignCompletesAndResumesFromJournal) {
   std::string Journal = ::testing::TempDir() + "dlfrun-campaign.jsonl";
   std::remove(Journal.c_str());
