@@ -14,15 +14,17 @@
 # in twenty on a multi-core host is a bug, not noise. Tier 1c (paper
 # binaries): table1_main and fig2_variants three times each under a
 # timeout at DLF_BENCH_REPS=2 — both mix in-process Active runs with forked
-# baselines, so they fork after pooled OS threads exist; every run must
+# baselines, so they fork after freed fiber stacks exist; every run must
 # exit 0, and Table 1 must report zero cycles on the deadlock-free rows;
 # then the other two runForkedRuns callers, fig1_example's control and
 # dlf-run --normal, must exit 0 and print their summary lines.
 # Tier 2: the same suite under ASan+UBSan
 # (DLF_SANITIZE=address), which is how the sandbox/journal/pool code gets
-# its memory-error coverage. Tier 2b: the runtime, scheduler and campaign
-# suites under ThreadSanitizer (DLF_SANITIZE=thread) — the code that
-# juggles real pthreads gets real data-race coverage. Sanitized children run several
+# its memory-error coverage (the fiber switches carry ASan's fiber
+# annotations). Tier 2b: the runtime, scheduler and campaign suites under
+# ThreadSanitizer (DLF_SANITIZE=thread), with TSan's fiber annotations on
+# every switch between managed threads, plus aborted Active runs whose
+# fibers all unwind at teardown. Sanitized children run several
 # times slower, so those tiers use a reduced per-test timeout rather than
 # the suite default. Tier 3 (bench smoke): builds the micro-benchmark
 # binaries and runs one short closure case so bench-code rot is caught
@@ -215,6 +217,10 @@ build-tsan/tests/primitives_test
 # wake-all and the affinity restore, in-process and in campaign children.
 build-tsan/tests/campaign_test
 build-tsan/src/dlf-run collections-lists --reps 3 --seed 1 >/dev/null
+# Runs that abort (a found deadlock, a stall): every fiber unwinds with
+# ExecutionAborted at teardown, then is joined.
+build-tsan/src/dlf-run jigsaw --reps 3 --seed 2 >/dev/null
+build-tsan/src/dlf-run collections-maps --reps 3 --seed 1 >/dev/null
 build-tsan/tests/parallel_closure_test
 # The predictor under TSan: its tests run the sharded iGoodlock closure
 # at several --analysis-jobs values before grading.

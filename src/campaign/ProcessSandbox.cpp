@@ -2,7 +2,6 @@
 
 #include "campaign/ProcessSandbox.h"
 
-#include "runtime/ThreadPool.h"
 #include "support/Retry.h"
 
 #include <algorithm>
@@ -247,9 +246,7 @@ bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
     } catch (...) {
       Code = ExceptionExitCode;
     }
-    // _exit: no atexit handlers, no flushes of parent-inherited state. The
-    // parked OS threads of the managed threads the child ran go first.
-    retireIdlePooledThreads();
+    // _exit: no atexit handlers, no flushes of parent-inherited state.
     _exit(Code);
   }
 

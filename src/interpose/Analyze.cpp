@@ -35,6 +35,7 @@
 //
 // Usage: dlf-analyze <trace-file> [--max-cycle-length N]
 //                    [--analysis-jobs N] [--races | --predict]
+//        dlf-analyze --help   (or -h: the usage on stdout, exit 0)
 //
 // Exit codes (all modes, --predict included): 0 analysis ran; 1 usage
 // error; 2 unreadable/corrupt trace; 3 trace carries no events (see
@@ -54,6 +55,7 @@
 #include "support/Env.h"
 #include "telemetry/Metrics.h"
 
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -155,6 +157,10 @@ int main(int Argc, char **Argv) {
   if (Argc < 2) {
     std::cerr << Usage;
     return ExitUsage;
+  }
+  if (std::strcmp(Argv[1], "--help") == 0 || std::strcmp(Argv[1], "-h") == 0) {
+    std::cout << Usage;
+    return 0;
   }
   IGoodlockOptions Opts;
   bool Races = false;

@@ -2,11 +2,14 @@
 
 #include "runtime/Mutex.h"
 
+#include "runtime/Fiber.h"
 #include "runtime/Records.h"
 #include "runtime/Runtime.h"
 #include "runtime/Scheduler.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <thread>
 
@@ -14,6 +17,17 @@ using namespace dlf;
 
 static uint64_t osThreadKey() {
   return std::hash<std::thread::id>()(std::this_thread::get_id());
+}
+
+/// An unmodeled lock held by another context of this OS thread: another
+/// managed thread of the Active run in flight. The holder waits for the
+/// token the caller holds, so the caller can never get the lock.
+[[noreturn]] static void lockHeldByAnotherFiber() {
+  std::fputs("dlf: a dlf::Mutex built outside the Active run is held by "
+             "another of its managed threads; the run cannot wait for it "
+             "(build the lock inside the run to model it)\n",
+             stderr);
+  std::abort();
 }
 
 Mutex::Mutex(const std::string &Name, Label Site, const void *Parent) {
@@ -42,6 +56,12 @@ bool Mutex::modeledByScheduler() const {
 // Outside Active mode the OS lock provides the exclusion, with owner
 // tracking for re-entrancy; in Record mode each 0->1 and 1->0 transition is
 // also a lock transition of the runtime, logged while the real lock is held.
+// The owner is an OS thread and, on it, a context: the managed threads of
+// an Active run share the OS thread that runs it, one fiber each.
+
+bool Mutex::heldHere() const {
+  return RealOwner.load(std::memory_order_relaxed) == osThreadKey();
+}
 
 void Mutex::lock(Label Site) {
   if (modeledByScheduler()) {
@@ -50,15 +70,17 @@ void Mutex::lock(Label Site) {
     RT->scheduler()->acquire(*Self, *Rec, Site);
     return;
   }
-  uint64_t Self = osThreadKey();
-  if (RealOwner.load(std::memory_order_relaxed) == Self) {
+  if (heldHere()) {
+    if (RealContext != currentContext())
+      lockHeldByAnotherFiber();
     ++RealRecursion; // re-entrant: invisible to the analysis (footnote 2)
     return;
   }
   Real.lock();
   if (Rec)
     RT->recordAcquire(*Rec, Site, LockMode::Exclusive);
-  RealOwner.store(Self, std::memory_order_relaxed);
+  RealOwner.store(osThreadKey(), std::memory_order_relaxed);
+  RealContext = currentContext();
   RealRecursion = 1;
 }
 
@@ -68,8 +90,9 @@ bool Mutex::tryLock(Label Site) {
     assert(Self && "unmanaged thread touched an active-mode lock");
     return RT->scheduler()->tryAcquire(*Self, *Rec, Site);
   }
-  uint64_t Self = osThreadKey();
-  if (RealOwner.load(std::memory_order_relaxed) == Self) {
+  if (heldHere()) {
+    if (RealContext != currentContext())
+      return false; // another managed thread of the run holds it
     ++RealRecursion;
     return true;
   }
@@ -77,7 +100,8 @@ bool Mutex::tryLock(Label Site) {
     return false;
   if (Rec)
     RT->recordAcquire(*Rec, Site, LockMode::Exclusive);
-  RealOwner.store(Self, std::memory_order_relaxed);
+  RealOwner.store(osThreadKey(), std::memory_order_relaxed);
+  RealContext = currentContext();
   RealRecursion = 1;
   return true;
 }
@@ -89,8 +113,7 @@ void Mutex::unlock() {
     RT->scheduler()->release(*Self, *Rec, Label());
     return;
   }
-  assert(RealOwner.load(std::memory_order_relaxed) == osThreadKey() &&
-         "unlock by non-owner");
+  assert(heldByCurrentThread() && "unlock by non-owner");
   if (--RealRecursion > 0)
     return;
   if (Rec)
@@ -104,5 +127,5 @@ bool Mutex::heldByCurrentThread() const {
     ThreadRecord *Self = RT->selfRecord();
     return Self && Rec->Owner == Self->Id;
   }
-  return RealOwner.load(std::memory_order_relaxed) == osThreadKey();
+  return heldHere() && RealContext == currentContext();
 }

@@ -14,9 +14,14 @@
 ///    cost; the paper's "normal execution");
 ///  * Record — a real OS lock plus event recording (Phase I observation of
 ///    a genuinely concurrent execution);
-///  * Active — lock state is modeled inside the scheduler; OS threads never
-///    block on the lock itself, which is what enables pausing, stall
+///  * Active — lock state is modeled inside the scheduler; no managed
+///    thread blocks on an OS lock, which is what enables pausing, stall
 ///    detection and teardown.
+///
+/// A lock built outside every runtime is not modeled even inside an Active
+/// run, whose managed threads share one OS thread: while one of them holds
+/// it, another's tryLock fails and its lock() ends the process with an
+/// error, since the holder waits for the token the caller holds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,6 +81,10 @@ private:
   /// True when the Active scheduler models this lock (bound, Active run).
   bool modeledByScheduler() const;
 
+  /// True when the OS lock is held by the calling OS thread, in any of its
+  /// contexts (non-Active modes).
+  bool heldHere() const;
+
   Runtime *RT = nullptr;
   LockRecord *Rec = nullptr;
 
@@ -84,8 +93,10 @@ private:
   std::recursive_mutex Real;
 
   /// Owner tracking for the non-Active modes: hashed std::thread::id of the
-  /// holder, 0 when free.
+  /// holder, 0 when free, and the context on that OS thread that holds it
+  /// (runtime/Fiber.h currentContext; read only by the holder's OS thread).
   std::atomic<uint64_t> RealOwner{0};
+  const void *RealContext = nullptr;
   uint32_t RealRecursion = 0;
 };
 

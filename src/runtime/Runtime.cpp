@@ -3,6 +3,7 @@
 #include "runtime/Runtime.h"
 
 #include "runtime/Abort.h"
+#include "runtime/Fiber.h"
 #include "runtime/Recorder.h"
 #include "runtime/Scheduler.h"
 #include "runtime/Strategy.h"
@@ -23,9 +24,6 @@ namespace {
 
 /// The runtime installed by an in-flight run(); one at a time per process.
 std::atomic<Runtime *> CurrentRuntime{nullptr};
-
-/// The calling thread's record within the current runtime.
-thread_local ThreadRecord *SelfTls = nullptr;
 
 /// Scheduler telemetry is recorded in bulk from the ExecutionResult at the
 /// end of run() — zero cost on the scheduler hot path, and the counters
@@ -274,9 +272,9 @@ void Runtime::recordJoin(const ThreadRecord &Target) {
   }
 }
 
-ThreadRecord *Runtime::selfRecord() { return SelfTls; }
+ThreadRecord *Runtime::selfRecord() { return currentSelf(); }
 
-void Runtime::setSelfRecord(ThreadRecord *Rec) { SelfTls = Rec; }
+void Runtime::setSelfRecord(ThreadRecord *Rec) { currentSelf() = Rec; }
 
 void Runtime::onCall(Label Site) {
   if (Opts.Mode == RunMode::Passthrough)
@@ -332,12 +330,10 @@ ExecutionResult Runtime::run(const std::function<void()> &Entry) {
   }
 
   case RunMode::Active: {
-    // One managed thread runs at a time, so the execution stays on the CPU
-    // it starts on: managed threads' pooled OS threads adopt this CPU, and
-    // no token handoff crosses cores. Record and Passthrough stay unpinned
-    // because they claim real concurrency.
+    // One managed thread runs at a time, each a fiber of this OS thread,
+    // so the execution stays on the CPU it starts on. Record and
+    // Passthrough stay unpinned because they claim real concurrency.
     CpuPin Pin;
-    Cpu = Pin.cpu();
     Scheduler S(*this, Opts, *Strat, Recorder);
     Sched = &S;
     ThreadRecord &Main = createThreadRecord(

@@ -60,9 +60,10 @@ public:
   static Runtime *current();
 
   /// Executes \p Entry under this runtime's mode and returns the outcome.
-  /// Must be called exactly once. An Active-mode run pins the calling
-  /// thread (and so every managed thread) to the CPU it is on, and restores
-  /// the caller's mask before returning.
+  /// Must be called exactly once. An Active-mode run runs every managed
+  /// thread as a fiber of the calling OS thread (runtime/Fiber.h), pins
+  /// that thread to the CPU it is on, and restores the caller's mask before
+  /// returning.
   ExecutionResult run(const std::function<void()> &Entry);
 
   const Options &options() const { return Opts; }
@@ -115,9 +116,6 @@ public:
   AbstractionEngine &abstractions() { return Engine; }
   /// Non-null only while an Active-mode run() is in flight.
   Scheduler *scheduler() { return Sched; }
-  /// The CPU an in-flight Active-mode run is pinned to (its managed threads
-  /// run there too), or -1.
-  int cpu() const { return Cpu; }
   /// Cycles the avoidance extension must keep infeasible; may be null.
   const std::vector<CycleSpec> *avoidSpecs() const { return Avoid; }
 
@@ -178,7 +176,6 @@ private:
   uint64_t AcquireEvents = 0;
 
   Scheduler *Sched = nullptr;
-  int Cpu = -1;
   bool Ran = false;
 };
 

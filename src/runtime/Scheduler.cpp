@@ -362,7 +362,7 @@ void Scheduler::abortAll() {
 Scheduler::WakeWord &Scheduler::wakeOf(ThreadId Id) {
   assert(Id.isValid() && "wake word of an invalid thread");
   while (Wakes.size() < Id.Raw)
-    Wakes.emplace_back(0);
+    Wakes.emplace_back();
   return Wakes[Id.Raw - 1];
 }
 

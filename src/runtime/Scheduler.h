@@ -5,21 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The active scheduler: managed threads, each on a pooled OS thread,
-/// executing user code one at a time, serialized by token passing at
-/// synchronization events. This is the
+/// The active scheduler: managed threads, each a fiber of the run's OS
+/// thread (runtime/Fiber.h), executing user code one at a time, serialized
+/// by token passing at synchronization events. This is the
 /// C++ analogue of how CalFuzzer serializes the JVM: at every Acquire /
 /// Release / join / yield point the running thread publishes its pending
 /// operation and hands control to the scheduling loop, which consults the
 /// SchedulerStrategy to pick the next thread (Algorithms 2 and 3 of the
 /// paper) and commits that thread's operation against the modeled lock
 /// state. The handoff is direct: every managed thread parks on its own wake
-/// word, a counting semaphore, and granting the token wakes exactly the
+/// word, a cooperative semaphore, and granting the token wakes exactly the
 /// chosen thread (CalFuzzer parks each JVM thread on its own semaphore the
-/// same way). The granting thread posts that word after it drops the
-/// scheduler lock, so the woken thread never wakes only to block on it; a
-/// post that lands before its target parks is kept by the count. Only run
-/// completion and teardown wake everyone.
+/// same way); the granting thread then parks, and the OS thread switches
+/// stacks to the chosen one. The granting thread posts that word after it
+/// drops the scheduler lock, so the woken thread never runs while the lock
+/// is held; a post that lands before its target parks is kept by the count.
+/// Only run completion and teardown wake everyone.
 ///
 /// Because lock state is modeled here rather than delegated to the OS, the
 /// scheduler knows Enabled(s) exactly: it can detect a system stall
@@ -42,6 +43,7 @@
 #ifndef DLF_RUNTIME_SCHEDULER_H
 #define DLF_RUNTIME_SCHEDULER_H
 
+#include "runtime/Fiber.h"
 #include "runtime/Options.h"
 #include "runtime/Records.h"
 #include "runtime/Result.h"
@@ -50,7 +52,6 @@
 
 #include <deque>
 #include <mutex>
-#include <semaphore>
 #include <vector>
 
 namespace dlf {
@@ -138,7 +139,7 @@ public:
 private:
   /// A managed thread's wake word: posted once per token grant to it (and
   /// once more at run completion or teardown).
-  using WakeWord = std::counting_semaphore<>;
+  using WakeWord = CoopSemaphore;
 
   /// Publishes \p Op for \p Self, runs the pick loop, and blocks until the
   /// scheduler hands the token back to Self (its op committed). With

@@ -3,10 +3,10 @@
 #include "runtime/Thread.h"
 
 #include "runtime/Abort.h"
+#include "runtime/Fiber.h"
 #include "runtime/Records.h"
 #include "runtime/Runtime.h"
 #include "runtime/Scheduler.h"
-#include "runtime/ThreadPool.h"
 
 #include <cassert>
 #include <utility>
@@ -32,10 +32,13 @@ Thread::Thread(std::function<void()> Fn, const std::string &Name, Label Site,
   auto Run = [BoundRT = RT, BoundRec = Rec, Body = std::move(Fn)] {
     body(*BoundRT, *BoundRec, Body);
   };
-  if (RT->mode() == RunMode::Active)
-    Pooled = &startPooled(std::move(Run), RT->cpu());
-  else
+  if (RT->mode() == RunMode::Active) {
+    assert(RT->selfRecord() &&
+           "active-mode thread spawned off the run's managed threads");
+    Fib = &startFiber(std::move(Run));
+  } else {
     Os = std::thread(std::move(Run));
+  }
 }
 
 void Thread::body(Runtime &RT, ThreadRecord &Rec,
@@ -59,10 +62,10 @@ void Thread::body(Runtime &RT, ThreadRecord &Rec,
   RT.setSelfRecord(nullptr);
 }
 
-void Thread::joinOs() {
-  if (Pooled) {
-    joinPooled(*Pooled);
-    Pooled = nullptr;
+void Thread::joinBody() {
+  if (Fib) {
+    joinFiber(*Fib);
+    Fib = nullptr;
   } else {
     Os.join();
   }
@@ -78,13 +81,13 @@ void Thread::join() {
     try {
       RT->scheduler()->join(*Self, *Rec);
     } catch (ExecutionAborted &) {
-      // Complete the OS join before propagating so the object stays
+      // Wait for the body before propagating so the object stays
       // destructible: the target unwinds promptly once the run is aborted.
-      joinOs();
+      joinBody();
       throw;
     }
   }
-  joinOs();
+  joinBody();
   // Join edge in Record mode (Active mode takes it at the Join commit).
   if (RT && Rec && RT == Runtime::current() &&
       RT->mode() == RunMode::Record)
@@ -97,16 +100,16 @@ Thread::~Thread() {
   try {
     join();
   } catch (ExecutionAborted &) {
-    // Destructors must not throw; the OS join already happened.
+    // Destructors must not throw; the body already ended.
   }
 }
 
 Thread::Thread(Thread &&Other) noexcept
-    : RT(Other.RT), Rec(Other.Rec), Pooled(Other.Pooled),
+    : RT(Other.RT), Rec(Other.Rec), Fib(Other.Fib),
       Os(std::move(Other.Os)) {
   Other.RT = nullptr;
   Other.Rec = nullptr;
-  Other.Pooled = nullptr;
+  Other.Fib = nullptr;
 }
 
 Thread &Thread::operator=(Thread &&Other) noexcept {
@@ -115,10 +118,10 @@ Thread &Thread::operator=(Thread &&Other) noexcept {
   assert(!joinable() && "assigning over a joinable thread");
   RT = Other.RT;
   Rec = Other.Rec;
-  Pooled = Other.Pooled;
+  Fib = Other.Fib;
   Os = std::move(Other.Os);
   Other.RT = nullptr;
   Other.Rec = nullptr;
-  Other.Pooled = nullptr;
+  Other.Fib = nullptr;
   return *this;
 }

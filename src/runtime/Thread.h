@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The instrumented thread primitive. A dlf::Thread runs on a pooled OS
-/// thread in Active mode (runtime/ThreadPool.h) and on a std::thread of its
-/// own in Record and Passthrough mode, which claim real concurrency and
-/// real spawn timing. Its creation is a `new` event (giving the thread
-/// object its §2.4 abstractions, computed by the *creating* thread) and its
-/// body is a managed participant of the active scheduler. Join is a
+/// The instrumented thread primitive. A dlf::Thread runs as a fiber of the
+/// run's OS thread in Active mode (runtime/Fiber.h), where one managed
+/// thread runs at a time, and on a std::thread of its own in Record and
+/// Passthrough mode, which claim real concurrency and real spawn timing.
+/// Its creation is a `new` event (giving the thread object its §2.4
+/// abstractions, computed by the *creating* thread) and its body is a
+/// managed participant of the active scheduler. Join is a
 /// scheduling point: the joining thread is disabled until the target
 /// finishes, matching the paper's Enabled(s) definition.
 ///
@@ -28,12 +29,12 @@
 namespace dlf {
 
 class Runtime;
-struct PooledThread;
+struct Fiber;
 struct ThreadRecord;
 
 /// An instrumented thread. Move-only; joins on destruction if still
-/// joinable (managed join first, then the OS join: the pooled thread's
-/// done signal in Active mode).
+/// joinable (managed join first, then the body's end: the fiber's in Active
+/// mode, the std::thread's otherwise).
 class Thread {
 public:
   Thread() = default;
@@ -53,11 +54,10 @@ public:
 
   /// Waits for the thread to finish. In Active mode this is a managed
   /// scheduling point and may throw ExecutionAborted when the run is torn
-  /// down (after the OS-level join has completed, so the object is safe to
-  /// destroy).
+  /// down (after the body has ended, so the object is safe to destroy).
   void join();
 
-  bool joinable() const { return Pooled || Os.joinable(); }
+  bool joinable() const { return Fib || Os.joinable(); }
 
   /// The analysis record, when managed (tests / reports).
   const ThreadRecord *record() const { return Rec; }
@@ -66,13 +66,13 @@ private:
   static void body(Runtime &RT, ThreadRecord &Rec,
                    const std::function<void()> &Fn);
 
-  /// Waits for the OS thread: the pooled thread's body or the std::thread.
-  void joinOs();
+  /// Waits for the body to end: the fiber's or the std::thread's.
+  void joinBody();
 
   Runtime *RT = nullptr;
   ThreadRecord *Rec = nullptr;
-  PooledThread *Pooled = nullptr; ///< Active mode
-  std::thread Os;                 ///< Record and Passthrough mode
+  Fiber *Fib = nullptr; ///< Active mode
+  std::thread Os;       ///< Record and Passthrough mode
 };
 
 } // namespace dlf

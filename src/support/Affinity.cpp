@@ -37,17 +37,12 @@ CpuPin::CpuPin() {
   CPU_ZERO(&Saved);
   if (sched_getaffinity(0, sizeof Saved, &Saved) != 0)
     return;
-  if (CPU_COUNT(&Saved) <= 1) {
-    for (int Only = 0; Only != CPU_SETSIZE && Cpu < 0; ++Only)
-      if (CPU_ISSET(Only, &Saved))
-        Cpu = Only;
+  if (CPU_COUNT(&Saved) <= 1)
     return;
-  }
   int Now = sched_getcpu();
   if (Now < 0)
     return;
   pinCallingThread(Now);
-  Cpu = Now;
   Restore = true;
 }
 

@@ -9,7 +9,7 @@
 /// one managed thread run at a time, so spreading its threads over several
 /// cores buys nothing but cross-core wakeups on every token handoff.
 /// Runtime::run pins an Active-mode execution to the CPU it starts on (its
-/// managed threads' pooled OS threads adopt that CPU), and a campaign child
+/// managed threads are fibers of the pinned thread), and a campaign child
 /// narrows itself to its worker lane's CPU before it runs.
 ///
 //===----------------------------------------------------------------------===//
@@ -47,13 +47,8 @@ public:
   CpuPin(const CpuPin &) = delete;
   CpuPin &operator=(const CpuPin &) = delete;
 
-  /// The one CPU the calling thread is confined to for the guard's
-  /// lifetime, or -1 when the mask cannot be read.
-  int cpu() const { return Cpu; }
-
 private:
   cpu_set_t Saved;
-  int Cpu = -1;
   bool Restore = false;
 };
 

@@ -8,6 +8,7 @@
 // from the command line.
 //
 //   dlf-run --list
+//   dlf-run --help                      # or -h: the usage, exit 0
 //   dlf-run logging                     # phase 1 + phase 2 over all cycles
 //   dlf-run logging --phase1-only
 //   dlf-run logging --variant 5 --reps 50
@@ -43,7 +44,8 @@ namespace {
 void printUsage() {
   std::cout
       << "usage: dlf-run <benchmark> [options]\n"
-         "       dlf-run --list\n\n"
+         "       dlf-run --list\n"
+         "       dlf-run --help\n\n"
          "options:\n"
          "  --phase1-only          stop after iGoodlock\n"
          "  --record-phase1        observe a real concurrent execution\n"
@@ -256,6 +258,10 @@ int main(int Argc, char **Argv) {
   if (Argc < 2) {
     printUsage();
     return 1;
+  }
+  if (std::strcmp(Argv[1], "--help") == 0 || std::strcmp(Argv[1], "-h") == 0) {
+    printUsage();
+    return 0;
   }
   if (std::strcmp(Argv[1], "--list") == 0) {
     Table T({"Benchmark", "Description"});

@@ -1,13 +1,14 @@
 //===- tests/RuntimeTest.cpp - runtime/ unit tests ---------------------------===//
 
 #include "analysis/TraceRecorder.h"
+#include "campaign/ProcessSandbox.h"
 #include "fuzzer/RandomStrategy.h"
 #include "igoodlock/LockDependency.h"
+#include "runtime/Fiber.h"
 #include "runtime/Mutex.h"
 #include "runtime/Runtime.h"
 #include "runtime/RwLock.h"
 #include "runtime/Thread.h"
-#include "runtime/ThreadPool.h"
 #include "support/Affinity.h"
 
 #include <gtest/gtest.h>
@@ -19,13 +20,25 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DLF_TEST_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DLF_TEST_SANITIZER 1
+#endif
+#endif
+
 namespace {
 
 using namespace dlf;
+using namespace dlf::campaign;
 
 ExecutionResult runActive(const std::function<void()> &Entry,
                           uint64_t Seed = 1,
@@ -535,42 +548,52 @@ TEST(CpuPinning, LaneCpuWrapsUnderATwoCpuMask) {
   EXPECT_EQ(Pinned, (std::vector<int>{Host[0]}));
 }
 
-// -- Pooled OS threads -------------------------------------------------------------
+// -- Managed threads as fibers ------------------------------------------------------
 
 /// An Active run of \p Threads managed threads that each take one lock and
-/// note their OS thread and CPU. Returns whether the run completed.
-bool runPooled(size_t Threads, std::vector<std::thread::id> *Ids = nullptr,
-               std::vector<int> *Cpus = nullptr) {
+/// note the address of a local (so the stack they ran on) and their OS
+/// thread. Returns whether the run completed.
+bool runFibers(size_t Threads, std::vector<uintptr_t> *Stacks = nullptr,
+               std::vector<std::thread::id> *Ids = nullptr) {
+  std::vector<uintptr_t> SeenStacks(Threads);
   std::vector<std::thread::id> SeenIds(Threads);
-  std::vector<int> SeenCpus(Threads, -1);
   ExecutionResult R = runActive([&] {
-    Mutex M("pooled", DLF_SITE());
+    Mutex M("fibers", DLF_SITE());
     std::vector<Thread> Workers;
     for (size_t T = 0; T != Threads; ++T)
       Workers.emplace_back(Thread([&, T] {
-        MutexGuard Guard(M, DLF_NAMED_SITE("pooled:body"));
+        MutexGuard Guard(M, DLF_NAMED_SITE("fibers:body"));
+        int Local = 0;
+        SeenStacks[T] = reinterpret_cast<uintptr_t>(&Local);
         SeenIds[T] = std::this_thread::get_id();
-        SeenCpus[T] = sched_getcpu();
       }));
     for (Thread &W : Workers)
       W.join();
   });
+  if (Stacks)
+    *Stacks = SeenStacks;
   if (Ids)
     *Ids = SeenIds;
-  if (Cpus)
-    *Cpus = SeenCpus;
   return R.Completed;
 }
 
-TEST(ThreadPool, BackToBackRunsStartNoMoreWorkersThanTheirThreads) {
-  const size_t Before = pooledThreadsStarted();
-  for (int Run = 0; Run != 50; ++Run)
-    ASSERT_TRUE(runPooled(2)) << "run " << Run;
-  EXPECT_LE(pooledThreadsStarted() - Before, 2u);
+size_t osThreadsOfThisProcess() {
+  size_t N = 0;
+  for ([[maybe_unused]] const auto &Task :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++N;
+  return N;
 }
 
-TEST(ThreadPool, WorkerIsReusedAfterItsBodyUnwoundWithAbort) {
-  std::thread::id Spinner;
+TEST(Fibers, BackToBackRunsMapNoMoreStacksThanTheirThreads) {
+  const size_t Before = fiberStacksMapped();
+  for (int Run = 0; Run != 50; ++Run)
+    ASSERT_TRUE(runFibers(2)) << "run " << Run;
+  EXPECT_LE(fiberStacksMapped() - Before, 2u);
+}
+
+TEST(Fibers, StackIsReusedAfterItsBodyUnwoundWithAbort) {
+  uintptr_t Spinner = 0;
   Options Opts;
   Opts.Mode = RunMode::Active;
   Opts.MaxSteps = 200;
@@ -578,10 +601,11 @@ TEST(ThreadPool, WorkerIsReusedAfterItsBodyUnwoundWithAbort) {
   Runtime RT(Opts, &Strategy);
   ExecutionResult R = RT.run([&] {
     Thread T([&] {
-      Spinner = std::this_thread::get_id();
+      int Local = 0;
+      Spinner = reinterpret_cast<uintptr_t>(&Local);
       Mutex M("spin", DLF_SITE());
       for (;;) {
-        MutexGuard Guard(M, DLF_NAMED_SITE("pool:spin"));
+        MutexGuard Guard(M, DLF_NAMED_SITE("fibers:spin"));
         yieldNow();
       }
     });
@@ -589,42 +613,167 @@ TEST(ThreadPool, WorkerIsReusedAfterItsBodyUnwoundWithAbort) {
   });
   ASSERT_TRUE(R.LivelockAborted);
 
-  const size_t Before = pooledThreadsStarted();
-  std::vector<std::thread::id> Ids;
-  ASSERT_TRUE(runPooled(1, &Ids));
-  EXPECT_EQ(pooledThreadsStarted(), Before) << "started a fresh worker";
-  EXPECT_EQ(Ids[0], Spinner) << "the last parked worker is taken first";
+  const size_t Before = fiberStacksMapped();
+  std::vector<uintptr_t> Stacks;
+  ASSERT_TRUE(runFibers(1, &Stacks));
+  EXPECT_EQ(fiberStacksMapped(), Before) << "mapped a fresh stack";
+  uintptr_t Gap = Stacks[0] > Spinner ? Stacks[0] - Spinner
+                                      : Spinner - Stacks[0];
+  EXPECT_LT(Gap, FiberStackBytes) << "the last freed stack is taken first";
 }
 
-TEST(ThreadPool, ReusedWorkerRunsOnTheNewRunsCpu) {
-  const std::vector<int> Host = allowedCpus();
-  if (Host.size() < 2)
-    GTEST_SKIP() << "needs two allowed CPUs";
-  // Each run starts on a scratch thread confined to one CPU, so the run
-  // (and every body it posts) belongs on that CPU.
-  auto RunOn = [](int Cpu, std::vector<int> &Cpus) {
-    bool Completed = false;
-    std::thread([&] {
-      pinCallingThread(Cpu);
-      Completed = runPooled(1, nullptr, &Cpus);
-    }).join();
-    return Completed;
-  };
-  std::vector<int> First, Second;
-  ASSERT_TRUE(RunOn(Host[0], First));
-  const size_t Before = pooledThreadsStarted();
-  ASSERT_TRUE(RunOn(Host[1], Second));
-  EXPECT_EQ(pooledThreadsStarted(), Before) << "started a fresh worker";
-  EXPECT_EQ(First[0], Host[0]);
-  EXPECT_EQ(Second[0], Host[1]) << "the reused worker kept its old CPU";
+TEST(Fibers, ActiveRunWithEightThreadsAddsNoOsThread) {
+  const size_t Before = osThreadsOfThisProcess();
+  std::vector<size_t> Seen(8);
+  std::vector<std::thread::id> Ids(8);
+  ExecutionResult R = runActive([&] {
+    Mutex M("count", DLF_SITE());
+    std::vector<Thread> Workers;
+    for (size_t T = 0; T != Seen.size(); ++T)
+      Workers.emplace_back(Thread([&, T] {
+        MutexGuard Guard(M, DLF_NAMED_SITE("count:body"));
+        yieldNow();
+        Seen[T] = osThreadsOfThisProcess();
+        Ids[T] = std::this_thread::get_id();
+      }));
+    for (Thread &W : Workers)
+      W.join();
+  });
+  ASSERT_TRUE(R.Completed);
+  for (size_t T = 0; T != Seen.size(); ++T) {
+    EXPECT_EQ(Seen[T], Before) << "thread " << T;
+    EXPECT_EQ(Ids[T], std::this_thread::get_id())
+        << "thread " << T << " left the run's OS thread";
+  }
 }
 
-TEST(ThreadPool, ForkedChildRunsManagedThreadsAfterTheParentPooled) {
-  ASSERT_TRUE(runPooled(2)); // leaves two parked workers behind
+/// Recurses through \p Frames frames of 16 KiB each, touching every one
+/// from its top down, as a growing stack would, so an overflow writes the
+/// guard page before anything below it.
+[[gnu::noinline]] size_t touchStack(size_t Frames) {
+  volatile char Frame[16 * 1024];
+  for (size_t I = sizeof Frame; I >= 512; I -= 512)
+    Frame[I - 1] = static_cast<char>(Frames);
+  size_t Deeper = Frames > 1 ? touchStack(Frames - 1) : 0;
+  return Deeper + static_cast<unsigned char>(Frame[Frames % sizeof Frame]);
+}
+
+TEST(Fibers, ManagedThreadCanUseThreeQuartersOfItsStack) {
+  bool Done = false;
+  ExecutionResult R = runActive([&] {
+    Thread T([&] {
+      touchStack(FiberStackBytes * 3 / 4 / (16 * 1024));
+      yieldNow(); // a switch away from, and back to, a deep stack
+      touchStack(FiberStackBytes * 3 / 4 / (16 * 1024));
+      Done = true;
+    });
+    T.join();
+  });
+  EXPECT_TRUE(R.Completed);
+  EXPECT_TRUE(Done);
+}
+
+TEST(Fibers, OverflowHitsTheGuardPageAndCrashesTheSandboxedChild) {
+  SandboxLimits Limits;
+  Limits.CaptureStderr = true;
+  SandboxResult R = runInSandbox(
+      [](int) {
+        runActive([] {
+          Thread T([] { touchStack(2 * FiberStackBytes / (16 * 1024)); });
+          T.join();
+        });
+        return 0;
+      },
+      Limits);
+#ifdef DLF_TEST_SANITIZER
+  // The sanitizer's SIGSEGV handler runs on its own signal stack, names
+  // the overflow and exits nonzero: a crashed-exit repetition.
+  EXPECT_EQ(R.Status, SandboxStatus::Exited) << R.triage();
+  EXPECT_NE(R.StderrTail.find("stack-overflow"), std::string::npos)
+      << R.StderrTail;
+#else
+  EXPECT_EQ(R.Status, SandboxStatus::Signaled) << R.triage();
+  EXPECT_EQ(R.TermSignal, SIGSEGV);
+#endif
+}
+
+/// Unwinds through a scheduling point: yields until \p Other is set, and
+/// notes the uncaught count before and after.
+struct ParkWhileUnwinding {
+  const bool &Other;
+  int &Before, &After;
+  ~ParkWhileUnwinding() {
+    Before = std::uncaught_exceptions();
+    while (!Other)
+      yieldNow();
+    After = std::uncaught_exceptions();
+  }
+};
+
+TEST(Fibers, ExceptionStateSurvivesASchedulingPoint) {
+  bool InCatch = false, InDtor = false, OtherDone = false, OtherDone2 = false;
+  std::string Rethrown, OtherCaught;
+  int OtherUncaught = -1, UnwindBefore = -1, UnwindAfter = -1;
+  ExecutionResult R = runActive([&] {
+    Thread Parker([&] {
+      try {
+        throw std::runtime_error("parker");
+      } catch (const std::runtime_error &) {
+        InCatch = true;
+        while (!OtherDone)
+          yieldNow();
+        try {
+          throw;
+        } catch (const std::runtime_error &E) {
+          Rethrown = E.what();
+        }
+      }
+      try {
+        ParkWhileUnwinding Guard{OtherDone2, UnwindBefore, UnwindAfter};
+        InDtor = true; // set before the throw: Other waits for it
+        throw std::logic_error("unwinding");
+      } catch (const std::logic_error &) {
+      }
+    });
+    Thread Other([&] {
+      while (!InCatch)
+        yieldNow();
+      try {
+        throw std::invalid_argument("other");
+      } catch (const std::invalid_argument &E) {
+        yieldNow();
+        OtherCaught = E.what();
+      }
+      OtherDone = true;
+      while (!InDtor)
+        yieldNow();
+      yieldNow();
+      try {
+        throw std::invalid_argument("other again");
+      } catch (const std::invalid_argument &) {
+        OtherUncaught = std::uncaught_exceptions();
+      }
+      OtherDone2 = true;
+    });
+    Parker.join();
+    Other.join();
+  });
+  ASSERT_TRUE(R.Completed);
+  EXPECT_EQ(Rethrown, "parker") << "throw; rethrew another thread's exception";
+  EXPECT_EQ(OtherCaught, "other");
+  EXPECT_EQ(OtherUncaught, 0) << "the unwinding thread's count leaked";
+  EXPECT_EQ(UnwindBefore, 1);
+  EXPECT_EQ(UnwindAfter, 1) << "the count did not survive the switch";
+}
+
+TEST(Fibers, ForkedChildRunsManagedThreadsOnInheritedStacks) {
+  ASSERT_TRUE(runFibers(2)); // leaves two free stacks behind
   pid_t Child = fork();
   ASSERT_GE(Child, 0);
-  if (Child == 0)
-    _exit(runPooled(2) ? 0 : 1);
+  if (Child == 0) {
+    const size_t Before = fiberStacksMapped();
+    _exit(runFibers(2) && fiberStacksMapped() == Before ? 0 : 1);
+  }
   int Status = 0;
   auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   pid_t Reaped = 0;
@@ -639,7 +788,74 @@ TEST(ThreadPool, ForkedChildRunsManagedThreadsAfterTheParentPooled) {
   ASSERT_TRUE(WIFEXITED(Status));
   EXPECT_EQ(WEXITSTATUS(Status), 0);
   // The parent's own runs still work after the fork.
-  EXPECT_TRUE(runPooled(2));
+  EXPECT_TRUE(runFibers(2));
+}
+
+/// An Active run where one managed thread holds \p Outside (built outside
+/// every runtime) while another takes it with \p Take.
+void contendOutside(Mutex &Outside, const std::function<void()> &Take) {
+  bool Held = false, Taken = false;
+  runActive([&] {
+    Thread Holder([&] {
+      Outside.lock();
+      Held = true;
+      while (!Taken)
+        yieldNow();
+      Outside.unlock();
+    });
+    Thread Taker([&] {
+      while (!Held)
+        yieldNow();
+      Take();
+      Taken = true;
+    });
+    Holder.join();
+    Taker.join();
+  });
+}
+
+TEST(UnmodeledMutex, TryLockFailsWhileAnotherManagedThreadHoldsIt) {
+  Mutex Outside("outside");
+  bool Got = true, HeldByTaker = true;
+  contendOutside(Outside, [&] {
+    Got = Outside.tryLock();
+    HeldByTaker = Outside.heldByCurrentThread();
+  });
+  EXPECT_FALSE(Got);
+  EXPECT_FALSE(HeldByTaker);
+  EXPECT_FALSE(Outside.heldByCurrentThread());
+}
+
+TEST(UnmodeledMutex, LockWhileAnotherManagedThreadHoldsItIsAnError) {
+  SandboxLimits Limits;
+  Limits.CaptureStderr = true;
+  SandboxResult R = runInSandbox(
+      [](int) {
+        Mutex Outside("outside");
+        contendOutside(Outside, [&] { Outside.lock(); });
+        return 0;
+      },
+      Limits);
+  EXPECT_EQ(R.Status, SandboxStatus::Signaled) << R.triage();
+  EXPECT_EQ(R.TermSignal, SIGABRT);
+  EXPECT_NE(R.StderrTail.find("built outside the Active run"),
+            std::string::npos)
+      << R.StderrTail;
+}
+
+TEST(UnmodeledMutex, MainReentersALockItsCallerHolds) {
+  Mutex Outside("outside");
+  Outside.lock();
+  bool Reentered = false;
+  ExecutionResult R = runActive([&] {
+    Outside.lock();
+    Reentered = Outside.heldByCurrentThread();
+    Outside.unlock();
+  });
+  EXPECT_TRUE(R.Completed);
+  EXPECT_TRUE(Reentered);
+  EXPECT_TRUE(Outside.heldByCurrentThread());
+  Outside.unlock();
 }
 
 TEST(YieldNow, OutsideRuntimeIsANoOpHint) {

@@ -2,7 +2,7 @@
 //
 // Drives the built dlf-run binary through real subprocesses: benchmark
 // listing, phase-1 cycle counts, the save/load report workflow, variant
-// flags, and error handling.
+// flags, and error handling; and both tools' --help.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +37,17 @@ std::string captureCommand(const std::string &Command) {
 }
 
 std::string tool() { return DLF_RUN_BIN; }
+std::string analyzeTool() { return DLF_ANALYZE_BIN; }
+
+TEST(ToolHelp, BothToolsPrintUsageOnStdoutAndExitZero) {
+  for (const std::string &Bin : {tool(), analyzeTool()})
+    for (const char *Flag : {" --help", " -h"}) {
+      std::string Out = captureCommand(Bin + Flag + " 2>/dev/null");
+      EXPECT_EQ(Out.rfind("usage: ", 0), 0u) << Bin << Flag << ": " << Out;
+      EXPECT_EQ(runCommand(Bin + Flag + " >/dev/null 2>&1"), 0)
+          << Bin << Flag;
+    }
+}
 
 TEST(DlfRun, ListShowsEveryBenchmark) {
   std::string Out = captureCommand(tool() + " --list");
