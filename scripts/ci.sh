@@ -90,10 +90,11 @@ rm -rf "$PREDICTDIR"
 # Cross-jobs identity: campaign output must not depend on --jobs, however
 # the lanes are pinned. For every registry benchmark the per-cycle table
 # and the journal (per-rep timing fields and line CRCs stripped) must be
-# byte-identical at --jobs 1 and --jobs 3. A lane child runs a batch of
-# ceil(reps / jobs) reps, so this compares one 3-rep child per cycle
-# (--jobs 1) with three 1-rep children (--jobs 3): it pins that reps run
-# back to back in one child classify exactly like reps in fresh children.
+# byte-identical at --jobs 1 and --jobs 3. A lane's child runs every
+# batch the lane is fed, so this compares one child running every cycle's
+# 3 reps (--jobs 1) with three children running 1-rep batches (--jobs 3):
+# it pins that reps run back to back in one child classify exactly like
+# reps spread over other children.
 XJDIR="$(mktemp -d)"
 for BENCH in $(build/src/dlf-run --list |
                awk -F'|' 'NR > 2 { gsub(/ /, "", $2); print $2 }'); do
@@ -137,6 +138,14 @@ for BENCH in $(build/src/dlf-run --list |
          exit 1; }
 done
 echo "== driver parity: in-process and campaign classify alike =="
+# One child per lane: a clean campaign at --jobs 3 forks exactly three
+# Phase II children however many batches it runs.
+build/src/dlf-run collections-lists --campaign --jobs 3 \
+  --journal "$XJDIR/lanes.jsonl" > "$XJDIR/lanes.out"
+grep -q ' 3 child(ren) for ' "$XJDIR/lanes.out" \
+  || { grep throughput "$XJDIR/lanes.out"
+       echo "collections-lists --jobs 3: not one child per lane"; exit 1; }
+echo "== lanes: collections-lists --jobs 3 forks 3 Phase II children =="
 # Lane wrap: three lanes on two CPUs share a core, and every cycle must
 # still reproduce.
 if [ "$(nproc)" -ge 2 ]; then
@@ -248,9 +257,16 @@ build/bench/micro_analysis \
 build/bench/micro_predict \
   --benchmark_filter='BM_PredictLinear/256' --benchmark_min_time=0.02
 # A binary compared with itself must show no change beyond the noise.
-scripts/bench_compare.sh build/bench/micro_scheduler \
-  build/bench/micro_scheduler 'BM_ManagedThreadSpawnJoin/8' 3 0.02 |
-  tee /dev/stderr | tail -n 1 | grep -q '^0 of ' \
+# The output is captured, then shown on stderr: a pipe through
+# `tee /dev/stderr` would reopen a redirected log with O_TRUNC and lose
+# every tier before this one.
+SELFCMP_RC=0
+SELFCMP="$(scripts/bench_compare.sh build/bench/micro_scheduler \
+  build/bench/micro_scheduler 'BM_ManagedThreadSpawnJoin/8' 3 0.02)" \
+  || SELFCMP_RC=$?
+printf '%s\n' "$SELFCMP" >&2
+[ "$SELFCMP_RC" = 0 ] && printf '%s\n' "$SELFCMP" | tail -n 1 |
+  grep -q '^0 of ' \
   || { echo "bench_compare flagged a binary against itself"; exit 1; }
 # Verdict check: the analyze-tangle trace at ten fixed seeds must grade
 # as constructed: 14 cycles, 6 PREDICTED-SOUND, 4 guarded, 4 hb-ordered.
@@ -320,8 +336,8 @@ trap 'rm -rf "$TELDIR"' EXIT
 # --jobs 4: child telemetry rides the result pipe and is merged at the
 # in-order commit frontier, so the two counter maps must be identical (the
 # DESIGN.md §10 determinism contract) except for the operational
-# dlf_campaign_children_total, which counts forked children and so follows
-# the batch size --jobs sets; each journal's directory must hold nothing
+# dlf_campaign_children_total, which counts forked children, one per lane,
+# and so follows --jobs; each journal's directory must hold nothing
 # but the journal afterwards.
 for JOBS in 1 4; do
   mkdir "$TELDIR/j$JOBS"
@@ -353,7 +369,7 @@ with open(f"{teldir}/m1.json") as f:
     serial = json.load(f)
 with open(f"{teldir}/m4.json") as f:
     metrics = json.load(f)
-# Operational: one 10-rep child at --jobs 1, four children at --jobs 4.
+# Operational: one child at --jobs 1, one per lane at --jobs 4.
 children = "dlf_campaign_children_total"
 assert serial["counters"].pop(children, 0) == 1, f"{children} at --jobs 1"
 assert metrics["counters"].pop(children, 0) == 4, f"{children} at --jobs 4"

@@ -531,6 +531,11 @@ void CampaignRunner::journalAppend(const JsonValue &Record) {
     degradeJournal(Writer.lastError());
 }
 
+void CampaignRunner::journalSync() {
+  if (Writer.isOpen() && !JournalDegraded && !Writer.sync())
+    degradeJournal(Writer.lastError());
+}
+
 void CampaignRunner::degradeJournal(const std::string &Why) {
   // Persistent journal failure (ENOSPC, EIO, ...): self-heal by finishing
   // the campaign in memory. The prefix already on disk is still valid, but
@@ -739,7 +744,7 @@ struct CycleProgress {
   std::map<unsigned, std::vector<unsigned>> Returned;
 };
 
-/// What a pool ticket is running: a batch of reps of one cycle, in order.
+/// A batch a lane runs: reps of one cycle, in order.
 struct FlightInfo {
   unsigned Cycle = 0;
   std::vector<unsigned> Reps;
@@ -748,13 +753,21 @@ struct FlightInfo {
   /// Attempt index of every rep in the batch (a retry runs one rep).
   unsigned Attempt = 0;
   /// When Reps[Framed] started, in µs since the campaign telemetry epoch:
-  /// the launch, then the arrival of the previous rep's frame.
+  /// the batch's command, then the arrival of the previous rep's frame.
   uint64_t RepStartUs = 0;
-  /// Child CPU time the framed reps reported.
+};
+
+/// One worker lane: its sandboxed child, kept from batch to batch, and
+/// the batch that child is running. Lane k's child runs on the k-th CPU
+/// the runner may use; the lane index is also its timeline tid and its
+/// slot in the status plane's worker view.
+struct Lane {
+  /// Pool ticket of the lane's child; 0 while the lane has none.
+  uint64_t Ticket = 0;
+  /// Child CPU time the child's frames reported, over all its batches.
   double FramedCpuMs = 0.0;
-  /// Worker lane (smallest free slot at launch): the child's CPU, its
-  /// timeline tid and its slot in the status plane's worker view.
-  uint32_t Lane = 0;
+  /// The batch in flight; empty while the child waits for a command.
+  std::optional<FlightInfo> Batch;
 };
 
 /// A repetition waiting out its retry backoff before relaunch.
@@ -776,6 +789,61 @@ struct PendingOutcome {
   uint64_t EndUs = 0;
   uint32_t Lane = 0;
 };
+
+/// The command that hands a lane's child a batch: the cycle, the attempt,
+/// the reps in order, and the child-site faults the parent (which owns
+/// the fault plan's counters) decided for each rep, listed by position
+/// for the reps that have any.
+std::string batchCommand(const FlightInfo &FI,
+                         const std::vector<faultinject::ChildFaults> &Faults) {
+  JsonValue Cmd = JsonValue::object();
+  Cmd.set("cycle", FI.Cycle);
+  Cmd.set("attempt", FI.Attempt);
+  JsonValue Reps = JsonValue::array();
+  for (unsigned R : FI.Reps)
+    Reps.push(JsonValue(R));
+  Cmd.set("reps", std::move(Reps));
+  JsonValue Fs = JsonValue::array();
+  for (size_t I = 0; I != Faults.size(); ++I) {
+    const faultinject::ChildFaults &CF = Faults[I];
+    if (!CF.any())
+      continue;
+    JsonValue F = JsonValue::object();
+    F.set("at", static_cast<uint64_t>(I));
+    F.set("crash", CF.CrashAction);
+    F.set("hang", CF.Hang);
+    F.set("truncate", CF.SidecarTruncate);
+    F.set("missing", CF.SidecarMissing);
+    Fs.push(std::move(F));
+  }
+  Cmd.set("faults", std::move(Fs));
+  return Cmd.dump();
+}
+
+/// Decodes batchCommand's text in the child. Returns false for anything
+/// else.
+bool decodeBatchCommand(const std::string &Text, FlightInfo &FI,
+                        std::vector<faultinject::ChildFaults> &Faults) {
+  JsonValue Cmd;
+  if (!parseJson(Text, Cmd) || !Cmd.isObject())
+    return false;
+  FI.Cycle = static_cast<unsigned>(Cmd["cycle"].asUInt());
+  FI.Attempt = static_cast<unsigned>(Cmd["attempt"].asUInt());
+  FI.Reps.clear();
+  for (const JsonValue &R : Cmd["reps"].items())
+    FI.Reps.push_back(static_cast<unsigned>(R.asUInt()));
+  Faults.assign(FI.Reps.size(), faultinject::ChildFaults());
+  for (const JsonValue &F : Cmd["faults"].items()) {
+    uint64_t At = F["at"].asUInt();
+    if (At >= Faults.size())
+      return false;
+    Faults[At].CrashAction = F["crash"].asString();
+    Faults[At].Hang = F["hang"].asBool();
+    Faults[At].SidecarTruncate = F["truncate"].asBool();
+    Faults[At].SidecarMissing = F["missing"].asBool();
+  }
+  return !FI.Reps.empty();
+}
 
 /// Fills \p O for the rep a batch child was running when it ended without
 /// that rep's frame.
@@ -822,9 +890,8 @@ void CampaignRunner::runPhaseTwo(
 
   WorkerPool Pool(WorkerPool::resolveJobs(Config.Jobs));
   Report.JobsUsed = Pool.jobs();
-  // One child runs a batch of up to ceil(Reps / Jobs) fresh reps of one
-  // cycle, so each cycle's reps are spread over every lane and a serial
-  // campaign forks once per cycle.
+  // A batch is up to ceil(Reps / Jobs) fresh reps of one cycle, so each
+  // cycle's reps are spread over every lane.
   const unsigned BatchSize =
       std::max(1u, (Reps + Pool.jobs() - 1) / Pool.jobs());
 
@@ -857,17 +924,18 @@ void CampaignRunner::runPhaseTwo(
     PO.Replayed = true;
   }
 
-  std::map<uint64_t, FlightInfo> Flight;
   std::vector<RetryItem> Retries;
   unsigned CommitCycle = 0;
 
-  // Worker lanes: each launch takes the smallest free slot, and lane k's
-  // child runs on the k-th CPU this process may use (wrapping when lanes
-  // outnumber CPUs), so concurrent serialized children never share a core
-  // while there are cores to spare. The timeline shows pool occupancy by
-  // lane, and the status plane's worker view is indexed by it.
+  // Worker lanes: lane k's child runs on the k-th CPU this process may use
+  // (wrapping when lanes outnumber CPUs), so concurrent serialized
+  // children never share a core while there are cores to spare. A lane
+  // forks its child for its first batch and feeds it every later batch as
+  // a command; it forks again only after its child crashed, hung or was
+  // ended. The timeline shows pool occupancy by lane, and the status
+  // plane's worker view is indexed by it.
   const std::vector<int> LaneCpus = allowedCpus();
-  std::vector<char> LaneBusy;
+  std::vector<Lane> Lanes(Pool.jobs());
   bool StatusDirty = Config.Status != nullptr;
   auto ElapsedUs = [&]() {
     return static_cast<uint64_t>(
@@ -908,8 +976,8 @@ void CampaignRunner::runPhaseTwo(
   };
 
   // Fills in the parent-owned fields of the outcome of \p FI's running rep
-  // and queues it for the in-order commit.
-  auto QueueOutcome = [&](const FlightInfo &FI, RepOutcome O,
+  // on lane \p L and queues it for the in-order commit.
+  auto QueueOutcome = [&](uint32_t L, const FlightInfo &FI, RepOutcome O,
                           std::string Telemetry) {
     const unsigned R = FI.Reps[FI.Framed];
     O.CycleIdx = FI.Cycle;
@@ -921,7 +989,7 @@ void CampaignRunner::runPhaseTwo(
     PO.Telemetry = std::move(Telemetry);
     PO.StartUs = FI.RepStartUs;
     PO.EndUs = ElapsedUs();
-    PO.Lane = FI.Lane;
+    PO.Lane = L;
     Pending[{FI.Cycle, R}] = std::move(PO);
   };
 
@@ -932,7 +1000,7 @@ void CampaignRunner::runPhaseTwo(
   // 0. While draining, nothing is retried or handed back: those reps are
   // dropped un-journaled, and resume re-runs them from attempt 0 with the
   // same seeds, reaching the same classifications.
-  auto FailRunningRep = [&](const FlightInfo &FI, RepOutcome O) {
+  auto FailRunningRep = [&](uint32_t L, const FlightInfo &FI, RepOutcome O) {
     const bool Draining = Stop != StopReason::None;
     const unsigned R = FI.Reps[FI.Framed];
     if (!Draining && FI.Framed + 1 < FI.Reps.size())
@@ -957,99 +1025,114 @@ void CampaignRunner::runPhaseTwo(
                          Clock::now() + std::chrono::milliseconds(DelayMs)});
       return;
     }
-    QueueOutcome(FI, std::move(O), std::string());
+    QueueOutcome(L, FI, std::move(O), std::string());
   };
 
-  auto LaunchBatch = [&](unsigned C, const std::vector<unsigned> &Batch,
+  // A lane's child: it reads one batch command at a time, builds the
+  // tester, and runs the batch, one frame per rep, until the parent ends
+  // it. It runs in launch()'s fork, so it may read these locals; Cpu is
+  // its own copy.
+  auto LaneChild = [&](int Cpu) {
+    return [&, Cpu](int CommandFd, int Fd) {
+      pinCallingThread(Cpu);
+      std::string Command;
+      FlightInfo B;
+      std::vector<faultinject::ChildFaults> Faults;
+      while (readFrame(CommandFd, Command)) {
+        if (!decodeBatchCommand(Command, B, Faults) || B.Cycle >= NumCycles)
+          return 1;
+        const AbstractCycle &Cycle = Report.Cycles[B.Cycle];
+        ActiveTester T(Config.Entry, Config.Tester);
+        for (size_t I = 0; I != B.Reps.size(); ++I) {
+          const Clock::time_point RepStart = Clock::now();
+          const double CpuStart = processCpuMs();
+          if (Config.Telemetry)
+            telemetry::beginChildTelemetry();
+          // Unconditional: also marks this process as a campaign child
+          // so the inherited global plan cannot double-fire sidecar
+          // faults.
+          faultinject::applyChildFaults(Faults[I]);
+          if (Config.ChildFaultHook)
+            Config.ChildFaultHook(B.Cycle, B.Reps[I], B.Attempt);
+          ExecutionResult E = T.runOnce(Cycle, SeedFor(B.Reps[I]));
+          JsonValue Rec = JsonValue::object();
+          Rec.set("class", repClassName(T.classify(E, Cycle)));
+          Rec.set("thrashes", E.Thrashes);
+          Rec.set("unpauses", E.ForcedUnpauses);
+          Rec.set("wall_ms", std::chrono::duration<double, std::milli>(
+                                 Clock::now() - RepStart)
+                                 .count());
+          Rec.set("cpu_ms", processCpuMs() - CpuStart);
+          // Best-effort: if the parent vanished there is nothing
+          // sensible left to do in the child.
+          if (!writeFrame(Fd, childReply(Rec, Config.Telemetry)))
+            return 0;
+        }
+      }
+      return 0;
+    };
+  };
+
+  auto ForkLane = [&](uint32_t L) {
+    Lanes[L].Ticket =
+        Pool.launch(LaneChild(laneCpu(LaneCpus, L)), childLimits());
+    Lanes[L].FramedCpuMs = 0.0;
+    ++Report.PhaseTwoChildren;
+    // Counted at the fork: operational, like worker restarts — not
+    // jobs-deterministic, since the lanes follow --jobs.
+    if (Config.Telemetry)
+      ++Report.Metrics.Counters["dlf_campaign_children_total"];
+  };
+
+  // Ends lane \p L's child, if it has one, and drops its batch.
+  auto KillLane = [&](uint32_t L) {
+    if (Lanes[L].Ticket)
+      Report.ChildCpuMs += Pool.cancel(Lanes[L].Ticket);
+    Lanes[L].Ticket = 0;
+    Lanes[L].Batch.reset();
+    StatusDirty = true;
+  };
+
+  // Hands a batch to free lane \p L: the command goes to the lane's child,
+  // forked first if the lane has none.
+  auto LaunchBatch = [&](uint32_t L, unsigned C, std::vector<unsigned> Batch,
                          unsigned Attempt) {
     FlightInfo FI;
     FI.Cycle = C;
-    FI.Reps = Batch;
+    FI.Reps = std::move(Batch);
     FI.Attempt = Attempt;
     FI.RepStartUs = ElapsedUs();
-    if (faultinject::spawnFailErrno(C, Batch[0], Attempt)) {
+    if (faultinject::spawnFailErrno(C, FI.Reps[0], Attempt)) {
       // An injected spawn failure behaves exactly like a failed fork: the
       // batch's first rep fails without running.
       RepOutcome O;
       classifyUnframed(SandboxResult(), O);
-      FailRunningRep(FI, std::move(O));
+      FailRunningRep(L, FI, std::move(O));
       return;
     }
-    const AbstractCycle &Cycle = Report.Cycles[C];
     // Child-site faults are decided here, in the parent, where the plan's
     // counters live: one verdict per (cycle, rep, attempt), which the
     // child applies before that rep only.
-    std::vector<faultinject::ChildFaults> Faults(Batch.size());
+    std::vector<faultinject::ChildFaults> Faults(FI.Reps.size());
     if (faultinject::enabled())
-      for (size_t I = 0; I != Batch.size(); ++I)
-        Faults[I] = faultinject::plan().childFaults(C, Batch[I], Attempt);
-    uint32_t &Lane = FI.Lane;
-    while (Lane < LaneBusy.size() && LaneBusy[Lane])
-      ++Lane;
-    if (Lane == LaneBusy.size())
-      LaneBusy.push_back(0);
-    LaneBusy[Lane] = 1;
-    const int Cpu = laneCpu(LaneCpus, Lane);
-    // The child runs in launch()'s fork, so it may read these locals.
-    uint64_t Ticket = Pool.launch(
-        [&](int Fd) {
-          pinCallingThread(Cpu);
-          ActiveTester T(Config.Entry, Config.Tester);
-          for (size_t I = 0; I != Batch.size(); ++I) {
-            const Clock::time_point RepStart = Clock::now();
-            const double CpuStart = processCpuMs();
-            if (Config.Telemetry)
-              telemetry::beginChildTelemetry();
-            // Unconditional: also marks this process as a campaign child
-            // so the inherited global plan cannot double-fire sidecar
-            // faults.
-            faultinject::applyChildFaults(Faults[I]);
-            if (Config.ChildFaultHook)
-              Config.ChildFaultHook(C, Batch[I], Attempt);
-            ExecutionResult E = T.runOnce(Cycle, SeedFor(Batch[I]));
-            JsonValue Rec = JsonValue::object();
-            Rec.set("class", repClassName(T.classify(E, Cycle)));
-            Rec.set("thrashes", E.Thrashes);
-            Rec.set("unpauses", E.ForcedUnpauses);
-            Rec.set("wall_ms", std::chrono::duration<double, std::milli>(
-                                   Clock::now() - RepStart)
-                                   .count());
-            Rec.set("cpu_ms", processCpuMs() - CpuStart);
-            // Best-effort: if the parent vanished there is nothing
-            // sensible left to do in the child.
-            if (!writeFrame(Fd, childReply(Rec, Config.Telemetry)))
-              return 0;
-          }
-          return 0;
-        },
-        childLimits());
-    Flight[Ticket] = std::move(FI);
-    ++Report.PhaseTwoChildren;
-    // Counted at launch: operational, like worker restarts — not
-    // jobs-deterministic, since batch sizes follow --jobs.
-    if (Config.Telemetry)
-      ++Report.Metrics.Counters["dlf_campaign_children_total"];
+      for (size_t I = 0; I != FI.Reps.size(); ++I)
+        Faults[I] = faultinject::plan().childFaults(C, FI.Reps[I], Attempt);
+    if (!Lanes[L].Ticket)
+      ForkLane(L);
+    // A child that cannot take the command (its fork failed, or it died)
+    // is reaped by the pool, and its completion fails the batch's first
+    // rep like any crash.
+    Pool.send(Lanes[L].Ticket, batchCommand(FI, Faults), FI.Reps.size());
+    Lanes[L].Batch = std::move(FI);
     StatusDirty = true;
   };
 
-  // Takes a batch off the lanes; its child is already reaped or killed.
-  auto EndBatch = [&](std::map<uint64_t, FlightInfo>::iterator It) {
-    LaneBusy[It->second.Lane] = 0;
-    StatusDirty = true;
-    return Flight.erase(It);
-  };
-
-  // Kills a batch's child and takes the batch off the lanes.
-  auto KillBatch = [&](std::map<uint64_t, FlightInfo>::iterator It) {
-    Report.ChildCpuMs += Pool.cancel(It->first);
-    return EndBatch(It);
-  };
-
-  // One rep's frame: queue its outcome for commit, then admit the batch's
-  // next rep through the stop gates or end the lane here.
-  auto HandleFrame = [&](std::map<uint64_t, FlightInfo>::iterator It,
-                         const std::string &Frame) {
-    FlightInfo &FI = It->second;
+  // One rep's frame from lane \p L: queue its outcome for commit. After
+  // the batch's last frame the lane is free and its child waits for the
+  // next command; otherwise the batch's next rep passes the stop gates or
+  // the lane ends here.
+  auto HandleFrame = [&](uint32_t L, const std::string &Frame) {
+    FlightInfo &FI = *Lanes[L].Batch;
     auto [Line, Section] = splitPayload(Frame);
     JsonValue Rec;
     RepOutcome O;
@@ -1059,63 +1142,78 @@ void CampaignRunner::runPhaseTwo(
       Bad.Diagnostic =
           "result protocol violation; payload: " + Frame.substr(0, 120);
       Bad.WallMs = static_cast<double>(ElapsedUs() - FI.RepStartUs) / 1000.0;
-      FailRunningRep(FI, std::move(Bad));
-      KillBatch(It);
+      FailRunningRep(L, FI, std::move(Bad));
+      KillLane(L);
       return;
     }
-    FI.FramedCpuMs += O.CpuMs;
-    QueueOutcome(FI, std::move(O),
+    Lanes[L].FramedCpuMs += O.CpuMs;
+    QueueOutcome(L, FI, std::move(O),
                  Config.Telemetry ? std::move(Section) : std::string());
     ++FI.Framed;
     FI.RepStartUs = ElapsedUs();
     StatusDirty = true;
+    if (FI.Framed == FI.Reps.size()) {
+      Lanes[L].Batch.reset();
+      return;
+    }
     // The child is already running the next rep; if that rep may not run,
     // the lane ends now and the rep is left for resume.
-    if (FI.Framed < FI.Reps.size() && !Admit())
-      KillBatch(It);
+    if (!Admit())
+      KillLane(L);
   };
 
-  // A reaped child: a batch that framed every rep is simply done; one that
-  // ended early fails its running rep.
-  auto HandleFinished = [&](uint64_t Ticket, const SandboxResult &SR) {
-    auto It = Flight.find(Ticket);
-    if (It == Flight.end())
-      return; // canceled
+  // Lane \p L's child was reaped: a batch it was running fails its
+  // running rep.
+  auto HandleFinished = [&](uint32_t L, const SandboxResult &SR) {
     Report.ChildCpuMs += SR.CpuMs;
-    const FlightInfo &FI = It->second;
-    if (FI.Framed < FI.Reps.size()) {
+    if (Lanes[L].Batch) {
       RepOutcome O;
       classifyUnframed(SR, O);
-      O.WallMs = static_cast<double>(ElapsedUs() - FI.RepStartUs) / 1000.0;
-      O.CpuMs = std::max(0.0, SR.CpuMs - FI.FramedCpuMs);
-      FailRunningRep(FI, std::move(O));
+      O.WallMs =
+          static_cast<double>(ElapsedUs() - Lanes[L].Batch->RepStartUs) /
+          1000.0;
+      O.CpuMs = std::max(0.0, SR.CpuMs - Lanes[L].FramedCpuMs);
+      FailRunningRep(L, *Lanes[L].Batch, std::move(O));
     }
-    EndBatch(It);
+    Lanes[L].Ticket = 0;
+    Lanes[L].Batch.reset();
+    StatusDirty = true;
   };
 
   // Takes one poll's news from the pool. Returns whether there was any.
   auto Collect = [&](int WaitMs) {
     std::vector<PoolCompletion> Done = Pool.poll(WaitMs);
     for (PoolCompletion &PC : Done) {
+      auto Owner = std::find_if(Lanes.begin(), Lanes.end(), [&](const Lane &Ln) {
+        return Ln.Ticket == PC.Ticket;
+      });
+      if (Owner == Lanes.end())
+        continue;
+      const uint32_t L = static_cast<uint32_t>(Owner - Lanes.begin());
+      // Frames after a lane ended, or while its child has no batch, are
+      // ignored.
       for (const std::string &Frame : PC.Frames) {
-        auto It = Flight.find(PC.Ticket);
-        // Frames after a lane ended (or past its batch) are ignored.
-        if (It == Flight.end() || It->second.Framed == It->second.Reps.size())
+        if (Lanes[L].Ticket != PC.Ticket || !Lanes[L].Batch)
           break;
-        HandleFrame(It, Frame);
+        HandleFrame(L, Frame);
       }
-      if (PC.Finished)
-        HandleFinished(PC.Ticket, PC.Result);
+      if (!PC.Finished)
+        continue;
+      if (Lanes[L].Ticket == PC.Ticket)
+        HandleFinished(L, PC.Result);
+      else // a frame ended the lane; the child was already reaped
+        Report.ChildCpuMs += PC.Result.CpuMs;
     }
     return !Done.empty();
   };
 
-  // Quarantine kills the cycle's children and retries, and drops its
+  // Quarantine kills the lanes running the cycle, drops its retries and
   // uncommitted outcomes so nothing past the quarantine point is ever
   // journaled — exactly the records a serial campaign writes.
   auto CancelCycle = [&](unsigned C) {
-    for (auto It = Flight.begin(); It != Flight.end();)
-      It = It->second.Cycle == C ? KillBatch(It) : std::next(It);
+    for (uint32_t L = 0; L != Lanes.size(); ++L)
+      if (Lanes[L].Batch && Lanes[L].Batch->Cycle == C)
+        KillLane(L);
     Retries.erase(std::remove_if(Retries.begin(), Retries.end(),
                                  [C](const RetryItem &RI) {
                                    return RI.Cycle == C;
@@ -1128,9 +1226,15 @@ void CampaignRunner::runPhaseTwo(
     Progress[C].NextDispatch = Reps;
   };
 
+  // The /events stream mirrors the journal, but hears of this round's
+  // records only once EndRound made them durable.
+  std::vector<std::pair<const char *, std::string>> RoundEvents;
+
   // Commits queued outcomes strictly in (cycle, rep) order: journal (fresh
   // ones only), accumulate, and apply the quarantine policy at the commit
   // frontier — identical to the serial walk whatever order children finish.
+  // Each call starts a commit round: its records are written and flushed as
+  // they commit, and EndRound makes them durable.
   auto CommitReady = [&]() {
     while (CommitCycle < NumCycles) {
       CycleProgress &P = Progress[CommitCycle];
@@ -1141,7 +1245,7 @@ void CampaignRunner::runPhaseTwo(
       }
       auto It = Pending.find({CommitCycle, P.Frontier});
       if (It == Pending.end())
-        return;
+        break;
       PendingOutcome PO = std::move(It->second);
       Pending.erase(It);
       ++P.Frontier;
@@ -1167,16 +1271,17 @@ void CampaignRunner::runPhaseTwo(
           Rec.set("diag", O.Diagnostic);
         journalAppend(Rec);
         if (faultinject::fires("runner.kill")) {
-          // Chaos: abrupt runner death right after this record became
+          // Chaos: abrupt runner death right after this record was made
           // durable. PDEATHSIG takes the children down with us; resume
           // must pick up from exactly this point.
+          journalSync();
           Writer.close();
           ::raise(SIGKILL);
         }
         // The /events stream mirrors the journal: one "commit" per fresh
         // frontier record, in the exact order the journal receives them.
         if (Config.Status)
-          Config.Status->publishEvent("commit", Rec.dump());
+          RoundEvents.emplace_back("commit", Rec.dump());
       }
 
       accumulate(S, O);
@@ -1220,7 +1325,7 @@ void CampaignRunner::runPhaseTwo(
           JsonValue Ev = JsonValue::object();
           Ev.set("cycle", CommitCycle);
           Ev.set("reason", S.QuarantineReason);
-          Config.Status->publishEvent("quarantine", Ev.dump());
+          RoundEvents.emplace_back("quarantine", Ev.dump());
         }
         if (!JournaledQuarantines.count(CommitCycle)) {
           JsonValue Rec = JsonValue::object();
@@ -1231,6 +1336,17 @@ void CampaignRunner::runPhaseTwo(
         }
       }
     }
+  };
+
+  // Ends a commit round: one fsync for all of its records, then their
+  // events, so every commit a scraper sees is durable. The loop ends a
+  // round after dispatching, so a lane that finished its batch gets its
+  // next one without waiting for the fsync.
+  auto EndRound = [&]() {
+    journalSync();
+    for (const auto &[Kind, Data] : RoundEvents)
+      Config.Status->publishEvent(Kind, Data);
+    RoundEvents.clear();
   };
 
   // The cycle whose fresh (attempt 0) reps are next in dispatch order, if
@@ -1264,8 +1380,26 @@ void CampaignRunner::runPhaseTwo(
     return Batch;
   };
 
+  // A lane free for the next batch: one whose child waits for a command
+  // (no fork needed) before the lowest-numbered one without a child.
+  auto FreeLane = [&]() -> std::optional<uint32_t> {
+    std::optional<uint32_t> Childless;
+    for (uint32_t L = 0; L != Lanes.size(); ++L) {
+      if (Lanes[L].Batch)
+        continue;
+      if (Lanes[L].Ticket)
+        return L;
+      if (!Childless)
+        Childless = L;
+    }
+    return Childless;
+  };
+
   auto Dispatch = [&]() {
-    while (Stop == StopReason::None && Pool.hasCapacity()) {
+    while (Stop == StopReason::None) {
+      std::optional<uint32_t> L = FreeLane();
+      if (!L)
+        return;
       // Ripe retries first: they hold the commit frontier back.
       auto Now = Clock::now();
       auto Ripe = std::find_if(Retries.begin(), Retries.end(),
@@ -1275,14 +1409,25 @@ void CampaignRunner::runPhaseTwo(
       if (Ripe != Retries.end()) {
         RetryItem RI = *Ripe;
         Retries.erase(Ripe);
-        LaunchBatch(RI.Cycle, {RI.Rep}, RI.Attempt);
+        LaunchBatch(*L, RI.Cycle, {RI.Rep}, RI.Attempt);
         continue;
       }
       std::optional<unsigned> Fresh = PeekFresh();
       if (!Fresh || !Admit())
         return;
-      LaunchBatch(*Fresh, TakeBatch(*Fresh), /*Attempt=*/0);
+      LaunchBatch(*L, *Fresh, TakeBatch(*Fresh), /*Attempt=*/0);
     }
+  };
+
+  // A lane with nothing left to run ends its child: once the campaign
+  // stops, or when no batch is queued and no retry waits out its backoff
+  // (a waiting retry will want a lane soon).
+  auto EndIdleLanes = [&]() {
+    if (Stop == StopReason::None && (!Retries.empty() || PeekFresh()))
+      return;
+    for (uint32_t L = 0; L != Lanes.size(); ++L)
+      if (Lanes[L].Ticket && !Lanes[L].Batch)
+        KillLane(L);
   };
 
   auto AllCommitted = [&]() {
@@ -1334,18 +1479,15 @@ void CampaignRunner::runPhaseTwo(
         Remaining += CS.RepsTotal - CS.RepsDone;
       St.PerCycle.push_back(std::move(CS));
     }
-    St.Workers.resize(LaneBusy.size());
-    for (size_t L = 0; L != LaneBusy.size(); ++L) {
-      St.Workers[L].Lane = static_cast<uint32_t>(L);
-      St.Workers[L].Busy = LaneBusy[L] != 0;
-    }
-    for (const auto &KV : Flight) {
-      const FlightInfo &FI = KV.second;
-      if (FI.Lane < St.Workers.size()) {
-        serve::WorkerStatus &W = St.Workers[FI.Lane];
-        W.Cycle = FI.Cycle;
-        W.Rep = FI.Reps[std::min(FI.Framed, FI.Reps.size() - 1)];
-        W.Attempt = FI.Attempt;
+    St.Workers.resize(Lanes.size());
+    for (uint32_t L = 0; L != Lanes.size(); ++L) {
+      serve::WorkerStatus &W = St.Workers[L];
+      W.Lane = L;
+      W.Busy = Lanes[L].Batch.has_value();
+      if (const std::optional<FlightInfo> &FI = Lanes[L].Batch) {
+        W.Cycle = FI->Cycle;
+        W.Rep = FI->Reps[FI->Framed];
+        W.Attempt = FI->Attempt;
       }
     }
     St.WallMs =
@@ -1379,6 +1521,8 @@ void CampaignRunner::runPhaseTwo(
     Dispatch();
     if (Stop != StopReason::None)
       break;
+    EndIdleLanes();
+    EndRound();
 
     bool News = Collect(/*WaitMs=*/1);
 
@@ -1392,10 +1536,13 @@ void CampaignRunner::runPhaseTwo(
         Config.Status->publishMetrics(Report.Metrics);
     }
 
-    // Nothing in flight and only unripe retries left: sleep toward the
+    // No batch in flight and only unripe retries left: sleep toward the
     // earliest backoff expiry instead of spinning (SIGINT still wakes us
     // via EINTR).
-    if (Pool.inFlight() == 0 && !News && !Retries.empty()) {
+    const bool Running =
+        std::any_of(Lanes.begin(), Lanes.end(),
+                    [](const Lane &Ln) { return Ln.Batch.has_value(); });
+    if (!Running && !News && !Retries.empty()) {
       auto Next = std::min_element(Retries.begin(), Retries.end(),
                                    [](const RetryItem &A, const RetryItem &B) {
                                      return A.NotBefore < B.NotBefore;
@@ -1417,9 +1564,16 @@ void CampaignRunner::runPhaseTwo(
   // rep's frame. Commit the in-order prefix of what came in. Outcomes past
   // the first gap are dropped un-journaled; resume re-executes them
   // deterministically. A completed campaign passes through here too, to
-  // reap the children that framed their last rep and are exiting.
-  while (Pool.inFlight() != 0)
+  // end the lanes' idle children: no child outlives the campaign. A
+  // stop's drain can last a watchdog window, so the round the loop left
+  // open ends first.
+  if (Stop != StopReason::None)
+    EndRound();
+  EndIdleLanes();
+  while (Pool.inFlight() != 0) {
     Collect(/*WaitMs=*/2);
+    EndIdleLanes();
+  }
   if (Stop != StopReason::None)
     CommitReady();
 
@@ -1447,6 +1601,10 @@ void CampaignRunner::runPhaseTwo(
     break;
   }
   }
+
+  // The last round: whatever the loop committed before it ended, the
+  // drain's commits, and the closing record.
+  EndRound();
 
   Report.PeakConcurrency = Pool.peakConcurrency();
   Report.PhaseTwoWallMs =
@@ -1555,6 +1713,7 @@ CampaignReport CampaignRunner::run(bool Resume) {
       return Report;
     }
     journalAppend(headerRecord()); // a failure here degrades, like any other
+    journalSync();
   }
 
   // -- Phase I ---------------------------------------------------------------
@@ -1581,6 +1740,7 @@ CampaignReport CampaignRunner::run(bool Resume) {
     if (!runPhaseOneSandboxed(Report, Record))
       return Report; // Error is set; nothing journaled, resume retries.
     journalAppend(Record);
+    journalSync();
   }
 
   if (Config.Status) {

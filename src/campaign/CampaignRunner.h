@@ -10,27 +10,32 @@
 /// (100 reps x N cycles for Table 1 / Figure 2) against a workload that is
 /// deadlock-prone by construction; in-process execution means one hung or
 /// crashed repetition destroys the whole campaign. The CampaignRunner
-/// executes Phase I in a ProcessSandbox child, and Phase II in sandboxed
-/// lane children that each run a *batch* of up to ceil(Reps / Jobs)
-/// consecutive fresh repetitions of one cycle, in process, one after the
-/// other. After each repetition the child writes one frame on the sandbox
+/// executes Phase I in a ProcessSandbox child, and Phase II on Jobs lanes,
+/// each with one sandboxed child kept for the whole phase: the parent
+/// feeds it one *batch* at a time as a command frame (up to
+/// ceil(Reps / Jobs) consecutive fresh repetitions of one cycle, their
+/// attempt and their fault verdicts), and the child runs the batch in
+/// process, one repetition after the other, then waits for the next
+/// command. After each repetition the child writes one frame on the sandbox
 /// pipe: a JSON line in the journal record's own schema (with that
 /// repetition's own in-child wall and CPU time), then, with telemetry on,
 /// that repetition's telemetry section. The parent decodes each frame as
 /// it arrives with the same function journal replay uses. The sandbox
-/// watchdog restarts at every frame, so the run timeout bounds one
-/// repetition, not a batch. The runner classifies each run (completed /
+/// watchdog restarts at every frame and every command, and rests while a
+/// child waits for its next batch, so the run timeout bounds one
+/// repetition, not a batch or a lane. The runner classifies each run (completed /
 /// reproduced / other-deadlock / stalled / hung / crashed-signal /
 /// crashed-exit / oom) and supervises transient failures with bounded
 /// same-seed restarts under capped exponential backoff. A crash, hang or
-/// OOM costs only the repetition whose frame had not arrived: it is
-/// restarted alone, with its original seed, in a fresh child, and the rest
-/// of its batch returns to the dispatch queue as fresh work. So a crash
+/// OOM costs only the repetition whose frame had not arrived and that
+/// lane's child: the repetition is restarted alone, with its original
+/// seed, the rest of its batch returns to the dispatch queue as fresh
+/// work, and the lane forks a fresh child for its next batch. So a crash
 /// that was environmental — OOM kill, injected fault, machine pressure —
 /// converges to the fault-free classification and committed counts stay
-/// byte-identical to an undisturbed run. Progress is journaled after every
-/// repetition, so an interrupted campaign resumes exactly where it left
-/// off. A cycle whose repetitions keep failing is quarantined with a
+/// byte-identical to an undisturbed run. Progress is journaled as each
+/// repetition commits, and made durable by one fsync per commit round, so
+/// an interrupted campaign resumes exactly where it left off. A cycle whose repetitions keep failing is quarantined with a
 /// diagnostic record instead of aborting the campaign; a journal whose
 /// writes start failing (ENOSPC, EIO) degrades the campaign to in-memory
 /// results instead of aborting it.
@@ -304,8 +309,8 @@ struct CampaignReport {
   /// attempts and each child's fork and exit); under parallel execution
   /// this exceeds the wall clock.
   double ChildCpuMs = 0.0;
-  /// Phase II children forked; each ran a batch of repetitions (or one
-  /// retried repetition).
+  /// Phase II children forked: one per lane, plus one each time a lane
+  /// needed a child after its last one crashed, hung or was ended.
   unsigned PhaseTwoChildren = 0;
   /// Most sandboxed children simultaneously in flight.
   unsigned PeakConcurrency = 0;
@@ -356,8 +361,8 @@ struct CampaignReport {
 };
 
 /// Drives one campaign: Phase I in a sandboxed child and Phase II in
-/// batches of repetitions per sandboxed lane child, journaled and
-/// resumable.
+/// batches of repetitions fed to one long-lived sandboxed child per lane,
+/// journaled and resumable.
 class CampaignRunner {
 public:
   explicit CampaignRunner(CampaignConfig Config);
@@ -396,8 +401,12 @@ private:
   /// Appends \p Record if a journal is open and healthy. An append failure
   /// degrades the journal (once) instead of stopping the campaign: the
   /// campaign keeps running in memory and the epilogue marks the journal
-  /// non-resumable.
+  /// non-resumable. The record is durable only after the next
+  /// journalSync.
   void journalAppend(const JsonValue &Record);
+  /// Makes every record appended so far durable (one fsync, skipped when
+  /// nothing is pending); a failure degrades the journal like an append's.
+  void journalSync();
   /// Switches to in-memory mode after a persistent journal write failure.
   void degradeJournal(const std::string &Why);
 

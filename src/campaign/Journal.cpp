@@ -63,9 +63,20 @@ bool JournalWriter::append(const JsonValue &Record) {
     LastError = std::string("flush failed: ") + std::strerror(errno);
     return false;
   }
-  // fsync so the record survives machine death, not just process death. A
-  // failed sync (ENOSPC, EIO) means the record is NOT durable: report it so
-  // the campaign can degrade instead of journaling into the void.
+  Unsynced = true;
+  return true;
+}
+
+bool JournalWriter::sync() {
+  if (!Stream) {
+    LastError = "journal is not open";
+    return false;
+  }
+  if (!Unsynced)
+    return true;
+  // fsync so the records survive machine death, not just process death. A
+  // failed sync (ENOSPC, EIO) means they are NOT durable: report it so the
+  // campaign can degrade instead of journaling into the void.
   if (int E = faultinject::failErrno("journal.fsync", ENOSPC)) {
     LastError = std::string("fsync failed: ") + std::strerror(E) +
                 " (injected)";
@@ -75,6 +86,7 @@ bool JournalWriter::append(const JsonValue &Record) {
     LastError = std::string("fsync failed: ") + std::strerror(errno);
     return false;
   }
+  Unsynced = false;
   return true;
 }
 
@@ -83,6 +95,7 @@ void JournalWriter::close() {
     std::fclose(Stream);
     Stream = nullptr;
   }
+  Unsynced = false;
 }
 
 namespace {

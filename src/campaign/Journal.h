@@ -7,10 +7,20 @@
 /// \file
 /// The campaign journal is JSON Lines: a header object on the first line,
 /// then one record per event (phase-1 result, one per repetition,
-/// quarantine, interruption, completion), appended and flushed after every
-/// repetition. Append-only means an interrupted campaign (SIGKILL, machine
-/// death, exhausted wall-clock budget) loses at most the repetition in
-/// flight; resume replays the journaled prefix and continues.
+/// quarantine, interruption, completion), each written and flushed to the
+/// file as it commits.
+///
+/// Durability contract: one fsync per commit round. The campaign runner
+/// commits records in rounds (the header, the phase-1 record, each pass of
+/// the in-order commit over whatever repetitions are ready, the closing
+/// record) and makes a round durable with one fsync at its end; a commit
+/// is published (the status plane's /events) only once it is durable.
+/// Process death loses nothing that was flushed. Machine death can lose
+/// the records of the last, unsynced round; resume re-executes them
+/// deterministically with the same seeds. Append-only means an
+/// interrupted campaign (SIGKILL, machine death, exhausted wall-clock
+/// budget) loses at most the repetitions in flight and that round; resume
+/// replays the journaled prefix and continues.
 ///
 /// Every record line carries a CRC32 integrity tag: `<json>\t<8 hex>\n`,
 /// where the checksum covers the JSON text. A raw tab can never appear
@@ -37,8 +47,10 @@
 namespace dlf {
 namespace campaign {
 
-/// Appends one JSON object per line, flushing (and fsyncing) after each
-/// append so a journal line is durable before the next repetition starts.
+/// Appends one JSON object per line, flushing after each append; sync()
+/// makes everything appended so far durable with one fsync, so a caller
+/// that commits records in rounds pays one fsync per round, not one per
+/// record.
 class JournalWriter {
 public:
   JournalWriter() = default;
@@ -49,12 +61,17 @@ public:
   /// Opens \p Path for appending (\p Truncate starts a fresh journal).
   bool open(const std::string &Path, bool Truncate);
 
-  /// Writes \p Record as one CRC-tagged line and makes it durable (flush +
-  /// fsync, with every return value checked). Returns false on any I/O or
-  /// sync failure — the record may not have reached stable storage. The
-  /// campaign runner reacts by degrading to in-memory results (the journaled
-  /// prefix stays valid; it is just no longer growing).
+  /// Writes \p Record as one CRC-tagged line and flushes it to the file
+  /// (every return value checked), so it survives the process but not yet
+  /// the machine. Returns false on any I/O failure. The campaign runner
+  /// reacts by degrading to in-memory results (the journaled prefix stays
+  /// valid; it is just no longer growing).
   bool append(const JsonValue &Record);
+
+  /// Makes every record appended since the last sync durable with one
+  /// fsync; a no-op when there is none. Returns false when the sync fails
+  /// (ENOSPC, EIO): those records may not have reached stable storage.
+  bool sync();
 
   /// Human-readable description of the last open/append failure.
   const std::string &lastError() const { return LastError; }
@@ -64,6 +81,8 @@ public:
 
 private:
   std::FILE *Stream = nullptr;
+  /// Records appended since the last successful sync.
+  bool Unsynced = false;
   std::string LastError;
 };
 

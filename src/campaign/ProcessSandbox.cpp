@@ -15,6 +15,7 @@
 
 #include <fcntl.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -91,13 +92,47 @@ double rusageCpuMs(const struct rusage &RU) {
   return ToMs(RU.ru_utime) + ToMs(RU.ru_stime);
 }
 
-} // namespace
-
-bool dlf::campaign::writeFrame(int Fd, const std::string &Body) {
+/// \p Body as one frame: "<byte count>\n<body>".
+std::string frameOf(const std::string &Body) {
   std::string Frame = std::to_string(Body.size());
   Frame += '\n';
   Frame += Body;
+  return Frame;
+}
+
+} // namespace
+
+bool dlf::campaign::writeFrame(int Fd, const std::string &Body) {
+  std::string Frame = frameOf(Body);
   return writeFully(Fd, Frame.data(), Frame.size());
+}
+
+bool dlf::campaign::readFrame(int Fd, std::string &Body) {
+  // The length a byte at a time, so nothing past this frame is consumed.
+  std::string Length;
+  for (;;) {
+    char C;
+    ssize_t N = retryEintr([&] { return read(Fd, &C, 1); });
+    if (N != 1)
+      return false;
+    if (C == '\n')
+      break;
+    if (C < '0' || C > '9' || Length.size() == 20)
+      return false;
+    Length += C;
+  }
+  if (Length.empty())
+    return false;
+  Body.resize(static_cast<size_t>(std::strtoull(Length.c_str(), nullptr, 10)));
+  size_t Got = 0;
+  while (Got < Body.size()) {
+    ssize_t N =
+        retryEintr([&] { return read(Fd, &Body[Got], Body.size() - Got); });
+    if (N <= 0)
+      return false;
+    Got += static_cast<size_t>(N);
+  }
+  return true;
 }
 
 void SandboxProcess::FrameReader::feed(const char *Data, size_t Size) {
@@ -184,20 +219,29 @@ void SandboxProcess::closePipes() {
     StderrFd = -1;
     StderrDrain.Fd = -1;
   }
+  if (CommandFd >= 0) {
+    close(CommandFd);
+    CommandFd = -1;
+  }
 }
 
-bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
-                           const SandboxLimits &L) {
+bool SandboxProcess::start(const SandboxChildFn &Fn, const SandboxLimits &L) {
   Limits = L;
   int PayloadPipe[2] = {-1, -1};
   int StderrPipe[2] = {-1, -1};
-  if (pipe(PayloadPipe) != 0) {
-    Finished = true;
-    return false;
-  }
-  if (Limits.CaptureStderr && pipe(StderrPipe) != 0) {
-    close(PayloadPipe[0]);
-    close(PayloadPipe[1]);
+  // A socket, not a pipe, so the parent's send() can refuse to raise
+  // SIGPIPE when the child is gone (MSG_NOSIGNAL).
+  int CommandPair[2] = {-1, -1};
+  auto CloseAll = [&] {
+    for (int Fd : {PayloadPipe[0], PayloadPipe[1], StderrPipe[0],
+                   StderrPipe[1], CommandPair[0], CommandPair[1]})
+      if (Fd >= 0)
+        close(Fd);
+  };
+  if (pipe(PayloadPipe) != 0 ||
+      (Limits.CaptureStderr && pipe(StderrPipe) != 0) ||
+      socketpair(AF_UNIX, SOCK_STREAM, 0, CommandPair) != 0) {
+    CloseAll();
     Finished = true;
     return false;
   }
@@ -206,12 +250,7 @@ bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
   pid_t Parent = getpid();
   pid_t Child = fork();
   if (Child < 0) {
-    close(PayloadPipe[0]);
-    close(PayloadPipe[1]);
-    if (Limits.CaptureStderr) {
-      close(StderrPipe[0]);
-      close(StderrPipe[1]);
-    }
+    CloseAll();
     Finished = true;
     return false;
   }
@@ -232,6 +271,7 @@ bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
     (void)Parent;
 #endif
     close(PayloadPipe[0]);
+    close(CommandPair[0]);
     if (Limits.CaptureStderr) {
       close(StderrPipe[0]);
       dup2(StderrPipe[1], STDERR_FILENO);
@@ -240,7 +280,7 @@ bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
 
     int Code;
     try {
-      Code = Fn(PayloadPipe[1]);
+      Code = Fn(CommandPair[1], PayloadPipe[1]);
     } catch (const std::bad_alloc &) {
       Code = OomExitCode;
     } catch (...) {
@@ -254,8 +294,10 @@ bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
   Started = true;
   Result.ChildPid = Child;
   close(PayloadPipe[1]);
+  close(CommandPair[1]);
   if (Limits.CaptureStderr)
     close(StderrPipe[1]);
+  CommandFd = CommandPair[0];
   PayloadFd = PayloadPipe[0];
   StderrFd = Limits.CaptureStderr ? StderrPipe[0] : -1;
   fcntl(PayloadFd, F_SETFL, O_NONBLOCK);
@@ -269,13 +311,36 @@ bool SandboxProcess::start(const std::function<int(int PayloadFd)> &Fn,
   return true;
 }
 
+bool SandboxProcess::send(const std::string &Command, size_t Replies) {
+  if (!Started || Finished || CommandFd < 0)
+    return false;
+  std::string Frame = frameOf(Command);
+  for (size_t Sent = 0; Sent < Frame.size();) {
+    ssize_t N = retryEintr([&] {
+      return ::send(CommandFd, Frame.data() + Sent, Frame.size() - Sent,
+                    MSG_NOSIGNAL);
+    });
+    if (N <= 0)
+      return false;
+    Sent += static_cast<size_t>(N);
+  }
+  // The command is a unit of work handed out: a new watchdog window.
+  if (Ph == Phase::Running)
+    StartTime = std::chrono::steady_clock::now();
+  Awaited = Replies;
+  return true;
+}
+
 void SandboxProcess::pumpPayload() {
   size_t Before = Frames.Done.size();
   PayloadDrain.pump();
+  size_t Arrived = Frames.Done.size() - Before;
   // Every complete frame is a unit of work done: the watchdog's window
   // restarts, unless it has already fired.
-  if (Frames.Done.size() != Before && Ph == Phase::Running)
+  if (Arrived && Ph == Phase::Running)
     StartTime = std::chrono::steady_clock::now();
+  if (Awaited != SIZE_MAX)
+    Awaited -= std::min(Awaited, Arrived);
 }
 
 std::vector<std::string> SandboxProcess::takeFrames() {
@@ -336,7 +401,7 @@ bool SandboxProcess::poll() {
   }
 
   double Now = elapsedMs();
-  if (Ph == Phase::Running && Limits.TimeoutMs &&
+  if (Ph == Phase::Running && Limits.TimeoutMs && watchdogArmed() &&
       Now >= static_cast<double>(Limits.TimeoutMs)) {
     TimedOut = true;
     kill(Result.ChildPid, SIGTERM);
@@ -382,7 +447,7 @@ SandboxResult dlf::campaign::runInSandbox(
     const std::function<int(int PayloadFd)> &Fn, const SandboxLimits &Limits,
     const std::function<void(std::string Frame)> &OnFrame) {
   SandboxProcess P;
-  if (!P.start(Fn, Limits))
+  if (!P.start([&](int, int PayloadFd) { return Fn(PayloadFd); }, Limits))
     return P.takeResult();
   auto HandFrames = [&] {
     for (std::string &Frame : P.takeFrames())

@@ -23,14 +23,20 @@
 ///
 /// Two entry points share one implementation: the blocking runInSandbox
 /// (start one child, pump it to completion) and the non-blocking
-/// SandboxProcess (start / poll / reap), which the campaign WorkerPool
-/// uses to keep N children in flight from a single dispatch thread.
+/// SandboxProcess (start / send / poll / reap), which the campaign
+/// WorkerPool uses to keep N children in flight from a single dispatch
+/// thread.
 ///
 /// Every child is *framed*: it reports each unit of work it does (a
 /// campaign lane's repetition, Phase I's observation, one uninstrumented
 /// run) as one writeFrame frame, the parent takes the frames as they
 /// complete, and the watchdog and the payload cap apply per frame, so a
-/// long batch of quick units is never mistaken for one hung unit.
+/// long batch of quick units is never mistaken for one hung unit. A child
+/// may also be fed: the parent sends it command frames in the same codec
+/// on a second channel (readFrame reads one in the child), so one child
+/// can do many rounds of work. Sending a command restarts the watchdog,
+/// and once the frames the command asked for are in, the watchdog rests
+/// until the next command: an idle child waiting to be fed is not hung.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,8 +64,8 @@ inline constexpr int ExceptionExitCode = 112; ///< any other exception escaped
 /// Resource caps and watchdog settings for one sandboxed run.
 struct SandboxLimits {
   /// Wall-clock watchdog; 0 disables (the child may then run forever).
-  /// It restarts at every complete frame, so it bounds one unit of work,
-  /// not the child's whole life.
+  /// It restarts at every complete frame and every command sent, so it
+  /// bounds one unit of work, not the child's whole life.
   uint64_t TimeoutMs = 10'000;
 
   /// Grace period between SIGTERM and SIGKILL when the watchdog fires.
@@ -102,8 +108,8 @@ struct SandboxResult {
   /// True when the child ignored SIGTERM and had to be SIGKILLed.
   bool TermEscalated = false;
 
-  /// Wall-clock time since the child's last frame (or its fork), in
-  /// milliseconds: the window the watchdog was timing.
+  /// Wall-clock time since the child's last frame or command (or its
+  /// fork), in milliseconds: the window the watchdog was timing.
   double WallMs = 0.0;
 
   /// CPU time the child consumed (user + system, from wait4's rusage), in
@@ -122,12 +128,19 @@ struct SandboxResult {
   std::string triage() const;
 };
 
-/// One sandboxed child, driven without blocking: start() forks it, poll()
-/// pumps its pipes / advances the watchdog / reaps it when it exits, and
-/// takeResult() yields the classification. The watchdog needs poll() to be
-/// called every few milliseconds while the child runs; appendPollFds()
-/// exposes the read ends so a dispatcher can sleep in ::poll across many
-/// children and still wake instantly on output.
+/// The body of a sandboxed child: it reads command frames from
+/// \p CommandFd (readFrame; end of file once the parent is done with it)
+/// and writes its result frames to \p PayloadFd (writeFrame), and returns
+/// the child's exit code.
+using SandboxChildFn = std::function<int(int CommandFd, int PayloadFd)>;
+
+/// One sandboxed child, driven without blocking: start() forks it, send()
+/// feeds it a command, poll() pumps its pipes / advances the watchdog /
+/// reaps it when it exits, and takeResult() yields the classification. The
+/// watchdog needs poll() to be called every few milliseconds while the
+/// child runs; appendPollFds() exposes the read ends so a dispatcher can
+/// sleep in ::poll across many children and still wake instantly on
+/// output.
 class SandboxProcess {
 public:
   SandboxProcess() = default;
@@ -135,11 +148,17 @@ public:
   SandboxProcess(const SandboxProcess &) = delete;
   SandboxProcess &operator=(const SandboxProcess &) = delete;
 
-  /// Forks the child (see runInSandbox for \p Fn's contract). Returns
-  /// false when pipe/fork creation fails; the process is then finished()
-  /// with SandboxStatus::ForkFailed.
-  bool start(const std::function<int(int PayloadFd)> &Fn,
-             const SandboxLimits &Limits);
+  /// Forks the child (see runInSandbox for the contract; \p Fn also gets
+  /// the child's end of the command channel). Returns false when pipe/fork
+  /// creation fails; the process is then finished() with
+  /// SandboxStatus::ForkFailed.
+  bool start(const SandboxChildFn &Fn, const SandboxLimits &Limits);
+
+  /// Sends \p Command to the child as one frame and restarts the watchdog.
+  /// The watchdog then times the child until \p Replies more frames have
+  /// arrived, and rests from there until the next command. Returns false
+  /// when the child is gone (or was never started); never raises SIGPIPE.
+  bool send(const std::string &Command, size_t Replies);
 
   /// True once the child is reaped (or start failed); the result is final.
   bool finished() const { return Finished; }
@@ -192,12 +211,17 @@ private:
 
   void pumpPayload();
   double elapsedMs() const;
+  bool watchdogArmed() const { return Awaited != 0; }
   void finalize(int Status);
   void closePipes();
 
   SandboxLimits Limits;
-  /// Start of the watchdog's window: the fork, then each complete frame.
+  /// Start of the watchdog's window: the fork, then each complete frame
+  /// and each command sent.
   std::chrono::steady_clock::time_point StartTime;
+  /// Frames still awaited before the watchdog rests; SIZE_MAX (the state
+  /// after the fork) never runs out.
+  size_t Awaited = SIZE_MAX;
   enum class Phase { Running, Termed, Killed } Ph = Phase::Running;
   double TermAtMs = 0;
   bool TimedOut = false;
@@ -205,6 +229,7 @@ private:
   bool Finished = false;
   int PayloadFd = -1;
   int StderrFd = -1;
+  int CommandFd = -1; ///< the parent's end of the command channel
   Drain PayloadDrain, StderrDrain;
   FrameReader Frames;
   SandboxResult Result;
@@ -213,6 +238,11 @@ private:
 /// Writes \p Body as one frame ("<byte count>\n<body>") on a child's
 /// result pipe. Returns false if the write failed.
 bool writeFrame(int Fd, const std::string &Body);
+
+/// Reads one frame from \p Fd into \p Body, blocking until it is whole
+/// and reading nothing past it (a child's command channel). Returns false
+/// at end of file, on a read error or on a malformed length.
+bool readFrame(int Fd, std::string &Body);
 
 /// Runs \p Fn in a forked child under \p Limits. \p Fn receives the write
 /// end of the result pipe and returns the child's exit code; exceptions

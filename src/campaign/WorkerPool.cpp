@@ -27,7 +27,7 @@ unsigned WorkerPool::resolveJobs(unsigned Requested) {
   return HW ? HW : 1;
 }
 
-uint64_t WorkerPool::launch(const std::function<int(int PayloadFd)> &Fn,
+uint64_t WorkerPool::launch(const SandboxChildFn &Fn,
                             const SandboxLimits &Limits) {
   uint64_t Ticket = NextTicket++;
   auto P = std::make_unique<SandboxProcess>();
@@ -35,6 +35,12 @@ uint64_t WorkerPool::launch(const std::function<int(int PayloadFd)> &Fn,
   InFlight.emplace(Ticket, std::move(P));
   Peak = std::max(Peak, static_cast<unsigned>(InFlight.size()));
   return Ticket;
+}
+
+bool WorkerPool::send(uint64_t Ticket, const std::string &Command,
+                      size_t Replies) {
+  auto It = InFlight.find(Ticket);
+  return It != InFlight.end() && It->second->send(Command, Replies);
 }
 
 void WorkerPool::pump(std::vector<PoolCompletion> &Out) {

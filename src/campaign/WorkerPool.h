@@ -8,8 +8,9 @@
 /// A process worker pool over SandboxProcess: up to N forked children in
 /// flight at once, driven from a single dispatch thread with a combined
 /// ::poll over every child's pipes (no thread per child, no blocking
-/// run-one-wait-one). Each launch returns a ticket; completions (and each
-/// frame as it completes) are reported with the ticket so the caller can
+/// run-one-wait-one). Each launch returns a ticket; a child can be fed
+/// command after command through send(), and completions (and each frame
+/// as it completes) are reported with the ticket so the caller can
 /// reassociate out-of-order results with their work items. The pool
 /// guarantees every child is reaped — by poll() when it exits, by
 /// forceKill on cancel and on destruction — so a campaign never leaks
@@ -55,17 +56,20 @@ public:
 
   unsigned jobs() const { return Jobs; }
   size_t inFlight() const { return InFlight.size(); }
-  bool hasCapacity() const { return InFlight.size() < Jobs; }
 
   /// Most children simultaneously in flight over the pool's lifetime.
   unsigned peakConcurrency() const { return Peak; }
 
-  /// Forks \p Fn under \p Limits (requires hasCapacity()); the child
-  /// reports through writeFrame. Returns the completion ticket. A
-  /// failed fork still returns a ticket; the completion carries
-  /// SandboxStatus::ForkFailed.
-  uint64_t launch(const std::function<int(int PayloadFd)> &Fn,
-                  const SandboxLimits &Limits);
+  /// Forks \p Fn under \p Limits (at most jobs() at once); the child
+  /// reads commands with readFrame and reports through writeFrame.
+  /// Returns the completion ticket. A failed fork still returns a ticket;
+  /// the completion carries SandboxStatus::ForkFailed.
+  uint64_t launch(const SandboxChildFn &Fn, const SandboxLimits &Limits);
+
+  /// Sends \p Command to the child of \p Ticket (SandboxProcess::send:
+  /// the watchdog times it until \p Replies frames are in). Returns false
+  /// when that child is gone or never started.
+  bool send(uint64_t Ticket, const std::string &Command, size_t Replies);
 
   /// Pumps every in-flight child once, then — if there is no news —
   /// sleeps up to \p WaitMs in ::poll on their pipes and pumps again.
@@ -76,7 +80,7 @@ public:
 
   /// SIGKILLs one in-flight child and discards it (no completion is ever
   /// reported for the ticket). Used to cancel speculative work and to end
-  /// a lane early. Returns the CPU time the child used, in milliseconds.
+  /// a lane's child. Returns the CPU time the child used, in milliseconds.
   double cancel(uint64_t Ticket);
 
 private:

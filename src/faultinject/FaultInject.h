@@ -26,12 +26,17 @@
 ///
 ///   journal.open    enospc|eio|eacces   open of the campaign journal fails
 ///   journal.write   enospc|eio          the buffered record write fails
-///   journal.fsync   enospc|eio          the per-record fsync fails
+///   journal.fsync   enospc|eio          the fsync that ends a journal
+///                                       commit round fails (one per round,
+///                                       not per record)
 ///   journal.torn    -                   half a record is written, then the
 ///                                       process dies (simulates power loss)
-///   worker.spawn    eagain|enomem       fork of a campaign child fails
+///   worker.spawn    eagain|enomem       a campaign launch fails as if its
+///                                       fork had: Phase I's child, or a
+///                                       Phase II batch handed to a lane
 ///   runner.kill     -                   SIGKILL the runner right after the
-///                                       Nth rep record is committed
+///                                       Nth rep record is committed (and
+///                                       synced)
 ///   child.crash     abort|segv|kill|exit  the phase-2 child dies mid-rep
 ///   child.hang      -                   the phase-2 child hangs until the
 ///                                       sandbox watchdog fires
@@ -147,6 +152,12 @@ public:
   ChildFaults childFaults(uint64_t Cycle, uint64_t Rep, uint64_t Attempt);
 
   const std::vector<FaultSpec> &specs() const { return Specs; }
+
+  /// Hits of \p Site counted so far (only a non-empty plan counts).
+  uint64_t hits(const std::string &Site) const {
+    auto It = Hits.find(Site);
+    return It == Hits.end() ? 0 : It->second;
+  }
 
 private:
   bool fires(const FaultSpec &Spec, uint64_t HitIndex);

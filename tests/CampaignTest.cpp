@@ -156,7 +156,7 @@ SandboxResult runFramed(const std::function<int(int)> &Fn,
                         const SandboxLimits &L,
                         std::vector<std::string> &Frames) {
   SandboxProcess P;
-  P.start(Fn, L);
+  P.start([&](int, int PayloadFd) { return Fn(PayloadFd); }, L);
   while (!P.poll()) {
     std::vector<std::string> More = P.takeFrames();
     Frames.insert(Frames.end(), More.begin(), More.end());
@@ -535,7 +535,7 @@ TEST(WorkerPool, RunsChildrenConcurrentlyAndReportsPeak) {
   L.TimeoutMs = 10'000;
   for (int I = 0; I != 4; ++I)
     Pool.launch(
-        [](int) {
+        [](int, int) {
           usleep(100 * 1000);
           return 0;
         },
@@ -557,7 +557,7 @@ TEST(WorkerPool, CancelKillsAndReapsTheChildImmediately) {
   SandboxLimits L;
   L.TimeoutMs = 60'000; // the cancel, not the watchdog, must end the child
   uint64_t Ticket = Pool.launch(
-      [](int) {
+      [](int, int) {
         for (;;)
           pause();
         return 0;
@@ -852,12 +852,13 @@ TEST(CampaignBatch, CrashMidBatchRerunsOnlyTheUnframedRep) {
   ASSERT_TRUE(R.Error.empty()) << R.Error;
   ASSERT_TRUE(R.CampaignComplete);
   // Reps 0 and 1 committed from the first child and never ran again; rep
-  // 2 ran once more with its seed; rep 3 ran once, in a fresh child.
+  // 2 ran once more with its seed; rep 3 ran once, in a fresh child, which
+  // the lane then fed rep 2's retry.
   EXPECT_EQ(childRuns(RunLog),
             (std::vector<std::string>{"0/0/0", "0/1/0", "0/2/0", "0/2/1",
                                       "0/3/0"}));
   EXPECT_EQ(R.RepsExecuted, 4u);
-  EXPECT_EQ(R.PhaseTwoChildren, 3u);
+  EXPECT_EQ(R.PhaseTwoChildren, 2u);
 
   CampaignReport Full = CampaignRunner(baseConfig(Control.path())).run();
   ASSERT_TRUE(Full.Error.empty()) << Full.Error;
@@ -972,6 +973,147 @@ TEST(CampaignBatch, StopMidBatchThenResumeMatchesUninterruptedCounts) {
   for (size_t I = 0; I != Full.PerCycle.size(); ++I)
     EXPECT_EQ(Resumed.PerCycle[I].countsKey(), Full.PerCycle[I].countsKey());
   EXPECT_EQ(journaledRepKeys(J.path()), journaledRepKeys(Control.path()));
+}
+
+// -- Persistent lanes ----------------------------------------------------------
+//
+// A lane forks its child for its first batch and feeds it every later
+// batch as a command; it forks again only after its child crashed, hung or
+// was ended, and it ends its child once nothing is left to run.
+
+/// True when the calling process has no child left, reaped or not.
+bool noChildLeft() {
+  int WaitStatus = 0;
+  return waitpid(-1, &WaitStatus, WNOHANG) == -1 && errno == ECHILD;
+}
+
+TEST(CampaignLanes, EachLaneForksOnceForAMultiCycleCampaign) {
+  // Two cycles of six reps: six batches at --jobs 3, two at --jobs 1.
+  TempFile SerialJ("lanes-serial.jsonl");
+  TempFile ParallelJ("lanes-parallel.jsonl");
+  CampaignConfig SC = doubleConfig(SerialJ.path());
+  SC.Tester.PhaseTwoReps = 6;
+  CampaignReport Serial = CampaignRunner(std::move(SC)).run();
+  ASSERT_TRUE(Serial.Error.empty()) << Serial.Error;
+  ASSERT_TRUE(Serial.CampaignComplete);
+  ASSERT_EQ(Serial.PerCycle.size(), 2u);
+  EXPECT_EQ(Serial.PhaseTwoChildren, 1u);
+  EXPECT_TRUE(noChildLeft());
+
+  CampaignConfig PC = doubleConfig(ParallelJ.path());
+  PC.Tester.PhaseTwoReps = 6;
+  PC.Jobs = 3;
+  CampaignReport Parallel = CampaignRunner(std::move(PC)).run();
+  ASSERT_TRUE(Parallel.Error.empty()) << Parallel.Error;
+  ASSERT_TRUE(Parallel.CampaignComplete);
+  EXPECT_EQ(Parallel.RepsExecuted, 12u);
+  EXPECT_EQ(Parallel.PhaseTwoChildren, 3u)
+      << Parallel.toString("campaign-test", ParallelJ.path());
+  EXPECT_TRUE(noChildLeft());
+  EXPECT_EQ(journalWithoutTiming(SerialJ.path()),
+            journalWithoutTiming(ParallelJ.path()));
+}
+
+TEST(CampaignLanes, CrashInASecondBatchRespawnsOnlyThatLane) {
+  // Two lanes, batches of three: each lane's second batch is one of cycle
+  // 1's. Rep 1 of cycle 1 crashes once; reps 3-5 are slow, so the other
+  // lane is still busy when it does and keeps its child.
+  TempFile J("lanes-crash.jsonl");
+  TempFile Control("lanes-crash-control.jsonl");
+  TempFile Runs("lanes-crash.runs");
+  CampaignConfig CC = doubleConfig(J.path());
+  CC.Tester.PhaseTwoReps = 6;
+  CC.Jobs = 2;
+  CC.MaxRetries = 2;
+  const std::string RunLog = Runs.path();
+  CC.ChildFaultHook = [RunLog](unsigned C, unsigned R, unsigned Attempt) {
+    logChildRun(RunLog, C, R, Attempt);
+    if (C == 1 && R == 1 && Attempt == 0)
+      abort();
+    if (C == 1 && R >= 3)
+      usleep(100 * 1000);
+  };
+  CampaignReport R = CampaignRunner(std::move(CC)).run();
+  ASSERT_TRUE(R.Error.empty()) << R.Error;
+  ASSERT_TRUE(R.CampaignComplete);
+  EXPECT_TRUE(noChildLeft());
+  // Two lanes plus one fresh child for the crashed lane, which also runs
+  // the retry: every rep ran once, but for the crashed one.
+  EXPECT_EQ(R.PhaseTwoChildren, 3u) << R.toString("campaign-test", "");
+  std::vector<std::string> Want;
+  for (unsigned C = 0; C != 2; ++C)
+    for (unsigned Rep = 0; Rep != 6; ++Rep)
+      Want.push_back(std::to_string(C) + "/" + std::to_string(Rep) + "/0");
+  Want.push_back("1/1/1");
+  std::sort(Want.begin(), Want.end());
+  EXPECT_EQ(childRuns(RunLog), Want);
+
+  CampaignConfig FC = doubleConfig(Control.path());
+  FC.Tester.PhaseTwoReps = 6;
+  CampaignReport Full = CampaignRunner(std::move(FC)).run();
+  ASSERT_TRUE(Full.Error.empty()) << Full.Error;
+  ASSERT_EQ(R.PerCycle.size(), Full.PerCycle.size());
+  for (size_t I = 0; I != Full.PerCycle.size(); ++I)
+    EXPECT_EQ(classificationKey(R.PerCycle[I].countsKey()),
+              classificationKey(Full.PerCycle[I].countsKey()));
+  EXPECT_EQ(R.PerCycle[0].RetriesSpent, 0u);
+  EXPECT_EQ(R.PerCycle[1].RetriesSpent, 1u);
+}
+
+TEST(CampaignLanes, SlowEarlierBatchAndIdleWaitDoNotCountAgainstALaterBatch) {
+  // Rep 1 crashes once and waits out a 1200 ms backoff. Meanwhile the
+  // handed-back reps 2 and 3 run in a fresh child, 300 ms each: a batch
+  // longer than the 500 ms watchdog, each rep within it. The child then
+  // idles for about 600 ms, during which the watchdog must rest, until
+  // rep 1's retry (300 ms) is sent to it and restarts the window. Both
+  // children survive to the end.
+  TempFile J("lanes-idle.jsonl");
+  CampaignConfig CC = baseConfig(J.path());
+  CC.RunTimeoutMs = 500;
+  CC.GraceMs = 50;
+  CC.MaxRetries = 1;
+  CC.BackoffBaseMs = 1200;
+  CC.ChildFaultHook = [](unsigned, unsigned R, unsigned Attempt) {
+    if (R == 1 && Attempt == 0)
+      abort();
+    if (R != 0)
+      usleep(300 * 1000);
+  };
+  CampaignReport R = CampaignRunner(std::move(CC)).run();
+  ASSERT_TRUE(R.Error.empty()) << R.Error;
+  EXPECT_TRUE(R.CampaignComplete);
+  ASSERT_EQ(R.PerCycle.size(), 1u);
+  EXPECT_EQ(R.PerCycle[0].Hung, 0u) << R.toString("campaign-test", "");
+  EXPECT_EQ(R.PerCycle[0].Reproduced, 4u);
+  EXPECT_EQ(R.PerCycle[0].RetriesSpent, 1u);
+  EXPECT_EQ(R.PhaseTwoChildren, 2u);
+  EXPECT_TRUE(noChildLeft());
+}
+
+TEST(CampaignJournal, GroupCommitFsyncsOncePerRoundNotPerRecord) {
+  // Four lanes of one rep each. Rep 0 is slow, so reps 1-3 wait at the
+  // commit frontier and all four commit in one round: one fsync each for
+  // the header, the phase-1 record, that round and the closing record.
+  TempFile J("group-commit.jsonl");
+  PlanGuard G("journal.fsync@1000000"); // counts hits, never fires
+  CampaignConfig CC = baseConfig(J.path());
+  CC.Jobs = 4;
+  CC.ChildFaultHook = [](unsigned, unsigned R, unsigned) {
+    if (R == 0)
+      usleep(400 * 1000);
+  };
+  CampaignReport R = CampaignRunner(std::move(CC)).run();
+  ASSERT_TRUE(R.Error.empty()) << R.Error;
+  ASSERT_TRUE(R.CampaignComplete);
+  EXPECT_FALSE(R.JournalDegraded);
+  JournalContents JC;
+  std::string Error;
+  ASSERT_TRUE(loadJournal(J.path(), JC, &Error)) << Error;
+  const uint64_t Records = JC.Records.size() + 1; // and the header
+  EXPECT_EQ(Records, 7u);
+  const uint64_t Syncs = faultinject::plan().hits("journal.fsync");
+  EXPECT_LE(Syncs, 4u);
+  EXPECT_LT(Syncs, Records);
 }
 
 // -- Journal durability ------------------------------------------------------

@@ -246,8 +246,11 @@ TEST(FaultInjectSites, InjectedFsyncFailureSurfacesThroughTheJournalWriter) {
   ASSERT_TRUE(W.open(Path, /*Truncate=*/true));
   campaign::JsonValue Rec = campaign::JsonValue::object();
   Rec.set("event", "rep");
-  EXPECT_TRUE(W.append(Rec));  // fsync hit #1: clean
-  EXPECT_FALSE(W.append(Rec)); // fsync hit #2: injected EIO
+  EXPECT_TRUE(W.append(Rec));
+  EXPECT_TRUE(W.sync());  // fsync hit #1: clean
+  EXPECT_TRUE(W.sync());  // nothing appended since: no fsync, no hit
+  EXPECT_TRUE(W.append(Rec));
+  EXPECT_FALSE(W.sync()); // fsync hit #2: injected EIO
   EXPECT_NE(W.lastError().find("fsync"), std::string::npos) << W.lastError();
   EXPECT_NE(W.lastError().find("injected"), std::string::npos)
       << W.lastError();
