@@ -21,8 +21,10 @@
 # Tier 2: the same suite under ASan+UBSan
 # (DLF_SANITIZE=address), which is how the sandbox/journal/pool code gets
 # its memory-error coverage (the fiber switches carry ASan's fiber
-# annotations). Tier 2b: the runtime, scheduler and campaign suites under
-# ThreadSanitizer (DLF_SANITIZE=thread), with TSan's fiber annotations on
+# annotations), then aborting jigsaw runs, whose fibers all unwind at
+# teardown, and a collections-lists campaign at --jobs 3, whose lane
+# children switch fibers too. Tier 2b: the runtime, scheduler and
+# campaign suites under ThreadSanitizer (DLF_SANITIZE=thread), with TSan's fiber annotations on
 # every switch between managed threads, plus aborted Active runs whose
 # fibers all unwind at teardown. Sanitized children run several
 # times slower, so those tiers use a reduced per-test timeout rather than
@@ -211,6 +213,13 @@ cmake --build build-asan -j "$JOBS"
 # Sanitized watchdog/hang tests run slower; cap each test instead of
 # letting a wedged sanitized child stall the whole pipeline.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" --timeout 90
+# The fiber switch's stack annotations on runs that abort (every fiber
+# unwinds with ExecutionAborted at teardown) and in campaign lanes.
+build-asan/src/dlf-run jigsaw --reps 3 --seed 2 >/dev/null
+ASANDIR="$(mktemp -d)"
+build-asan/src/dlf-run collections-lists --campaign --jobs 3 --reps 3 \
+  --journal "$ASANDIR/lanes.jsonl" >/dev/null
+rm -rf "$ASANDIR"
 
 echo "== tier 2b: TSan build + runtime/scheduler/campaign suites =="
 cmake -B build-tsan -S . -DDLF_SANITIZE=thread >/dev/null

@@ -25,6 +25,12 @@
 /// extended depth-first through views in index order. The first cycle
 /// found, and so every witness, depends only on the views' order.
 ///
+/// The search keeps no state beside the caller's Path: a view is in use
+/// exactly when the chain passes through it, and Path is never longer than
+/// the cycle, so the search scans Path to tell. A caller that reuses one
+/// Path across checks (the scheduler does, at every acquire) allocates
+/// nothing per check.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DLF_EVENT_LOCKCYCLE_H
@@ -72,7 +78,7 @@ template <typename View> class LockCycleSearch {
 public:
   LockCycleSearch(const std::vector<View> &Views,
                   std::vector<LockCycleStep> &Path)
-      : Views(Views), Path(Path), Used(Views.size(), 0) {}
+      : Views(Views), Path(Path) {}
 
   bool run() {
     for (size_t V = 0; V != Views.size(); ++V) {
@@ -85,10 +91,7 @@ public:
           if (lock(S[To]) == StartLock)
             continue; // degenerate; locks in one view are distinct anyway
           Path.assign(1, {V, To});
-          Used[V] = 1;
-          bool Found = extend(lock(S[To]), S[To].Mode);
-          Used[V] = 0;
-          if (Found)
+          if (extend(lock(S[To]), S[To].Mode))
             return true;
         }
       }
@@ -109,10 +112,18 @@ private:
     return false;
   }
 
+  /// A view is used exactly when the chain already passes through it.
+  bool used(size_t V) const {
+    for (const LockCycleStep &Step : Path)
+      if (Step.View == V)
+        return true;
+    return false;
+  }
+
   /// Extends a chain whose previous thread wants \p Current in \p Want.
   bool extend(uint64_t Current, LockMode Want) {
     for (size_t V = 0; V != Views.size(); ++V) {
-      if (Used[V])
+      if (used(V))
         continue;
       const View &S = Views[V];
       // Find Current in this view, then try every lock after it.
@@ -132,12 +143,10 @@ private:
           }
           if (onPath(Next))
             continue;
-          Used[V] = 1;
           Path.push_back({V, To});
           if (extend(Next, S[To].Mode))
             return true;
           Path.pop_back();
-          Used[V] = 0;
         }
         break; // locks within one view are distinct; Current occurs once
       }
@@ -147,7 +156,6 @@ private:
 
   const std::vector<View> &Views;
   std::vector<LockCycleStep> &Path;
-  std::vector<char> Used;
   uint64_t StartLock = 0;
   LockMode StartMode = LockMode::Exclusive;
 };

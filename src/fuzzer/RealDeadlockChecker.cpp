@@ -8,8 +8,8 @@ using namespace dlf;
 
 std::optional<DeadlockWitness> dlf::findRealDeadlock(
     const std::vector<ThreadStackView> &Views,
-    const std::function<const LockRecord &(LockId)> &LockById) {
-  std::vector<LockCycleStep> Path;
+    const std::function<const LockRecord &(LockId)> &LockById,
+    std::vector<LockCycleStep> &Path) {
   if (!findLockCycle(Views, Path))
     return std::nullopt;
 

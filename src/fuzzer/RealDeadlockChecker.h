@@ -32,15 +32,18 @@ namespace dlf {
 /// the acquire a paused or re-acquiring thread is committed to.
 using ThreadStackView = HeldPendingView<LockStackEntry, ThreadRecord>;
 
-/// Runs Algorithm 4 over \p Views. Returns a witness describing one cycle
-/// (edges ordered so that edge i's wait lock is held by edge i+1's thread,
-/// cyclically), or std::nullopt when no cycle exists.
+/// Runs Algorithm 4 over \p Views, with \p Path as the search's buffer
+/// (reused across calls, so a check that finds no cycle allocates
+/// nothing). Returns a witness describing one cycle (edges ordered so that
+/// edge i's wait lock is held by edge i+1's thread, cyclically), or
+/// std::nullopt when no cycle exists.
 ///
 /// Lock names/abstractions for the witness are looked up through
 /// \p LockById since the checker has no registry of its own.
 std::optional<DeadlockWitness>
 findRealDeadlock(const std::vector<ThreadStackView> &Views,
-                 const std::function<const LockRecord &(LockId)> &LockById);
+                 const std::function<const LockRecord &(LockId)> &LockById,
+                 std::vector<LockCycleStep> &Path);
 
 } // namespace dlf
 

@@ -1,13 +1,28 @@
 //===- runtime/Fiber.cpp - Managed threads as fibers of one OS thread -----===//
+//
+// A switch is dlf_fiber_switch below: it pushes the System V callee-saved
+// state (rbx, rbp, r12-r15, the MXCSR and the x87 control word) on the
+// leaving stack, stores rsp in the leaving context, loads the target's rsp
+// and pops the same state. glibc's swapcontext did the same plus an
+// rt_sigprocmask system call per switch, to carry each context's signal
+// mask; fibers never change the mask, so every context keeps the OS
+// thread's and the switch drops it. The switch also assumes no CET shadow
+// stack: it returns on a stack other than the one it was called on, which
+// a shadow stack would refuse, and glibc 2.36 does not enable one.
+//
+// x86-64 Linux is the only target: any other stops at the #error below,
+// which names the switch to port.
+//
+//===----------------------------------------------------------------------===//
 
 #include "runtime/Fiber.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <cxxabi.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +61,7 @@ struct EhGlobals {
 };
 
 struct FiberContext {
-  ucontext_t Uc;
+  void *Sp = nullptr;           ///< the saved stack pointer while switched out
   ThreadRecord *Self = nullptr; ///< currentSelf() while switched out
   EhGlobals Eh;                 ///< the exception state while switched out
   FiberContext *NextReady = nullptr;
@@ -69,7 +84,95 @@ struct Fiber : FiberContext {
 
 using namespace dlf;
 
+#if !defined(__x86_64__) || !defined(__linux__)
+#error "runtime/Fiber.cpp: port dlf_fiber_switch and dlf_fiber_entry"
+#endif
+
+/// Saves the callee-saved state on the running stack, stores rsp in
+/// \p SaveSp, then resumes the context whose rsp is \p LoadSp.
+extern "C" [[gnu::visibility("hidden")]] void dlf_fiber_switch(void **SaveSp,
+                                                              void *LoadSp);
+/// A fresh fiber's first return address: calls r12 on an aligned stack.
+extern "C" [[gnu::visibility("hidden")]] void dlf_fiber_entry();
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl dlf_fiber_switch
+  .hidden dlf_fiber_switch
+  .type dlf_fiber_switch, @function
+dlf_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbp, 0
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbx, 0
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r12, 0
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r13, 0
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r14, 0
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r15, 0
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size dlf_fiber_switch, .-dlf_fiber_switch
+
+  .p2align 4
+  .globl dlf_fiber_entry
+  .hidden dlf_fiber_entry
+  .type dlf_fiber_entry, @function
+dlf_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined %rip
+  andq $-16, %rsp
+  call *%r12
+  ud2
+  .cfi_endproc
+  .size dlf_fiber_entry, .-dlf_fiber_entry
+  .popsection
+)");
+
 namespace {
+
+/// The frame dlf_fiber_switch pops, lowest address first.
+struct SwitchFrame {
+  uint32_t Mxcsr;
+  uint16_t X87Control;
+  uint16_t Pad;
+  void *R15, *R14, *R13, *R12, *Rbx, *Rbp;
+  void (*Return)();
+};
+static_assert(sizeof(SwitchFrame) == 64, "dlf_fiber_switch pops 8 words");
 
 /// The contexts of one OS thread.
 struct Loop {
@@ -131,23 +234,6 @@ void finishSwitch(FiberContext &Me) {
 #endif
 }
 
-/// Saves the running context in \p From and resumes \p To. ASan
-/// intercepts swapcontext only to warn and to clear the target stack's
-/// shadow, which the fiber annotations make unnecessary, so ASan builds
-/// switch with getcontext and setcontext, which it leaves alone.
-[[gnu::noinline]] void jump(ucontext_t &From, const ucontext_t &To) {
-#if DLF_FIBER_ASAN
-  volatile bool Resumed = false;
-  getcontext(&From);
-  if (!Resumed) {
-    Resumed = true;
-    setcontext(&To);
-  }
-#else
-  swapcontext(&From, &To);
-#endif
-}
-
 /// Saves the running context's per-thread state, installs \p Next's and
 /// switches to it. A \p Dying context is never resumed.
 void switchTo(FiberContext &Next, bool Dying) {
@@ -169,7 +255,7 @@ void switchTo(FiberContext &Next, bool Dying) {
   __tsan_switch_to_fiber(Next.Tsan, 0);
 #endif
   (void)Dying;
-  jump(Prev.Uc, Next.Uc);
+  dlf_fiber_switch(&Prev.Sp, Next.Sp);
   finishSwitch(Prev);
 }
 
@@ -200,13 +286,18 @@ void fiberMain() noexcept {
   park(/*Dying=*/true);
 }
 
-/// Points \p Uc at a fresh run of fiberMain on \p Stack.
-void makeFiberContext(ucontext_t &Uc, char *Stack) {
-  getcontext(&Uc);
-  Uc.uc_stack.ss_sp = Stack;
-  Uc.uc_stack.ss_size = FiberStackBytes;
-  Uc.uc_link = nullptr;
-  makecontext(&Uc, fiberMain, 0);
+/// Prepares \p F's stack so that the first switch to it pops a frame of
+/// zeros (rbp = 0 ends frame-pointer walks), with r12 = fiberMain, and
+/// returns into dlf_fiber_entry. The MXCSR and x87 control word are the
+/// caller's, so a fiber starts in its creator's floating-point mode.
+void prepareFrame(FiberContext &F, char *Stack) {
+  auto *Frame = reinterpret_cast<SwitchFrame *>(Stack + FiberStackBytes) - 1;
+  *Frame = SwitchFrame();
+  asm volatile("stmxcsr %0\n\tfnstcw %1"
+               : "=m"(Frame->Mxcsr), "=m"(Frame->X87Control));
+  Frame->R12 = reinterpret_cast<void *>(&fiberMain);
+  Frame->Return = &dlf_fiber_entry;
+  F.Sp = Frame;
 }
 
 /// A free fiber, or a fresh one with a newly mapped stack.
@@ -250,7 +341,6 @@ Fiber &dlf::startFiber(std::function<void()> Body) {
   F->Self = nullptr;
   F->Eh = EhGlobals();
   char *Stack = static_cast<char *>(F->Map) + guardBytes();
-  makeFiberContext(F->Uc, Stack);
 #if DLF_FIBER_ASAN
   // The last body's frames that never returned (its final switch) left
   // their redzones poisoned.
@@ -259,6 +349,7 @@ Fiber &dlf::startFiber(std::function<void()> Body) {
   F->StackSize = FiberStackBytes;
   F->FakeStack = nullptr;
 #endif
+  prepareFrame(*F, Stack);
 #if DLF_FIBER_TSAN
   F->Tsan = __tsan_create_fiber(0);
 #endif

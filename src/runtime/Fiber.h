@@ -8,9 +8,11 @@
 /// The execution contexts Active-mode dlf::Threads run on. An Active run
 /// lets exactly one managed thread run between synchronization events, so
 /// its managed threads need no OS threads of their own: each body runs as a
-/// fiber (glibc makecontext/swapcontext) on the OS thread that called
-/// Runtime::run, and handing the token to another thread is a stack switch,
-/// not a futex wake and a kernel context switch.
+/// fiber on the OS thread that called Runtime::run, and handing the token
+/// to another thread is a stack switch, not a futex wake and a kernel
+/// context switch. The switch is a register swap (x86-64 only, see
+/// Fiber.cpp): the callee-saved registers, the MXCSR and the x87 control
+/// word, with no system call; the signal mask stays the OS thread's.
 ///
 /// Fibers are cooperative. A context (a fiber, or the OS thread's own
 /// stack) runs until it parks in CoopSemaphore::acquire or joinFiber; the

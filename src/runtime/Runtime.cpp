@@ -121,6 +121,8 @@ ThreadRecord &Runtime::createThreadRecord(const std::string &Name,
     if (Creator)
       Recorder->onForkEdge(*Creator, Rec);
   }
+  if (Sched)
+    Sched->threadCreated(Rec);
   return Rec;
 }
 

@@ -3,7 +3,6 @@
 #include "runtime/Scheduler.h"
 
 #include "fuzzer/CycleSpec.h"
-#include "fuzzer/RealDeadlockChecker.h"
 #include "runtime/Abort.h"
 #include "runtime/Recorder.h"
 #include "runtime/Runtime.h"
@@ -13,6 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <utility>
 
 using namespace dlf;
 
@@ -60,6 +60,11 @@ void Scheduler::parkUntil(std::unique_lock<std::mutex> &Lk, ThreadId Self,
   }
 }
 
+void Scheduler::threadCreated(ThreadRecord &T) {
+  std::lock_guard<std::mutex> Guard(Mu);
+  Live.push_back(&T);
+}
+
 void Scheduler::adoptMainThread(ThreadRecord &Main) {
   std::lock_guard<std::mutex> Guard(Mu);
   Main.State = ThreadState::Running;
@@ -79,7 +84,10 @@ void Scheduler::threadBodyEnd(ThreadRecord &Self) {
   std::unique_lock<std::mutex> Lk(Mu);
   bool HadToken = (RunningId == Self.Id);
   Self.State = ThreadState::Finished;
+  Live.erase(std::find(Live.begin(), Live.end(), &Self));
   Self.Pending = PendingOp();
+  if (Self.Paused)
+    --PausedCount;
   Self.Paused = false;
   // A thread that unwound due to abort may still "hold" modeled locks whose
   // guards were skipped by the teardown; everyone is unwinding, so clearing
@@ -299,12 +307,15 @@ bool Scheduler::isSchedulable(const ThreadRecord &T) const {
 }
 
 void Scheduler::runLivelockMonitor() {
+  if (PausedCount == 0)
+    return;
   // The wall clock is only consulted when some thread is paused and the
   // fallback is enabled (steady_clock::now() per pick round would be pure
   // overhead on the hot path).
   std::chrono::steady_clock::time_point Now{};
   bool HaveNow = false;
-  for (ThreadRecord &T : RT.threadRecords()) {
+  for (ThreadRecord *P : Live) {
+    ThreadRecord &T = *P;
     if (!T.Paused)
       continue;
     bool StepsExceeded =
@@ -325,9 +336,7 @@ void Scheduler::runLivelockMonitor() {
     }
     if (!StepsExceeded && !WallExceeded)
       continue;
-    T.Paused = false;
-    T.HasPausedPending = false;
-    T.ForceExecute = true;
+    forceResume(T);
     ++Result.ForcedUnpauses;
     {
       telemetry::Timeline &TL = telemetry::Timeline::global();
@@ -339,6 +348,13 @@ void Scheduler::runLivelockMonitor() {
     DLF_DEBUG_LOG("livelock monitor unpaused thread "
                   << T.Name << (WallExceeded ? " (wall-clock)" : ""));
   }
+}
+
+void Scheduler::forceResume(ThreadRecord &T) {
+  T.Paused = false;
+  --PausedCount;
+  T.HasPausedPending = false;
+  T.ForceExecute = true;
 }
 
 void Scheduler::giveToken(ThreadRecord &T) {
@@ -372,18 +388,15 @@ void Scheduler::wakeAll() {
 }
 
 std::optional<DeadlockWitness>
-Scheduler::checkRealDeadlock(const ThreadRecord *For,
-                             const std::vector<LockStackEntry> *Tentative) {
-  std::vector<ThreadStackView> Views;
-  // A notified waiter's reacquire has no LockStackEntry of its own; these
-  // hold them (reserved up front, so the views' pointers stay valid).
-  std::vector<LockStackEntry> Reacquires;
-  Reacquires.reserve(RT.threadRecords().size());
-  for (ThreadRecord &T : RT.threadRecords()) {
-    if (T.State == ThreadState::Finished)
-      continue;
-    ThreadStackView View{&T, (&T == For && Tentative) ? Tentative
-                                                      : &T.LockStack};
+Scheduler::checkRealDeadlock(const ThreadRecord *For) {
+  Views.clear();
+  // A notified waiter's reacquire has no LockStackEntry of its own;
+  // Reacquires holds them (reserved before any view points into it).
+  Reacquires.clear();
+  Reacquires.reserve(Live.size());
+  for (ThreadRecord *P : Live) {
+    ThreadRecord &T = *P;
+    ThreadStackView View{&T, &T == For ? &Tentative : &T.LockStack};
     if (&T != For && T.Paused && T.HasPausedPending) {
       // Paused threads are committed to their pending acquire: extend
       // their views with it so a cycle is confirmed as soon as it is
@@ -405,7 +418,8 @@ Scheduler::checkRealDeadlock(const ThreadRecord *For,
     Views.push_back(View);
   }
   return findRealDeadlock(
-      Views, [this](LockId Id) -> const LockRecord & { return RT.lockById(Id); });
+      Views, [this](LockId Id) -> const LockRecord & { return RT.lockById(Id); },
+      Path);
 }
 
 void Scheduler::pickLoop() {
@@ -430,16 +444,11 @@ void Scheduler::pickLoop() {
     runLivelockMonitor();
 
     Enabled.clear();
-    bool AnyUnfinished = false;
-    for (ThreadRecord &T : RT.threadRecords()) {
-      if (T.State == ThreadState::Finished)
-        continue;
-      AnyUnfinished = true;
-      if (isSchedulable(T))
-        Enabled.push_back(&T);
-    }
+    for (ThreadRecord *T : Live)
+      if (isSchedulable(*T))
+        Enabled.push_back(T);
 
-    if (!AnyUnfinished) {
+    if (Live.empty()) {
       Result.Completed = true;
       Done = true;
       wakeAll();
@@ -457,12 +466,11 @@ void Scheduler::pickLoop() {
         if (TL.enabled())
           TL.instant("stall", 0);
       }
-      for (ThreadRecord &T : RT.threadRecords())
-        if (T.State != ThreadState::Finished &&
-            T.Pending.K == PendingOp::Kind::CondBlocked)
+      for (ThreadRecord *T : Live)
+        if (T->Pending.K == PendingOp::Kind::CondBlocked)
           Result.CommunicationStall = true;
       if (!Result.Witness)
-        Result.Witness = checkRealDeadlock(nullptr, nullptr);
+        Result.Witness = checkRealDeadlock(nullptr);
       DLF_DEBUG_LOG("system stall after " << Result.Steps << " steps");
       abortAll();
       return;
@@ -487,16 +495,14 @@ void Scheduler::pickLoop() {
       // remove a random paused thread. It must then execute its pending
       // acquire rather than re-pause, matching the resumed-past-the-
       // instrumentation-point semantics of the Java implementation.
-      std::vector<ThreadRecord *> PausedEnabled;
+      PausedEnabled.clear();
       for (ThreadRecord *T : Enabled)
         if (T->Paused)
           PausedEnabled.push_back(T);
       if (!PausedEnabled.empty()) {
         ThreadRecord *Victim =
             PausedEnabled[Random.nextIndex(PausedEnabled.size())];
-        Victim->Paused = false;
-        Victim->HasPausedPending = false;
-        Victim->ForceExecute = true;
+        forceResume(*Victim);
         ++Result.Thrashes;
         RoundsWithoutCommit = 0;
         {
@@ -628,9 +634,8 @@ bool Scheduler::commitOp(ThreadRecord &T) {
     // lock across wait, another thread takes the wait mutex and then wants
     // the held lock) is reproducible only if the scheduler can hold the
     // notified waiter right before it re-enters the lock.
-    std::vector<LockStackEntry> Tentative = T.LockStack;
-    Tentative.push_back({L.Id, T.Pending.Site, LockMode::Exclusive});
-    if (pauseBeforeAcquire(T, L, Tentative))
+    setTentative(T, {L.Id, T.Pending.Site, LockMode::Exclusive});
+    if (pauseBeforeAcquire(T, L))
       return false;
     // The re-acquisition is an Acquire event (the wait's monitorexit /
     // monitorenter pair in the Java model), granted at once.
@@ -690,10 +695,9 @@ bool Scheduler::commitAcquireAttempt(ThreadRecord &T) {
   LockMode Mode = T.Pending.Mode;
 
   // Algorithm 3 lines 9-11: push (tentatively), then checkRealDeadlock.
-  std::vector<LockStackEntry> Tentative = T.LockStack;
-  Tentative.push_back({L.Id, Site, Mode});
+  setTentative(T, {L.Id, Site, Mode});
   if (Strat.wantsDeadlockCheck()) {
-    if (auto Witness = checkRealDeadlock(&T, &Tentative)) {
+    if (auto Witness = checkRealDeadlock(&T)) {
       Result.DeadlockFound = true;
       Result.Witness = std::move(Witness);
       {
@@ -716,11 +720,12 @@ bool Scheduler::commitAcquireAttempt(ThreadRecord &T) {
       size_t Mine = Spec.enteringComponentIndex(T.Abs, Tentative);
       if (Mine == static_cast<size_t>(-1))
         continue;
-      for (ThreadRecord &U : RT.threadRecords()) {
-        if (&U == &T || U.State == ThreadState::Finished)
+      for (ThreadRecord *U : Live) {
+        if (U == &T)
           continue;
-        if (Spec.otherComponentInProgress(Mine, U.Abs, U.LockStack)) {
+        if (Spec.otherComponentInProgress(Mine, U->Abs, U->LockStack)) {
           T.DeferredByAvoidance = true;
+          DeferralsPending = true;
           DLF_DEBUG_LOG("avoidance deferred " << T.Name << " before "
                                               << L.Name);
           return false;
@@ -729,7 +734,7 @@ bool Scheduler::commitAcquireAttempt(ThreadRecord &T) {
     }
   }
 
-  if (pauseBeforeAcquire(T, L, Tentative))
+  if (pauseBeforeAcquire(T, L))
     return false;
 
   // Execute the acquire: this is the event Phase I records (Definition 1).
@@ -751,8 +756,12 @@ bool Scheduler::commitAcquireAttempt(ThreadRecord &T) {
   return false;
 }
 
-bool Scheduler::pauseBeforeAcquire(ThreadRecord &T, const LockRecord &L,
-                                   const std::vector<LockStackEntry> &Tentative) {
+void Scheduler::setTentative(const ThreadRecord &T, LockStackEntry Next) {
+  Tentative.assign(T.LockStack.begin(), T.LockStack.end());
+  Tentative.push_back(Next);
+}
+
+bool Scheduler::pauseBeforeAcquire(ThreadRecord &T, const LockRecord &L) {
   // Algorithm 3 lines 12-18: pause if this acquire is a cycle component —
   // unless the thread was force-resumed by thrash handling or the livelock
   // monitor, in which case it executes the acquire now.
@@ -761,6 +770,7 @@ bool Scheduler::pauseBeforeAcquire(ThreadRecord &T, const LockRecord &L,
     return false;
   }
   T.Paused = true;
+  ++PausedCount;
   ++T.TimesPaused;
   ++Result.Pauses;
   T.PausedSinceStep = Result.Steps;
@@ -784,6 +794,8 @@ void Scheduler::commitRelease(ThreadRecord &T, LockRecord &L) {
 }
 
 void Scheduler::clearAvoidanceDeferrals() {
-  for (ThreadRecord &U : RT.threadRecords())
-    U.DeferredByAvoidance = false;
+  if (!std::exchange(DeferralsPending, false))
+    return;
+  for (ThreadRecord *U : Live)
+    U->DeferredByAvoidance = false;
 }

@@ -43,6 +43,7 @@
 #ifndef DLF_RUNTIME_SCHEDULER_H
 #define DLF_RUNTIME_SCHEDULER_H
 
+#include "fuzzer/RealDeadlockChecker.h"
 #include "runtime/Fiber.h"
 #include "runtime/Options.h"
 #include "runtime/Records.h"
@@ -67,6 +68,9 @@ public:
             DependencyRecorder *Recorder);
 
   // -- Thread lifecycle -----------------------------------------------------
+
+  /// Adds \p T, just registered with the runtime, to the live threads.
+  void threadCreated(ThreadRecord &T);
 
   /// Marks \p Main (already registered with the runtime) as the running
   /// token holder. Called once before the entry function runs.
@@ -175,16 +179,19 @@ private:
   /// pause decision, ownership transfer / blocking).
   bool commitAcquireAttempt(ThreadRecord &T);
 
+  /// Fills Tentative with \p T's stack after pushing \p Next.
+  void setTentative(const ThreadRecord &T, LockStackEntry Next);
+
   /// Algorithm 3's pause decision for \p T's acquire of \p L, whose stack
-  /// after the push would be \p Tentative: pauses T and returns true when
-  /// the strategy matches a cycle component (and T was not force-resumed).
-  bool pauseBeforeAcquire(ThreadRecord &T, const LockRecord &L,
-                          const std::vector<LockStackEntry> &Tentative);
+  /// after the push is Tentative: pauses T and returns true when the
+  /// strategy matches a cycle component (and T was not force-resumed).
+  bool pauseBeforeAcquire(ThreadRecord &T, const LockRecord &L);
 
   /// Commits \p T's release of \p L and re-arms avoidance deferrals.
   void commitRelease(ThreadRecord &T, LockRecord &L);
 
-  /// Lets every avoidance-deferred thread retry its acquire.
+  /// Lets every avoidance-deferred thread retry its acquire (nothing to do
+  /// unless some acquire was deferred since the last call).
   void clearAvoidanceDeferrals();
 
   /// True when \p T can be committed right now: announced and, for blocked
@@ -199,8 +206,12 @@ private:
   static bool lockAvailable(const LockRecord &L, LockMode Mode);
 
   /// Removes long-paused threads from the Paused set (the livelock
-  /// monitor).
+  /// monitor). Returns at once when no thread is paused.
   void runLivelockMonitor();
+
+  /// Removes paused \p T from the Paused set (thrash handling or the
+  /// livelock monitor); its pending acquire then executes.
+  void forceResume(ThreadRecord &T);
 
   /// Grants the token to \p T. The thread that ran the pick loop wakes T
   /// once it drops Mu (grantedWake).
@@ -216,11 +227,9 @@ private:
   /// Wakes every parked thread: run completion and teardown.
   void wakeAll();
 
-  /// Runs Algorithm 4 with \p Tentative substituted for \p For's stack
-  /// (pass nullptr to use the recorded stacks everywhere).
-  std::optional<DeadlockWitness>
-  checkRealDeadlock(const ThreadRecord *For,
-                    const std::vector<LockStackEntry> *Tentative);
+  /// Runs Algorithm 4 with Tentative substituted for \p For's stack (pass
+  /// nullptr to use the recorded stacks everywhere).
+  std::optional<DeadlockWitness> checkRealDeadlock(const ThreadRecord *For);
 
   Runtime &RT;
   const Options &Opts;
@@ -241,10 +250,23 @@ private:
   Rng Random;
   ExecutionResult Result;
 
-  /// pickLoop's per-round working sets, cleared (not freed) every round so
-  /// a pick round allocates nothing.
-  std::vector<ThreadRecord *> Enabled, Candidates, Preferred;
+  /// The unfinished threads in creation order: every per-step scan walks
+  /// these, so finished threads cost nothing, and Enabled keeps the order
+  /// a walk over every record would give it.
+  std::vector<ThreadRecord *> Live;
+  size_t PausedCount = 0;        ///< threads in the Paused set
+  bool DeferralsPending = false; ///< some thread is avoidance-deferred
+
+  /// Per-step working sets, cleared (not freed) on every use so a pick
+  /// round and an acquire attempt allocate nothing: pickLoop's, the
+  /// attempting thread's stack after its push, and checkRealDeadlock's
+  /// views, the reacquires they point into and the cycle search's path.
+  std::vector<ThreadRecord *> Enabled, Candidates, Preferred, PausedEnabled;
   std::vector<const ThreadRecord *> PoolView;
+  std::vector<LockStackEntry> Tentative;
+  std::vector<ThreadStackView> Views;
+  std::vector<LockStackEntry> Reacquires;
+  std::vector<LockCycleStep> Path;
 };
 
 } // namespace dlf

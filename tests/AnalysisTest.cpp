@@ -196,10 +196,11 @@ struct CheckerFixture {
     std::vector<ThreadStackView> Views;
     for (size_t I = 0; I != Threads.size(); ++I)
       Views.push_back({&Threads[I], &Stacks[I]});
+    std::vector<LockCycleStep> Path;
     return findRealDeadlock(
-        Views, [&](LockId Id) -> const LockRecord & {
-          return Locks[Id.Raw - 1];
-        });
+        Views,
+        [&](LockId Id) -> const LockRecord & { return Locks[Id.Raw - 1]; },
+        Path);
   }
 };
 

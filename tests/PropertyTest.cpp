@@ -378,9 +378,13 @@ TEST_P(CheckerInvariance, ViewOrderDoesNotChangeExistence) {
     std::vector<ThreadStackView> Views;
     for (size_t I : Order)
       Views.push_back({&Records[I], &Stacks[I]});
-    return findRealDeadlock(Views, [&](LockId Id) -> const LockRecord & {
-             return LockRecords[Id.Raw - 1];
-           })
+    std::vector<LockCycleStep> Path;
+    return findRealDeadlock(
+               Views,
+               [&](LockId Id) -> const LockRecord & {
+                 return LockRecords[Id.Raw - 1];
+               },
+               Path)
         .has_value();
   };
 

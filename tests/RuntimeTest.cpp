@@ -19,9 +19,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfenv>
 #include <chrono>
+#include <cstdlib>
 #include <exception>
 #include <filesystem>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -33,6 +36,19 @@
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define DLF_TEST_SANITIZER 1
 #endif
+#endif
+
+#ifndef DLF_TEST_SANITIZER
+/// Every global operator new of this binary, counted (the sanitizers bring
+/// their own allocator, so sanitized builds keep the default).
+static std::atomic<size_t> NewCalls{0};
+
+void *operator new(std::size_t Bytes) {
+  NewCalls.fetch_add(1, std::memory_order_relaxed);
+  if (void *P = std::malloc(Bytes ? Bytes : 1))
+    return P;
+  throw std::bad_alloc();
+}
 #endif
 
 namespace {
@@ -549,6 +565,73 @@ TEST(CpuPinning, LaneCpuWrapsUnderATwoCpuMask) {
 }
 
 // -- Managed threads as fibers ------------------------------------------------------
+
+#ifndef DLF_TEST_SANITIZER
+/// A random strategy that also runs Algorithm 4 at every acquire, as the
+/// Phase II strategy does.
+struct CheckingRandomStrategy : SimpleRandomStrategy {
+  bool wantsDeadlockCheck() const override { return true; }
+};
+
+/// The operator new calls of one Active run in which two managed threads
+/// each lock and unlock one mutex \p Rounds times.
+size_t allocationsOfLockRounds(int Rounds) {
+  Options Opts;
+  Opts.Mode = RunMode::Active;
+  CheckingRandomStrategy Strategy;
+  const size_t Before = NewCalls.load();
+  {
+    Runtime RT(Opts, &Strategy);
+    ExecutionResult R = RT.run([Rounds] {
+      Mutex M("alloc", DLF_SITE());
+      auto Body = [&M, Rounds] {
+        for (int I = 0; I != Rounds; ++I)
+          MutexGuard Guard(M, DLF_NAMED_SITE("alloc:acq"));
+      };
+      Thread A(Body), B(Body);
+      A.join();
+      B.join();
+    });
+    EXPECT_TRUE(R.Completed);
+  }
+  return NewCalls.load() - Before;
+}
+
+TEST(Fibers, ASchedulingStepAllocatesNothing) {
+  allocationsOfLockRounds(100); // warm-up: stacks, interned sites
+  const size_t Hundred = allocationsOfLockRounds(100);
+  EXPECT_EQ(allocationsOfLockRounds(200), Hundred)
+      << "an acquire, a release or a switch allocated";
+}
+#endif
+
+TEST(Fibers, FloatingPointControlStateIsPerFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  bool UpSet = false, OtherRead = false;
+  int OtherMode = -1, UpAfter = -1;
+  ExecutionResult R = runActive([&] {
+    Thread Up([&] {
+      std::fesetround(FE_UPWARD);
+      UpSet = true;
+      while (!OtherRead)
+        yieldNow();
+      UpAfter = std::fegetround();
+      std::fesetround(FE_TONEAREST);
+    });
+    Thread Other([&] {
+      while (!UpSet)
+        yieldNow();
+      OtherMode = std::fegetround();
+      OtherRead = true;
+    });
+    Up.join();
+    Other.join();
+  });
+  ASSERT_TRUE(R.Completed);
+  EXPECT_EQ(OtherMode, FE_TONEAREST) << "another fiber's rounding mode leaked";
+  EXPECT_EQ(UpAfter, FE_UPWARD) << "the rounding mode did not survive a switch";
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
 
 /// An Active run of \p Threads managed threads that each take one lock and
 /// note the address of a local (so the stack they ran on) and their OS
